@@ -12,6 +12,12 @@ stack the +step and -step probes of a block of coordinates along one leading
 probe axis, so the part of the graph a parameter reaches runs once per block
 rather than twice per coordinate.  Its rare wider-step retries run through
 the same path with a block of one coordinate.
+
+evaluate and gradient keep their node values in a Frame.  Passing the frame
+of an earlier call on the same graph, with the same inputs and parameter
+values, extends it with the nodes added since and runs only the nodes that
+have no value yet, so a caller that evaluates part of a graph, extends the
+graph and then differentiates it computes every node once.
 """
 
 from __future__ import annotations
@@ -126,6 +132,18 @@ class Node:
 
     def __neg__(self):
         return self.graph.affine(self, -1.0, 0.0)
+
+
+@dataclass
+class Frame:
+    """Node values of one graph under one set of inputs and parameter values.
+
+    values[i] is node i's array, or None where it has not run; unchecked
+    holds the nodes that ran under check=False and are not yet known finite.
+    """
+
+    values: list = field(default_factory=list)
+    unchecked: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -311,10 +329,10 @@ class Graph:
 
     def _unary(self, op: str, a: Node, fwd, grad_from_xy) -> Node:
         ia = a.index
+        io = len(self._ops)
 
         def backward(v, g):
-            x = v[ia]
-            return ((ia, grad_from_xy(x, fwd(x), g)),)
+            return ((ia, grad_from_xy(v[ia], v[io], g)),)
 
         return self._register(op, (a,), a.shape, lambda v: fwd(v[ia]), backward)
 
@@ -403,6 +421,7 @@ class Graph:
         if not -len(a.shape) <= axis < len(a.shape):
             raise ShapeError(f"softmax: axis {axis} out of range for shape {a.shape}")
         ia = a.index
+        io = len(self._ops)
         axis = axis % len(a.shape) - len(a.shape)
 
         def forward(v):
@@ -412,7 +431,7 @@ class Graph:
             return e / e.sum(axis=axis, keepdims=True)
 
         def backward(v, g):
-            y = forward(v)
+            y = v[io]
             dot = (g * y).sum(axis=axis, keepdims=True)
             return ((ia, y * (g - dot)),)
 
@@ -422,6 +441,7 @@ class Graph:
         if not -len(a.shape) <= axis < len(a.shape):
             raise ShapeError(f"log_softmax: axis {axis} out of range for shape {a.shape}")
         ia = a.index
+        io = len(self._ops)
         axis = axis % len(a.shape) - len(a.shape)
 
         def forward(v):
@@ -430,7 +450,7 @@ class Graph:
             return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
         def backward(v, g):
-            y = np.exp(forward(v))
+            y = np.exp(v[io])
             return ((ia, g - y * g.sum(axis=axis, keepdims=True)),)
 
         return self._register("log_softmax", (a,), a.shape, forward, backward)
@@ -593,24 +613,43 @@ class Graph:
             stack.extend(self._parents[i])
         return sorted(seen)
 
-    def _run(self, order: Sequence[int], values: list, check: bool = True) -> None:
+    def _run(self, order: Sequence[int], frame: Frame, check: bool = True) -> None:
+        """Run the nodes of order that have no value in frame yet.
+
+        With check, every node of order is known finite afterwards: a node
+        that runs is checked as it runs, and one that ran earlier under
+        check=False is checked from its stored value, in the same ascending
+        order, so the first non-finite node is the one named.
+        """
         forward = self._forward
+        values, unchecked = frame.values, frame.unchecked
         with np.errstate(all="ignore"):
             for i in order:
-                fn = forward[i]
-                if fn is None:
-                    if values[i] is None:
+                out = values[i]
+                if out is None:
+                    fn = forward[i]
+                    if fn is None:
                         raise ValueError(f"missing value for leaf {self._names[i]}")
+                    out = values[i] = fn(values)
+                    if not check:
+                        unchecked.add(i)
+                        continue
+                elif not (check and i in unchecked):
                     continue
-                out = fn(values)
-                if check and not np.all(np.isfinite(out)):
+                unchecked.discard(i)
+                if not np.all(np.isfinite(out)):
                     raise EvaluationError(f"non-finite value in node {self._names[i]}")
-                values[i] = out
 
-    def _leaf_frame(self, inputs: Mapping[str, Array] | None) -> list:
-        values: list = [None] * len(self._ops)
+    def _fill(self, inputs: Mapping[str, Array] | None, frame: Frame | None) -> Frame:
+        """frame (a new one if None) extended by the leaves of the nodes added
+        since it was last filled; inputs are validated on every call."""
+        frame = Frame() if frame is None else frame
+        values = frame.values
+        start = len(values)
+        values.extend([None] * (len(self._ops) - start))
         for i, val in self._leaf_values.items():
-            values[i] = val
+            if i >= start:
+                values[i] = val
         supplied = dict(inputs or {})
         for name, i in self._inputs.items():
             if name not in supplied:
@@ -618,33 +657,40 @@ class Graph:
             arr = _as_array(supplied.pop(name))
             if arr.shape != self._shapes[i]:
                 raise ShapeError(f"input {name}: expected shape {self._shapes[i]}, got {arr.shape}")
-            values[i] = arr
+            if i >= start:
+                values[i] = arr
         if supplied:
             raise ValueError(f"unknown inputs: {sorted(supplied)}")
-        return values
+        return frame
 
     def evaluate(self, outputs: Node | Sequence[Node],
                  inputs: Mapping[str, Array] | None = None,
-                 check: bool = True):
+                 check: bool = True, frame: Frame | None = None):
         """Evaluate one node (returns its array) or several (returns a list).
 
         With check=False, non-finite intermediates flow through instead of
-        raising, so callers can report which result went bad.
+        raising, so callers can report which result went bad.  A frame from
+        an earlier call on this graph, with the same inputs and parameter
+        values, is extended in place and only nodes without a value run.
         """
         single = isinstance(outputs, Node)
         nodes = [outputs] if single else list(outputs)
         for n in nodes:
             if n.graph is not self:
                 raise ValueError("output node belongs to a different graph")
-        values = self._leaf_frame(inputs)
-        order = self._ancestors([n.index for n in nodes])
-        self._run(order, values, check=check)
-        results = [values[n.index] for n in nodes]
+        frame = self._fill(inputs, frame)
+        self._run(self._ancestors([n.index for n in nodes]), frame, check=check)
+        results = [frame.values[n.index] for n in nodes]
         return results[0] if single else results
 
     def gradient(self, output: Node, inputs: Mapping[str, Array] | None = None,
-                 parameters: Sequence[str] | None = None) -> GradientReport:
-        """Differentiate a scalar output with respect to named parameters."""
+                 parameters: Sequence[str] | None = None,
+                 frame: Frame | None = None) -> GradientReport:
+        """Differentiate a scalar output with respect to named parameters.
+
+        frame is reused as in evaluate; every node the output depends on is
+        known finite before the backward pass starts.
+        """
         if output.graph is not self:
             raise ValueError("output node belongs to a different graph")
         if output.shape != ():
@@ -654,9 +700,10 @@ class Graph:
             if name not in self._params:
                 raise ValueError(f"unknown parameter: {name}")
 
-        values = self._leaf_frame(inputs)
+        frame = self._fill(inputs, frame)
+        values = frame.values
         order = self._ancestors([output.index])
-        self._run(order, values)
+        self._run(order, frame)
 
         adjoint: list = [None] * len(self._ops)
         adjoint[output.index] = np.asarray(1.0)
@@ -726,13 +773,10 @@ class Graph:
         roundoff floor for tiny-magnitude gradients; a genuinely wrong
         analytic gradient fails at every step size.
         """
-        report = self.gradient(output, inputs, parameters)
+        base = Frame()
+        report = self.gradient(output, inputs, parameters, frame=base)
         names = list(report.gradients)
-
-        base = self._leaf_frame(inputs)
-        order = self._ancestors([output.index])
-        self._run(order, base)
-        active = set(order)
+        active = set(self._ancestors([output.index]))
         out_idx = output.index
 
         max_rel = 0.0
@@ -758,7 +802,7 @@ class Graph:
                 theta = self._leaf_values[leaf]
                 flat = theta.reshape(-1)
                 grad_flat = report.gradients[name].reshape(-1)
-                frame = list(base)
+                frame = list(base.values)
 
                 def central(coords: Array, h: float) -> tuple[Array, Array]:
                     """Central differences at width h for a block of coordinates,
@@ -813,12 +857,17 @@ class Graph:
                                     rel[j], numeric[j] = retry_rel, estimate
                             if rel[j] < 0.25 * tolerance:
                                 break
+                    # A non-finite difference or gradient (a probe that left
+                    # the domain, say) fails the check; it is never skipped.
+                    bad = ~np.isfinite(rel)
+                    rel[bad] = np.inf
+                    straddle &= ~bad
                     n_skipped = int(straddle.sum())
                     skipped += n_skipped
                     checked += len(coords) - n_skipped
                     # First coordinate of the block's largest error; skipped
-                    # and NaN entries never rank.
-                    ranked = np.where(~straddle & (rel >= 0.0), rel, -1.0)
+                    # entries never rank.
+                    ranked = np.where(straddle, -1.0, rel)
                     j = int(np.argmax(ranked))
                     param_max = max(param_max, float(ranked[j]))
                     if ranked[j] > max_rel:

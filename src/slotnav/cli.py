@@ -11,8 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import ParamStore, derive_seed, load_checkpoint
-from .encoder import EncoderConfig, encode_text, init_params
+from .autodiff import EvaluationError, ParamStore, derive_seed, load_checkpoint
+from .encoder import TEXT_PREFIX, EncoderConfig, encode_text, init_params
 from .fixtures import write_fixture_bundle
 from .harness import (RunManifest, TrainConfig, config_from_dict,
                       dataset_examples, embed_images, load_image_dir,
@@ -21,7 +21,7 @@ from .navsim import (FovParams, MemoryEntry, Pose, execute_episode, load_world,
                      save_episode_log, success_rate)
 from .objectives import (Annotation, AnnotationSet, LossWeights, TrainExample,
                          total_loss_graph)
-from .promptgen import client_from_env, convert_detection_dataset, save_dataset
+from .promptgen import client_from_env, convert_detection_dataset, load_dataset, save_dataset
 from .retrieval import (average_recall, batch_topk, load_ground_truth,
                         load_index, save_index, topk_images)
 
@@ -116,7 +116,7 @@ def _train_config(args) -> TrainConfig:
 def _load_run(run_dir: str) -> tuple[ParamStore, TrainConfig]:
     manifest = RunManifest.load(os.path.join(run_dir, "manifest.json"))
     params = load_checkpoint(os.path.join(run_dir, manifest.checkpoint))
-    store = ParamStore(params, frozen=[n for n in params if n.startswith("txt.")])
+    store = ParamStore(params, frozen=[n for n in params if n.startswith(TEXT_PREFIX)])
     return store, config_from_dict(manifest.config)
 
 
@@ -149,10 +149,9 @@ def cmd_train(args) -> int:
 
 def cmd_index(args) -> int:
     store, config = _load_run(args.run)
-    from .promptgen import load_dataset
     records = load_dataset(os.path.join(args.data, "dataset.jsonl"))
-    images = load_image_dir(records, args.data)
-    examples = dataset_examples(records, images)
+    # One image in memory at a time, so memory does not grow with the corpus.
+    examples = (dataset_examples([r], load_image_dir([r], args.data))[0] for r in records)
     index = embed_images(examples, [r.image_id for r in records], store, config)
     save_index(index, args.out)
     print(f"indexed {len(records)}")
@@ -327,7 +326,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

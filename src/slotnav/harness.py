@@ -7,11 +7,11 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import MutableMapping, Sequence
+from typing import Iterable, MutableMapping, Sequence
 
 import numpy as np
 
-from .autodiff import ParamStore, derive_seed, save_checkpoint
+from .autodiff import EvaluationError, ParamStore, derive_seed, save_checkpoint
 from .encoder import EncoderConfig, encode_text, image_embedding, init_params, read_ppm
 from .objectives import (Annotation, AnnotationSet, LossReport, LossWeights,
                          TrainExample, format_loss_line, total_loss, total_loss_graph)
@@ -157,20 +157,27 @@ _COMPONENTS = ("L_C", "L_L1", "L_GIoU", "L_MC", "total")
 def train_step(store: ParamStore, batch: Sequence[TrainExample],
                config: TrainConfig, step: int,
                text_cache: MutableMapping[str, Array] | None = None) -> LossReport:
-    """One gradient-descent step; frozen parameters are never touched."""
+    """One gradient-descent step; frozen parameters are never touched.
+
+    The gradient starts from the loss graph's evaluated frame, so every node
+    runs once.  A divergence raises EvaluationError naming the node and step.
+    """
     seed = derive_seed(config.seed, "step", step)
-    built = total_loss_graph(batch, store, config.weights, config.encoder,
-                             seed, text_cache)
-    report = built.report
-    for name in _COMPONENTS:
-        if not math.isfinite(getattr(report, name)):
-            raise RuntimeError(f"non-finite loss component {name} at step {step}")
-    lr_t = learning_rate(config, step)
-    if lr_t != 0.0:
-        grads = built.graph.gradient(built.total,
-                                     parameters=store.trainable_names())
-        for name in store.trainable_names():
-            store[name] = store[name] - lr_t * grads.gradients[name]
+    try:
+        built = total_loss_graph(batch, store, config.weights, config.encoder,
+                                 seed, text_cache)
+        report = built.report
+        for name in _COMPONENTS:
+            if not math.isfinite(getattr(report, name)):
+                raise RuntimeError(f"non-finite loss component {name} at step {step}")
+        lr_t = learning_rate(config, step)
+        if lr_t != 0.0:
+            grads = built.graph.gradient(built.total, parameters=store.trainable_names(),
+                                         frame=built.frame).gradients
+            for name in store.trainable_names():
+                store[name] = store[name] - lr_t * grads[name]
+    except EvaluationError as exc:
+        raise EvaluationError(f"{exc} at step {step}") from exc
     return report
 
 
@@ -268,7 +275,7 @@ def eval_seed(config: TrainConfig) -> int:
     return derive_seed(config.seed, "eval", 0)
 
 
-def embed_images(examples: Sequence[TrainExample], ids: Sequence[str],
+def embed_images(examples: Iterable[TrainExample], ids: Sequence[str],
                  store: ParamStore, config: TrainConfig):
     """Deterministic image embeddings for evaluation (fixed slot seed)."""
     seed = eval_seed(config)

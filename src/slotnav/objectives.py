@@ -1,11 +1,14 @@
 """Training objectives: box geometry, Hungarian matching, contrastive losses.
 
-The total loss is assembled in two phases.  Boxes are first evaluated so the
+The total loss is assembled in two phases over one value frame.  Boxes are
+first evaluated, which fills the frame with the image towers, so the
 rectangular assignment between slots and annotations can be computed on
 values; the graph is then extended with gather nodes that bake the chosen
 assignment in, so gradients flow through every matched slot and box while
 the match itself stays a constant of the step, and the whole objective
-remains a single differentiable scalar.
+remains a single differentiable scalar.  The loss report extends the same
+frame and runs only the loss head, and the frame is kept on TotalLossGraph
+so the gradient starts from it: each node of the step is evaluated once.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import MutableMapping, Sequence
 
 import numpy as np
 
-from .autodiff import Graph, Node, ParamStore, derive_seed
+from .autodiff import Frame, Graph, Node, ParamStore, derive_seed
 from .encoder import Binding, EncoderConfig, build_image_embedding, build_text_embedding, sample_slots
 
 Array = np.ndarray
@@ -408,7 +411,12 @@ class TrainExample:
 
 @dataclass
 class TotalLossGraph:
-    """Differentiable total loss plus the evaluated per-component report."""
+    """Differentiable total loss plus the evaluated per-component report.
+
+    frame holds the values of every node the report evaluated, for
+    graph.gradient(total, frame=frame); it stays valid until a parameter of
+    the graph is set anew.
+    """
 
     graph: Graph
     total: Node
@@ -416,6 +424,7 @@ class TotalLossGraph:
     assignments: list[Assignment]
     components: dict[str, Node]
     concatenated_captions: list[str]
+    frame: Frame
 
 
 def total_loss_graph(batch: Sequence[TrainExample], store: ParamStore,
@@ -450,7 +459,8 @@ def total_loss_graph(batch: Sequence[TrainExample], store: ParamStore,
         image_nodes.append(build_image_embedding(g, bind, example.image, config, slots0))
 
     # Assignments are computed on box values, then baked into the graph.
-    box_values = g.evaluate([nodes["boxes"] for nodes in image_nodes])
+    frame = Frame()
+    box_values = g.evaluate([nodes["boxes"] for nodes in image_nodes], frame=frame)
     assignments: list[Assignment] = []
     for boxes, example in zip(box_values, batch):
         cost = pairwise_cost(boxes, example.annotations.boxes(),
@@ -503,13 +513,13 @@ def total_loss_graph(batch: Sequence[TrainExample], store: ParamStore,
     total = g.add(total, g.affine(l_giou, weights.gamma, 0.0))
     total = g.add(total, g.affine(l_mc, weights.delta, 0.0))
 
-    values = g.evaluate([l_c, l_l1, l_giou, l_mc, total], check=False)
+    values = g.evaluate([l_c, l_l1, l_giou, l_mc, total], check=False, frame=frame)
     report = LossReport(L_C=float(values[0]), L_L1=float(values[1]),
                         L_GIoU=float(values[2]), L_MC=float(values[3]),
                         total=float(values[4]))
     return TotalLossGraph(graph=g, total=total, report=report, assignments=assignments,
                           components={"L_C": l_c, "L_L1": l_l1, "L_GIoU": l_giou, "L_MC": l_mc},
-                          concatenated_captions=cat_texts)
+                          concatenated_captions=cat_texts, frame=frame)
 
 
 def total_loss(batch: Sequence[TrainExample], store: ParamStore, weights: LossWeights,

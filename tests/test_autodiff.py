@@ -5,6 +5,7 @@ import pytest
 
 from slotnav.autodiff import (
     EvaluationError,
+    Frame,
     Graph,
     ParamStore,
     ShapeError,
@@ -52,6 +53,41 @@ def test_non_finite_intermediate_is_reported():
     with pytest.raises(EvaluationError) as err:
         g.evaluate(g.log(x))
     assert "log" in str(err.value)
+
+
+def test_frame_extension_runs_only_the_new_nodes():
+    g = Graph()
+    x = g.parameter("x", [0.5, -1.5])
+    tower = g.tanh(g.exp(x))
+    frame = Frame()
+    first = g.evaluate(tower, frame=frame)
+    head = g.sum(g.softmax(tower, axis=0))
+    ran = []
+    forward = list(g._forward)
+    g._forward[:] = [fn if fn is None else (lambda v, i=i, fn=fn: ran.append(i) or fn(v))
+                     for i, fn in enumerate(forward)]
+    value = g.evaluate(head, frame=frame)
+    assert sorted(ran) == list(range(tower.index + 1, head.index + 1))
+    assert frame.values[tower.index] is first
+    g._forward[:] = forward
+    assert value == g.evaluate(head)
+
+
+def test_gradient_from_frame_checks_nodes_evaluated_unchecked():
+    g = Graph()
+    x = g.parameter("x", [1.0, 2.0])
+    tower = g.exp(x)
+    frame = Frame()
+    g.evaluate(tower, frame=frame)
+    # Both head nodes are non-finite; the first, in ascending order, is named.
+    head = g.log(g.affine(tower, -1.0, 0.0))
+    total = g.sum(head)
+    g.evaluate([head, total], check=False, frame=frame)
+    with pytest.raises(EvaluationError) as reused:
+        g.gradient(total, frame=frame)
+    with pytest.raises(EvaluationError) as fresh:
+        g.gradient(total)
+    assert str(reused.value) == str(fresh.value) == f"non-finite value in node {head.name}"
 
 
 def test_gradient_of_square():
@@ -133,6 +169,20 @@ def test_finite_difference_report_holds_python_floats():
     assert all(type(v) is float for v in report.per_parameter.values())
     assert all(type(v) is float for v in (report.worst.analytic, report.worst.numeric,
                                           report.worst.relative_error))
+
+
+def test_finite_difference_fails_on_a_non_finite_difference():
+    # The -step probe of the first entry leaves sqrt's domain.
+    g = Graph()
+    x = g.parameter("x", [4e-6, 1.0])
+    report = g.finite_difference_check(g.sum(g.sqrt(x)))
+    assert not report.passed
+    assert report.checked_coordinates == 2
+    assert report.skipped_coordinates == 0
+    assert report.max_relative_error == float("inf")
+    assert report.worst.parameter == "x"
+    assert report.worst.coordinate == (0,)
+    assert np.isnan(report.worst.numeric)
 
 
 def test_finite_difference_skips_minmax_branch_flip():

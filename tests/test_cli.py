@@ -1,10 +1,12 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from slotnav.cli import main
+from slotnav import harness
+from slotnav.cli import _load_run, main
 from slotnav.promptgen import load_dataset
 from slotnav.retrieval import load_index, save_index
 
@@ -94,6 +96,28 @@ def test_index_then_retrieve_round_trips(bundle, tmp_path, capsys):
     assert (qid, rank) == ("query", "1")
     assert image_id.startswith("img")
     float(score)
+
+
+def test_index_reads_one_image_at_a_time(bundle, tmp_path, monkeypatch, capsys):
+    fx, run = bundle["fx"], bundle["run"]
+    records = load_dataset(str(fx / "dataset.jsonl"))
+    store, config = _load_run(str(run))
+    expected = tmp_path / "expected.lze"
+    save_index(harness.embed_images(
+        harness.dataset_examples(records, harness.load_image_dir(records, str(fx))),
+        [r.image_id for r in records], store, config), str(expected))
+
+    events = []
+    read, embed = harness.read_ppm, harness.image_embedding
+    monkeypatch.setattr(harness, "read_ppm",
+                        lambda path: events.append("read") or read(path))
+    monkeypatch.setattr(harness, "image_embedding",
+                        lambda *a, **k: events.append("embed") or embed(*a, **k))
+    index_path = tmp_path / "imgs.lze"
+    assert main(["index", "--run", str(run), "--data", str(fx),
+                 "--out", str(index_path)]) == 0
+    assert events == ["read", "embed"] * len(records)
+    assert index_path.read_bytes() == expected.read_bytes()
 
 
 def test_retrieve_on_orthonormal_fixture(bundle, capsys):
@@ -244,6 +268,17 @@ def test_missing_file_exits_one(capsys):
     assert main(["retrieve", "--index", "/nonexistent/file.lze",
                  "--query", "x", "--run", "/nonexistent"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_divergent_training_exits_one_and_names_the_step(bundle, tmp_path, capsys):
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("lr = 1e6\ntotal_steps = 4\nbatch_size = 4\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "train", "--data", str(bundle["fx"]),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite value in node ")
+    assert re.search(r" at step \d+$", err.strip())
+    assert "Traceback" not in err
 
 
 def test_malformed_world_names_the_line(bundle, tmp_path, capsys):

@@ -1,11 +1,12 @@
 import json
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from slotnav.autodiff import derive_seed, load_checkpoint
+from slotnav.autodiff import Graph, derive_seed, load_checkpoint
 from slotnav.encoder import EncoderConfig, init_params
 from slotnav.fixtures import training_images, training_records, write_fixture_bundle
 from slotnav.harness import (AblationReport, ConvergenceReport, RunManifest,
@@ -15,7 +16,7 @@ from slotnav.harness import (AblationReport, ConvergenceReport, RunManifest,
                              loss_ablation, overfit_harness, parse_config_file,
                              prompt_template_report, train, train_on_examples,
                              train_step, training_set_ar1)
-from slotnav.objectives import LossWeights, total_loss
+from slotnav.objectives import LossWeights, total_loss, total_loss_graph
 
 
 def desk_config(**overrides):
@@ -139,6 +140,39 @@ def test_step_report_matches_direct_loss():
     assert report.total == direct.total
     assert report.L_C == direct.L_C
     assert report.L_MC == direct.L_MC
+
+
+def test_train_step_runs_each_forward_closure_at_most_once(monkeypatch):
+    calls: Counter = Counter()
+    register = Graph._register
+
+    def counting(self, op, parents, shape, forward, backward, name=None):
+        node = register(self, op, parents, shape, forward, backward, name)
+        if forward is not None:
+            def counted(values, key=(self, node.index)):
+                calls[key] += 1
+                return forward(values)
+            self._forward[node.index] = counted
+        return node
+
+    monkeypatch.setattr(Graph, "_register", counting)
+    cfg = TrainConfig.overfit_preset()
+    examples = fixture_examples()
+    train_step(fresh_store(cfg), examples[:cfg.batch_size], cfg, 0)
+    assert len(calls) > 1000
+    assert max(calls.values()) == 1
+
+
+def test_gradient_from_the_loss_frame_equals_a_fresh_gradient():
+    cfg = TrainConfig.overfit_preset()
+    store = fresh_store(cfg)
+    built = total_loss_graph(fixture_examples(), store, cfg.weights, cfg.encoder, seed=3)
+    names = store.trainable_names()
+    reused = built.graph.gradient(built.total, parameters=names, frame=built.frame)
+    fresh = built.graph.gradient(built.total, parameters=names)
+    assert reused.value == fresh.value == built.report.total
+    for name in names:
+        assert np.array_equal(reused.gradients[name], fresh.gradients[name])
 
 
 def test_first_step_does_not_increase_loss():
