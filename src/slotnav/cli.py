@@ -23,7 +23,7 @@ from .objectives import (Annotation, AnnotationSet, LossWeights, TrainExample,
                          total_loss_graph)
 from .promptgen import client_from_env, convert_detection_dataset, load_dataset, save_dataset
 from .retrieval import (average_recall, batch_topk, load_ground_truth,
-                        load_index, save_index, topk_images)
+                        load_index, query_scores, save_index, top_rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,17 +167,14 @@ def cmd_retrieve(args) -> int:
         if args.run is None:
             raise ValueError("--query needs --run for the text encoder")
         store, config = _load_run(args.run)
-        vector = encode_text(args.query, store, config.encoder).vector
-        rows = {"query": vector}
+        rows = {"query": encode_text(args.query, store, config.encoder).vector}
     else:
         queries = load_index(args.queries)
-        rows = {qid: queries.matrix[i] for i, qid in enumerate(queries.ids)}
-    for qid in rows:
-        vector = np.asarray(rows[qid], dtype=np.float64).reshape(-1)
-        scores = dict(zip(index.ids, index.matrix @ vector))
-        for rank, image_id in enumerate(
-                topk_images(vector, index, min(args.k, len(index.ids))), start=1):
-            print(f"{qid} {rank} {image_id} {scores[image_id]:.6f}")
+        rows = dict(zip(queries.ids, queries.matrix))
+    for qid, vector in rows.items():
+        scores = query_scores(vector, index)
+        for rank, i in enumerate(top_rows(scores, index.ids, min(args.k, len(index)))):
+            print(f"{qid} {rank + 1} {index.ids[i]} {scores[i]:.6f}")
     return 0
 
 

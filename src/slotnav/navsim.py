@@ -11,6 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .promptgen import Pose, build_prompt, normalize_angle
+from .retrieval import top_rows
 
 Array = np.ndarray
 
@@ -383,8 +384,6 @@ def execute_episode(query: str, noun: str, memory: Sequence[MemoryEntry],
     Candidates whose pose cannot be reached are skipped with a note; if no
     visited pose sees the object the episode stops at the last one reached.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if not memory:
         raise ValueError("memory must be nonempty")
     instances = world.objects_named(noun)
@@ -392,21 +391,21 @@ def execute_episode(query: str, noun: str, memory: Sequence[MemoryEntry],
         raise ValueError(f"world has no object named {noun!r}")
     prompt = build_prompt(noun, query) if query else noun
     vec = np.asarray(encode(prompt), dtype=np.float64).reshape(-1)
-    dim = memory[0].embedding.shape[0]
-    if vec.shape[0] != dim:
+    matrix = np.stack([entry.embedding for entry in memory])
+    if vec.shape[0] != matrix.shape[1]:
         raise ValueError(f"query embedding has dimension {vec.shape[0]}, "
-                         f"memory has {dim}")
-    scores = {entry.image_id: float(np.dot(entry.embedding, vec))
-              for entry in memory}
-    ranked = sorted(memory, key=lambda e: (-scores[e.image_id], e.image_id))[:k]
-    ranked_ids = [e.image_id for e in ranked]
+                         f"memory has {matrix.shape[1]}")
+    ids = [entry.image_id for entry in memory]
+    # The same matrix-vector product and ranker as retrieval.topk_images.
+    rows = top_rows(matrix @ vec, ids, min(k, len(memory)))
+    ranked_ids = [ids[i] for i in rows]
 
     visited: list[Pose] = []
     notes: list[str] = []
     path_cells = 0
     seen: WorldObject | None = None
     current = start
-    for entry in ranked:
+    for entry in [memory[i] for i in rows]:
         try:
             path = plan_path(world, current, entry.pose)
         except ValueError as exc:

@@ -19,7 +19,7 @@ from typing import MutableMapping, Sequence
 import numpy as np
 
 from .autodiff import Frame, Graph, Node, ParamStore, derive_seed
-from .encoder import Binding, EncoderConfig, build_image_embedding, build_text_embedding, sample_slots
+from .encoder import Binding, EncoderConfig, build_image_embedding, encode_text, sample_slots
 
 Array = np.ndarray
 
@@ -445,13 +445,9 @@ def total_loss_graph(batch: Sequence[TrainExample], store: ParamStore,
     cache: MutableMapping[str, Array] = text_cache if text_cache is not None else {}
 
     def text_row(text: str) -> Array:
-        row = cache.get(text)
-        if row is None:
-            tg = Graph()
-            tbind = Binding(tg, store, trainable=False)
-            row = tg.evaluate(build_text_embedding(tg, tbind, text, config)).reshape(-1)
-            cache[text] = row
-        return row
+        if text not in cache:
+            cache[text] = encode_text(text, store, config).vector
+        return cache[text]
 
     image_nodes = []
     for i, example in enumerate(batch):

@@ -115,40 +115,43 @@ def similarity_matrix(queries: EmbeddingIndex, items: EmbeddingIndex) -> Array:
     return queries.matrix @ items.matrix.T
 
 
-def _as_vector(query: Embedding | Array, dim: int) -> Array:
-    vec = query.vector if isinstance(query, Embedding) else np.asarray(query)
-    vec = vec.reshape(-1).astype(np.float64)
-    if vec.shape[0] != dim:
-        raise ValueError(f"query has dimension {vec.shape[0]}, index has {dim}")
-    return vec
+def top_rows(scores: Array, ids: Sequence[str], k: int) -> list[int]:
+    """Rows of the k best scores: descending score, ties by ascending id."""
+    if not 1 <= k <= len(ids):
+        raise ValueError(f"k must be in [1, {len(ids)}], got {k}")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("cannot rank non-finite scores")
+    # Sort every row at or above the k-th best score, so a tie across place k goes by id.
+    kth = np.partition(scores, len(ids) - k)[len(ids) - k]
+    rows = np.flatnonzero(scores >= kth).tolist()
+    return sorted(rows, key=lambda i: (-scores[i], ids[i]))[:k]
 
 
-def _topk(scores: Array, ids: Sequence[str], k: int) -> list[str]:
-    # Ties break toward the lexicographically smaller id so runs are stable.
-    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-    return [ids[i] for i in order[:k]]
+def query_scores(query: Embedding | Array, index: EmbeddingIndex) -> Array:
+    """Cosine similarity of one query to every index row."""
+    vec = np.asarray(query.vector if isinstance(query, Embedding) else query,
+                     dtype=np.float64).reshape(-1)
+    if vec.shape[0] != index.dim:
+        raise ValueError(f"query has dimension {vec.shape[0]}, index has {index.dim}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("query has non-finite values")
+    return index.matrix @ vec
 
 
 def topk_images(query: Embedding | Array, index: EmbeddingIndex, k: int) -> list[str]:
     """Ids of the k most similar images, descending similarity."""
-    if not 1 <= k <= len(index):
-        raise ValueError(f"k must be in [1, {len(index)}], got {k}")
-    vec = _as_vector(query, index.dim)
-    return _topk(index.matrix @ vec, index.ids, k)
+    return [index.ids[i] for i in top_rows(query_scores(query, index), index.ids, k)]
 
 
-def topk_texts(image: Embedding | Array, texts: EmbeddingIndex, k: int) -> list[str]:
-    """Ids of the k most similar texts, descending similarity."""
-    return topk_images(image, texts, k)
+# Image-to-text search ranks the same way, with the texts as the index.
+topk_texts = topk_images
 
 
 def batch_topk(queries: EmbeddingIndex, items: EmbeddingIndex,
                k: int) -> dict[str, list[str]]:
     """Top-k item ids for every query row, keyed by query id."""
-    if not 1 <= k <= len(items):
-        raise ValueError(f"k must be in [1, {len(items)}], got {k}")
     sims = similarity_matrix(queries, items)
-    return {qid: _topk(sims[r], items.ids, k)
+    return {qid: [items.ids[i] for i in top_rows(sims[r], items.ids, k)]
             for r, qid in enumerate(queries.ids)}
 
 
@@ -196,21 +199,24 @@ def save_index(index: EmbeddingIndex, path: str) -> None:
 
 
 def load_index(path: str) -> EmbeddingIndex:
-    """Read an index written by save_index, renormalizing the float32 rows."""
+    """Read an index written by save_index; a malformed file raises ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        count, dim = struct.unpack("<II", fh.read(8))
-        payload = fh.read(4 * count * dim)
-        if len(payload) != 4 * count * dim:
+        data = fh.read()
+    try:
+        if data[:4] != MAGIC:
+            raise ValueError(f"bad magic {data[:4]!r}")
+        count, dim = struct.unpack_from("<II", data, 4)
+        end = 12 + 4 * count * dim
+        if len(data) < end:
             raise ValueError("truncated embedding payload")
-        rows = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
-        ids = [fh.readline() for _ in range(count)]
-    if any(not line.endswith(b"\n") for line in ids):
-        raise ValueError("truncated id section")
-    return build_index(rows.astype(np.float64),
-                       [line[:-1].decode("utf-8") for line in ids])
+        rows = np.frombuffer(data, dtype="<f4", count=count * dim, offset=12)
+        lines = data[end:].split(b"\n")
+        if len(lines) <= count:
+            raise ValueError("truncated id section")
+        return build_index(rows.reshape(count, dim).astype(np.float64),
+                           [line.decode("utf-8") for line in lines[:count]])
+    except (ValueError, struct.error) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_ground_truth(gt: GroundTruth, path: str) -> None:

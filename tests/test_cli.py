@@ -270,6 +270,19 @@ def test_missing_file_exits_one(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_truncated_index_exits_one_and_names_its_file(bundle, tmp_path, capsys):
+    fx = bundle["fx"]
+    blob = (fx / "ortho_index.lze").read_bytes()
+    cut = tmp_path / "cut.lze"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        assert main(["retrieve", "--index", str(cut),
+                     "--queries", str(fx / "ortho_queries.lze")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cut}: ")
+        assert "Traceback" not in err
+
+
 def test_divergent_training_exits_one_and_names_the_step(bundle, tmp_path, capsys):
     cfg = tmp_path / "diverge.cfg"
     cfg.write_text("lr = 1e6\ntotal_steps = 4\nbatch_size = 4\n", encoding="utf-8")

@@ -10,6 +10,7 @@ from slotnav.navsim import (FovParams, EpisodeResult, GridWorld, MemoryEntry,
                             parse_world, path_steps, plan_path, save_episode_log,
                             save_world, success_rate)
 from slotnav.promptgen import normalize_angle
+from slotnav.retrieval import build_index, topk_images
 
 from _oracles import breadth_first_path
 
@@ -403,6 +404,42 @@ def test_episode_rank_ties_break_by_id():
                              encode=lambda _: vec,
                              start=center_pose(world, (0, 0)))
     assert result.ranked_ids == ["m_a", "m_b"]
+
+
+def test_episode_ranks_like_topk_images_on_near_ties():
+    # Rows are coordinate permutations of one vector, so against an all-ones
+    # query every score is the same sum up to rounding: the order rests on
+    # the last bits of the scores and on the id tie-break.
+    rng = np.random.default_rng(0)
+    world = parse_world("....\n\nob1 sofa 3 0\n")
+    pose = center_pose(world, (1, 0))
+    query = np.ones(8)
+    for _ in range(300):
+        base = rng.normal(size=8)
+        index = build_index(np.stack([rng.permutation(base) for _ in range(30)]),
+                            [f"m{j:02d}" for j in rng.permutation(30)])
+        memory = [MemoryEntry(image_id, pose, index.matrix[r])
+                  for r, image_id in enumerate(index.ids)]
+        result = execute_episode("", "sofa", memory, world, k=5,
+                                 encode=lambda _: query,
+                                 start=center_pose(world, (0, 0)))
+        assert result.ranked_ids == topk_images(query, index, 5)
+
+
+def test_episode_k_beyond_memory_returns_every_entry():
+    world, memory, basis = episode_fixture()
+    result = execute_episode("", "sofa", memory, world, k=5,
+                             encode=lambda _: basis[2],
+                             start=center_pose(world, (0, 0)))
+    assert result.ranked_ids == ["m_far", "m_away", "m_near"]
+
+
+def test_episode_rejects_non_finite_query():
+    world, memory, basis = episode_fixture()
+    with pytest.raises(ValueError, match="non-finite"):
+        execute_episode("", "sofa", memory, world, k=1,
+                        encode=lambda _: np.array([np.nan, 0.0, 0.0]),
+                        start=center_pose(world, (0, 0)))
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,8 @@ from slotnav.retrieval import (EmbeddingIndex, GroundTruth, RecallReport,
                                average_recall, batch_topk, build_index,
                                index_from_embeddings, load_ground_truth,
                                load_index, save_ground_truth, save_index,
-                               similarity_matrix, topk_images, topk_texts)
+                               similarity_matrix, top_rows, topk_images,
+                               topk_texts)
 
 from _oracles import ranked_ids
 
@@ -142,6 +143,33 @@ def test_ties_break_by_ascending_id():
     row = unit([1.0, 1.0])
     idx = build_index(np.array([row, row, row]), ["zeta", "alpha", "mid"])
     assert topk_images(np.array([1.0, 1.0]), idx, 3) == ["alpha", "mid", "zeta"]
+
+
+def test_tie_straddling_kth_place_breaks_by_id():
+    scores = [1.0, 0.5, 0.5, 0.5, 0.2]
+    ids = ["e", "d", "c", "b", "a"]
+    assert [ids[i] for i in top_rows(np.array(scores), ids, 2)] == ["e", "b"]
+    half = [0.5, np.sqrt(0.75)]
+    idx = build_index(np.array([[1.0, 0.0], half, half, half, [0.2, np.sqrt(0.96)]]), ids)
+    assert topk_images(np.array([1.0, 0.0]), idx, 2) == ["e", "b"]
+
+
+def test_top_rows_matches_full_sort_for_every_k():
+    rng = np.random.default_rng(23)
+    for trial in range(100):
+        n = int(rng.integers(1, 25))
+        scores = rng.integers(0, 4, size=n).astype(np.float64)
+        ids = [f"i{j:02d}" for j in rng.permutation(n)]
+        expected = ranked_ids(list(scores), ids)
+        for k in range(1, n + 1):
+            assert [ids[i] for i in top_rows(scores, ids, k)] == expected[:k]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_topk_rejects_non_finite_query(bad):
+    idx = build_index(np.eye(3), ["a", "b", "c"])
+    with pytest.raises(ValueError, match="non-finite"):
+        topk_images(np.array([bad, 0.0, 0.0]), idx, 1)
 
 
 def test_retrieval_invariant_under_row_permutation():
