@@ -1,9 +1,15 @@
 """Reverse-mode differentiation over a static expression graph.
 
 Graphs are built once (define-then-run), then evaluated or differentiated
-against named parameter and input leaves.  All values are dense float64
-numpy arrays.  Shapes are inferred and validated at construction time, so
-shape bugs surface when a node is created, not when the graph runs.
+against named parameter leaves.  All values are dense float64 numpy arrays.
+Shapes are inferred and validated at construction time, so shape bugs surface
+when a node is created, not when the graph runs.
+
+Ops act on the trailing axes of their operands, and leading axes broadcast,
+in shape inference and backward alike: matmul multiplies the last two axes,
+transpose swaps them, slice_columns slices the last, and a second operand
+may broadcast over leading axes and from size-1 axes.  So one graph serves a
+stack of B images as well as one.
 
 Every forward closure also accepts values that carry extra leading axes in
 front of a node's own shape, and broadcasts them through; without them it
@@ -14,8 +20,8 @@ rather than twice per coordinate.  Its rare wider-step retries run through
 the same path with a block of one coordinate.
 
 evaluate and gradient keep their node values in a Frame.  Passing the frame
-of an earlier call on the same graph, with the same inputs and parameter
-values, extends it with the nodes added since and runs only the nodes that
+of an earlier call on the same graph, with the same parameter values,
+extends it with the nodes added since and runs only the nodes that
 have no value yet, so a caller that evaluates part of a graph, extends the
 graph and then differentiates it computes every node once.
 """
@@ -23,6 +29,7 @@ graph and then differentiates it computes every node once.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -58,11 +65,13 @@ def _as_array(value) -> Array:
 
 
 def _reduce_to(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum gradient over the leading axes broadcast added."""
+    """Sum gradient over the leading axes broadcast added and over the axes
+    it stretched from size 1."""
     extra = grad.ndim - len(shape)
-    if extra == 0:
-        return grad
-    return grad.sum(axis=tuple(range(extra)))
+    if extra:
+        grad = grad.sum(axis=tuple(range(extra)))
+    stretched = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    return grad.sum(axis=stretched, keepdims=True) if stretched else grad
 
 
 def _align(y: Array, rank: int, target: int) -> Array:
@@ -76,9 +85,11 @@ def _align(y: Array, rank: int, target: int) -> Array:
 
 
 def _broadcast_shape(op: str, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # Allowed: identical shapes, scalar second operand, or second operand
-    # matching the trailing axes of the first (broadcast over leading axes).
-    if a == b or b == () or b == a[len(a) - len(b):]:
+    # The second operand broadcasts onto the first: over leading axes it
+    # lacks, and from size-1 axes; the first operand is never stretched.
+    # The first test is the common case, and a cheap one.
+    if b == a[len(a) - len(b):] or (
+            len(b) <= len(a) and all(m in (1, n) for m, n in zip(b, a[len(a) - len(b):]))):
         return a
     raise ShapeError(f"{op}: cannot broadcast {b} onto {a}")
 
@@ -99,44 +110,10 @@ class Node:
     def __eq__(self, other) -> bool:
         return isinstance(other, Node) and other.graph is self.graph and other.index == self.index
 
-    # Arithmetic sugar so builders read like math.
-    def __add__(self, other):
-        if isinstance(other, Node):
-            return self.graph.add(self, other)
-        return self.graph.affine(self, 1.0, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Node):
-            return self.graph.subtract(self, other)
-        return self.graph.affine(self, 1.0, -float(other))
-
-    def __rsub__(self, other):
-        return self.graph.affine(self, -1.0, float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Node):
-            return self.graph.multiply(self, other)
-        return self.graph.affine(self, float(other), 0.0)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Node):
-            return self.graph.divide(self, other)
-        return self.graph.affine(self, 1.0 / float(other), 0.0)
-
-    def __matmul__(self, other):
-        return self.graph.matmul(self, other)
-
-    def __neg__(self):
-        return self.graph.affine(self, -1.0, 0.0)
-
 
 @dataclass
 class Frame:
-    """Node values of one graph under one set of inputs and parameter values.
+    """Node values of one graph under one set of parameter values.
 
     values[i] is node i's array, or None where it has not run; unchecked
     holds the nodes that ran under check=False and are not yet known finite.
@@ -178,7 +155,7 @@ class FiniteDifferenceReport:
 
 
 class Graph:
-    """Static computation graph over named parameter and input leaves."""
+    """Static computation graph over named parameter and constant leaves."""
 
     def __init__(self) -> None:
         self._ops: list[str] = []
@@ -189,7 +166,6 @@ class Graph:
         self._backward: list[Callable | None] = []
         self._leaf_values: dict[int, Array] = {}
         self._params: dict[str, int] = {}
-        self._inputs: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Node construction
@@ -212,20 +188,12 @@ class Graph:
 
     def parameter(self, name: str, value) -> Node:
         """Trainable leaf; gradient() reports a gradient for it."""
-        if name in self._params or name in self._inputs:
-            raise ValueError(f"duplicate leaf name: {name}")
+        if name in self._params:
+            raise ValueError(f"duplicate parameter name: {name}")
         arr = _as_array(value)
         node = self._register("parameter", (), arr.shape, None, None, name=name)
         self._leaf_values[node.index] = arr
         self._params[name] = node.index
-        return node
-
-    def input(self, name: str, shape: Sequence[int]) -> Node:
-        """Non-trainable leaf whose value is supplied at evaluation time."""
-        if name in self._params or name in self._inputs:
-            raise ValueError(f"duplicate leaf name: {name}")
-        node = self._register("input", (), tuple(int(s) for s in shape), None, None, name=name)
-        self._inputs[name] = node.index
         return node
 
     def constant(self, value, name: str | None = None) -> Node:
@@ -253,28 +221,34 @@ class Graph:
     # Elementwise and linear-algebra ops
 
     def matmul(self, a: Node, b: Node) -> Node:
-        if len(a.shape) != 2 or len(b.shape) != 2:
-            raise ShapeError(f"matmul: operands must be rank 2, got {a.shape} and {b.shape}")
-        if a.shape[1] != b.shape[0]:
+        """(..., n, d) @ (d, e), or two stacks with the same leading axes."""
+        if len(a.shape) < 2 or len(b.shape) < 2:
+            raise ShapeError(f"matmul: operands need two axes, got {a.shape} and {b.shape}")
+        if a.shape[-1] != b.shape[-2]:
             raise ShapeError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
+        if len(b.shape) > 2 and a.shape[:-2] != b.shape[:-2]:
+            raise ShapeError(f"matmul: leading axes differ, {a.shape} vs {b.shape}")
         ia, ib = a.index, b.index
+        a_rank, b_shape = len(a.shape), b.shape
 
         def forward(v):
-            return v[ia] @ v[ib]
+            return v[ia] @ _align(v[ib], len(b_shape), a_rank)
 
         def backward(v, g):
-            return ((ia, g @ v[ib].T), (ib, v[ia].T @ g))
+            return ((ia, g @ v[ib].swapaxes(-1, -2)),
+                    (ib, _reduce_to(v[ia].swapaxes(-1, -2) @ g, b_shape)))
 
-        return self._register("matmul", (a, b), (a.shape[0], b.shape[1]), forward, backward)
+        return self._register("matmul", (a, b), a.shape[:-1] + b.shape[-1:], forward, backward)
 
     def transpose(self, a: Node) -> Node:
-        if len(a.shape) != 2:
-            raise ShapeError(f"transpose: operand must be rank 2, got {a.shape}")
+        """Swap the last two axes."""
+        if len(a.shape) < 2:
+            raise ShapeError(f"transpose: operand needs two axes, got {a.shape}")
         ia = a.index
         return self._register(
-            "transpose", (a,), (a.shape[1], a.shape[0]),
+            "transpose", (a,), a.shape[:-2] + (a.shape[-1], a.shape[-2]),
             lambda v: v[ia].swapaxes(-1, -2),
-            lambda v, g: ((ia, g.T),),
+            lambda v, g: ((ia, g.swapaxes(-1, -2)),),
         )
 
     def _binary(self, op: str, a: Node, b: Node, fwd, dfa, dfb) -> Node:
@@ -503,7 +477,7 @@ class Graph:
 
     def reshape(self, a: Node, shape: Sequence[int]) -> Node:
         new_shape = tuple(int(s) for s in shape)
-        if int(np.prod(new_shape)) != int(np.prod(a.shape)):
+        if math.prod(new_shape) != math.prod(a.shape):
             raise ShapeError(f"reshape: cannot reshape {a.shape} to {new_shape}")
         ia = a.index
         old_shape = a.shape
@@ -582,7 +556,8 @@ class Graph:
         return self._register("gather", (a,), shape, forward, backward)
 
     def slice_columns(self, a: Node, start: int, stop: int) -> Node:
-        if len(a.shape) != 2 or not 0 <= start < stop <= a.shape[1]:
+        """Entries [start, stop) of the last axis."""
+        if len(a.shape) < 2 or not 0 <= start < stop <= a.shape[-1]:
             raise ShapeError(f"slice_columns: bad range [{start}, {stop}) for shape {a.shape}")
         ia = a.index
         in_shape = a.shape
@@ -592,10 +567,10 @@ class Graph:
 
         def backward(v, g):
             out = np.zeros(in_shape)
-            out[:, start:stop] = g
+            out[..., start:stop] = g
             return ((ia, out),)
 
-        return self._register("slice_columns", (a,), (a.shape[0], stop - start),
+        return self._register("slice_columns", (a,), a.shape[:-1] + (stop - start,),
                               forward, backward)
 
     # ------------------------------------------------------------------
@@ -627,10 +602,7 @@ class Graph:
             for i in order:
                 out = values[i]
                 if out is None:
-                    fn = forward[i]
-                    if fn is None:
-                        raise ValueError(f"missing value for leaf {self._names[i]}")
-                    out = values[i] = fn(values)
+                    out = values[i] = forward[i](values)
                     if not check:
                         unchecked.add(i)
                         continue
@@ -640,9 +612,9 @@ class Graph:
                 if not np.all(np.isfinite(out)):
                     raise EvaluationError(f"non-finite value in node {self._names[i]}")
 
-    def _fill(self, inputs: Mapping[str, Array] | None, frame: Frame | None) -> Frame:
+    def _fill(self, frame: Frame | None) -> Frame:
         """frame (a new one if None) extended by the leaves of the nodes added
-        since it was last filled; inputs are validated on every call."""
+        since it was last filled."""
         frame = Frame() if frame is None else frame
         values = frame.values
         start = len(values)
@@ -650,41 +622,28 @@ class Graph:
         for i, val in self._leaf_values.items():
             if i >= start:
                 values[i] = val
-        supplied = dict(inputs or {})
-        for name, i in self._inputs.items():
-            if name not in supplied:
-                raise ValueError(f"missing input: {name}")
-            arr = _as_array(supplied.pop(name))
-            if arr.shape != self._shapes[i]:
-                raise ShapeError(f"input {name}: expected shape {self._shapes[i]}, got {arr.shape}")
-            if i >= start:
-                values[i] = arr
-        if supplied:
-            raise ValueError(f"unknown inputs: {sorted(supplied)}")
         return frame
 
-    def evaluate(self, outputs: Node | Sequence[Node],
-                 inputs: Mapping[str, Array] | None = None,
-                 check: bool = True, frame: Frame | None = None):
+    def evaluate(self, outputs: Node | Sequence[Node], check: bool = True,
+                 frame: Frame | None = None):
         """Evaluate one node (returns its array) or several (returns a list).
 
         With check=False, non-finite intermediates flow through instead of
         raising, so callers can report which result went bad.  A frame from
-        an earlier call on this graph, with the same inputs and parameter
-        values, is extended in place and only nodes without a value run.
+        an earlier call on this graph, with the same parameter values, is
+        extended in place and only nodes without a value run.
         """
         single = isinstance(outputs, Node)
         nodes = [outputs] if single else list(outputs)
         for n in nodes:
             if n.graph is not self:
                 raise ValueError("output node belongs to a different graph")
-        frame = self._fill(inputs, frame)
+        frame = self._fill(frame)
         self._run(self._ancestors([n.index for n in nodes]), frame, check=check)
         results = [frame.values[n.index] for n in nodes]
         return results[0] if single else results
 
-    def gradient(self, output: Node, inputs: Mapping[str, Array] | None = None,
-                 parameters: Sequence[str] | None = None,
+    def gradient(self, output: Node, parameters: Sequence[str] | None = None,
                  frame: Frame | None = None) -> GradientReport:
         """Differentiate a scalar output with respect to named parameters.
 
@@ -700,7 +659,7 @@ class Graph:
             if name not in self._params:
                 raise ValueError(f"unknown parameter: {name}")
 
-        frame = self._fill(inputs, frame)
+        frame = self._fill(frame)
         values = frame.values
         order = self._ancestors([output.index])
         self._run(order, frame)
@@ -754,7 +713,6 @@ class Graph:
         return np.where(denom < 1e-8, diff, diff / denom)
 
     def finite_difference_check(self, output: Node,
-                                inputs: Mapping[str, Array] | None = None,
                                 parameters: Sequence[str] | None = None,
                                 step: float = 1e-5,
                                 tolerance: float = 1e-4) -> FiniteDifferenceReport:
@@ -774,7 +732,7 @@ class Graph:
         analytic gradient fails at every step size.
         """
         base = Frame()
-        report = self.gradient(output, inputs, parameters, frame=base)
+        report = self.gradient(output, parameters, frame=base)
         names = list(report.gradients)
         active = set(self._ancestors([output.index]))
         out_idx = output.index
@@ -976,33 +934,35 @@ def save_checkpoint(store: ParamStore | Mapping[str, Array], path) -> None:
 
 
 def load_checkpoint(path) -> dict[str, Array]:
-    """Read a checkpoint written by save_checkpoint."""
+    """Read a checkpoint written by save_checkpoint; a malformed file raises
+    ValueError naming the path."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != _CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic {data[:4]!r}")
     offset = 4
 
-    def read_u32() -> int:
+    def take(size: int) -> bytes:
         nonlocal offset
-        value = struct.unpack_from("<I", data, offset)[0]
-        offset += 4
-        return value
+        if offset + size > len(data):
+            raise ValueError(f"truncated at byte {len(data)}")
+        offset += size
+        return data[offset - size:offset]
 
-    count = read_u32()
-    out: dict[str, Array] = {}
-    for _ in range(count):
-        name_len = read_u32()
-        name = data[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        rank = read_u32()
-        shape = tuple(read_u32() for _ in range(rank))
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(data, dtype="<f8", count=size, offset=offset)
-        offset += size * 8
-        out[name] = arr.reshape(shape).astype(np.float64)
-    if offset != len(data):
-        raise ValueError(f"{path}: {len(data) - offset} trailing bytes")
+    def read_u32() -> int:
+        return struct.unpack("<I", take(4))[0]
+
+    try:
+        if data[:4] != _CHECKPOINT_MAGIC:
+            raise ValueError(f"bad checkpoint magic {data[:4]!r}")
+        out: dict[str, Array] = {}
+        for _ in range(read_u32()):
+            name = take(read_u32()).decode("utf-8")
+            shape = tuple(read_u32() for _ in range(read_u32()))
+            raw = take(8 * math.prod(shape))
+            out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        if offset != len(data):
+            raise ValueError(f"{len(data) - offset} trailing bytes")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return out
 
 

@@ -114,10 +114,23 @@ def _train_config(args) -> TrainConfig:
 
 
 def _load_run(run_dir: str) -> tuple[ParamStore, TrainConfig]:
+    """The run's checkpoint and config; a checkpoint whose tensor names or
+    shapes differ from the config's raises ValueError naming it."""
     manifest = RunManifest.load(os.path.join(run_dir, "manifest.json"))
-    params = load_checkpoint(os.path.join(run_dir, manifest.checkpoint))
+    config = config_from_dict(manifest.config)
+    path = os.path.join(run_dir, manifest.checkpoint)
+    params = load_checkpoint(path)
+    expected = init_params(config.encoder)
+    for name, value in expected.items():
+        got = params[name].shape if name in params else "missing"
+        if got != value.shape:
+            raise ValueError(f"{path}: tensor {name} is {got}, "
+                             f"but the run's config needs {value.shape}")
+    for name in params:
+        if name not in expected:
+            raise ValueError(f"{path}: tensor {name} is not in the run's config")
     store = ParamStore(params, frozen=[n for n in params if n.startswith(TEXT_PREFIX)])
-    return store, config_from_dict(manifest.config)
+    return store, config
 
 
 def _load_records(path: str) -> list[dict]:

@@ -1,9 +1,9 @@
 """Object-centric image encoder and frozen text encoder.
 
-Images pass through a small patch transformer; slot attention localizes
-objects into K slot vectors which feed a box-regression head; the final
-embedding aggregates the pooled image token with a linear readout of the
-slots.  Text is hash-tokenized into a tiny frozen transformer.  Everything
+Images, one at a time or as a stack of same-size images, pass through a
+small patch transformer; slot attention localizes objects into K slot
+vectors which feed a box-regression head; the final embedding aggregates
+the pooled image token with a linear readout of the slots.  Text is hash-tokenized into a tiny frozen transformer.  Everything
 is expressed on the autodiff graph so the objectives module can
 differentiate end to end; eager wrappers evaluate the same graphs with
 parameters bound as constants.
@@ -12,6 +12,7 @@ parameters bound as constants.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,16 +204,18 @@ class Binding:
 
 
 def patchify(image: Array, patch_size: int) -> Array:
-    """Split an H×W×3 image into flattened row-major patches."""
+    """Split an H×W×3 image, or a stack of them, into flattened row-major patches."""
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3 or image.shape[2] != 3:
+    if image.ndim < 3 or image.shape[-1] != 3:
         raise ValueError(f"expected an H×W×3 image, got shape {image.shape}")
-    h, w, _ = image.shape
+    *lead, h, w, _ = image.shape
     if h % patch_size or w % patch_size:
         raise ValueError(f"image {h}×{w} not divisible by patch size {patch_size}")
     gh, gw = h // patch_size, w // patch_size
-    tiles = image.reshape(gh, patch_size, gw, patch_size, 3)
-    return tiles.transpose(0, 2, 1, 3, 4).reshape(gh * gw, patch_size * patch_size * 3)
+    tiles = image.reshape(*lead, gh, patch_size, gw, patch_size, 3)
+    r = len(lead)
+    tiles = tiles.transpose(*range(r), r, r + 2, r + 1, r + 3, r + 4)
+    return tiles.reshape(*lead, gh * gw, patch_size * patch_size * 3)
 
 
 def _layer_norm(g: Graph, bind: Binding, x: Node, prefix: str) -> Node:
@@ -224,7 +227,7 @@ def _linear(g: Graph, bind: Binding, x: Node, prefix: str) -> Node:
 
 
 def _transformer_block(g: Graph, bind: Binding, x: Node, blk: str, heads: int) -> Node:
-    n, d = x.shape
+    d = x.shape[-1]
     dh = d // heads
     h = _layer_norm(g, bind, x, blk + ".ln1")
     qkv = _linear(g, bind, h, blk + ".qkv")
@@ -234,25 +237,30 @@ def _transformer_block(g: Graph, bind: Binding, x: Node, blk: str, heads: int) -
         q = g.slice_columns(qkv, i * dh, (i + 1) * dh)
         key = g.slice_columns(qkv, d + i * dh, d + (i + 1) * dh)
         v = g.slice_columns(qkv, 2 * d + i * dh, 2 * d + (i + 1) * dh)
-        attn = g.softmax(g.affine(g.matmul(q, g.transpose(key)), scale, 0.0), axis=1)
+        attn = g.softmax(g.affine(g.matmul(q, g.transpose(key)), scale, 0.0), axis=-1)
         outputs.append(g.matmul(attn, v))
-    merged = outputs[0] if heads == 1 else g.concat(outputs, axis=1)
+    merged = outputs[0] if heads == 1 else g.concat(outputs, axis=-1)
     x = g.add(x, _linear(g, bind, merged, blk + ".out"))
     m = _layer_norm(g, bind, x, blk + ".ln2")
     m = g.gelu(_linear(g, bind, m, blk + ".mlp1"))
     return g.add(x, _linear(g, bind, m, blk + ".mlp2"))
 
 
-def _normalize_row(g: Graph, x: Node) -> Node:
-    norm = g.sqrt(g.sum(g.multiply(x, x)))
-    return g.divide(x, norm)
+def _normalize_rows(g: Graph, x: Node) -> Node:
+    return g.row_divide(x, g.sqrt(g.sum(g.multiply(x, x), axis=-1)))
+
+
+def _images(node: Node) -> int:
+    """Images a per-image matrix node covers: 1 for one, B for a stack."""
+    return math.prod(node.shape[:-2])
 
 
 def build_image_tokens(g: Graph, bind: Binding, image: Array,
                        config: EncoderConfig) -> tuple[Node, Node]:
-    """Patch transformer over one image; returns (tokens N×D, pooled 1×D)."""
+    """Patch transformer over one H×W×3 image or a B×H×W×3 stack; returns
+    tokens (N×D or B×N×D) and pooled (1×D or B×D)."""
     patches = patchify(image, config.patch_size)
-    n = patches.shape[0]
+    n = patches.shape[-2]
     if n > config.max_tokens:
         raise ValueError(f"{n} patches exceed max_tokens={config.max_tokens}")
     x = _linear(g, bind, g.constant(patches, name="patches"), "img.patch")
@@ -260,26 +268,31 @@ def build_image_tokens(g: Graph, bind: Binding, image: Array,
     for i in range(config.depth):
         x = _transformer_block(g, bind, x, f"img.blk{i}", config.heads)
     tokens = _layer_norm(g, bind, x, "img.ln_out")
-    pooled = g.reshape(g.mean(tokens, axis=0), (1, config.dim))
+    pooled = g.reshape(g.mean(tokens, axis=-2), (_images(tokens), config.dim))
     return tokens, pooled
 
 
 def build_slot_attention(g: Graph, bind: Binding, tokens: Node,
                          initial_slots: Array, iterations: int,
                          config: EncoderConfig) -> tuple[Node, list[tuple[Node, Node, Node]]]:
-    """Iterated slot attention; returns final slots and per-iteration (A, W, S)."""
-    ds = config.slot_dim
+    """Iterated slot attention; returns final slots and per-iteration (A, W, S).
+
+    tokens N×D take initial slots K×ds; a B×N×D stack takes B×K×ds.
+    """
+    ds, k = config.slot_dim, config.num_slots
     keys = g.matmul(tokens, bind("slot.k.w"))
     values = g.matmul(tokens, bind("slot.v.w"))
     slots = g.constant(np.asarray(initial_slots, dtype=np.float64), name="slots0")
-    if slots.shape != (config.num_slots, ds):
-        raise ValueError(f"initial slots must be {(config.num_slots, ds)}, got {slots.shape}")
+    expected = tokens.shape[:-2] + (k, ds)
+    if slots.shape != expected:
+        raise ValueError(f"initial slots must be {expected}, got {slots.shape}")
+    column = tokens.shape[:-2] + (1, k)
     traces: list[tuple[Node, Node, Node]] = []
     for _ in range(iterations):
         queries = g.matmul(slots, bind("slot.q.w"))
         logits = g.affine(g.matmul(keys, g.transpose(queries)), 1.0 / np.sqrt(ds), 0.0)
-        attention = g.softmax(logits, axis=1)
-        weights = g.divide(attention, g.sum(attention, axis=0))
+        attention = g.softmax(logits, axis=-1)
+        weights = g.divide(attention, g.reshape(g.sum(attention, axis=-2), column))
         updates = g.matmul(g.transpose(weights), values)
 
         z = g.sigmoid(g.add(g.add(g.matmul(updates, bind("slot.gru.wz")),
@@ -315,22 +328,24 @@ def build_box_head(g: Graph, bind: Binding, slots: Node) -> Node:
 
     corners = [clip(g.subtract(cx, half_w)), clip(g.subtract(cy, half_h)),
                clip(g.add(cx, half_w)), clip(g.add(cy, half_h))]
-    return g.concat([corners[0], corners[1], corners[2], corners[3]], axis=1)
+    return g.concat(corners, axis=-1)
 
 
 def build_aggregate(g: Graph, bind: Binding, pooled: Node, slots: Node,
                     config: EncoderConfig) -> Node:
-    """Eq-style aggregation: concat(pooled, linear(flat slots)) -> MLP -> unit norm."""
-    flat = g.reshape(slots, (1, config.num_slots * config.slot_dim))
+    """Eq-style aggregation: concat(pooled, linear(flat slots)) -> MLP -> unit
+    norm; one row per image."""
+    flat = g.reshape(slots, (_images(slots), config.num_slots * config.slot_dim))
     slot_vec = _linear(g, bind, flat, "agg.slots")
-    cat = g.concat([pooled, slot_vec], axis=1)
+    cat = g.concat([pooled, slot_vec], axis=-1)
     h = g.gelu(_linear(g, bind, cat, "agg.mlp1"))
-    return _normalize_row(g, _linear(g, bind, h, "agg.mlp2"))
+    return _normalize_rows(g, _linear(g, bind, h, "agg.mlp2"))
 
 
 def build_image_embedding(g: Graph, bind: Binding, image: Array,
                           config: EncoderConfig, initial_slots: Array) -> dict[str, object]:
-    """Full image pathway; returns the named nodes downstream consumers need."""
+    """Full image pathway over one image or a stack of same-size images;
+    returns the named nodes downstream consumers need."""
     tokens, pooled = build_image_tokens(g, bind, image, config)
     slots, traces = build_slot_attention(g, bind, tokens, initial_slots,
                                          config.slot_iters, config)
@@ -364,7 +379,7 @@ def build_text_embedding(g: Graph, bind: Binding, text: str,
     x = _transformer_block(g, bind, x, TEXT_PREFIX + "blk0", config.heads)
     x = _layer_norm(g, bind, x, TEXT_PREFIX + "ln_out")
     pooled = g.reshape(g.mean(x, axis=0), (1, config.dim))
-    return _normalize_row(g, _linear(g, bind, pooled, TEXT_PREFIX + "proj"))
+    return _normalize_rows(g, _linear(g, bind, pooled, TEXT_PREFIX + "proj"))
 
 
 # ----------------------------------------------------------------------
@@ -457,6 +472,8 @@ def image_embedding(image: Array, store: ParamStore, config: EncoderConfig,
 
 
 def read_ppm(path) -> Array:
+    """Read a binary P6 image with maxval 255; a malformed file raises
+    ValueError naming the path."""
     with open(path, "rb") as fh:
         data = fh.read()
     fields: list[bytes] = []
@@ -472,11 +489,16 @@ def read_ppm(path) -> Array:
         while offset < len(data) and not data[offset:offset + 1].isspace():
             offset += 1
         fields.append(data[start:offset])
-    if fields[0] != b"P6" or fields[3] != b"255":
-        raise ValueError(f"{path}: expected binary P6 with maxval 255")
-    width, height = int(fields[1]), int(fields[2])
-    offset += 1
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height * 3, offset=offset)
+    try:
+        if fields[0] != b"P6" or fields[3] != b"255":
+            raise ValueError("expected binary P6 with maxval 255")
+        width, height = int(fields[1]), int(fields[2])
+        if width < 1 or height < 1:
+            raise ValueError(f"bad image size {width}×{height}")
+        pixels = np.frombuffer(data, dtype=np.uint8, count=width * height * 3,
+                               offset=offset + 1)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return pixels.reshape(height, width, 3).astype(np.float64) / 255.0
 
 

@@ -370,26 +370,16 @@ def multilabel_contrastive_loss(slots: Array, text_embeddings: Array,
         return MultilabelLoss(value=0.0, empty=True)
     g = Graph()
     bind = Binding(g, store, trainable=False)
-    node = _multilabel_node(g, bind, [g.constant(slots)], [assignment],
-                            g.constant(texts), [list(range(texts.shape[0]))], tau)
+    matched = g.gather(g.constant(slots), [i for i, _ in assignment.pairs], axis=0)
+    node = _multilabel_node(g, bind, matched, g.constant(texts),
+                            [j for _, j in assignment.pairs], tau)
     return MultilabelLoss(value=float(g.evaluate(node)), empty=False)
 
 
-def _multilabel_node(g: Graph, bind: Binding, slot_nodes: Sequence[Node],
-                     assignments: Sequence[Assignment], all_texts: Node,
-                     ann_index_maps: Sequence[Sequence[int]], tau: float) -> Node | None:
-    """Shared builder: project matched slots, normalize, CE against all texts."""
-    gathered = []
-    targets: list[int] = []
-    for slots, assignment, index_map in zip(slot_nodes, assignments, ann_index_maps):
-        if not assignment.pairs:
-            continue
-        rows = [i for i, _ in assignment.pairs]
-        gathered.append(g.gather(slots, rows, axis=0))
-        targets.extend(index_map[j] for _, j in assignment.pairs)
-    if not gathered:
-        return None
-    matched = gathered[0] if len(gathered) == 1 else g.concat(gathered, axis=0)
+def _multilabel_node(g: Graph, bind: Binding, matched: Node, all_texts: Node,
+                     targets: Sequence[int], tau: float) -> Node:
+    """Shared builder: project matched slot rows, normalize, CE against all
+    texts, row r's target being text targets[r]."""
     projected = g.add(g.matmul(matched, bind("mc.proj.w")), bind("mc.proj.b"))
     norms = g.sqrt(g.sum(g.multiply(projected, projected), axis=1))
     unit = g.row_divide(projected, norms)
@@ -449,60 +439,61 @@ def total_loss_graph(batch: Sequence[TrainExample], store: ParamStore,
             cache[text] = encode_text(text, store, config).vector
         return cache[text]
 
-    image_nodes = []
+    # One image tower per distinct image shape, in first-appearance order;
+    # a batch of one image size builds one.  order lists the batch indices
+    # in the towers' row order, which every loss term below follows.
+    groups: dict[tuple[int, ...], list[int]] = {}
     for i, example in enumerate(batch):
-        slots0 = sample_slots(config, derive_seed(seed, "slots", i))
-        image_nodes.append(build_image_embedding(g, bind, example.image, config, slots0))
+        groups.setdefault(np.shape(example.image), []).append(i)
+    order = [i for members in groups.values() for i in members]
+    towers = [build_image_embedding(
+        g, bind, np.stack([batch[i].image for i in members]), config,
+        np.stack([sample_slots(config, derive_seed(seed, "slots", i)) for i in members]))
+        for members in groups.values()]
+
+    def stacked(key: str) -> Node:
+        """One tower output over the whole batch, one row per image or slot."""
+        parts = [g.reshape(t[key], (int(np.prod(t[key].shape[:-1])), t[key].shape[-1]))
+                 for t in towers]
+        return parts[0] if len(parts) == 1 else g.concat(parts, axis=0)
 
     # Assignments are computed on box values, then baked into the graph.
     frame = Frame()
-    box_values = g.evaluate([nodes["boxes"] for nodes in image_nodes], frame=frame)
-    assignments: list[Assignment] = []
-    for boxes, example in zip(box_values, batch):
-        cost = pairwise_cost(boxes, example.annotations.boxes(),
-                             literal_giou_cost=weights.literal_giou_cost)
-        assignments.append(hungarian(cost))
+    box_values = g.evaluate([t["boxes"] for t in towers], frame=frame)
+    boxes_of = dict(zip(order, (boxes for values in box_values for boxes in values)))
+    assignments = [hungarian(pairwise_cost(boxes_of[i], example.annotations.boxes(),
+                                           literal_giou_cost=weights.literal_giou_cost))
+                   for i, example in enumerate(batch)]
 
     # Contrastive branch: image embeddings vs concatenated-caption embeddings.
     cat_texts = [concat_captions(ex.annotations.captions(), derive_seed(seed, "captions", i))
                  for i, ex in enumerate(batch)]
-    image_rows = g.concat([nodes["embedding"] for nodes in image_nodes], axis=0) \
-        if len(batch) > 1 else image_nodes[0]["embedding"]
-    text_rows = g.constant(np.stack([text_row(t) for t in cat_texts]))
-    l_c = _symmetric_ce(g, image_rows, text_rows, weights.tau)
+    text_rows = g.constant(np.stack([text_row(cat_texts[i]) for i in order]))
+    l_c = _symmetric_ce(g, stacked("embedding"), text_rows, weights.tau)
 
-    # Matched box losses, averaged over matched pairs across the batch.
-    pred_parts = []
-    gt_parts = []
-    for nodes, example, assignment in zip(image_nodes, batch, assignments):
-        if not assignment.pairs:
-            continue
-        rows = [i for i, _ in assignment.pairs]
-        pred_parts.append(g.gather(nodes["boxes"], rows, axis=0))
-        gt_parts.append(example.annotations.boxes()[[j for _, j in assignment.pairs]])
-    if pred_parts:
-        pred = pred_parts[0] if len(pred_parts) == 1 else g.concat(pred_parts, axis=0)
-        gt = np.concatenate(gt_parts, axis=0)
-        m = gt.shape[0]
-        l_l1 = g.affine(g.sum(g.absolute(g.subtract(pred, g.constant(gt)))), 1.0 / m, 0.0)
-        l_giou = g.affine(g.mean(_giou_columns(g, pred, gt)), -1.0, 1.0)
-    else:
-        l_l1 = g.constant(0.0)
-        l_giou = g.constant(0.0)
-
-    # Multi-label branch over all annotations in the batch.
+    # Matched slots and boxes as rows of the (B·K, ·) tower outputs.  Every
+    # image has an annotation and a slot, so each image matches at least one
+    # pair.  The box losses average over matched pairs across the batch; the
+    # multi-label term scores each matched slot against all batch annotations.
+    k = config.num_slots
+    rows: list[int] = []
+    gt_rows: list[Array] = []
+    targets: list[int] = []
     ann_texts: list[str] = []
-    index_maps: list[list[int]] = []
-    for example in batch:
-        base = len(ann_texts)
-        captions = example.annotations.captions()
-        index_maps.append([base + j for j in range(len(captions))])
-        ann_texts.extend(captions)
+    for p, i in enumerate(order):
+        annotations = batch[i].annotations
+        for s, j in assignments[i].pairs:
+            rows.append(p * k + s)
+            gt_rows.append(annotations.annotations[j].box)
+            targets.append(len(ann_texts) + j)
+        ann_texts.extend(annotations.captions())
+    pred = g.gather(stacked("boxes"), rows, axis=0)
+    gt = np.stack(gt_rows)
+    l_l1 = g.affine(g.sum(g.absolute(g.subtract(pred, g.constant(gt)))), 1.0 / len(rows), 0.0)
+    l_giou = g.affine(g.mean(_giou_columns(g, pred, gt)), -1.0, 1.0)
     all_texts = g.constant(np.stack([text_row(t) for t in ann_texts]))
-    l_mc = _multilabel_node(g, bind, [nodes["slots"] for nodes in image_nodes],
-                            assignments, all_texts, index_maps, weights.tau)
-    if l_mc is None:
-        l_mc = g.constant(0.0)
+    l_mc = _multilabel_node(g, bind, g.gather(stacked("slots"), rows, axis=0),
+                            all_texts, targets, weights.tau)
 
     total = g.affine(l_c, weights.alpha, 0.0)
     total = g.add(total, g.affine(l_l1, weights.beta, 0.0))

@@ -283,6 +283,54 @@ def test_truncated_index_exits_one_and_names_its_file(bundle, tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_truncated_checkpoint_exits_one_and_names_its_file(bundle, tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "manifest.json").write_bytes((bundle["run"] / "manifest.json").read_bytes())
+    blob = (bundle["run"] / "checkpoint.lzp").read_bytes()
+    (run / "checkpoint.lzp").write_bytes(blob[:len(blob) // 2])
+    assert main(["retrieve", "--index", str(bundle["fx"] / "ortho_index.lze"),
+                 "--run", str(run), "--query", "sofa"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run / 'checkpoint.lzp'}: ")
+    assert "Traceback" not in err
+
+
+def test_checkpoint_that_does_not_match_its_config_exits_one(bundle, tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    manifest = json.loads((bundle["run"] / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["encoder"]["num_slots"] == 4
+    manifest["config"]["encoder"]["num_slots"] = 3
+    (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    (run / "checkpoint.lzp").write_bytes((bundle["run"] / "checkpoint.lzp").read_bytes())
+    for argv in (["retrieve", "--index", str(bundle["fx"] / "ortho_index.lze"),
+                  "--run", str(run), "--query", "sofa"],
+                 ["index", "--run", str(run), "--data", str(bundle["fx"]),
+                  "--out", str(tmp_path / "imgs.lze")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        # agg.slots.w reads the K slots flattened: the first tensor K shapes.
+        assert err.startswith(f"error: {run / 'checkpoint.lzp'}: tensor agg.slots.w ")
+        assert "(128, 32)" in err and "(96, 32)" in err
+    assert not (tmp_path / "imgs.lze").exists()
+
+
+def test_index_over_a_malformed_image_exits_one_and_names_it(bundle, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for entry in bundle["fx"].iterdir():
+        (data / entry.name).write_bytes(entry.read_bytes())
+    first = load_dataset(str(data / "dataset.jsonl"))[0].image_id
+    image = data / f"{first}.ppm"
+    image.write_bytes(image.read_bytes()[:-1])
+    assert main(["index", "--run", str(bundle["run"]), "--data", str(data),
+                 "--out", str(tmp_path / "imgs.lze")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {image}: ")
+    assert "Traceback" not in err
+
+
 def test_divergent_training_exits_one_and_names_the_step(bundle, tmp_path, capsys):
     cfg = tmp_path / "diverge.cfg"
     cfg.write_text("lr = 1e6\ntotal_steps = 4\nbatch_size = 4\n", encoding="utf-8")

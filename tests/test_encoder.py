@@ -213,6 +213,36 @@ def test_encode_text_contract(desk_store):
         encode_text("   ", desk_store, DESK)
 
 
+def test_image_stack_gives_each_image_its_one_image_values(desk_store):
+    images = [random_image(40 + b) for b in range(4)]
+    slots0 = [sample_slots(DESK, 50 + b) for b in range(4)]
+    g = Graph()
+    stack = build_image_embedding(g, Binding(g, desk_store), np.stack(images), DESK,
+                                  np.stack(slots0))
+    keys = ("tokens", "pooled", "slots", "boxes", "embedding")
+    batched = dict(zip(keys, g.evaluate([stack[k] for k in keys])))
+    assert batched["tokens"].shape == (4, 4, DESK.dim)
+    assert batched["pooled"].shape == batched["embedding"].shape == (4, DESK.dim)
+    assert batched["boxes"].shape == (4, DESK.num_slots, 4)
+    for b in range(4):
+        h = Graph()
+        one = build_image_embedding(h, Binding(h, desk_store), images[b], DESK, slots0[b])
+        alone = dict(zip(keys, h.evaluate([one[k] for k in keys])))
+        assert alone["pooled"].shape == alone["embedding"].shape == (1, DESK.dim)
+        for k in keys:
+            row = batched[k][b] if k not in ("pooled", "embedding") else batched[k][b:b + 1]
+            assert np.allclose(row, alone[k], rtol=0, atol=1e-12), k
+
+
+def test_patchify_takes_leading_axes():
+    images = np.random.default_rng(9).random((2, 3, 8, 16, 3))
+    patches = patchify(images, 4)
+    assert patches.shape == (2, 3, 8, 48)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(patches[i, j], patchify(images[i, j], 4))
+
+
 def test_embedding_path_gradients_match_finite_differences():
     # Small widths keep the coordinate sweep fast; the acceptance suite runs
     # the full desk configuration through the training loss instead.
@@ -238,6 +268,22 @@ def test_ppm_roundtrip(tmp_path):
     back = read_ppm(path)
     assert back.shape == (6, 5, 3)
     assert np.max(np.abs(back - image)) <= 0.5 / 255.0 + 1e-12
+
+
+def test_malformed_ppm_raises_naming_its_file(tmp_path):
+    path = tmp_path / "img.ppm"
+    write_ppm(path, random_image(3, size=8))
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.ppm"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(ValueError) as err:
+            read_ppm(cut)
+        assert str(err.value).startswith(f"{cut}: ")
+    cut.write_bytes(blob.replace(b"P6\n8 8", b"P6\nab 8", 1))
+    with pytest.raises(ValueError) as err:
+        read_ppm(cut)
+    assert str(err.value).startswith(f"{cut}: ")
 
 
 def test_reference_config_is_consistent():

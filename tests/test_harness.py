@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from slotnav import harness
 from slotnav.autodiff import Graph, derive_seed, load_checkpoint
 from slotnav.encoder import EncoderConfig, init_params
 from slotnav.fixtures import training_images, training_records, write_fixture_bundle
@@ -155,11 +156,22 @@ def test_train_step_runs_each_forward_closure_at_most_once(monkeypatch):
             self._forward[node.index] = counted
         return node
 
+    built = []
+    build = harness.total_loss_graph
+
+    def keeping(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
     monkeypatch.setattr(Graph, "_register", counting)
+    monkeypatch.setattr(harness, "total_loss_graph", keeping)
     cfg = TrainConfig.overfit_preset()
     examples = fixture_examples()
     train_step(fresh_store(cfg), examples[:cfg.batch_size], cfg, 0)
-    assert len(calls) > 1000
+    graph = built[0].graph
+    ran = {i: n for (g, i), n in calls.items() if g is graph}
+    assert sorted(ran) == [i for i, fn in enumerate(graph._forward) if fn is not None]
+    assert set(ran.values()) == {1}
     assert max(calls.values()) == 1
 
 

@@ -1,14 +1,20 @@
 """Objectives: box geometry, matching, contrastive losses, total loss."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from slotnav import objectives
 from slotnav.autodiff import Graph
 from slotnav.encoder import EncoderConfig, init_params
+from slotnav.fixtures import training_images, training_records
+from slotnav.harness import TrainConfig, dataset_examples
 from slotnav.objectives import (
     Annotation,
     AnnotationSet,
     Assignment,
+    LossReport,
     LossWeights,
     TrainExample,
     concat_captions,
@@ -336,9 +342,58 @@ def test_total_loss_text_params_get_no_gradient(tiny_setup):
     assert "mc.proj.w" in grads
 
 
-def test_loss_line_roundtrip():
-    from slotnav.objectives import LossReport
+def test_step_graph_size_does_not_grow_with_the_batch():
+    cfg = TrainConfig.overfit_preset()
+    examples = dataset_examples(training_records(), training_images())
+    store = init_params(cfg.encoder, seed=1)
+    sizes = []
+    for count in (2, len(examples)):
+        out = total_loss_graph(examples[:count], store, cfg.weights, cfg.encoder, seed=3)
+        sizes.append(out.total.index + 1)
+    assert len(examples) == 8
+    assert sizes[0] == sizes[1]
 
+
+def _mixed_size_batch():
+    def example(seed, size, captions):
+        rng = np.random.default_rng(seed)
+        image = rng.random((size, size, 3))
+        return TrainExample(image=image, annotations=AnnotationSet(tuple(
+            Annotation(caption=c, box=random_box(rng)) for c in captions)))
+
+    return [example(20, 8, ["red sofa", "green lamp"]),
+            example(21, 16, ["wooden table", "white mirror", "blue rug"]),
+            example(22, 8, ["tall plant"])]
+
+
+def test_mixed_image_sizes_build_one_tower_each(monkeypatch):
+    cfg = replace(TINY, max_tokens=16)
+    shapes = []
+    build = objectives.build_image_embedding
+
+    def recording(g, bind, images, config, initial_slots):
+        shapes.append(np.shape(images))
+        return build(g, bind, images, config, initial_slots)
+
+    monkeypatch.setattr(objectives, "build_image_embedding", recording)
+    out = total_loss_graph(_mixed_size_batch(), init_params(cfg, seed=2), LossWeights(),
+                           cfg, seed=6)
+    assert shapes == [(2, 8, 8, 3), (1, 16, 16, 3)]
+    # Reference values from a build with one encoder graph per image.
+    expected = LossReport(L_C=1.9760398133980872, L_L1=0.6541904214718146,
+                          L_GIoU=0.9372004035043331, L_MC=4.293992687759658,
+                          total=7.8614233261338935)
+    for name in ("L_C", "L_L1", "L_GIoU", "L_MC", "total"):
+        assert getattr(out.report, name) == pytest.approx(getattr(expected, name),
+                                                          rel=1e-12, abs=0), name
+    assert [a.pairs for a in out.assignments] == [((0, 1), (1, 0)), ((0, 0), (1, 1)),
+                                                  ((0, 0),)]
+    report = out.graph.finite_difference_check(out.total, step=1e-5, tolerance=1e-4)
+    assert report.passed, f"max rel error {report.max_relative_error:.3e}"
+    assert (report.checked_coordinates, report.skipped_coordinates) == (2692, 0)
+
+
+def test_loss_line_roundtrip():
     report = LossReport(L_C=0.5, L_L1=1.25, L_GIoU=0.75, L_MC=2.0, total=4.5)
     step, back = parse_loss_line(format_loss_line(12, report))
     assert step == 12
