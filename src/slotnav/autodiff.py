@@ -19,11 +19,12 @@ probe axis, so the part of the graph a parameter reaches runs once per block
 rather than twice per coordinate.  Its rare wider-step retries run through
 the same path with a block of one coordinate.
 
-evaluate and gradient keep their node values in a Frame.  Passing the frame
-of an earlier call on the same graph, with the same parameter values,
-extends it with the nodes added since and runs only the nodes that
-have no value yet, so a caller that evaluates part of a graph, extends the
-graph and then differentiates it computes every node once.
+evaluate and gradient keep their node values in a Frame.  A graph's leaf
+values are fixed when it is built, so the frame of an earlier call on the
+same graph stays valid: passing it extends it with the nodes added since
+and runs only the nodes that have no value yet.  A caller that evaluates
+part of a graph, extends the graph and then differentiates it computes
+every node once.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class Node:
 
 @dataclass
 class Frame:
-    """Node values of one graph under one set of parameter values.
+    """Node values of one graph, whose leaf values are fixed when it is built.
 
     values[i] is node i's array, or None where it has not run; unchecked
     holds the nodes that ran under check=False and are not yet known finite.
@@ -202,20 +203,6 @@ class Graph:
         node = self._register("constant", (), arr.shape, None, None, name=name)
         self._leaf_values[node.index] = arr
         return node
-
-    @property
-    def parameter_names(self) -> list[str]:
-        return list(self._params)
-
-    def parameter_value(self, name: str) -> Array:
-        return self._leaf_values[self._params[name]]
-
-    def set_parameter(self, name: str, value) -> None:
-        arr = _as_array(value)
-        expected = self._shapes[self._params[name]]
-        if arr.shape != expected:
-            raise ShapeError(f"parameter {name}: expected shape {expected}, got {arr.shape}")
-        self._leaf_values[self._params[name]] = arr
 
     # ------------------------------------------------------------------
     # Elementwise and linear-algebra ops
@@ -630,8 +617,8 @@ class Graph:
 
         With check=False, non-finite intermediates flow through instead of
         raising, so callers can report which result went bad.  A frame from
-        an earlier call on this graph, with the same parameter values, is
-        extended in place and only nodes without a value run.
+        an earlier call on this graph is extended in place and only nodes
+        without a value run.
         """
         single = isinstance(outputs, Node)
         nodes = [outputs] if single else list(outputs)

@@ -114,13 +114,18 @@ def _train_config(args) -> TrainConfig:
 
 
 def _load_run(run_dir: str) -> tuple[ParamStore, TrainConfig]:
-    """The run's checkpoint and config; a checkpoint whose tensor names or
-    shapes differ from the config's raises ValueError naming it."""
-    manifest = RunManifest.load(os.path.join(run_dir, "manifest.json"))
-    config = config_from_dict(manifest.config)
+    """The run's checkpoint and config; a malformed manifest, or a checkpoint
+    whose tensor names or shapes differ from the config's, raises ValueError
+    naming the file."""
+    manifest_path = os.path.join(run_dir, "manifest.json")
+    manifest = RunManifest.load(manifest_path)
+    try:
+        config = config_from_dict(manifest.config)
+        expected = init_params(config.encoder)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{manifest_path}: bad config ({exc})") from exc
     path = os.path.join(run_dir, manifest.checkpoint)
     params = load_checkpoint(path)
-    expected = init_params(config.encoder)
     for name, value in expected.items():
         got = params[name].shape if name in params else "missing"
         if got != value.shape:
@@ -309,6 +314,10 @@ def cmd_gradcheck(args) -> int:
     print(f"max_relative_error {report.max_relative_error:.6e}")
     print(f"checked {report.checked_coordinates}")
     print(f"skipped {report.skipped_coordinates}")
+    worst = report.worst
+    if worst is not None:
+        print(f"worst {worst.parameter}[{', '.join(map(str, worst.coordinate))}] "
+              f"analytic {worst.analytic:.6e} numeric {worst.numeric:.6e}")
     print(f"passed {str(report.passed).lower()}")
     return 0 if report.passed else 1
 

@@ -3,10 +3,13 @@
 Images, one at a time or as a stack of same-size images, pass through a
 small patch transformer; slot attention localizes objects into K slot
 vectors which feed a box-regression head; the final embedding aggregates
-the pooled image token with a linear readout of the slots.  Text is hash-tokenized into a tiny frozen transformer.  Everything
-is expressed on the autodiff graph so the objectives module can
-differentiate end to end; eager wrappers evaluate the same graphs with
-parameters bound as constants.
+the pooled image token with a linear readout of the slots.  Text is
+hash-tokenized into a tiny frozen transformer.  Everything is expressed on
+the autodiff graph so the objectives module can differentiate end to end.
+Inference builds the same graphs with parameters bound as constants and
+evaluates each once: image_embedding runs the whole image pathway training
+differentiates, and run_slot_attention runs slot attention alone on a
+token matrix, for the slot-attention invariant tests.
 """
 
 from __future__ import annotations
@@ -66,14 +69,6 @@ class EncoderConfig:
     def slot_sigma(self) -> Array:
         return np.broadcast_to(np.asarray(self.slot_std, dtype=np.float64),
                                (self.slot_dim,)).copy()
-
-
-@dataclass
-class PatchFeatures:
-    """Token matrix from the last transformer layer plus its mean pool."""
-
-    tokens: Array
-    pooled: Array
 
 
 @dataclass
@@ -383,7 +378,7 @@ def build_text_embedding(g: Graph, bind: Binding, text: str,
 
 
 # ----------------------------------------------------------------------
-# Eager wrappers (parameters bound as constants)
+# Inference: the training builders, parameters bound as constants, evaluated once
 
 
 def sample_slots(config: EncoderConfig, seed: int) -> Array:
@@ -393,61 +388,33 @@ def sample_slots(config: EncoderConfig, seed: int) -> Array:
     return config.slot_mean + sigma * rng.standard_normal((config.num_slots, config.slot_dim))
 
 
-def encode_image(image: Array, store: ParamStore, config: EncoderConfig) -> PatchFeatures:
-    g = Graph()
-    bind = Binding(g, store, trainable=False)
-    tokens, pooled = build_image_tokens(g, bind, image, config)
-    tok, pool = g.evaluate([tokens, pooled])
-    return PatchFeatures(tokens=tok, pooled=pool.reshape(-1))
+def _seeded_slots(config: EncoderConfig, seed: int | None) -> Array:
+    return sample_slots(config, derive_seed(config.seed if seed is None else seed, "slots"))
 
 
-def _slot_states(feats: PatchFeatures, store: ParamStore, config: EncoderConfig,
-                 initial_slots: Array, iterations: int,
-                 start_iteration: int = 0) -> list[SlotState]:
-    g = Graph()
-    bind = Binding(g, store, trainable=False)
-    tokens = g.constant(feats.tokens, name="tokens")
-    _, traces = build_slot_attention(g, bind, tokens, initial_slots, iterations, config)
-    values = g.evaluate([node for trace in traces for node in trace])
-    return [SlotState(slots=values[3 * u + 2], attention=values[3 * u],
-                      weights=values[3 * u + 1], iteration=start_iteration + u + 1)
-            for u in range(iterations)]
+def _slot_state(values: list[Array]) -> SlotState:
+    """Evaluated (A, W, S) trace values, in iteration order, as the final
+    state with every iteration in history."""
+    history = tuple(SlotState(slots=values[i + 2], attention=values[i],
+                              weights=values[i + 1], iteration=i // 3 + 1)
+                    for i in range(0, len(values), 3))
+    final = history[-1]
+    return SlotState(slots=final.slots, attention=final.attention, weights=final.weights,
+                     iteration=final.iteration, history=history)
 
 
-def slot_attention_step(state: SlotState, feats: PatchFeatures,
-                        store: ParamStore, config: EncoderConfig) -> SlotState:
-    """One application of the attention/update rule to existing slots."""
-    return _slot_states(feats, store, config, state.slots, 1, state.iteration)[0]
-
-
-def run_slot_attention(feats: PatchFeatures, store: ParamStore, config: EncoderConfig,
+def run_slot_attention(tokens: Array, store: ParamStore, config: EncoderConfig,
                        seed: int | None = None,
                        initial_slots: Array | None = None) -> SlotState:
-    """Gaussian-initialized slots refined for config.slot_iters iterations."""
+    """Slot attention alone over an N×D token matrix, for config.slot_iters
+    iterations from Gaussian-initialized (or the given) slots."""
     if initial_slots is None:
-        initial_slots = sample_slots(config, derive_seed(config.seed if seed is None else seed,
-                                                         "slots"))
-    states = _slot_states(feats, store, config, initial_slots, config.slot_iters)
-    final = states[-1]
-    return SlotState(slots=final.slots, attention=final.attention, weights=final.weights,
-                     iteration=final.iteration, history=tuple(states))
-
-
-def predict_boxes(state: SlotState, store: ParamStore, config: EncoderConfig) -> BoxSet:
+        initial_slots = _seeded_slots(config, seed)
     g = Graph()
-    bind = Binding(g, store, trainable=False)
-    slots = g.constant(state.slots, name="slots")
-    return BoxSet(boxes=g.evaluate(build_box_head(g, bind, slots)))
-
-
-def aggregate_embedding(feats: PatchFeatures, state: SlotState,
-                        store: ParamStore, config: EncoderConfig) -> Embedding:
-    g = Graph()
-    bind = Binding(g, store, trainable=False)
-    pooled = g.constant(feats.pooled.reshape(1, -1), name="pooled")
-    slots = g.constant(state.slots, name="slots")
-    vec = g.evaluate(build_aggregate(g, bind, pooled, slots, config))
-    return Embedding(vector=vec.reshape(-1))
+    _, traces = build_slot_attention(g, Binding(g, store, trainable=False),
+                                     g.constant(tokens, name="tokens"), initial_slots,
+                                     config.slot_iters, config)
+    return _slot_state(g.evaluate([node for trace in traces for node in trace]))
 
 
 def encode_text(query: str, store: ParamStore, config: EncoderConfig) -> Embedding:
@@ -459,12 +426,14 @@ def encode_text(query: str, store: ParamStore, config: EncoderConfig) -> Embeddi
 
 def image_embedding(image: Array, store: ParamStore, config: EncoderConfig,
                     seed: int | None = None) -> tuple[Embedding, BoxSet, SlotState]:
-    """Convenience end-to-end inference for one image."""
-    feats = encode_image(image, store, config)
-    state = run_slot_attention(feats, store, config, seed=seed)
-    return (aggregate_embedding(feats, state, store, config),
-            predict_boxes(state, store, config),
-            state)
+    """End-to-end inference for one image through the graph training
+    differentiates, built once and evaluated once."""
+    g = Graph()
+    nodes = build_image_embedding(g, Binding(g, store, trainable=False), image, config,
+                                  _seeded_slots(config, seed))
+    embedding, boxes, *traces = g.evaluate(
+        [nodes["embedding"], nodes["boxes"]] + [n for trace in nodes["traces"] for n in trace])
+    return Embedding(vector=embedding.reshape(-1)), BoxSet(boxes=boxes), _slot_state(traces)
 
 
 # ----------------------------------------------------------------------

@@ -237,8 +237,18 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str) -> "RunManifest":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(**json.load(fh))
+        """Read a manifest; a malformed one raises ValueError naming the path."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError("expected a JSON object")
+            manifest = cls(**data)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        if not isinstance(manifest.checkpoint, str):
+            raise ValueError(f"{path}: checkpoint must be a file name")
+        return manifest
 
 
 def train(data_dir: str, config: TrainConfig, out_dir: str) -> RunManifest:

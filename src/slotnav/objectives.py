@@ -404,8 +404,8 @@ class TotalLossGraph:
     """Differentiable total loss plus the evaluated per-component report.
 
     frame holds the values of every node the report evaluated, for
-    graph.gradient(total, frame=frame); it stays valid until a parameter of
-    the graph is set anew.
+    graph.gradient(total, frame=frame); it stays valid for the life of the
+    graph, whose parameter values are fixed when it is built.
     """
 
     graph: Graph

@@ -7,8 +7,7 @@ import pytest
 
 from slotnav.autodiff import derive_seed
 from slotnav.cli import main
-from slotnav.encoder import (EncoderConfig, PatchFeatures, init_params,
-                             run_slot_attention, sample_slots)
+from slotnav.encoder import EncoderConfig, init_params, run_slot_attention, sample_slots
 from slotnav.fixtures import (NAV_START, nav_memory_entries, nav_query_records,
                               nav_query_rows, nav_world, ortho_indexes,
                               training_images, training_records)
@@ -121,9 +120,8 @@ def test_slot_attention_invariants_reference_scale():
     for instance in range(100):
         rng = np.random.default_rng(100 + instance)
         tokens = rng.normal(size=(16, cfg.dim))
-        feats = PatchFeatures(tokens=tokens, pooled=tokens.mean(axis=0))
         init = sample_slots(cfg, 300 + instance)
-        base = run_slot_attention(feats, store, cfg, initial_slots=init)
+        base = run_slot_attention(tokens, store, cfg, initial_slots=init)
         assert len(base.history) == cfg.slot_iters
         for state in base.history:
             assert np.all(np.isfinite(state.slots))
@@ -133,7 +131,7 @@ def test_slot_attention_invariants_reference_scale():
             worst_rows = max(worst_rows, rows)
             worst_cols = max(worst_cols, cols)
         perm = rng.permutation(cfg.num_slots)
-        swapped = run_slot_attention(feats, store, cfg, initial_slots=init[perm])
+        swapped = run_slot_attention(tokens, store, cfg, initial_slots=init[perm])
         drift = float(np.abs(swapped.slots - base.slots[perm]).max())
         assert drift < 1e-9, f"instance {instance}: {drift:.3e}"
         worst_perm = max(worst_perm, drift)

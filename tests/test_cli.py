@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from slotnav import harness
+from slotnav.autodiff import Graph
 from slotnav.cli import _load_run, main
+from slotnav.encoder import TEXT_PREFIX
 from slotnav.promptgen import load_dataset
 from slotnav.retrieval import load_index, save_index
 
@@ -255,6 +257,28 @@ def test_gradcheck_passes_on_the_small_instance(capsys):
     assert "skipped 0" in out
 
 
+def test_gradcheck_names_its_worst_coordinate(capsys, monkeypatch):
+    reports = []
+    check = Graph.finite_difference_check
+
+    def kept(self, *args, **kwargs):
+        reports.append(check(self, *args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(Graph, "finite_difference_check", kept)
+    assert main(["gradcheck"]) == 0
+    out = lines_of(capsys)
+    assert out[-1] == "passed true"
+    m = re.fullmatch(r"worst (\S+)\[([\d, ]+)\] analytic (\S+) numeric (\S+)", out[-2])
+    assert m is not None, out[-2]
+    worst = reports[0].worst
+    # gradcheck probes the trainable tensors only; the text tower is frozen.
+    assert m.group(1) == worst.parameter and m.group(1) in reports[0].per_parameter
+    assert not m.group(1).startswith(TEXT_PREFIX)
+    assert tuple(int(i) for i in m.group(2).split(", ")) == worst.coordinate
+    assert m.group(3) == f"{worst.analytic:.6e}" and m.group(4) == f"{worst.numeric:.6e}"
+
+
 # ----------------------------------------------------------------------
 # Error surface
 
@@ -294,6 +318,28 @@ def test_truncated_checkpoint_exits_one_and_names_its_file(bundle, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"error: {run / 'checkpoint.lzp'}: ")
     assert "Traceback" not in err
+
+
+def test_malformed_manifest_exits_one_and_names_its_file(bundle, tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "checkpoint.lzp").write_bytes((bundle["run"] / "checkpoint.lzp").read_bytes())
+    # The JSON text without its closing newline, so each prefix is cut short.
+    manifest = (bundle["run"] / "manifest.json").read_text(encoding="utf-8").rstrip()
+    bodies = [manifest[:size] for size in range(len(manifest))]
+    bodies += [json.dumps({"checkpoint": "checkpoint.lzp"}), "[1, 2]"]
+    good = json.loads(manifest)
+    for key, value in (("checkpoint", 5), ("config", {**good["config"], "encoder": 5}),
+                       ("config", {**good["config"], "encoder": {"num_slots": 2.5}})):
+        bodies.append(json.dumps({**good, key: value}))
+    path = run / "manifest.json"
+    for body in bodies:
+        path.write_text(body, encoding="utf-8")
+        assert main(["retrieve", "--index", str(bundle["fx"] / "ortho_index.lze"),
+                     "--run", str(run), "--query", "sofa"]) == 1, body
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: "), err
+        assert "Traceback" not in err
 
 
 def test_checkpoint_that_does_not_match_its_config_exits_one(bundle, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Encoder: patch transformer, slot attention, box head, aggregation, text path."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,22 +9,21 @@ from slotnav.autodiff import Graph, derive_seed
 from slotnav.encoder import (
     Binding,
     EncoderConfig,
-    PatchFeatures,
-    SlotState,
-    aggregate_embedding,
     build_aggregate,
+    build_box_head,
     build_image_embedding,
-    encode_image,
+    build_image_tokens,
+    build_slot_attention,
     encode_text,
+    image_embedding,
     init_params,
     patchify,
-    predict_boxes,
     read_ppm,
     run_slot_attention,
     sample_slots,
-    slot_attention_step,
     write_ppm,
 )
+from slotnav.harness import TrainConfig
 
 DESK = EncoderConfig(max_tokens=4)
 
@@ -45,38 +46,52 @@ def test_patchify_layout_is_row_major_tiles():
     assert np.array_equal(patches[0], expected)
 
 
+def tokens_of(image, store, config=DESK):
+    g = Graph()
+    tokens, pooled = build_image_tokens(g, Binding(g, store, trainable=False), image, config)
+    return g.evaluate([tokens, pooled])
+
+
+def boxes_of(slots, store):
+    g = Graph()
+    return g.evaluate(build_box_head(g, Binding(g, store, trainable=False), g.constant(slots)))
+
+
+def one_step(tokens, slots0, store):
+    return run_slot_attention(tokens, store, replace(DESK, slot_iters=1), initial_slots=slots0)
+
+
 def test_encode_image_token_count(desk_store):
-    feats = encode_image(random_image(0), desk_store, DESK)
-    assert feats.tokens.shape == (4, DESK.dim)
-    assert feats.pooled.shape == (DESK.dim,)
-    assert np.allclose(feats.pooled, feats.tokens.mean(axis=0))
+    tokens, pooled = tokens_of(random_image(0), desk_store)
+    assert tokens.shape == (4, DESK.dim)
+    assert pooled.shape == (1, DESK.dim)
+    assert np.allclose(pooled[0], tokens.mean(axis=0))
 
 
 def test_encode_image_rejects_indivisible_size(desk_store):
     with pytest.raises(ValueError):
-        encode_image(np.zeros((10, 16, 3)), desk_store, DESK)
+        image_embedding(np.zeros((10, 16, 3)), desk_store, DESK)
 
 
 def test_encode_image_deterministic(desk_store):
     image = random_image(1)
-    a = encode_image(image, desk_store, DESK)
-    b = encode_image(image, desk_store, DESK)
-    assert a.tokens.tobytes() == b.tokens.tobytes()
+    a_emb, a_boxes, a_state = image_embedding(image, desk_store, DESK, seed=2)
+    b_emb, b_boxes, b_state = image_embedding(image, desk_store, DESK, seed=2)
+    assert a_emb.vector.tobytes() == b_emb.vector.tobytes()
+    assert a_boxes.boxes.tobytes() == b_boxes.boxes.tobytes()
+    assert a_state.slots.tobytes() == b_state.slots.tobytes()
 
 
 def test_zero_image_with_zero_positions_gives_identical_tokens(desk_store):
     store = desk_store.copy()
     store["img.pos"] = np.zeros_like(store["img.pos"])
-    feats = encode_image(np.zeros((16, 16, 3)), store, DESK)
-    assert np.allclose(feats.tokens, feats.tokens[0], atol=1e-12)
+    tokens, _ = tokens_of(np.zeros((16, 16, 3)), store)
+    assert np.allclose(tokens, tokens[0], atol=1e-12)
 
 
 def test_identical_tokens_force_uniform_weights(desk_store):
     tokens = np.tile(np.random.default_rng(2).normal(size=DESK.dim), (4, 1))
-    feats = PatchFeatures(tokens=tokens, pooled=tokens.mean(axis=0))
-    state = SlotState(slots=sample_slots(DESK, 3), attention=np.empty(0),
-                      weights=np.empty(0), iteration=0)
-    out = slot_attention_step(state, feats, desk_store, DESK)
+    out = one_step(tokens, sample_slots(DESK, 3), desk_store)
     assert np.allclose(out.weights, 1.0 / 4.0, atol=1e-12)
 
 
@@ -86,9 +101,7 @@ def test_slot_step_matches_scripted_attention_reference(desk_store):
     rng = np.random.default_rng(4)
     tokens = rng.normal(size=(4, DESK.dim))
     slots0 = sample_slots(DESK, 9)
-    feats = PatchFeatures(tokens=tokens, pooled=tokens.mean(axis=0))
-    state = SlotState(slots=slots0, attention=np.empty(0), weights=np.empty(0), iteration=0)
-    out = slot_attention_step(state, feats, desk_store, DESK)
+    out = one_step(tokens, slots0, desk_store)
 
     logits = (tokens @ desk_store["slot.k.w"]) @ (slots0 @ desk_store["slot.q.w"]).T
     logits /= np.sqrt(DESK.slot_dim)
@@ -104,42 +117,39 @@ def test_slot_step_matches_scripted_attention_reference(desk_store):
 def test_slot_step_permutation_equivariance(desk_store):
     rng = np.random.default_rng(5)
     tokens = rng.normal(size=(4, DESK.dim))
-    feats = PatchFeatures(tokens=tokens, pooled=tokens.mean(axis=0))
     slots0 = sample_slots(DESK, 11)
     perm = np.array([2, 0, 3, 1])
-    base = slot_attention_step(
-        SlotState(slots0, np.empty(0), np.empty(0), 0), feats, desk_store, DESK)
-    permuted = slot_attention_step(
-        SlotState(slots0[perm], np.empty(0), np.empty(0), 0), feats, desk_store, DESK)
+    base = one_step(tokens, slots0, desk_store)
+    permuted = one_step(tokens, slots0[perm], desk_store)
     assert np.allclose(permuted.slots, base.slots[perm], atol=1e-9)
     assert np.allclose(permuted.attention, base.attention[:, perm], atol=1e-9)
 
 
-def test_run_with_one_iteration_equals_single_step(desk_store):
-    cfg = EncoderConfig(max_tokens=4, slot_iters=1)
-    feats = encode_image(random_image(6), desk_store, cfg)
+def test_seed_draws_the_slots_derived_from_it(desk_store):
+    tokens, _ = tokens_of(random_image(6), desk_store)
     seed = 21
-    init = sample_slots(cfg, derive_seed(seed, "slots"))
-    full = run_slot_attention(feats, desk_store, cfg, seed=seed)
-    step = slot_attention_step(
-        SlotState(init, np.empty(0), np.empty(0), 0), feats, desk_store, cfg)
-    assert np.allclose(full.slots, step.slots, atol=1e-12)
-    assert full.iteration == 1
+    init = sample_slots(DESK, derive_seed(seed, "slots"))
+    seeded = run_slot_attention(tokens, desk_store, DESK, seed=seed)
+    given = run_slot_attention(tokens, desk_store, DESK, initial_slots=init)
+    assert seeded.iteration == given.iteration == DESK.slot_iters
+    for a, b in zip(seeded.history, given.history):
+        assert a.slots.tobytes() == b.slots.tobytes()
+        assert a.attention.tobytes() == b.attention.tobytes()
 
 
 def test_run_slot_attention_same_seed_identical(desk_store):
-    feats = encode_image(random_image(7), desk_store, DESK)
-    a = run_slot_attention(feats, desk_store, DESK, seed=3)
-    b = run_slot_attention(feats, desk_store, DESK, seed=3)
+    tokens, _ = tokens_of(random_image(7), desk_store)
+    a = run_slot_attention(tokens, desk_store, DESK, seed=3)
+    b = run_slot_attention(tokens, desk_store, DESK, seed=3)
     assert a.slots.tobytes() == b.slots.tobytes()
-    c = run_slot_attention(feats, desk_store, DESK, seed=4)
+    c = run_slot_attention(tokens, desk_store, DESK, seed=4)
     assert not np.array_equal(a.slots, c.slots)
 
 
 def test_many_slots_many_iterations_stay_finite(desk_store):
     cfg = EncoderConfig(max_tokens=4, num_slots=10, slot_iters=20)
-    feats = encode_image(random_image(8), desk_store, cfg)
-    state = run_slot_attention(feats, desk_store, cfg, seed=0)
+    tokens, _ = tokens_of(random_image(8), desk_store, cfg)
+    state = run_slot_attention(tokens, desk_store, cfg, seed=0)
     assert np.all(np.isfinite(state.slots))
     assert state.iteration == 20
     for past in state.history:
@@ -149,9 +159,7 @@ def test_many_slots_many_iterations_stay_finite(desk_store):
 
 def test_predict_boxes_shape_and_validity(desk_store):
     for seed in range(20):
-        slots = sample_slots(DESK, seed) * 3.0
-        boxes = predict_boxes(SlotState(slots, np.empty(0), np.empty(0), DESK.slot_iters),
-                              desk_store, DESK).boxes
+        boxes = boxes_of(sample_slots(DESK, seed) * 3.0, desk_store)
         assert boxes.shape == (DESK.num_slots, 4)
         assert np.all(boxes >= 0.0) and np.all(boxes <= 1.0)
         assert np.all(boxes[:, 0] <= boxes[:, 2])
@@ -164,42 +172,98 @@ def test_center_size_half_half_one_one_maps_to_full_image_box(desk_store):
     store = desk_store.copy()
     store["box.l2.w"] = np.zeros_like(store["box.l2.w"])
     store["box.l2.b"] = np.array([0.0, 0.0, 50.0, 50.0])
-    boxes = predict_boxes(SlotState(sample_slots(DESK, 0), np.empty(0), np.empty(0), 3),
-                          store, DESK).boxes
+    boxes = boxes_of(sample_slots(DESK, 0), store)
     assert np.allclose(boxes, np.tile([0.0, 0.0, 1.0, 1.0], (DESK.num_slots, 1)), atol=1e-9)
 
 
 def test_aggregate_embedding_shape_and_norm(desk_store):
-    feats = encode_image(random_image(9), desk_store, DESK)
-    state = run_slot_attention(feats, desk_store, DESK, seed=1)
-    emb = aggregate_embedding(feats, state, desk_store, DESK)
+    emb, boxes, state = image_embedding(random_image(9), desk_store, DESK, seed=1)
     assert emb.vector.shape == (DESK.dim,)
     assert abs(np.linalg.norm(emb.vector) - 1.0) < 1e-9
+    assert boxes.boxes.shape == (DESK.num_slots, 4)
+    assert state.slots.shape == (DESK.num_slots, DESK.slot_dim)
+    assert len(state.history) == state.iteration == DESK.slot_iters
 
 
 def test_zeroed_slot_branch_ignores_slots(desk_store):
     store = desk_store.copy()
     store["agg.slots.w"] = np.zeros_like(store["agg.slots.w"])
     store["agg.slots.b"] = np.zeros_like(store["agg.slots.b"])
-    feats = encode_image(random_image(10), desk_store, DESK)
-    a = run_slot_attention(feats, store, DESK, seed=1)
-    b = run_slot_attention(feats, store, DESK, seed=2)
-    ea = aggregate_embedding(feats, a, store, DESK)
-    eb = aggregate_embedding(feats, b, store, DESK)
+    ea, _, a = image_embedding(random_image(10), store, DESK, seed=1)
+    eb, _, b = image_embedding(random_image(10), store, DESK, seed=2)
     assert not np.array_equal(a.slots, b.slots)
     assert np.allclose(ea.vector, eb.vector, atol=1e-12)
 
 
 def test_full_run_permutation_equivariance(desk_store):
-    feats = encode_image(random_image(11), desk_store, DESK)
+    tokens, _ = tokens_of(random_image(11), desk_store)
     init = sample_slots(DESK, 13)
     perm = np.array([3, 1, 0, 2])
-    base = run_slot_attention(feats, desk_store, DESK, initial_slots=init)
-    swapped = run_slot_attention(feats, desk_store, DESK, initial_slots=init[perm])
+    base = run_slot_attention(tokens, desk_store, DESK, initial_slots=init)
+    swapped = run_slot_attention(tokens, desk_store, DESK, initial_slots=init[perm])
     assert np.allclose(swapped.slots, base.slots[perm], atol=1e-9)
-    base_boxes = predict_boxes(base, desk_store, DESK).boxes
-    swapped_boxes = predict_boxes(swapped, desk_store, DESK).boxes
+    base_boxes = boxes_of(base.slots, desk_store)
+    swapped_boxes = boxes_of(swapped.slots, desk_store)
     assert np.allclose(swapped_boxes, base_boxes[perm], atol=1e-9)
+
+
+def test_image_embedding_builds_one_graph_and_evaluates_it_once(desk_store, monkeypatch):
+    calls = {"graphs": 0, "evaluate": 0}
+    init, evaluate = Graph.__init__, Graph.evaluate
+
+    def counted_init(self):
+        calls["graphs"] += 1
+        init(self)
+
+    def counted_evaluate(self, *args, **kwargs):
+        calls["evaluate"] += 1
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted_init)
+    monkeypatch.setattr(Graph, "evaluate", counted_evaluate)
+    image_embedding(random_image(12), desk_store, DESK, seed=3)
+    assert calls == {"graphs": 1, "evaluate": 1}
+
+
+def staged_image_embedding(image, store, config, seed):
+    """The image pathway as four graphs, each stage's output fed to the next
+    as a constant."""
+    def stage():
+        g = Graph()
+        return g, Binding(g, store, trainable=False)
+
+    g, bind = stage()
+    tokens, pooled = g.evaluate(list(build_image_tokens(g, bind, image, config)))
+    g, bind = stage()
+    init = sample_slots(config, derive_seed(seed, "slots"))
+    _, traces = build_slot_attention(g, bind, g.constant(tokens), init,
+                                     config.slot_iters, config)
+    history = g.evaluate([node for trace in traces for node in trace])
+    slots = history[-1]
+    g, bind = stage()
+    boxes = g.evaluate(build_box_head(g, bind, g.constant(slots)))
+    g, bind = stage()
+    embedding = g.evaluate(build_aggregate(g, bind, g.constant(pooled), g.constant(slots),
+                                           config))
+    return embedding.reshape(-1), boxes, history
+
+
+def test_image_embedding_equals_the_staged_evaluation_bit_for_bit():
+    config = TrainConfig.overfit_preset().encoder
+    store = init_params(config, seed=7)
+    for size in (16, 32, 64):
+        image = random_image(60 + size, size=size)
+        emb, boxes, state = image_embedding(image, store, config, seed=size)
+        want_emb, want_boxes, want_history = staged_image_embedding(image, store, config,
+                                                                    seed=size)
+        assert emb.vector.tobytes() == want_emb.tobytes(), size
+        assert boxes.boxes.tobytes() == want_boxes.tobytes(), size
+        assert state.slots.tobytes() == want_history[-1].tobytes(), size
+        got_history = [a for past in state.history
+                       for a in (past.attention, past.weights, past.slots)]
+        assert len(got_history) == len(want_history) == 3 * config.slot_iters
+        for u, (got, want) in enumerate(zip(got_history, want_history)):
+            assert got.tobytes() == want.tobytes(), (size, u)
 
 
 def test_encode_text_contract(desk_store):
