@@ -7,7 +7,7 @@ import json
 import os
 import sys
 from dataclasses import replace
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -138,17 +138,33 @@ def _load_run(run_dir: str) -> tuple[ParamStore, TrainConfig]:
     return store, config
 
 
-def _load_records(path: str) -> list[dict]:
+def _load_records(path: str, parse: Callable[[dict], Any]) -> list:
+    """Each nonblank line of a JSONL file, a JSON object, passed through
+    parse; a bad line raises ValueError naming the file and the line."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+                records.append(parse(record))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: bad JSON record ({exc.msg})")
+            except KeyError as exc:
+                raise ValueError(f"{path}: line {lineno}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return records
+
+
+def _pose(data) -> Pose:
+    """A pose record: an object with exactly the numbers x, y and theta."""
+    if not isinstance(data, dict) or sorted(data) != ["theta", "x", "y"]:
+        raise ValueError(f"a pose has exactly the keys x, y and theta, got {data!r}")
+    return Pose(x=float(data["x"]), y=float(data["y"]), theta=float(data["theta"]))
 
 
 # ----------------------------------------------------------------------
@@ -238,9 +254,7 @@ def _fov_params(args) -> FovParams:
 def cmd_nav_eval(args) -> int:
     world = load_world(args.world, cell_m=args.cell_m)
     memory_index = load_index(args.memory)
-    poses: dict[str, Pose] = {}
-    for record in _load_records(args.poses):
-        poses[record["image_id"]] = Pose(**record["pose"])
+    poses = dict(_load_records(args.poses, lambda r: (r["image_id"], _pose(r["pose"]))))
     entries = []
     for i, image_id in enumerate(memory_index.ids):
         if image_id not in poses:
@@ -248,7 +262,8 @@ def cmd_nav_eval(args) -> int:
         entries.append(MemoryEntry(image_id=image_id, pose=poses[image_id],
                                    embedding=memory_index.matrix[i]))
 
-    query_records = _load_records(args.queries)
+    queries = _load_records(args.queries, lambda r: (
+        r["query_id"], r["noun"], r.get("sentence", ""), int(r.get("k", 1)), _pose(r["start"])))
     if (args.query_index is None) == (args.run is None):
         raise ValueError("pass exactly one of --query-index or --run")
     if args.query_index is not None:
@@ -256,26 +271,24 @@ def cmd_nav_eval(args) -> int:
         rows = {qid: query_index.matrix[i]
                 for i, qid in enumerate(query_index.ids)}
 
-        def encode_for(record):
-            if record["query_id"] not in rows:
-                raise ValueError(
-                    f"{args.query_index}: no embedding for {record['query_id']!r}")
-            return lambda _prompt: rows[record["query_id"]]
+        def encode_for(query_id):
+            if query_id not in rows:
+                raise ValueError(f"{args.query_index}: no embedding for {query_id!r}")
+            return lambda _prompt: rows[query_id]
     else:
         store, config = _load_run(args.run)
 
-        def encode_for(record):
+        def encode_for(_query_id):
             return lambda prompt: encode_text(prompt, store, config.encoder).vector
 
     fov = _fov_params(args)
     episodes = []
-    for record in query_records:
-        episode = execute_episode(
-            record.get("sentence", ""), record["noun"], entries, world,
-            args.k if args.k is not None else int(record.get("k", 1)),
-            encode_for(record), Pose(**record["start"]), fov=fov)
+    for query_id, noun, sentence, k, start in queries:
+        episode = execute_episode(sentence, noun, entries, world,
+                                  args.k if args.k is not None else k,
+                                  encode_for(query_id), start, fov=fov)
         episodes.append(episode)
-        print(f"episode {record['query_id']} distance {episode.distance:.4f} "
+        print(f"episode {query_id} distance {episode.distance:.4f} "
               f"fov {str(episode.object_in_fov).lower()} "
               f"visited {len(episode.visited)} path_cells {episode.path_cells}")
 

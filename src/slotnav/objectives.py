@@ -13,6 +13,7 @@ so the gradient starts from it: each node of the step is evaluated once.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import MutableMapping, Sequence
 
@@ -28,14 +29,17 @@ Array = np.ndarray
 # Domain types
 
 
-def _check_box(box: Array) -> Array:
+def _check_box(box, ndim: int = 1) -> Array:
+    """One float64 corner box, or with ndim=2 an (M, 4) array of them."""
     box = np.asarray(box, dtype=np.float64)
-    if box.shape != (4,):
+    if box.ndim != ndim or box.shape[-1] != 4:
         raise ValueError(f"box must have 4 coordinates, got shape {box.shape}")
-    if not np.all(np.isfinite(box)):
+    if not np.isfinite(box).all():
         raise ValueError("box coordinates must be finite")
-    if box[0] > box[2] or box[1] > box[3]:
-        raise ValueError(f"box corners out of order: {box.tolist()}")
+    x1, y1, x2, y2 = box.T
+    bad = (x1 > x2) | (y1 > y2)
+    if bad.any():
+        raise ValueError(f"box corners out of order: {box[bad][0].tolist()}")
     return box
 
 
@@ -155,125 +159,107 @@ def pairwise_cost(pred_boxes, gt_boxes, literal_giou_cost: bool = False) -> Arra
     """K×N matching costs: L1 plus the GIoU term.
 
     The minimizing convention is l1 + (1 - giou); the literal switch uses
-    l1 + giou instead.
+    l1 + giou instead.  One broadcast in the operation order of l1_box and
+    giou, so each entry equals theirs bit for bit.
     """
-    pred = np.atleast_2d(np.asarray(pred_boxes, dtype=np.float64))
-    gt = np.atleast_2d(np.asarray(gt_boxes, dtype=np.float64))
-    out = np.empty((pred.shape[0], gt.shape[0]))
-    for i in range(pred.shape[0]):
-        for j in range(gt.shape[0]):
-            g = giou(pred[i], gt[j])
-            term = g if literal_giou_cost else 1.0 - g
-            out[i, j] = l1_box(pred[i], gt[j]) + term
-    return out
+    pred = _check_box(np.atleast_2d(pred_boxes), ndim=2)
+    gt = _check_box(np.atleast_2d(gt_boxes), ndim=2)
+    d = np.abs(pred[:, None] - gt[None])
+    l1 = d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]
+    ax1, ay1, ax2, ay2 = pred.T[:, :, None]
+    bx1, by1, bx2, by2 = gt.T[:, None, :]
+    inter = (np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
+             * np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1)))
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    hull = ((np.maximum(ax2, bx2) - np.minimum(ax1, bx1))
+            * (np.maximum(ay2, by2) - np.minimum(ay1, by1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.where(union == 0.0, np.where(hull == 0.0, 1.0, -1.0),
+                     inter / union - (hull - union) / hull)
+    return l1 + (g if literal_giou_cost else 1.0 - g)
 
 
 # ----------------------------------------------------------------------
-# Rectangular Hungarian matching
-
-_PAD = 0.0
+# Rectangular matching
 
 
-def _solve_square(cost: Array) -> Array:
-    """Minimum-cost perfect matching on a square matrix via shortest
-    augmenting paths with potentials; returns row index per column."""
-    n = cost.shape[0]
-    a = np.zeros((n + 1, n + 1))
-    a[1:, 1:] = cost
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=int)
-    way = np.zeros(n + 1, dtype=int)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = np.inf
-            j1 = 0
-            free = ~used
-            free[0] = False
-            cur = a[i0, 1:] - u[i0] - v[1:]
-            cols = np.where(free[1:])[0] + 1
-            improved = cur[cols - 1] < minv[cols]
-            minv[cols[improved]] = cur[cols - 1][improved]
-            way[cols[improved]] = j0
-            j1 = cols[np.argmin(minv[cols])]
-            delta = minv[j1]
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    row_for_col = np.empty(n, dtype=int)
-    row_for_col[:] = p[1:] - 1
-    return row_for_col
-
-
-def _min_cost(cost: Array) -> float:
-    """Optimal total over maximum-cardinality assignments of a K×N matrix."""
-    k, n = cost.shape
-    size = max(k, n)
-    padded = np.full((size, size), _PAD)
-    padded[:k, :n] = cost
-    row_for_col = _solve_square(padded)
-    total = 0.0
-    for j in range(n):
-        if row_for_col[j] < k:
-            total += cost[row_for_col[j], j]
-    return total
+def _match_tables(n: int, need: int) -> tuple[list[Array], Array, Array]:
+    """States of hungarian's dynamic program, the used-column sets of size
+    <= need as int64 bitmasks: levels[m] lists those of size m in ascending
+    order, numbered from start[m]; start[-1] numbers a slot kept infinite.
+    pred[j, s] numbers set s less column j (a row matched to j), or that
+    slot where j is not in s; pred[N, s] is s (a row left out)."""
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))[:, None]
+    levels = [np.zeros(1, dtype=np.int64)]
+    for _ in range(need):
+        grown = levels[-1] | bits
+        levels.append(np.sort(grown[bits > levels[-1]]))
+    start = np.cumsum([0] + [len(level) for level in levels])
+    removed = [np.full((n, 1), start[-1])]
+    for m in range(1, need + 1):
+        at = start[m - 1] + levels[m - 1].searchsorted(levels[m] & ~bits)
+        removed.append(np.where(levels[m] & bits, at, start[-1]))
+    return levels, start, np.vstack([np.hstack(removed), np.arange(start[-1])])
 
 
 def hungarian(cost) -> Assignment:
     """Maximum-cardinality minimum-cost assignment with a deterministic
-    tie-break: the lexicographically smallest sorted pair list among optima."""
+    tie-break: the lexicographically smallest sorted pair list among optima.
+
+    Exact, with no tolerance: a total adds its pairs' costs in row order
+    from 0.0, as enumerating every assignment does.  A dynamic program over
+    (row, set of used columns) keeps the least prefix total per set, which
+    float addition, being monotone, carries to the least total to the bit.
+    Rows then take the first choice, free columns ascending and then none,
+    whose own prefix total still completes to that optimum.  Its states are
+    the column sets of size <= min(K, N), per row those that can still reach
+    min(K, N) pairs: 1,024 in all at 10×10, 58,651 at 10×16, where a call
+    took 2 ms and 120 ms on a 2-vCPU x86 host (0.2 ms at 4×3).  N <= 63.
+    """
     cost = np.atleast_2d(np.asarray(cost, dtype=np.float64))
     if not np.all(np.isfinite(cost)):
         raise ValueError("costs must be finite")
     k, n = cost.shape
+    if n > 63:
+        raise ValueError(f"matching takes at most 63 columns, got {n}")
     need = min(k, n)
-    best = _min_cost(cost)
-    tol = 1e-9 * max(1.0, abs(best))
-
-    pairs: list[tuple[int, int]] = []
-    fixed = 0.0
-    rows_left = list(range(k))
-    cols_left = list(range(n))
+    levels, start, pred = _match_tables(n, need)
+    # Step i writes the sets a:b that can still reach need pairs after row i,
+    # reading only live or never-written slots; leaving row i out costs 0.0.
+    steps = []
     for i in range(k):
-        if len(pairs) == need:
-            break
-        rows_rest = [r for r in rows_left if r > i]
-        matched_here = None
-        for j in sorted(cols_left):
-            remaining_need = need - len(pairs) - 1
-            if remaining_need > len(rows_rest) or remaining_need > len(cols_left) - 1:
-                continue
-            sub_cols = [c for c in cols_left if c != j]
-            candidate = fixed + cost[i, j]
-            if remaining_need > 0:
-                candidate += _min_cost(cost[np.ix_(rows_rest, sub_cols)])
-            if candidate <= best + tol:
-                matched_here = j
-                break
-        if matched_here is not None:
-            pairs.append((i, matched_here))
-            fixed += cost[i, matched_here]
-            cols_left.remove(matched_here)
-        rows_left.remove(i)
+        a, b = start[max(0, need - (k - i - 1))], start[min(i + 1, need) + 1]
+        steps.append((a, b, pred[:, a:b].copy(), np.append(cost[i], 0.0)[:, None]))
 
-    total = 0.0
-    for i, j in pairs:
-        total += cost[i, j]
-    matched_rows = {i for i, _ in pairs}
-    unmatched = tuple(i for i in range(k) if i not in matched_rows)
+    def least_total(row: int, sources: Sequence[tuple[int, float, int | None]]) -> float:
+        """Least total completing any (state, prefix total, _) source from `row` on."""
+        values = np.full(start[-1] + 1, np.inf)
+        for state, prefix, _ in sources:
+            values[state] = prefix
+        for a, b, prev, row_cost in steps[row:]:
+            values[a:b] = np.minimum.reduce(values[prev] + row_cost)
+        return values[start[need]:-1].min()
+
+    best = least_total(0, [(0, 0.0, None)])
+    pairs, used, state, total = [], 0, 0, 0.0
+    for i in range(k):
+        m = len(pairs)
+        if m == need:
+            break
+        free = [j for j in range(n) if not used >> j & 1]
+        grown = start[m + 1] + levels[m + 1].searchsorted([used | 1 << j for j in free])
+        choices = [(s, total + cost[i, j], j) for s, j in zip(grown, free)]
+        if need - m < k - i:
+            choices.append((state, total, None))
+        # The choices hold distinct column sets, so a run from the first c
+        # of them reaches best exactly when one of them does; the last does.
+        c = bisect_left(range(len(choices) - 1), True,
+                        key=lambda c: least_total(i + 1, choices[:c + 1]) == best)
+        state, total, j = choices[c]
+        if j is not None:
+            pairs.append((i, j))
+            used |= 1 << j
+    unmatched = tuple(sorted(set(range(k)) - {i for i, _ in pairs}))
     return Assignment(pairs=tuple(pairs), unmatched_slots=unmatched, cost=float(total))
 
 

@@ -246,6 +246,39 @@ def test_nav_eval_rejects_mismatched_embeddings(bundle, capsys):
     assert "dimension" in err
 
 
+def _drop_start_of_second_query(text):
+    lines = text.splitlines()
+    record = json.loads(lines[1])
+    del record["start"]
+    lines[1] = json.dumps(record)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name, edit, line", [
+    ("nav_memory_poses.jsonl",
+     lambda text: text.replace('"y": 0.625}', '"y": 0.625, "z": 1}', 1), 1),
+    ("nav_memory_poses.jsonl", lambda text: text + "[1, 2]\n", 7),
+    ("nav_queries.jsonl", _drop_start_of_second_query, 2),
+])
+def test_nav_eval_bad_record_exits_one_and_names_its_line(bundle, tmp_path, capsys,
+                                                         name, edit, line):
+    fx = bundle["fx"]
+    paths = {n: fx / n for n in ("nav_memory_poses.jsonl", "nav_queries.jsonl")}
+    bad = tmp_path / name
+    original = paths[name].read_text(encoding="utf-8")
+    bad.write_text(edit(original), encoding="utf-8")
+    assert bad.read_text(encoding="utf-8") != original
+    paths[name] = bad
+    assert main(["nav-eval", "--world", str(fx / "world.txt"),
+                 "--memory", str(fx / "nav_memory.lze"),
+                 "--poses", str(paths["nav_memory_poses.jsonl"]),
+                 "--queries", str(paths["nav_queries.jsonl"]),
+                 "--query-index", str(fx / "nav_queries.lze")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line {line}: ")
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------------
 # gradcheck
 

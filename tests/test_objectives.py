@@ -110,6 +110,40 @@ def test_pairwise_cost():
     assert np.allclose(matrix - literal, expected_shift, atol=1e-12)
 
 
+def _scalar_cost(pred, gt, literal):
+    return np.array([[l1_box(p, q) + (giou(p, q) if literal else 1.0 - giou(p, q))
+                      for q in gt] for p in pred]).reshape(len(pred), len(gt))
+
+
+def test_pairwise_cost_equals_the_scalar_loop_bit_for_bit():
+    rng = np.random.default_rng(9)
+    cases = [(np.stack([random_box(rng, scale=10.0 ** rng.integers(-6, 6))
+                        for _ in range(rng.integers(1, 6))]),
+              np.stack([random_box(rng, scale=10.0 ** rng.integers(-6, 6))
+                        for _ in range(rng.integers(1, 6))]))
+             for _ in range(300)]
+    # Degenerate: a coincident zero-area pair (union 0, hull 0); distinct
+    # boxes with union 0 (hull > 0); a zero-width box against a real one.
+    point, segment = [0.2, 0.2, 0.2, 0.2], [0.5, 0.1, 0.5, 0.9]
+    cases.append((np.array([point, segment, [0.0, 0.0, 1.0, 1.0]]),
+                  np.array([point, segment, [0.3, 0.3, 0.3, 0.3]])))
+    for pred, gt in cases:
+        for literal in (False, True):
+            got = pairwise_cost(pred, gt, literal_giou_cost=literal)
+            assert got.shape == (len(pred), len(gt))
+            assert got.tobytes() == _scalar_cost(pred, gt, literal).tobytes()
+
+
+@pytest.mark.parametrize("bad", [[0.5, 0.0, 0.2, 1.0], [0.0, 0.5, 1.0, 0.2],
+                                 [0.0, np.nan, 1.0, 1.0], [0.0, 0.0, 1.0],
+                                 [0.0, 0.0, 1.0, 1.0, 1.0]])
+def test_pairwise_cost_rejects_a_bad_box_in_either_argument(bad):
+    good = [[0.0, 0.0, 1.0, 1.0], [0.1, 0.1, 0.4, 0.5]]
+    for pred, gt in (([bad], good), (good, [bad]), (good + [bad], good), (good, [bad] + good)):
+        with pytest.raises(ValueError):
+            pairwise_cost(pred, gt)
+
+
 def test_hungarian_diagonal_optimum():
     cost = np.full((3, 3), 100.0)
     np.fill_diagonal(cost, 0.0)
@@ -156,6 +190,42 @@ def test_hungarian_matches_brute_force_oracle():
         assert out.cost == expected_total, f"trial {trial}"
         assert out.pairs == expected_pairs, f"trial {trial}"
         assert len(out.pairs) == min(k, n)
+
+
+def test_hungarian_matches_brute_force_on_near_ties():
+    # Optima that tie, or differ only in the last bits of a row-order sum.
+    # 3e-10 and 1e-10 differ by less than an absolute 1e-9.
+    out = hungarian([[3e-10, 0.1, 0.7, 1e-10, 1e-10]])
+    assert out.pairs == ((0, 3),)
+    assert out.cost == 1e-10
+    pools = ([0.1, 0.2, 0.3, 0.6, 0.7, 1.0],
+             [0.1, 0.2, 0.3, 0.6, 0.7, 1.0, 1e-10, 3e-10],
+             [1e16, -1e16, 0.5, 1.0, 2.0, 3.0])
+    rng = np.random.default_rng(8)
+    for trial in range(1800):
+        k, n = (int(v) for v in rng.integers(1, 6, size=2))
+        cost = rng.choice(pools[trial % 3], size=(k, n))
+        expected_total, expected_pairs = brute_force_assignment(cost)
+        out = hungarian(cost)
+        assert out.pairs == expected_pairs, f"trial {trial}: {cost.tolist()}"
+        assert np.float64(out.cost).tobytes() == np.float64(expected_total).tobytes(), \
+            f"trial {trial}"
+
+
+def test_hungarian_edge_shapes_and_non_finite_costs():
+    out = hungarian(np.zeros((3, 0)))
+    assert (out.pairs, out.unmatched_slots, out.cost) == ((), (0, 1, 2), 0.0)
+    out = hungarian(np.zeros((0, 3)))
+    assert (out.pairs, out.unmatched_slots, out.cost) == ((), (), 0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        cost = np.ones((2, 3))
+        cost[1, 2] = bad
+        with pytest.raises(ValueError, match="^costs must be finite$"):
+            hungarian(cost)
+    # Column sets are int64 bitmasks.
+    assert hungarian(np.ones((1, 63))).pairs == ((0, 0),)
+    with pytest.raises(ValueError, match="at most 63 columns"):
+        hungarian(np.ones((1, 64)))
 
 
 def test_assignment_rejects_duplicates():
