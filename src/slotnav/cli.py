@@ -263,7 +263,8 @@ def cmd_nav_eval(args) -> int:
                                    embedding=memory_index.matrix[i]))
 
     queries = _load_records(args.queries, lambda r: (
-        r["query_id"], r["noun"], r.get("sentence", ""), int(r.get("k", 1)), _pose(r["start"])))
+        r["query_id"], r["noun"], r.get("sentence", ""),
+        args.k if args.k is not None else int(r.get("k", 1)), _pose(r["start"])))
     if (args.query_index is None) == (args.run is None):
         raise ValueError("pass exactly one of --query-index or --run")
     if args.query_index is not None:
@@ -284,8 +285,7 @@ def cmd_nav_eval(args) -> int:
     fov = _fov_params(args)
     episodes = []
     for query_id, noun, sentence, k, start in queries:
-        episode = execute_episode(sentence, noun, entries, world,
-                                  args.k if args.k is not None else k,
+        episode = execute_episode(sentence, noun, entries, world, k,
                                   encode_for(query_id), start, fov=fov)
         episodes.append(episode)
         print(f"episode {query_id} distance {episode.distance:.4f} "

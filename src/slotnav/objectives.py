@@ -13,6 +13,7 @@ so the gradient starts from it: each node of the step is evaluated once.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import MutableMapping, Sequence
@@ -184,8 +185,8 @@ def pairwise_cost(pred_boxes, gt_boxes, literal_giou_cost: bool = False) -> Arra
 
 
 def _match_tables(n: int, need: int) -> tuple[list[Array], Array, Array]:
-    """States of hungarian's dynamic program, the used-column sets of size
-    <= need as int64 bitmasks: levels[m] lists those of size m in ascending
+    """States of _row_order_pairs' dynamic program, the used-column sets of
+    size <= need as int64 bitmasks: levels[m] lists those of size m in ascending
     order, numbered from start[m]; start[-1] numbers a slot kept infinite.
     pred[j, s] numbers set s less column j (a row matched to j), or that
     slot where j is not in s; pred[N, s] is s (a row left out)."""
@@ -202,26 +203,45 @@ def _match_tables(n: int, need: int) -> tuple[list[Array], Array, Array]:
     return levels, start, np.vstack([np.hstack(removed), np.arange(start[-1])])
 
 
+# The row-order dynamic program's states are the used-column sets of size
+# <= min(K, N); it runs while they number at most this many: every shape of
+# up to 6 columns, and never a set with a column past the 63 bits of int64.
+_ROW_ORDER_STATES = 64
+
+
 def hungarian(cost) -> Assignment:
     """Maximum-cardinality minimum-cost assignment with a deterministic
     tie-break: the lexicographically smallest sorted pair list among optima.
 
-    Exact, with no tolerance: a total adds its pairs' costs in row order
-    from 0.0, as enumerating every assignment does.  A dynamic program over
-    (row, set of used columns) keeps the least prefix total per set, which
-    float addition, being monotone, carries to the least total to the bit.
-    Rows then take the first choice, free columns ascending and then none,
-    whose own prefix total still completes to that optimum.  Its states are
-    the column sets of size <= min(K, N), per row those that can still reach
-    min(K, N) pairs: 1,024 in all at 10×10, 58,651 at 10×16, where a call
-    took 2 ms and 120 ms on a 2-vCPU x86 host (0.2 ms at 4×3).  N <= 63.
+    Exact, with no tolerance.  Up to _ROW_ORDER_STATES column sets (every
+    K×N with N <= 6, the training shapes among them) a total adds its pairs'
+    costs in row order from 0.0, as enumerating every assignment does, and
+    the result equals enumeration's to the bit.  Larger shapes, whose column
+    sets grow as sum(C(N, m) for m <= min(K, N)), 58,651 at 10×16, take a
+    polynomial solver that compares exact sums of the same costs instead;
+    the two orders differ only where rounding a row-order sum reorders or
+    ties two assignments.  A cost is returned as the row-order sum.
     """
     cost = np.atleast_2d(np.asarray(cost, dtype=np.float64))
     if not np.all(np.isfinite(cost)):
         raise ValueError("costs must be finite")
     k, n = cost.shape
-    if n > 63:
-        raise ValueError(f"matching takes at most 63 columns, got {n}")
+    states = sum(math.comb(n, m) for m in range(min(k, n) + 1))
+    pairs = _row_order_pairs(cost) if states <= _ROW_ORDER_STATES else _exact_sum_pairs(cost)
+    total = 0.0
+    for i, j in pairs:
+        total += cost[i, j]
+    unmatched = tuple(sorted(set(range(k)) - {i for i, _ in pairs}))
+    return Assignment(pairs=tuple(pairs), unmatched_slots=unmatched, cost=float(total))
+
+
+def _row_order_pairs(cost: Array) -> list[tuple[int, int]]:
+    """hungarian's pairs by a dynamic program over (row, set of used columns)
+    that keeps the least row-order prefix total per set, which float
+    addition, being monotone, carries to the least total to the bit.  Rows
+    then take the first choice, free columns ascending and then none, whose
+    own prefix total still completes to that optimum."""
+    k, n = cost.shape
     need = min(k, n)
     levels, start, pred = _match_tables(n, need)
     # Step i writes the sets a:b that can still reach need pairs after row i,
@@ -259,8 +279,67 @@ def hungarian(cost) -> Assignment:
         if j is not None:
             pairs.append((i, j))
             used |= 1 << j
-    unmatched = tuple(sorted(set(range(k)) - {i for i, _ in pairs}))
-    return Assignment(pairs=tuple(pairs), unmatched_slots=unmatched, cost=float(total))
+    return pairs
+
+
+def _exact_sum_pairs(cost: Array) -> list[tuple[int, int]]:
+    """hungarian's pairs by exact sums: shortest augmenting paths over
+    integer costs, O(min(K, N)² max(K, N)) steps.
+
+    Every finite double is an integer over a power of two, so one common
+    denominator makes the costs exact integers.  An assignment's columns
+    read by row, N for a row left out, form a base-(N+1) number below
+    (N+1)**K that orders assignments lexicographically; it is added to the
+    costs scaled by (N+1)**K, so the one least weight is the least exact
+    sum and, among equal sums, the lexicographically first pairs.
+    """
+    k, n = cost.shape
+    ratios = [x.as_integer_ratio() for x in cost.ravel().tolist()]
+    den = max(d for _, d in ratios)
+    base = n + 1
+    weight = np.array([[p * (den // d) * base ** k + (j - n) * base ** (k - 1 - i)
+                        for j, (p, d) in enumerate(ratios[i * n:(i + 1) * n])]
+                       for i in range(k)], dtype=object)
+    # Paths grow from each row of the shorter side.
+    flip = k > n
+    if flip:
+        weight = weight.T
+    rows, cols = weight.shape
+    u, v = np.zeros(rows, dtype=object), np.zeros(cols, dtype=object)
+    row_of, col_of = np.full(cols, -1), np.full(rows, -1)
+    for start in range(rows):
+        # Dijkstra from row start; reduced costs weight - u - v of matched
+        # rows are nonnegative, so a settled column's distance is final.
+        dist = weight[start] - u[start] - v
+        via = np.full(cols, start)
+        done = np.zeros(cols, dtype=bool)
+        while True:
+            free = np.flatnonzero(~done)
+            j = free[np.argmin(dist[free])]
+            done[j] = True
+            i = row_of[j]
+            if i < 0:
+                break
+            free = free[free != j]
+            reach = dist[j] + weight[i, free] - u[i] - v[free]
+            closer = reach < dist[free]
+            dist[free[closer]] = reach[closer]
+            via[free[closer]] = i
+        # Shift potentials so reduced costs stay nonnegative and the path's
+        # pairs cost zero, then flip the path that ends at free column j.
+        seen = np.flatnonzero(done)
+        inner = seen[seen != j]
+        u[start] += dist[j]
+        u[row_of[inner]] += dist[j] - dist[inner]
+        v[seen] -= dist[j] - dist[seen]
+        while True:
+            i = via[j]
+            row_of[j], col_of[i], j = i, j, col_of[i]
+            if i == start:
+                break
+    if flip:
+        return sorted((int(i), j) for j, i in enumerate(col_of))
+    return [(i, int(j)) for i, j in enumerate(col_of)]
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,6 +29,21 @@ def brute_force_assignment(cost):
             best_total = total
             best_pairs = pairs
     return best_total, best_pairs
+
+
+def exact_sum_assignment(cost):
+    """brute_force_assignment's pairs when totals are exact rational sums
+    of the costs rather than row-order float sums."""
+    cost = np.asarray(cost, dtype=np.float64)
+    k, n = cost.shape
+    if k <= n:
+        candidates = (tuple((i, cols[i]) for i in range(k))
+                      for cols in itertools.permutations(range(n), k))
+    else:
+        candidates = (tuple(sorted((rows[j], j) for j in range(n)))
+                      for rows in itertools.permutations(range(k), n))
+    return min(candidates,
+               key=lambda pairs: (sum(Fraction(cost[i, j]) for i, j in pairs), pairs))
 
 
 def iou(a, b):

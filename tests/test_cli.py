@@ -279,6 +279,28 @@ def test_nav_eval_bad_record_exits_one_and_names_its_line(bundle, tmp_path, caps
     assert "Traceback" not in err
 
 
+def test_nav_eval_reads_a_query_k_only_without_the_k_flag(bundle, tmp_path, capsys):
+    fx = bundle["fx"]
+    queries = tmp_path / "queries.jsonl"
+    records = [json.loads(line) for line in
+               (fx / "nav_queries.jsonl").read_text(encoding="utf-8").splitlines()]
+    queries.write_text("".join(json.dumps({**r, "k": "all"}) + "\n" for r in records),
+                       encoding="utf-8")
+    outputs = []
+    for path, extra in ((fx / "nav_queries.jsonl", ["--k", "2"]), (queries, ["--k", "2"]),
+                        (queries, [])):
+        outputs.append(main(["nav-eval", "--world", str(fx / "world.txt"),
+                             "--memory", str(fx / "nav_memory.lze"),
+                             "--poses", str(fx / "nav_memory_poses.jsonl"),
+                             "--queries", str(path),
+                             "--query-index", str(fx / "nav_queries.lze")] + extra))
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[2] == 0
+    assert outputs[1].out == outputs[3].out
+    assert outputs[4] == 1
+    assert outputs[5].err.startswith(f"error: {queries}: line 1: ")
+
+
 # ----------------------------------------------------------------------
 # gradcheck
 

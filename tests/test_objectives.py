@@ -1,5 +1,7 @@
 """Objectives: box geometry, matching, contrastive losses, total loss."""
 
+import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +33,7 @@ from slotnav.objectives import (
     _giou_columns,
 )
 
-from _oracles import brute_force_assignment, iou, random_box
+from _oracles import brute_force_assignment, exact_sum_assignment, iou, random_box
 
 
 # ----------------------------------------------------------------------
@@ -222,10 +224,65 @@ def test_hungarian_edge_shapes_and_non_finite_costs():
         cost[1, 2] = bad
         with pytest.raises(ValueError, match="^costs must be finite$"):
             hungarian(cost)
-    # Column sets are int64 bitmasks.
-    assert hungarian(np.ones((1, 63))).pairs == ((0, 0),)
-    with pytest.raises(ValueError, match="at most 63 columns"):
-        hungarian(np.ones((1, 64)))
+    # Wide and tall shapes alike, past the 63 columns an int64 set can hold.
+    for k, n in ((1, 63), (1, 64), (3, 200), (200, 3)):
+        out = hungarian(np.ones((k, n)))
+        assert out.pairs == tuple((i, i) for i in range(min(k, n)))
+        assert out.unmatched_slots == tuple(range(min(k, n), k))
+
+
+def test_hungarian_exact_sum_path_matches_brute_force(monkeypatch):
+    # The gate's matrices through the polynomial solver alone.  Small
+    # integers add exactly in any order, so their many ties must break as
+    # enumeration breaks them; tall shapes leave rows out.  On near ties
+    # the reference is enumeration with exact sums.
+    monkeypatch.setattr(objectives, "_ROW_ORDER_STATES", 0)
+    out = hungarian([[3e-10, 0.1, 0.7, 1e-10, 1e-10]])
+    assert (out.pairs, out.cost) == (((0, 3),), 1e-10)
+    rng = np.random.default_rng(4)
+    for trial in range(300):
+        k = int(rng.integers(1, 8))
+        n = int(rng.integers(1, 8))
+        if trial % 3 == 0:
+            cost = rng.integers(0, 4, size=(k, n)).astype(float)
+        elif trial % 3 == 1:
+            cost = rng.random((k, n))
+        else:
+            cost = rng.normal(size=(k, n))
+        expected_total, expected_pairs = brute_force_assignment(cost)
+        out = hungarian(cost)
+        assert out.pairs == expected_pairs, f"trial {trial}: {cost.tolist()}"
+        assert out.cost == expected_total, f"trial {trial}"
+    # Near ties, where row-order rounding and exact sums can disagree.
+    pools = ([0.1, 0.2, 0.3, 0.6, 0.7, 1.0],
+             [0.1, 0.2, 0.3, 0.6, 0.7, 1.0, 1e-10, 3e-10],
+             [1e16, -1e16, 0.5, 1.0, 2.0, 3.0])
+    for trial in range(600):
+        k, n = (int(v) for v in rng.integers(1, 6, size=2))
+        cost = rng.choice(pools[trial % 3], size=(k, n))
+        assert hungarian(cost).pairs == exact_sum_assignment(cost), \
+            f"trial {trial}: {cost.tolist()}"
+
+
+def test_hungarian_large_shapes_finish_in_bounded_time_and_memory():
+    # A planted zero-cost matching among costs in [1, 2) is the one optimum;
+    # the column sets of these shapes number up to 1.8e11.
+    rng = np.random.default_rng(12)
+    for k, n in ((10, 40), (4, 64), (64, 4), (10, 64)):
+        cost = 1.0 + rng.random((k, n))
+        rows = rng.permutation(k)[:min(k, n)]
+        cols = rng.permutation(n)[:min(k, n)]
+        cost[rows, cols] = 0.0
+        tracemalloc.start()
+        start = time.perf_counter()
+        out = hungarian(cost)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert out.pairs == tuple(sorted(zip(rows.tolist(), cols.tolist())))
+        assert out.cost == 0.0
+        assert elapsed < 2.0, f"{k}x{n} took {elapsed:.2f}s"
+        assert peak < 16e6, f"{k}x{n} peaked at {peak / 1e6:.1f} MB"
 
 
 def test_assignment_rejects_duplicates():
