@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,6 +27,21 @@ Array = np.ndarray
 
 # Parameters under this prefix are excluded from training updates.
 TEXT_PREFIX = "txt."
+
+
+def check_field_types(config) -> None:
+    """TypeError unless each int field of a config dataclass holds an integer
+    and each float field, or item of a float tuple, a real number; a bool is
+    neither."""
+    for f in fields(config):
+        if f.type not in ("int", "float", "float | tuple[float, ...]"):
+            continue
+        value = getattr(config, f.name)
+        items = value if isinstance(value, tuple) and f.type != "int" else (value,)
+        kind, noun = ((numbers.Integral, "an integer") if f.type == "int"
+                      else (numbers.Real, "a number"))
+        if not all(isinstance(v, kind) and not isinstance(v, bool) for v in items):
+            raise TypeError(f"{f.name} must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +64,7 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.num_slots < 1:
             raise ValueError("num_slots must be >= 1")
         if self.slot_iters < 1:

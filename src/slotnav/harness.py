@@ -12,7 +12,8 @@ from typing import Iterable, MutableMapping, Sequence
 import numpy as np
 
 from .autodiff import EvaluationError, ParamStore, derive_seed, save_checkpoint
-from .encoder import EncoderConfig, encode_text, image_embedding, init_params, read_ppm
+from .encoder import (EncoderConfig, check_field_types, encode_text, image_embedding,
+                      init_params, read_ppm)
 from .objectives import (Annotation, AnnotationSet, LossReport, LossWeights,
                          TrainExample, format_loss_line, total_loss, total_loss_graph)
 from .promptgen import CaptionRecord, build_prompt, load_dataset
@@ -38,6 +39,7 @@ class TrainConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.lr <= 0.0:
             raise ValueError("learning rate must be positive")
         if self.batch_size < 1:
@@ -107,7 +109,10 @@ def parse_config_file(path: str) -> TrainConfig:
                 target[name] = json.loads(text)
             except json.JSONDecodeError:
                 raise ValueError(f"{path}: line {lineno}: bad value {text!r}")
-    return config_from_dict({**top, "weights": weights, "encoder": encoder})
+    try:
+        return config_from_dict({**top, "weights": weights, "encoder": encoder})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

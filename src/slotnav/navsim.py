@@ -349,21 +349,6 @@ def in_fov(pose: Pose, target: tuple[float, float],
 # ----------------------------------------------------------------------
 # Episode execution
 
-def follow_waypoints(world: GridWorld, path: Sequence[Cell],
-                     target: Pose) -> list[Pose]:
-    """Ideal local executor: face each motion direction, settle on the target."""
-    poses = []
-    for i in range(1, len(path)):
-        x, y = world.cell_center(path[i])
-        px, py = world.cell_center(path[i - 1])
-        poses.append(Pose(x=x, y=y, theta=math.atan2(y - py, x - px)))
-    if poses:
-        poses[-1] = target
-    else:
-        poses = [target]
-    return poses
-
-
 def _fov_hit(world: GridWorld, pose: Pose, instances: Sequence[WorldObject],
              fov: FovParams) -> WorldObject | None:
     for obj in instances:
@@ -414,9 +399,8 @@ def execute_episode(query: str, noun: str, memory: Sequence[MemoryEntry],
         if not path:
             notes.append(f"skipped {entry.image_id}: unreachable")
             continue
-        trail = follow_waypoints(world, path, entry.pose)
         path_cells += path_steps(path)
-        current = trail[-1]
+        current = entry.pose
         visited.append(current)
         seen = _fov_hit(world, current, instances, fov)
         if seen is not None:

@@ -13,15 +13,16 @@ so the gradient starts from it: each node of the step is evaluated once.
 
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import MutableMapping, Sequence
 
 import numpy as np
 
 from .autodiff import Frame, Graph, Node, ParamStore, derive_seed
-from .encoder import Binding, EncoderConfig, build_image_embedding, encode_text, sample_slots
+from .encoder import (Binding, EncoderConfig, build_image_embedding, check_field_types,
+                      encode_text, sample_slots)
 
 Array = np.ndarray
 
@@ -104,6 +105,7 @@ class LossWeights:
     literal_giou_cost: bool = False
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if min(self.alpha, self.beta, self.gamma, self.delta) < 0:
             raise ValueError("loss weights must be nonnegative")
         if self.tau <= 0:
@@ -184,50 +186,28 @@ def pairwise_cost(pred_boxes, gt_boxes, literal_giou_cost: bool = False) -> Arra
 # Rectangular matching
 
 
-def _match_tables(n: int, need: int) -> tuple[list[Array], Array, Array]:
-    """States of _row_order_pairs' dynamic program, the used-column sets of
-    size <= need as int64 bitmasks: levels[m] lists those of size m in ascending
-    order, numbered from start[m]; start[-1] numbers a slot kept infinite.
-    pred[j, s] numbers set s less column j (a row matched to j), or that
-    slot where j is not in s; pred[N, s] is s (a row left out)."""
-    bits = np.left_shift(1, np.arange(n, dtype=np.int64))[:, None]
-    levels = [np.zeros(1, dtype=np.int64)]
-    for _ in range(need):
-        grown = levels[-1] | bits
-        levels.append(np.sort(grown[bits > levels[-1]]))
-    start = np.cumsum([0] + [len(level) for level in levels])
-    removed = [np.full((n, 1), start[-1])]
-    for m in range(1, need + 1):
-        at = start[m - 1] + levels[m - 1].searchsorted(levels[m] & ~bits)
-        removed.append(np.where(levels[m] & bits, at, start[-1]))
-    return levels, start, np.vstack([np.hstack(removed), np.arange(start[-1])])
-
-
-# The row-order dynamic program's states are the used-column sets of size
-# <= min(K, N); it runs while they number at most this many: every shape of
-# up to 6 columns, and never a set with a column past the 63 bits of int64.
-_ROW_ORDER_STATES = 64
+# hungarian enumerates assignments while there are at most this many: every
+# shape up to 6×6, and up to 10×3 and 3×10.
+_ENUMERATED_ASSIGNMENTS = 720
 
 
 def hungarian(cost) -> Assignment:
     """Maximum-cardinality minimum-cost assignment with a deterministic
     tie-break: the lexicographically smallest sorted pair list among optima.
 
-    Exact, with no tolerance.  Up to _ROW_ORDER_STATES column sets (every
-    K×N with N <= 6, the training shapes among them) a total adds its pairs'
-    costs in row order from 0.0, as enumerating every assignment does, and
-    the result equals enumeration's to the bit.  Larger shapes, whose column
-    sets grow as sum(C(N, m) for m <= min(K, N)), 58,651 at 10×16, take a
-    polynomial solver that compares exact sums of the same costs instead;
-    the two orders differ only where rounding a row-order sum reorders or
-    ties two assignments.  A cost is returned as the row-order sum.
+    Exact, with no tolerance.  Up to _ENUMERATED_ASSIGNMENTS assignments, the
+    training shapes among them, the result is enumeration's to the bit.
+    Larger shapes take a polynomial solver that compares exact sums of the
+    same costs instead of row-order float sums; the two differ only where
+    rounding reorders or ties two totals.  A cost is returned as the
+    row-order sum.
     """
     cost = np.atleast_2d(np.asarray(cost, dtype=np.float64))
     if not np.all(np.isfinite(cost)):
         raise ValueError("costs must be finite")
     k, n = cost.shape
-    states = sum(math.comb(n, m) for m in range(min(k, n) + 1))
-    pairs = _row_order_pairs(cost) if states <= _ROW_ORDER_STATES else _exact_sum_pairs(cost)
+    small = math.perm(max(k, n), min(k, n)) <= _ENUMERATED_ASSIGNMENTS
+    pairs = _enumerated_pairs(cost) if small else _exact_sum_pairs(cost)
     total = 0.0
     for i, j in pairs:
         total += cost[i, j]
@@ -235,51 +215,29 @@ def hungarian(cost) -> Assignment:
     return Assignment(pairs=tuple(pairs), unmatched_slots=unmatched, cost=float(total))
 
 
-def _row_order_pairs(cost: Array) -> list[tuple[int, int]]:
-    """hungarian's pairs by a dynamic program over (row, set of used columns)
-    that keeps the least row-order prefix total per set, which float
-    addition, being monotone, carries to the least total to the bit.  Rows
-    then take the first choice, free columns ascending and then none, whose
-    own prefix total still completes to that optimum."""
+def _enumerated_pairs(cost: Array) -> list[tuple[int, int]]:
+    """hungarian's pairs by enumerating every maximum-cardinality assignment.
+
+    Each assignment reads by row: the row's column, or N for a row left out,
+    so ascending order of these codes is ascending order of pair lists.
+    Totals add in row order from 0.0, a row left out adding an exact 0.0, as
+    the brute-force reference sums; the least code among the least totals wins.
+    """
     k, n = cost.shape
-    need = min(k, n)
-    levels, start, pred = _match_tables(n, need)
-    # Step i writes the sets a:b that can still reach need pairs after row i,
-    # reading only live or never-written slots; leaving row i out costs 0.0.
-    steps = []
+    m = min(k, n)
+    perms = itertools.chain.from_iterable(itertools.permutations(range(max(k, n)), m))
+    cols = np.fromiter(perms, dtype=np.intp).reshape(math.perm(max(k, n), m), m)
+    if k > n:
+        # Here each permutation gives the columns their rows.
+        codes = np.full((len(cols), k), n)
+        np.put_along_axis(codes, cols, np.arange(n), axis=1)
+        cols = codes
+    padded = np.hstack([cost, np.zeros((k, 1))])
+    total = np.zeros(len(cols))
     for i in range(k):
-        a, b = start[max(0, need - (k - i - 1))], start[min(i + 1, need) + 1]
-        steps.append((a, b, pred[:, a:b].copy(), np.append(cost[i], 0.0)[:, None]))
-
-    def least_total(row: int, sources: Sequence[tuple[int, float, int | None]]) -> float:
-        """Least total completing any (state, prefix total, _) source from `row` on."""
-        values = np.full(start[-1] + 1, np.inf)
-        for state, prefix, _ in sources:
-            values[state] = prefix
-        for a, b, prev, row_cost in steps[row:]:
-            values[a:b] = np.minimum.reduce(values[prev] + row_cost)
-        return values[start[need]:-1].min()
-
-    best = least_total(0, [(0, 0.0, None)])
-    pairs, used, state, total = [], 0, 0, 0.0
-    for i in range(k):
-        m = len(pairs)
-        if m == need:
-            break
-        free = [j for j in range(n) if not used >> j & 1]
-        grown = start[m + 1] + levels[m + 1].searchsorted([used | 1 << j for j in free])
-        choices = [(s, total + cost[i, j], j) for s, j in zip(grown, free)]
-        if need - m < k - i:
-            choices.append((state, total, None))
-        # The choices hold distinct column sets, so a run from the first c
-        # of them reaches best exactly when one of them does; the last does.
-        c = bisect_left(range(len(choices) - 1), True,
-                        key=lambda c: least_total(i + 1, choices[:c + 1]) == best)
-        state, total, j = choices[c]
-        if j is not None:
-            pairs.append((i, j))
-            used |= 1 << j
-    return pairs
+        total += padded[i, cols[:, i]]
+    best = min(map(tuple, cols[total == total.min()].tolist()))
+    return [(i, j) for i, j in enumerate(best) if j < n]
 
 
 def _exact_sum_pairs(cost: Array) -> list[tuple[int, int]]:

@@ -432,6 +432,20 @@ def test_index_over_a_malformed_image_exits_one_and_names_it(bundle, tmp_path, c
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("line", ['lr = "abc"', 'weights.tau = "x"', "encoder.num_slots = 2.5",
+                                  "batch_size = 2.5", "total_steps = true"])
+def test_config_value_of_the_wrong_type_exits_one_and_names_the_file(bundle, tmp_path,
+                                                                      capsys, line):
+    cfg = tmp_path / "typed.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "train", "--data", str(bundle["fx"]),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: "), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_divergent_training_exits_one_and_names_the_step(bundle, tmp_path, capsys):
     cfg = tmp_path / "diverge.cfg"
     cfg.write_text("lr = 1e6\ntotal_steps = 4\nbatch_size = 4\n", encoding="utf-8")

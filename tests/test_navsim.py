@@ -6,9 +6,8 @@ import pytest
 
 from slotnav.navsim import (FovParams, EpisodeResult, GridWorld, MemoryEntry,
                             Pose, SuccessReport, WorldObject, execute_episode,
-                            follow_waypoints, format_world, in_fov, load_world,
-                            parse_world, path_steps, plan_path, save_episode_log,
-                            save_world, success_rate)
+                            format_world, in_fov, load_world, parse_world, path_steps,
+                            plan_path, save_episode_log, save_world, success_rate)
 from slotnav.promptgen import normalize_angle
 from slotnav.retrieval import build_index, topk_images
 
@@ -256,23 +255,6 @@ def test_in_fov_open_line_of_sight():
     world = parse_world(".....\n")
     pose = center_pose(world, (0, 0))
     assert in_fov(pose, world.cell_center((4, 0)), world=world, occlusion=True)
-
-
-# ----------------------------------------------------------------------
-# Local executor
-
-def test_follow_waypoints_headings():
-    world = parse_world("..\n..\n")
-    target = center_pose(world, (1, 1), theta=-1.0)
-    trail = follow_waypoints(world, [(0, 0), (1, 0), (1, 1)], target)
-    assert trail[0].theta == pytest.approx(0.0)
-    assert trail[-1] == target
-
-
-def test_follow_waypoints_single_cell():
-    world = parse_world("..\n")
-    target = center_pose(world, (0, 0), theta=2.0)
-    assert follow_waypoints(world, [(0, 0)], target) == [target]
 
 
 # ----------------------------------------------------------------------

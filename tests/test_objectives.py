@@ -1,5 +1,6 @@
 """Objectives: box geometry, matching, contrastive losses, total loss."""
 
+import itertools
 import time
 import tracemalloc
 from dataclasses import replace
@@ -212,6 +213,21 @@ def test_hungarian_matches_brute_force_on_near_ties():
         assert out.pairs == expected_pairs, f"trial {trial}: {cost.tolist()}"
         assert np.float64(out.cost).tobytes() == np.float64(expected_total).tobytes(), \
             f"trial {trial}"
+    # Shapes at the enumeration bound match enumeration bit for bit; the
+    # first shapes past it take the exact-sum solver.
+    at_bound = ((6, 6), (10, 3), (3, 10), (27, 2))
+    past_bound = ((7, 4), (4, 7), (11, 3))
+    for trial, ((k, n), pool) in enumerate(itertools.product(at_bound * 5, pools)):
+        cost = rng.choice(pool, size=(k, n))
+        expected_total, expected_pairs = brute_force_assignment(cost)
+        out = hungarian(cost)
+        assert out.pairs == expected_pairs, f"{k}x{n} trial {trial}: {cost.tolist()}"
+        assert np.float64(out.cost).tobytes() == np.float64(expected_total).tobytes(), \
+            f"{k}x{n} trial {trial}"
+    for trial, ((k, n), pool) in enumerate(itertools.product(past_bound * 5, pools)):
+        cost = rng.choice(pool, size=(k, n))
+        assert hungarian(cost).pairs == exact_sum_assignment(cost), \
+            f"{k}x{n} trial {trial}: {cost.tolist()}"
 
 
 def test_hungarian_edge_shapes_and_non_finite_costs():
@@ -224,7 +240,7 @@ def test_hungarian_edge_shapes_and_non_finite_costs():
         cost[1, 2] = bad
         with pytest.raises(ValueError, match="^costs must be finite$"):
             hungarian(cost)
-    # Wide and tall shapes alike, past the 63 columns an int64 set can hold.
+    # Wide and tall shapes alike, on both sides of the enumeration bound.
     for k, n in ((1, 63), (1, 64), (3, 200), (200, 3)):
         out = hungarian(np.ones((k, n)))
         assert out.pairs == tuple((i, i) for i in range(min(k, n)))
@@ -236,7 +252,7 @@ def test_hungarian_exact_sum_path_matches_brute_force(monkeypatch):
     # integers add exactly in any order, so their many ties must break as
     # enumeration breaks them; tall shapes leave rows out.  On near ties
     # the reference is enumeration with exact sums.
-    monkeypatch.setattr(objectives, "_ROW_ORDER_STATES", 0)
+    monkeypatch.setattr(objectives, "_ENUMERATED_ASSIGNMENTS", 0)
     out = hungarian([[3e-10, 0.1, 0.7, 1e-10, 1e-10]])
     assert (out.pairs, out.cost) == (((0, 3),), 1e-10)
     rng = np.random.default_rng(4)
@@ -266,7 +282,7 @@ def test_hungarian_exact_sum_path_matches_brute_force(monkeypatch):
 
 def test_hungarian_large_shapes_finish_in_bounded_time_and_memory():
     # A planted zero-cost matching among costs in [1, 2) is the one optimum;
-    # the column sets of these shapes number up to 1.8e11.
+    # these shapes have up to 5.5e17 assignments, far past enumeration.
     rng = np.random.default_rng(12)
     for k, n in ((10, 40), (4, 64), (64, 4), (10, 64)):
         cost = 1.0 + rng.random((k, n))
