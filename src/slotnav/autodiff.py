@@ -60,7 +60,7 @@ class EvaluationError(ArithmeticError):
 
 def _as_array(value) -> Array:
     arr = np.asarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("array contains non-finite entries")
     return arr
 
@@ -313,15 +313,12 @@ class Graph:
         return self._unary("sqrt", a, np.sqrt, lambda x, y, g: g / (2.0 * y))
 
     def sigmoid(self, a: Node) -> Node:
-        def fwd(x):
-            out = np.empty_like(x)
-            pos = x >= 0
-            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-            ex = np.exp(x[~pos])
-            out[~pos] = ex / (1.0 + ex)
-            return out
-
-        return self._unary("sigmoid", a, fwd, lambda x, y, g: g * y * (1.0 - y))
+        """1 / (1 + exp(-x)), computed as (1 + tanh(x / 2)) / 2, which never
+        overflows.  For negative x its values are multiples of 2**-54, so it
+        saturates to exactly 0 below about -37 (from -38 down), as it does to
+        exactly 1 from about 37 up."""
+        return self._unary("sigmoid", a, lambda x: 0.5 * (1.0 + np.tanh(0.5 * x)),
+                           lambda x, y, g: g * y * (1.0 - y))
 
     def tanh(self, a: Node) -> Node:
         return self._unary("tanh", a, np.tanh, lambda x, y, g: g * (1.0 - y * y))
@@ -330,13 +327,14 @@ class Graph:
         # tanh approximation; smooth, so finite differences track it exactly.
         c = np.sqrt(2.0 / np.pi)
 
+        # Powers by multiplication: np.power has no fast path for a cube.
         def fwd(x):
-            return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
+            return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x * x))))
 
         def grad(x, y, g):
-            inner = c * (x + 0.044715 * x ** 3)
-            t = np.tanh(inner)
-            d_inner = c * (1.0 + 3 * 0.044715 * x ** 2)
+            x2 = x * x
+            t = np.tanh(c * (x + 0.044715 * (x2 * x)))
+            d_inner = c * (1.0 + 3 * 0.044715 * x2)
             return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
 
         return self._unary("gelu", a, fwd, grad)
@@ -417,31 +415,34 @@ class Graph:
         return self._register("log_softmax", (a,), a.shape, forward, backward)
 
     def layer_norm(self, a: Node) -> Node:
-        """Normalize the last axis to zero mean, unit variance (no affine)."""
-        if len(a.shape) == 0:
-            raise ShapeError("layer_norm: operand must have at least one axis")
+        """Normalize the last axis to zero mean, unit variance (no affine).
+
+        Each row's standard deviation is a parent node of its own, so the
+        frame keeps it and backward reads it with the cached output.
+        """
+        if len(a.shape) == 0 or a.shape[-1] < 1:
+            raise ShapeError(f"layer_norm: operand needs a non-empty last axis, got {a.shape}")
         ia = a.index
-        d = a.shape[-1]
+
+        def std(v):
+            x = v[ia]
+            xc = x - x.mean(axis=-1, keepdims=True)
+            return np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _LN_EPS)
+
+        s = self._register("layer_norm_std", (a,), a.shape[:-1] + (1,), std, None)
+        i_std, io = s.index, s.index + 1
 
         def forward(v):
             x = v[ia]
-            mu = x.mean(axis=-1, keepdims=True)
-            var = x.var(axis=-1, keepdims=True)
-            return (x - mu) / np.sqrt(var + _LN_EPS)
+            return (x - x.mean(axis=-1, keepdims=True)) / v[i_std]
 
         def backward(v, g):
-            x = v[ia]
-            mu = x.mean(axis=-1, keepdims=True)
-            var = x.var(axis=-1, keepdims=True)
-            inv = 1.0 / np.sqrt(var + _LN_EPS)
-            xhat = (x - mu) * inv
+            y = v[io]
             gm = g.mean(axis=-1, keepdims=True)
-            gx = (g * xhat).mean(axis=-1, keepdims=True)
-            return ((ia, inv * (g - gm - xhat * gx)),)
+            gy = (g * y).mean(axis=-1, keepdims=True)
+            return ((ia, (g - gm - y * gy) / v[i_std]),)
 
-        if d < 1:
-            raise ShapeError("layer_norm: last axis must be non-empty")
-        return self._register("layer_norm", (a,), a.shape, forward, backward)
+        return self._register("layer_norm", (a, s), a.shape, forward, backward)
 
     def row_divide(self, a: Node, s: Node) -> Node:
         """Divide each row of a rank-2 operand by the matching scalar in s."""
@@ -596,7 +597,7 @@ class Graph:
                 elif not (check and i in unchecked):
                     continue
                 unchecked.discard(i)
-                if not np.all(np.isfinite(out)):
+                if not np.isfinite(out).all():
                     raise EvaluationError(f"non-finite value in node {self._names[i]}")
 
     def _fill(self, frame: Frame | None) -> Frame:
@@ -692,6 +693,25 @@ class Graph:
                 out.append(i)
         return out
 
+    def _probe_plan(self, sub_order: list[int], keep: set[int]) -> list:
+        """(node, forward, nodes to drop after it) for each computed node of
+        sub_order.  A probed value is dropped after its last reader unless it
+        is in keep, so a block holds the few values still to be read, not a
+        stacked copy of every node it computes, and their memory is reused
+        while it is still in cache."""
+        probed = set(sub_order)
+        last = {}
+        for i in sub_order:
+            for p in self._parents[i]:
+                if p in probed:
+                    last[p] = i
+        dead: dict[int, list[int]] = {}
+        for p, i in last.items():
+            if p not in keep:
+                dead.setdefault(i, []).append(p)
+        return [(i, self._forward[i], tuple(dead.get(i, ()))) for i in sub_order
+                if self._forward[i] is not None]
+
     @staticmethod
     def _relative_error(analytic, numeric):
         """Elementwise |a - n| / max(|a|, |n|), or |a - n| where both are tiny."""
@@ -740,10 +760,9 @@ class Graph:
                     per_param[name] = 0.0
                     continue
                 sub_order = self._descendants_of(leaf, active)
-                plan = [(i, self._forward[i]) for i in sub_order
-                        if self._forward[i] is not None]
                 kinks = [(self._parents[i], len(self._shapes[i]))
                          for i in sub_order if self._ops[i] in _KINK_OPS]
+                plan = self._probe_plan(sub_order, {out_idx}.union(*(p for p, _ in kinks)))
                 theta = self._leaf_values[leaf]
                 flat = theta.reshape(-1)
                 grad_flat = report.gradients[name].reshape(-1)
@@ -758,8 +777,10 @@ class Graph:
                     stack[rows, coords] = flat[coords] + h
                     stack[rows + n, coords] = flat[coords] - h
                     frame[leaf] = stack.reshape((2 * n,) + theta.shape)
-                    for i, fn in plan:
+                    for i, fn, dead in plan:
                         frame[i] = fn(frame)
+                        for p in dead:
+                            frame[p] = None
                     f = frame[out_idx]
                     straddle = np.zeros(n, dtype=bool)
                     for parents, rank in kinks:

@@ -65,14 +65,17 @@ class EncoderConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.num_slots < 1:
-            raise ValueError("num_slots must be >= 1")
-        if self.slot_iters < 1:
-            raise ValueError("slot_iters must be >= 1")
+        for name in ("patch_size", "num_slots", "slot_iters", "heads", "mlp_ratio",
+                     "max_tokens", "text_vocab", "text_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.dim < 2 or self.slot_dim < 2:
             raise ValueError("dim and slot_dim must be >= 2")
         if self.dim % self.heads != 0:
             raise ValueError("heads must divide dim")
+        if isinstance(self.slot_std, tuple) and len(self.slot_std) not in (1, self.slot_dim):
+            raise ValueError(f"slot_std must be a number or hold 1 or slot_dim = "
+                             f"{self.slot_dim} numbers, got {len(self.slot_std)}")
         if np.any(np.asarray(self.slot_std) <= 0.0):
             raise ValueError("slot_std must be elementwise positive")
 

@@ -13,6 +13,7 @@ so the gradient starts from it: each node of the step is evaluated once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -215,6 +216,25 @@ def hungarian(cost) -> Assignment:
     return Assignment(pairs=tuple(pairs), unmatched_slots=unmatched, cost=float(total))
 
 
+@functools.lru_cache(maxsize=16)
+def _assignment_codes(k: int, n: int) -> Array:
+    """Every maximum-cardinality assignment of a K×N cost matrix, one row
+    each: the row's column, or N for a row left out.
+
+    Built once per shape and read-only, since every call shares it.
+    """
+    m = min(k, n)
+    perms = itertools.chain.from_iterable(itertools.permutations(range(max(k, n)), m))
+    cols = np.fromiter(perms, dtype=np.intp).reshape(math.perm(max(k, n), m), m)
+    if k > n:
+        # Here each permutation gives the columns their rows.
+        codes = np.full((len(cols), k), n)
+        np.put_along_axis(codes, cols, np.arange(n), axis=1)
+        cols = codes
+    cols.setflags(write=False)
+    return cols
+
+
 def _enumerated_pairs(cost: Array) -> list[tuple[int, int]]:
     """hungarian's pairs by enumerating every maximum-cardinality assignment.
 
@@ -224,14 +244,7 @@ def _enumerated_pairs(cost: Array) -> list[tuple[int, int]]:
     the brute-force reference sums; the least code among the least totals wins.
     """
     k, n = cost.shape
-    m = min(k, n)
-    perms = itertools.chain.from_iterable(itertools.permutations(range(max(k, n)), m))
-    cols = np.fromiter(perms, dtype=np.intp).reshape(math.perm(max(k, n), m), m)
-    if k > n:
-        # Here each permutation gives the columns their rows.
-        codes = np.full((len(cols), k), n)
-        np.put_along_axis(codes, cols, np.arange(n), axis=1)
-        cols = codes
+    cols = _assignment_codes(k, n)
     padded = np.hstack([cost, np.zeros((k, 1))])
     total = np.zeros(len(cols))
     for i in range(k):

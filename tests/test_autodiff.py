@@ -195,6 +195,32 @@ def test_finite_difference_skips_minmax_branch_flip():
     assert report.checked_coordinates == 1
 
 
+def test_finite_difference_drops_probed_values_without_changing_the_report(monkeypatch):
+    # A value read by three nodes, a kink whose operands must outlive their
+    # readers, and layer_norm's statistics parent.
+    rng = np.random.default_rng(11)
+    g = Graph()
+    x = g.parameter("x", rng.normal(size=(3, 4)))
+    w = g.parameter("w", rng.normal(size=(4, 4)))
+    h = g.layer_norm(g.matmul(x, w))
+    y = g.maximum(g.multiply(h, h), g.tanh(h))
+    loss = g.sum(g.multiply(y, g.gelu(h)))
+    plan, drops = Graph._probe_plan, []
+
+    def counted(self, order, keep):
+        steps = plan(self, order, keep)
+        drops.append(sum(len(dead) for _, _, dead in steps))
+        return steps
+
+    monkeypatch.setattr(Graph, "_probe_plan", counted)
+    dropped = g.finite_difference_check(loss, step=1e-6)
+    monkeypatch.setattr(Graph, "_probe_plan",
+                        lambda self, order, keep: [(i, fn, ()) for i, fn, _ in
+                                                   plan(self, order, keep)])
+    assert dropped == g.finite_difference_check(loss, step=1e-6)
+    assert dropped.passed and min(drops) > 0
+
+
 def _unary_cases():
     return [
         ("sigmoid", lambda g, x: g.sigmoid(x), None),
@@ -380,6 +406,68 @@ def test_softmax_rows_and_layer_norm_moments():
     normed = g.evaluate(g.layer_norm(x))
     assert np.all(np.abs(normed.mean(axis=1)) < 1e-7)
     assert np.all(np.abs(normed.var(axis=1) - 1.0) < 1e-6)
+
+
+def test_sigmoid_saturates_to_pinned_values():
+    xs = [0.0, 37.0, 40.0, 800.0, -36.0, -37.0, -38.0, -40.0, -800.0]
+    g = Graph()
+    out = g.evaluate(g.sigmoid(g.constant(xs)))
+    assert out.tolist() == [0.5, 1.0, 1.0, 1.0, 2.0 ** -52, 2.0 ** -54, 0.0, 0.0, 0.0]
+    grid = np.linspace(-800.0, 800.0, 16001)
+    out = g.evaluate(g.sigmoid(g.constant(grid)))
+    assert np.all((out >= 0.0) & (out <= 1.0))
+    assert np.all(out[grid >= 37.0] == 1.0) and np.all(out[grid <= -38.0] == 0.0)
+
+
+def test_gelu_and_sigmoid_match_their_textbook_forms_within_4_5e_16():
+    def masked_sigmoid(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    def power_gelu(x):
+        return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
+
+    grid = np.linspace(-40.0, 40.0, 160001)
+    g = Graph()
+    x = g.constant(grid)
+    sig, gelu = g.evaluate([g.sigmoid(x), g.gelu(x)])
+    assert np.max(np.abs(sig - masked_sigmoid(grid))) <= 4.5e-16
+    assert np.max(np.abs(gelu - power_gelu(grid))) <= 4.5e-16
+
+
+@pytest.mark.parametrize("shape", [(9,), (6, 9), (3, 4, 32), (128, 2, 4, 32)])
+def test_layer_norm_forward_equals_the_two_pass_variance_form(shape):
+    x0 = np.random.default_rng(len(shape)).normal(size=shape) * 3.0 + 1.0
+    g = Graph()
+    out = g.evaluate(g.layer_norm(g.constant(x0)))
+    mu = x0.mean(axis=-1, keepdims=True)
+    want = (x0 - mu) / np.sqrt(x0.var(axis=-1, keepdims=True) + 1e-8)
+    assert out.tobytes() == want.tobytes()
+
+
+def test_elementwise_kernels_give_the_same_bits_with_a_leading_probe_axis():
+    rng = np.random.default_rng(9)
+    probes = rng.normal(size=(6, 2, 4, 32)) * 4.0
+    g = Graph()
+    x = g.parameter("x", probes[0])
+    outs = [g.gelu(x), g.sigmoid(x), g.layer_norm(x)]
+
+    def run(value):
+        values = [None] * len(g._forward)
+        values[x.index] = value
+        for i, fn in enumerate(g._forward):
+            if fn is not None:
+                values[i] = fn(values)
+        return [values[o.index] for o in outs]
+
+    stacked = run(probes)
+    for p, probe in enumerate(probes):
+        for got, want in zip(stacked, run(probe)):
+            assert got[p].tobytes() == want.tobytes()
 
 
 def test_gradient_for_unused_parameter_is_zero():

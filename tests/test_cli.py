@@ -436,7 +436,20 @@ def test_index_over_a_malformed_image_exits_one_and_names_it(bundle, tmp_path, c
                                   "batch_size = 2.5", "total_steps = true"])
 def test_config_value_of_the_wrong_type_exits_one_and_names_the_file(bundle, tmp_path,
                                                                       capsys, line):
-    cfg = tmp_path / "typed.cfg"
+    _train_rejects_config_line(bundle, tmp_path, capsys, line)
+
+
+@pytest.mark.parametrize("line", ["encoder.heads = 0", "encoder.patch_size = 0",
+                                  "encoder.text_len = 0", "encoder.max_tokens = 0",
+                                  "encoder.text_vocab = 0", "encoder.mlp_ratio = 0",
+                                  "encoder.slot_std = []", "encoder.slot_std = [1.0, 2.0]"])
+def test_encoder_value_out_of_range_exits_one_and_names_the_file(bundle, tmp_path, capsys,
+                                                                 line):
+    _train_rejects_config_line(bundle, tmp_path, capsys, line)
+
+
+def _train_rejects_config_line(bundle, tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
     assert main(["--config", str(cfg), "train", "--data", str(bundle["fx"]),
                  "--out", str(tmp_path / "run")]) == 1
