@@ -19,12 +19,19 @@ probe axis, so the part of the graph a parameter reaches runs once per block
 rather than twice per coordinate.  Its rare wider-step retries run through
 the same path with a block of one coordinate.
 
-evaluate and gradient keep their node values in a Frame.  A graph's leaf
-values are fixed when it is built, so the frame of an earlier call on the
-same graph stays valid: passing it extends it with the nodes added since
-and runs only the nodes that have no value yet.  A caller that evaluates
-part of a graph, extends the graph and then differentiates it computes
-every node once.
+Leaf values are bound per call, so a graph built once serves every call
+of its shapes.  A leaf is built with a value (parameter, constant) or
+without one (input).  bind(values) makes a binding, the build-time values
+overridden by the values given, each checked for its leaf's shape and for
+finite entries, and returns a Frame holding it; it becomes the graph's
+current binding, which evaluate, gradient and finite_difference_check read
+when given no frame.  evaluate and gradient keep node values in the frame:
+given one, they run only the nodes without a value yet.  Inputs a frame has
+not bound can be bound into it before a node reads them, so a caller that
+evaluates part of a graph, binds inputs computed from those values and then
+differentiates computes every node once.  A frame never mixes bindings:
+each of its leaves is bound once, and it serves only the graph it was made
+from, as it was then.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -58,9 +66,18 @@ class EvaluationError(ArithmeticError):
     """Raised when a node produces a non-finite value during evaluation."""
 
 
+def _finite(a: Array) -> bool:
+    """Whether every entry of a is finite: one sum, and an entrywise test
+    only where the sum is not finite, as when finite entries overflow it.
+    Callers silence the floating-point warnings such a sum raises."""
+    return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
+
+
 def _as_array(value) -> Array:
     arr = np.asarray(value, dtype=np.float64)
-    if not np.isfinite(arr).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = _finite(arr)
+    if not finite:
         raise ValueError("array contains non-finite entries")
     return arr
 
@@ -68,6 +85,8 @@ def _as_array(value) -> Array:
 def _reduce_to(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum gradient over the leading axes broadcast added and over the axes
     it stretched from size 1."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -114,13 +133,16 @@ class Node:
 
 @dataclass
 class Frame:
-    """Node values of one graph, whose leaf values are fixed when it is built.
+    """Node values under one binding of a graph's leaves.
 
-    values[i] is node i's array, or None where it has not run; unchecked
-    holds the nodes that ran under check=False and are not yet known finite.
+    values[i] is node i's array, or None where it has not run or, for an
+    input, is not bound yet; bound maps leaf index to each value the binding
+    gave beyond the build-time ones; unchecked holds the nodes that ran
+    under check=False and are not yet known finite.
     """
 
-    values: list = field(default_factory=list)
+    values: list
+    bound: dict[int, Array]
     unchecked: set[int] = field(default_factory=set)
 
 
@@ -156,7 +178,7 @@ class FiniteDifferenceReport:
 
 
 class Graph:
-    """Static computation graph over named parameter and constant leaves."""
+    """Static computation graph over parameter, constant and input leaves."""
 
     def __init__(self) -> None:
         self._ops: list[str] = []
@@ -165,8 +187,12 @@ class Graph:
         self._names: list[str] = []
         self._forward: list[Callable | None] = []
         self._backward: list[Callable | None] = []
+        # Build-time leaf values, and the current binding's values beyond them.
         self._leaf_values: dict[int, Array] = {}
+        self._bound: dict[int, Array] = {}
         self._params: dict[str, int] = {}
+        # _ancestors' orders by target tuple; cleared when a node is added.
+        self._orders: dict[tuple[int, ...], list[int]] = {}
 
     # ------------------------------------------------------------------
     # Node construction
@@ -179,6 +205,8 @@ class Graph:
                 raise ValueError(f"{op}: operand {p.name} belongs to a different graph")
         index = len(self._ops)
         label = name if name is not None else f"{op}#{index}"
+        if self._orders:
+            self._orders.clear()
         self._ops.append(op)
         self._parents.append(tuple(p.index for p in parents))
         self._shapes.append(shape)
@@ -198,11 +226,60 @@ class Graph:
         return node
 
     def constant(self, value, name: str | None = None) -> Node:
-        """Fixed leaf baked into the graph; never differentiated."""
+        """Leaf whose build-time value serves until a binding gives another;
+        never differentiated."""
         arr = _as_array(value)
         node = self._register("constant", (), arr.shape, None, None, name=name)
         self._leaf_values[node.index] = arr
         return node
+
+    def input(self, shape: Sequence[int], name: str) -> Node:
+        """Leaf with no build-time value; each frame binds it before a node
+        reading it runs.  Never differentiated."""
+        return self._register("input", (), tuple(int(n) for n in shape), None, None, name=name)
+
+    def bind(self, values: Mapping[Node, object] | None = None,
+             frame: Frame | None = None) -> Frame:
+        """Bind leaf values for one call; returns the frame that holds them.
+
+        Without frame, a new binding: the build-time leaf values overridden
+        by values, in a new frame, which becomes the graph's current binding.
+        With frame, values bind inputs that frame has not bound yet, in place.
+        Each value must have its leaf's shape and finite entries; a value
+        that does not raises an error naming the leaf.
+        """
+        checked = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for node, value in (values or {}).items():
+                i = node.index
+                if node.graph is not self or self._forward[i] is not None:
+                    raise ValueError(f"bind: {node.name} is not a leaf of this graph")
+                arr = np.asarray(value, dtype=np.float64)
+                if arr.shape != node.shape:
+                    raise ShapeError(f"bind: leaf {node.name} has shape {node.shape}, "
+                                     f"got {arr.shape}")
+                if not _finite(arr):
+                    raise ValueError(f"bind: leaf {node.name} got non-finite entries")
+                checked[i] = arr
+        if frame is None:
+            self._bound = checked
+            return self._frame(checked)
+        self._frame_for(frame)
+        for i, arr in checked.items():
+            if frame.values[i] is not None:
+                raise ValueError(f"bind: leaf {self._names[i]} is already bound in this frame")
+            frame.values[i] = arr
+        frame.bound.update(checked)
+        return frame
+
+    def _frame(self, bound: dict[int, Array]) -> Frame:
+        """A new frame holding the build-time leaf values overridden by bound."""
+        values: list = [None] * len(self._ops)
+        for i, arr in self._leaf_values.items():
+            values[i] = arr
+        for i, arr in bound.items():
+            values[i] = arr
+        return Frame(values, bound)
 
     # ------------------------------------------------------------------
     # Elementwise and linear-algebra ops
@@ -371,7 +448,7 @@ class Graph:
         return self._register("sum", (a,), shape, forward, backward)
 
     def mean(self, a: Node, axis: int | None = None) -> Node:
-        count = int(np.prod(a.shape)) if axis is None else a.shape[axis]
+        count = math.prod(a.shape) if axis is None else a.shape[axis]
         if count == 0:
             raise ShapeError("mean: cannot average over an empty axis")
         return self.affine(self.sum(a, axis=axis), 1.0 / count, 0.0)
@@ -417,30 +494,33 @@ class Graph:
     def layer_norm(self, a: Node) -> Node:
         """Normalize the last axis to zero mean, unit variance (no affine).
 
-        Each row's standard deviation is a parent node of its own, so the
-        frame keeps it and backward reads it with the cached output.
+        Each row's mean and standard deviation are a statistics parent of
+        their own, side by side on its last axis, so each is computed once,
+        the frame keeps them and backward reads them with the cached output.
         """
         if len(a.shape) == 0 or a.shape[-1] < 1:
             raise ShapeError(f"layer_norm: operand needs a non-empty last axis, got {a.shape}")
         ia = a.index
 
-        def std(v):
+        def stats(v):
             x = v[ia]
-            xc = x - x.mean(axis=-1, keepdims=True)
-            return np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _LN_EPS)
+            mean = x.mean(axis=-1, keepdims=True)
+            xc = x - mean
+            return np.concatenate(
+                (mean, np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _LN_EPS)), axis=-1)
 
-        s = self._register("layer_norm_std", (a,), a.shape[:-1] + (1,), std, None)
-        i_std, io = s.index, s.index + 1
+        s = self._register("layer_norm_stats", (a,), a.shape[:-1] + (2,), stats, None)
+        i_stats, io = s.index, s.index + 1
 
         def forward(v):
-            x = v[ia]
-            return (x - x.mean(axis=-1, keepdims=True)) / v[i_std]
+            st = v[i_stats]
+            return (v[ia] - st[..., :1]) / st[..., 1:]
 
         def backward(v, g):
             y = v[io]
             gm = g.mean(axis=-1, keepdims=True)
             gy = (g * y).mean(axis=-1, keepdims=True)
-            return ((ia, (g - gm - y * gy) / v[i_std]),)
+            return ((ia, (g - gm - y * gy) / v[i_stats][..., 1:]),)
 
         return self._register("layer_norm", (a, s), a.shape, forward, backward)
 
@@ -565,16 +645,21 @@ class Graph:
     # Execution
 
     def _ancestors(self, targets: Iterable[int]) -> list[int]:
-        """Indices of targets plus everything they depend on, ascending."""
-        seen: set[int] = set()
-        stack = list(targets)
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            stack.extend(self._parents[i])
-        return sorted(seen)
+        """Indices of targets plus everything they depend on, ascending;
+        memoized per target tuple, so callers must not change it."""
+        key = tuple(targets)
+        order = self._orders.get(key)
+        if order is None:
+            seen: set[int] = set()
+            stack = list(key)
+            while stack:
+                i = stack.pop()
+                if i in seen:
+                    continue
+                seen.add(i)
+                stack.extend(self._parents[i])
+            order = self._orders[key] = sorted(seen)
+        return order
 
     def _run(self, order: Sequence[int], frame: Frame, check: bool = True) -> None:
         """Run the nodes of order that have no value in frame yet.
@@ -582,7 +667,8 @@ class Graph:
         With check, every node of order is known finite afterwards: a node
         that runs is checked as it runs, and one that ran earlier under
         check=False is checked from its stored value, in the same ascending
-        order, so the first non-finite node is the one named.
+        order, so the first non-finite node is the one named.  An input the
+        frame has not bound raises ValueError naming it.
         """
         forward = self._forward
         values, unchecked = frame.values, frame.unchecked
@@ -590,26 +676,28 @@ class Graph:
             for i in order:
                 out = values[i]
                 if out is None:
-                    out = values[i] = forward[i](values)
+                    try:
+                        out = values[i] = forward[i](values)
+                    except TypeError:
+                        if forward[i] is None:
+                            raise ValueError(f"input {self._names[i]} is not bound") from None
+                        raise
                     if not check:
                         unchecked.add(i)
                         continue
                 elif not (check and i in unchecked):
                     continue
                 unchecked.discard(i)
-                if not np.isfinite(out).all():
+                if not _finite(out):
                     raise EvaluationError(f"non-finite value in node {self._names[i]}")
 
-    def _fill(self, frame: Frame | None) -> Frame:
-        """frame (a new one if None) extended by the leaves of the nodes added
-        since it was last filled."""
-        frame = Frame() if frame is None else frame
-        values = frame.values
-        start = len(values)
-        values.extend([None] * (len(self._ops) - start))
-        for i, val in self._leaf_values.items():
-            if i >= start:
-                values[i] = val
+    def _frame_for(self, frame: Frame | None) -> Frame:
+        """frame, or a new one over the current binding."""
+        if frame is None:
+            return self._frame(self._bound)
+        if len(frame.values) != len(self._ops):
+            raise ValueError("frame belongs to another graph, or to this one before "
+                             "nodes were added")
         return frame
 
     def evaluate(self, outputs: Node | Sequence[Node], check: bool = True,
@@ -617,16 +705,16 @@ class Graph:
         """Evaluate one node (returns its array) or several (returns a list).
 
         With check=False, non-finite intermediates flow through instead of
-        raising, so callers can report which result went bad.  A frame from
-        an earlier call on this graph is extended in place and only nodes
-        without a value run.
+        raising, so callers can report which result went bad.  Given a frame,
+        only nodes without a value in it run; without one, a new frame over
+        the current binding.
         """
         single = isinstance(outputs, Node)
         nodes = [outputs] if single else list(outputs)
         for n in nodes:
             if n.graph is not self:
                 raise ValueError("output node belongs to a different graph")
-        frame = self._fill(frame)
+        frame = self._frame_for(frame)
         self._run(self._ancestors([n.index for n in nodes]), frame, check=check)
         results = [frame.values[n.index] for n in nodes]
         return results[0] if single else results
@@ -635,7 +723,7 @@ class Graph:
                  frame: Frame | None = None) -> GradientReport:
         """Differentiate a scalar output with respect to named parameters.
 
-        frame is reused as in evaluate; every node the output depends on is
+        frame is used as in evaluate; every node the output depends on is
         known finite before the backward pass starts.
         """
         if output.graph is not self:
@@ -647,22 +735,21 @@ class Graph:
             if name not in self._params:
                 raise ValueError(f"unknown parameter: {name}")
 
-        frame = self._fill(frame)
+        frame = self._frame_for(frame)
         values = frame.values
         order = self._ancestors([output.index])
         self._run(order, frame)
 
+        # Every parent of a node of order is in order, so each contribution
+        # lands on a node still to be visited.
         adjoint: list = [None] * len(self._ops)
         adjoint[output.index] = np.asarray(1.0)
         backward = self._backward
-        in_path = set(order)
         for i in reversed(order):
             g = adjoint[i]
             if g is None or backward[i] is None:
                 continue
             for parent, contribution in backward[i](values, g):
-                if parent not in in_path:
-                    continue
                 if adjoint[parent] is None:
                     adjoint[parent] = contribution if isinstance(contribution, np.ndarray) \
                         else np.asarray(contribution)
@@ -723,7 +810,8 @@ class Graph:
                                 parameters: Sequence[str] | None = None,
                                 step: float = 1e-5,
                                 tolerance: float = 1e-4) -> FiniteDifferenceReport:
-        """Compare analytic gradients against central finite differences.
+        """Compare analytic gradients against central finite differences, at
+        the current binding's leaf values.
 
         Every coordinate of every checked parameter is perturbed by +-step and
         only the affected part of the graph is re-evaluated.  Coordinates are
@@ -738,7 +826,7 @@ class Graph:
         roundoff floor for tiny-magnitude gradients; a genuinely wrong
         analytic gradient fails at every step size.
         """
-        base = Frame()
+        base = self._frame_for(None)
         report = self.gradient(output, parameters, frame=base)
         names = list(report.gradients)
         active = set(self._ancestors([output.index]))
@@ -763,7 +851,7 @@ class Graph:
                 kinks = [(self._parents[i], len(self._shapes[i]))
                          for i in sub_order if self._ops[i] in _KINK_OPS]
                 plan = self._probe_plan(sub_order, {out_idx}.union(*(p for p, _ in kinks)))
-                theta = self._leaf_values[leaf]
+                theta = base.values[leaf]
                 flat = theta.reshape(-1)
                 grad_flat = report.gradients[name].reshape(-1)
                 frame = list(base.values)
@@ -859,6 +947,26 @@ class Graph:
             skipped_coordinates=skipped,
             passed=max_rel < tolerance,
         )
+
+
+class GraphCache:
+    """Built graphs by shape key, each built once and rebound per call; past
+    maxsize the least recently used is dropped."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._items: OrderedDict = OrderedDict()
+
+    def get(self, key, build: Callable[[], object]):
+        """The item under key, from build() the first time."""
+        item = self._items.get(key)
+        if item is None:
+            item = self._items[key] = build()
+            if len(self._items) > self.maxsize:
+                self._items.popitem(last=False)
+        else:
+            self._items.move_to_end(key)
+        return item
 
 
 # ----------------------------------------------------------------------

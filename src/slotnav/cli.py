@@ -21,7 +21,8 @@ from .navsim import (FovParams, MemoryEntry, Pose, execute_episode, load_world,
                      save_episode_log, success_rate)
 from .objectives import (Annotation, AnnotationSet, LossWeights, TrainExample,
                          total_loss_graph)
-from .promptgen import client_from_env, convert_detection_dataset, load_dataset, save_dataset
+from .promptgen import (StubGenerationClient, convert_detection_dataset, load_dataset,
+                        save_dataset)
 from .retrieval import (average_recall, batch_topk, load_ground_truth,
                         load_index, query_scores, save_index, top_rows)
 
@@ -32,8 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Object-centric retrieval training and navigation evaluation.")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the configured random seed")
-    parser.add_argument("--offline", action="store_true",
-                        help="never call a live generation endpoint")
     parser.add_argument("--config", default=None,
                         help="key = value training configuration file")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -228,8 +227,8 @@ def cmd_eval_retrieval(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    client = client_from_env(offline=args.offline, seed=args.seed or 0)
-    report = convert_detection_dataset(args.detections, args.count, client)
+    report = convert_detection_dataset(args.detections, args.count,
+                                       StubGenerationClient(seed=args.seed or 0))
     save_dataset(report.records, args.out)
     for lineno, message in report.errors:
         print(f"skipped {args.detections}: line {lineno}: {message}", file=sys.stderr)

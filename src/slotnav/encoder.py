@@ -6,10 +6,13 @@ vectors which feed a box-regression head; the final embedding aggregates
 the pooled image token with a linear readout of the slots.  Text is
 hash-tokenized into a tiny frozen transformer.  Everything is expressed on
 the autodiff graph so the objectives module can differentiate end to end.
-Inference builds the same graphs with parameters bound as constants and
-evaluates each once: image_embedding runs the whole image pathway training
-differentiates, and run_slot_attention runs slot attention alone on a
-token matrix, for the slot-attention invariant tests.
+Inference runs the same graphs with parameters as constants:
+image_embedding runs the whole image pathway training differentiates, and
+encode_text the text tower.  Each builds its graph once per shape, keeps a
+bounded number of them, and on every call binds the store's parameters and
+the call's data into a new frame, which it evaluates once.
+run_slot_attention runs slot attention alone on a token matrix, for the
+slot-attention invariant tests.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ import hashlib
 import math
 import numbers
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Graph, Node, ParamStore, derive_seed
+from .autodiff import Graph, GraphCache, Node, ParamStore, derive_seed
 
 Array = np.ndarray
 
@@ -213,6 +217,11 @@ class Binding:
             self._nodes[name] = node
         return node
 
+    def values(self, store: ParamStore) -> dict[Node, Array]:
+        """Each bound tensor's node with its value in store, to rebind a
+        built graph to that store."""
+        return {node: store[name] for name, node in self._nodes.items()}
+
 
 # ----------------------------------------------------------------------
 # Graph builders
@@ -270,16 +279,25 @@ def _images(node: Node) -> int:
     return math.prod(node.shape[:-2])
 
 
-def build_image_tokens(g: Graph, bind: Binding, image: Array,
-                       config: EncoderConfig) -> tuple[Node, Node]:
-    """Patch transformer over one H×W×3 image or a B×H×W×3 stack; returns
-    tokens (N×D or B×N×D) and pooled (1×D or B×D)."""
+def _patches(image: Array, config: EncoderConfig) -> Array:
     patches = patchify(image, config.patch_size)
     n = patches.shape[-2]
     if n > config.max_tokens:
         raise ValueError(f"{n} patches exceed max_tokens={config.max_tokens}")
-    x = _linear(g, bind, g.constant(patches, name="patches"), "img.patch")
-    x = g.add(x, g.gather(bind("img.pos"), range(n), axis=0))
+    return patches
+
+
+def build_image_tokens(g: Graph, bind: Binding, image: Array,
+                       config: EncoderConfig) -> tuple[Node, Node]:
+    """Patch transformer over one H×W×3 image or a B×H×W×3 stack; returns
+    tokens (N×D or B×N×D) and pooled (1×D or B×D)."""
+    return _patch_tokens(g, bind, g.constant(_patches(image, config), name="patches"), config)
+
+
+def _patch_tokens(g: Graph, bind: Binding, patches: Node,
+                  config: EncoderConfig) -> tuple[Node, Node]:
+    x = _linear(g, bind, patches, "img.patch")
+    x = g.add(x, g.gather(bind("img.pos"), range(patches.shape[-2]), axis=0))
     for i in range(config.depth):
         x = _transformer_block(g, bind, x, f"img.blk{i}", config.heads)
     tokens = _layer_norm(g, bind, x, "img.ln_out")
@@ -288,16 +306,18 @@ def build_image_tokens(g: Graph, bind: Binding, image: Array,
 
 
 def build_slot_attention(g: Graph, bind: Binding, tokens: Node,
-                         initial_slots: Array, iterations: int,
+                         initial_slots: Array | Node, iterations: int,
                          config: EncoderConfig) -> tuple[Node, list[tuple[Node, Node, Node]]]:
     """Iterated slot attention; returns final slots and per-iteration (A, W, S).
 
-    tokens N×D take initial slots K×ds; a B×N×D stack takes B×K×ds.
+    tokens N×D take initial slots K×ds; a B×N×D stack takes B×K×ds.  The
+    initial slots are an array, or a leaf already in the graph.
     """
     ds, k = config.slot_dim, config.num_slots
     keys = g.matmul(tokens, bind("slot.k.w"))
     values = g.matmul(tokens, bind("slot.v.w"))
-    slots = g.constant(np.asarray(initial_slots, dtype=np.float64), name="slots0")
+    slots = initial_slots if isinstance(initial_slots, Node) else \
+        g.constant(np.asarray(initial_slots, dtype=np.float64), name="slots0")
     expected = tokens.shape[:-2] + (k, ds)
     if slots.shape != expected:
         raise ValueError(f"initial slots must be {expected}, got {slots.shape}")
@@ -360,14 +380,16 @@ def build_aggregate(g: Graph, bind: Binding, pooled: Node, slots: Node,
 def build_image_embedding(g: Graph, bind: Binding, image: Array,
                           config: EncoderConfig, initial_slots: Array) -> dict[str, object]:
     """Full image pathway over one image or a stack of same-size images;
-    returns the named nodes downstream consumers need."""
-    tokens, pooled = build_image_tokens(g, bind, image, config)
-    slots, traces = build_slot_attention(g, bind, tokens, initial_slots,
-                                         config.slot_iters, config)
+    returns the named nodes downstream consumers need, among them the data
+    leaves "patches" and "slots0", which a call rebinds."""
+    patches = g.constant(_patches(image, config), name="patches")
+    slots0 = g.constant(np.asarray(initial_slots, dtype=np.float64), name="slots0")
+    tokens, pooled = _patch_tokens(g, bind, patches, config)
+    slots, traces = build_slot_attention(g, bind, tokens, slots0, config.slot_iters, config)
     boxes = build_box_head(g, bind, slots)
     embedding = build_aggregate(g, bind, pooled, slots, config)
-    return {"tokens": tokens, "pooled": pooled, "slots": slots, "traces": traces,
-            "boxes": boxes, "embedding": embedding}
+    return {"patches": patches, "slots0": slots0, "tokens": tokens, "pooled": pooled,
+            "slots": slots, "traces": traces, "boxes": boxes, "embedding": embedding}
 
 
 # ----------------------------------------------------------------------
@@ -386,11 +408,11 @@ def tokenize(text: str, config: EncoderConfig) -> list[int]:
     return ids
 
 
-def build_text_embedding(g: Graph, bind: Binding, text: str,
+def build_text_embedding(g: Graph, bind: Binding, rows: Node,
                          config: EncoderConfig) -> Node:
-    ids = tokenize(text, config)
-    x = g.gather(bind(TEXT_PREFIX + "embed"), ids, axis=0)
-    x = g.add(x, g.gather(bind(TEXT_PREFIX + "pos"), range(len(ids)), axis=0))
+    """Text tower over rows, the frozen embedding table's rows of a query's
+    token ids, one per token."""
+    x = g.add(rows, g.gather(bind(TEXT_PREFIX + "pos"), range(rows.shape[0]), axis=0))
     x = _transformer_block(g, bind, x, TEXT_PREFIX + "blk0", config.heads)
     x = _layer_norm(g, bind, x, TEXT_PREFIX + "ln_out")
     pooled = g.reshape(g.mean(x, axis=0), (1, config.dim))
@@ -398,7 +420,8 @@ def build_text_embedding(g: Graph, bind: Binding, text: str,
 
 
 # ----------------------------------------------------------------------
-# Inference: the training builders, parameters bound as constants, evaluated once
+# Inference: the training builders, parameters as constants, built once per
+# shape and rebound on every call
 
 
 def sample_slots(config: EncoderConfig, seed: int) -> Array:
@@ -437,22 +460,51 @@ def run_slot_attention(tokens: Array, store: ParamStore, config: EncoderConfig,
     return _slot_state(g.evaluate([node for trace in traces for node in trace]))
 
 
+def _runner(g: Graph, bind: Binding, leaves: Sequence[Node], outputs: list[Node]):
+    """Run of a built inference graph: outputs evaluated with a store's
+    parameters and the call's data bound to leaves."""
+    def run(store: ParamStore, *data: Array) -> list[Array]:
+        frame = g.bind({**bind.values(store), **dict(zip(leaves, data))})
+        return g.evaluate(outputs, frame=frame)
+    return run
+
+
+# Inference graphs by (config, token count) and by (config, image shape).
+_TEXT_GRAPHS = GraphCache(maxsize=16)
+_IMAGE_GRAPHS = GraphCache(maxsize=16)
+
+
 def encode_text(query: str, store: ParamStore, config: EncoderConfig) -> Embedding:
-    g = Graph()
-    bind = Binding(g, store, trainable=False)
-    vec = g.evaluate(build_text_embedding(g, bind, query, config))
+    ids = tokenize(query, config)
+
+    def build():
+        g = Graph()
+        bind = Binding(g, store, trainable=False)
+        rows = g.input((len(ids), config.dim), name=TEXT_PREFIX + "tokens")
+        return _runner(g, bind, [rows], [build_text_embedding(g, bind, rows, config)])
+
+    run = _TEXT_GRAPHS.get((config, len(ids)), build)
+    vec, = run(store, store[TEXT_PREFIX + "embed"][ids])
     return Embedding(vector=vec.reshape(-1))
 
 
 def image_embedding(image: Array, store: ParamStore, config: EncoderConfig,
                     seed: int | None = None) -> tuple[Embedding, BoxSet, SlotState]:
     """End-to-end inference for one image through the graph training
-    differentiates, built once and evaluated once."""
-    g = Graph()
-    nodes = build_image_embedding(g, Binding(g, store, trainable=False), image, config,
-                                  _seeded_slots(config, seed))
-    embedding, boxes, *traces = g.evaluate(
-        [nodes["embedding"], nodes["boxes"]] + [n for trace in nodes["traces"] for n in trace])
+    differentiates, evaluated once."""
+    patches = _patches(image, config)
+    slots0 = _seeded_slots(config, seed)
+
+    def build():
+        g = Graph()
+        bind = Binding(g, store, trainable=False)
+        nodes = build_image_embedding(g, bind, image, config, slots0)
+        return _runner(g, bind, [nodes["patches"], nodes["slots0"]],
+                       [nodes["embedding"], nodes["boxes"]]
+                       + [n for trace in nodes["traces"] for n in trace])
+
+    run = _IMAGE_GRAPHS.get((config, np.shape(image)), build)
+    embedding, boxes, *traces = run(store, patches, slots0)
     return Embedding(vector=embedding.reshape(-1)), BoxSet(boxes=boxes), _slot_state(traces)
 
 

@@ -11,7 +11,7 @@ from typing import Iterable, MutableMapping, Sequence
 
 import numpy as np
 
-from .autodiff import EvaluationError, ParamStore, derive_seed, save_checkpoint
+from .autodiff import EvaluationError, GraphCache, ParamStore, derive_seed, save_checkpoint
 from .encoder import (EncoderConfig, check_field_types, encode_text, image_embedding,
                       init_params, read_ppm)
 from .objectives import (Annotation, AnnotationSet, LossReport, LossWeights,
@@ -161,16 +161,19 @@ _COMPONENTS = ("L_C", "L_L1", "L_GIoU", "L_MC", "total")
 
 def train_step(store: ParamStore, batch: Sequence[TrainExample],
                config: TrainConfig, step: int,
-               text_cache: MutableMapping[str, Array] | None = None) -> LossReport:
+               text_cache: MutableMapping[str, Array] | None = None,
+               graphs: GraphCache | None = None) -> LossReport:
     """One gradient-descent step; frozen parameters are never touched.
 
-    The gradient starts from the loss graph's evaluated frame, so every node
-    runs once.  A divergence raises EvaluationError naming the node and step.
+    graphs keeps the run's loss graphs, one per batch shape key, so a step
+    rebinds a graph an earlier step built.  The gradient starts from the
+    loss graph's evaluated frame, so every node runs once.  A divergence
+    raises EvaluationError naming the node and step.
     """
     seed = derive_seed(config.seed, "step", step)
     try:
         built = total_loss_graph(batch, store, config.weights, config.encoder,
-                                 seed, text_cache)
+                                 seed, text_cache, graphs)
         report = built.report
         for name in _COMPONENTS:
             if not math.isfinite(getattr(report, name)):
@@ -201,6 +204,7 @@ def train_on_examples(examples: Sequence[TrainExample], config: TrainConfig,
     if store is None:
         store = init_params(config.encoder, seed=derive_seed(config.seed, "init", 0))
     text_cache: dict[str, Array] = {}
+    graphs = GraphCache(maxsize=16)
     reports: list[LossReport] = []
     step = 0
     epoch = 0
@@ -210,7 +214,7 @@ def train_on_examples(examples: Sequence[TrainExample], config: TrainConfig,
             if step >= config.total_steps:
                 break
             batch = [examples[i] for i in batch_indices]
-            report = train_step(store, batch, config, step, text_cache)
+            report = train_step(store, batch, config, step, text_cache, graphs)
             reports.append(report)
             if initial is None:
                 initial = report.total

@@ -1,14 +1,17 @@
 """Training objectives: box geometry, Hungarian matching, contrastive losses.
 
-The total loss is assembled in two phases over one value frame.  Boxes are
-first evaluated, which fills the frame with the image towers, so the
-rectangular assignment between slots and annotations can be computed on
-values; the graph is then extended with gather nodes that bake the chosen
-assignment in, so gradients flow through every matched slot and box while
-the match itself stays a constant of the step, and the whole objective
-remains a single differentiable scalar.  The loss report extends the same
-frame and runs only the loss head, and the frame is kept on TotalLossGraph
-so the gradient starts from it: each node of the step is evaluated once.
+The total loss is one differentiable scalar, built once per batch shape
+key (its image stacks' shapes, its matched pairs and its annotations) and
+evaluated in two phases over one frame per step.  The step binds the parameters, the
+images, the initial slots and the caption embeddings, and evaluates the
+boxes, which fills the frame with the image towers.  The rectangular
+assignment between slots and annotations is computed on those values and
+bound into the same frame as data: a 0/1 matrix selecting the matched
+slots, their annotation boxes and the multi-label targets.  Gradients flow
+through every matched slot and box while the match stays a constant of the
+step.  The loss report then runs only the loss head, and the frame is kept
+on TotalLossGraph so the gradient starts from it: each node of the step is
+evaluated once.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from typing import MutableMapping, Sequence
 
 import numpy as np
 
-from .autodiff import Frame, Graph, Node, ParamStore, derive_seed
+from .autodiff import Frame, Graph, GraphCache, Node, ParamStore, derive_seed
 from .encoder import (Binding, EncoderConfig, build_image_embedding, check_field_types,
-                      encode_text, sample_slots)
+                      encode_text, patchify, sample_slots)
 
 Array = np.ndarray
 
@@ -329,22 +332,22 @@ def concat_captions(captions: Sequence[str], seed: int) -> str:
 # Graph pieces shared by the loss builders
 
 
-def _ce_rows(g: Graph, logits: Node, targets: Sequence[int]) -> Node:
-    """Mean cross-entropy of logits rows against integer targets."""
-    m, n = logits.shape
-    if len(targets) != m:
-        raise ValueError("one target per logit row required")
-    onehot = np.zeros((m, n))
-    for r, t in enumerate(targets):
-        onehot[r, t] = 1.0
-    picked = g.sum(g.multiply(g.log_softmax(logits, axis=1), g.constant(onehot)))
-    return g.affine(picked, -1.0 / m, 0.0)
+def _onehot(targets: Sequence[int], n: int) -> Array:
+    """One row per target, 1.0 in its column."""
+    onehot = np.zeros((len(targets), n))
+    onehot[np.arange(len(targets)), targets] = 1.0
+    return onehot
+
+
+def _ce_rows(g: Graph, logits: Node, onehot: Node) -> Node:
+    """Mean cross-entropy of logits rows against one-hot target rows."""
+    picked = g.sum(g.multiply(g.log_softmax(logits, axis=1), onehot))
+    return g.affine(picked, -1.0 / logits.shape[0], 0.0)
 
 
 def _symmetric_ce(g: Graph, image_rows: Node, text_rows: Node, tau: float) -> Node:
-    b = image_rows.shape[0]
     logits = g.affine(g.matmul(image_rows, g.transpose(text_rows)), 1.0 / tau, 0.0)
-    diag = list(range(b))
+    diag = g.constant(np.eye(image_rows.shape[0]))
     by_image = _ce_rows(g, logits, diag)
     by_text = _ce_rows(g, g.transpose(logits), diag)
     return g.affine(g.add(by_image, by_text), 0.5, 0.0)
@@ -354,13 +357,10 @@ def _column(g: Graph, boxes: Node, j: int) -> Node:
     return g.slice_columns(boxes, j, j + 1)
 
 
-def _giou_columns(g: Graph, pred: Node, gt: Array) -> Node:
+def _giou_columns(g: Graph, pred: Node, gt: Node) -> Node:
     """Vectorized GIoU values for row-aligned boxes; expects positive unions."""
     m = pred.shape[0]
-    gx1 = g.constant(gt[:, 0:1])
-    gy1 = g.constant(gt[:, 1:2])
-    gx2 = g.constant(gt[:, 2:3])
-    gy2 = g.constant(gt[:, 3:4])
+    gx1, gy1, gx2, gy2 = (_column(g, gt, j) for j in range(4))
     px1, py1 = _column(g, pred, 0), _column(g, pred, 1)
     px2, py2 = _column(g, pred, 2), _column(g, pred, 3)
     zero = g.constant(np.zeros((m, 1)))
@@ -369,7 +369,7 @@ def _giou_columns(g: Graph, pred: Node, gt: Array) -> Node:
     ih = g.maximum(g.subtract(g.minimum(py2, gy2), g.maximum(py1, gy1)), zero)
     inter = g.multiply(iw, ih)
     area_p = g.multiply(g.subtract(px2, px1), g.subtract(py2, py1))
-    area_g = g.constant((gt[:, 2] - gt[:, 0])[:, None] * (gt[:, 3] - gt[:, 1])[:, None])
+    area_g = g.multiply(g.subtract(gx2, gx1), g.subtract(gy2, gy1))
     union = g.subtract(g.add(area_p, area_g), inter)
     hw = g.subtract(g.maximum(px2, gx2), g.minimum(px1, gx1))
     hh = g.subtract(g.maximum(py2, gy2), g.minimum(py1, gy1))
@@ -407,15 +407,15 @@ def multilabel_contrastive_loss(slots: Array, text_embeddings: Array,
     g = Graph()
     bind = Binding(g, store, trainable=False)
     matched = g.gather(g.constant(slots), [i for i, _ in assignment.pairs], axis=0)
-    node = _multilabel_node(g, bind, matched, g.constant(texts),
-                            [j for _, j in assignment.pairs], tau)
+    targets = g.constant(_onehot([j for _, j in assignment.pairs], len(texts)))
+    node = _multilabel_node(g, bind, matched, g.constant(texts), targets, tau)
     return MultilabelLoss(value=float(g.evaluate(node)), empty=False)
 
 
 def _multilabel_node(g: Graph, bind: Binding, matched: Node, all_texts: Node,
-                     targets: Sequence[int], tau: float) -> Node:
+                     targets: Node, tau: float) -> Node:
     """Shared builder: project matched slot rows, normalize, CE against all
-    texts, row r's target being text targets[r]."""
+    texts, row r's target being the text where one-hot row r holds 1."""
     projected = g.add(g.matmul(matched, bind("mc.proj.w")), bind("mc.proj.b"))
     norms = g.sqrt(g.sum(g.multiply(projected, projected), axis=1))
     unit = g.row_divide(projected, norms)
@@ -439,9 +439,10 @@ class TrainExample:
 class TotalLossGraph:
     """Differentiable total loss plus the evaluated per-component report.
 
-    frame holds the values of every node the report evaluated, for
-    graph.gradient(total, frame=frame); it stays valid for the life of the
-    graph, whose parameter values are fixed when it is built.
+    frame holds this step's binding and the values of every node the report
+    evaluated, for graph.gradient(total, frame=frame).  The graph may serve
+    later steps of its shape key; each binds a frame of its own, and the
+    latest is the graph's current binding.
     """
 
     graph: Graph
@@ -453,21 +454,81 @@ class TotalLossGraph:
     frame: Frame
 
 
+@dataclass
+class _StepGraph:
+    """The loss graph of one batch shape key: the parameters' binding, the
+    image towers and the data inputs a step binds, the components and total."""
+
+    graph: Graph
+    bind: Binding
+    towers: list[dict]
+    inputs: dict[str, Node]
+    components: dict[str, Node]
+    total: Node
+
+
+def _build_step_graph(stacks: Sequence[Array], slots0: Sequence[Array], matched: int,
+                      annotations: int, store: ParamStore, weights: LossWeights,
+                      config: EncoderConfig) -> _StepGraph:
+    """The loss graph over one image tower per stack, in tower order, with
+    matched slot-annotation pairs among all the batch's annotations."""
+    g = Graph()
+    bind = Binding(g, store, trainable=True)
+    towers = [build_image_embedding(g, bind, stack, config, s0)
+              for stack, s0 in zip(stacks, slots0)]
+
+    def stacked(key: str) -> Node:
+        """One tower output over the whole batch, one row per image or slot."""
+        parts = [g.reshape(t[key], (math.prod(t[key].shape[:-1]), t[key].shape[-1]))
+                 for t in towers]
+        return parts[0] if len(parts) == 1 else g.concat(parts, axis=0)
+
+    images = sum(len(s) for s in stacks)
+    inputs = {name: g.input(shape, name) for name, shape in (
+        ("captions", (images, config.dim)), ("annotations", (annotations, config.dim)),
+        ("select", (matched, images * config.num_slots)), ("gt", (matched, 4)),
+        ("targets", (matched, annotations)))}
+
+    # Contrastive branch: image embeddings vs concatenated-caption embeddings.
+    l_c = _symmetric_ce(g, stacked("embedding"), inputs["captions"], weights.tau)
+
+    # Matched slots and boxes as rows of the (B·K, ·) tower outputs, picked
+    # by a 0/1 matrix: each row holds one 1, and each slot is matched at
+    # most once, so the product and its backward add only exact zeros.  The
+    # box losses average over matched pairs across the batch; the
+    # multi-label term scores each matched slot against all batch
+    # annotations.
+    pred = g.matmul(inputs["select"], stacked("boxes"))
+    gt = inputs["gt"]
+    l_l1 = g.affine(g.sum(g.absolute(g.subtract(pred, gt))), 1.0 / matched, 0.0)
+    l_giou = g.affine(g.mean(_giou_columns(g, pred, gt)), -1.0, 1.0)
+    l_mc = _multilabel_node(g, bind, g.matmul(inputs["select"], stacked("slots")),
+                            inputs["annotations"], inputs["targets"], weights.tau)
+
+    total = g.affine(l_c, weights.alpha, 0.0)
+    total = g.add(total, g.affine(l_l1, weights.beta, 0.0))
+    total = g.add(total, g.affine(l_giou, weights.gamma, 0.0))
+    total = g.add(total, g.affine(l_mc, weights.delta, 0.0))
+    return _StepGraph(graph=g, bind=bind, towers=towers, inputs=inputs, total=total,
+                      components={"L_C": l_c, "L_L1": l_l1, "L_GIoU": l_giou, "L_MC": l_mc})
+
+
 def total_loss_graph(batch: Sequence[TrainExample], store: ParamStore,
                      weights: LossWeights, config: EncoderConfig,
                      seed: int,
-                     text_cache: MutableMapping[str, Array] | None = None) -> TotalLossGraph:
-    """Build and evaluate the full objective for one batch.
+                     text_cache: MutableMapping[str, Array] | None = None,
+                     graphs: GraphCache | None = None) -> TotalLossGraph:
+    """Bind and evaluate the full objective for one batch.
 
     Caption and slot randomness derive from the given seed; pass the training
     step there so each step resamples both.  text_cache maps caption text to
     a precomputed frozen embedding row; it is filled in place so callers can
-    reuse it across steps.
+    reuse it across steps.  graphs keeps the loss graph of each batch shape
+    key for the steps of one run, whose store, weights and config stay the
+    same; without it the graph is built for this call alone.
     """
     if len(batch) == 0:
         raise ValueError("batch must contain at least one example")
-    g = Graph()
-    bind = Binding(g, store, trainable=True)
     cache: MutableMapping[str, Array] = text_cache if text_cache is not None else {}
 
     def text_row(text: str) -> Array:
@@ -477,72 +538,69 @@ def total_loss_graph(batch: Sequence[TrainExample], store: ParamStore,
 
     # One image tower per distinct image shape, in first-appearance order;
     # a batch of one image size builds one.  order lists the batch indices
-    # in the towers' row order, which every loss term below follows.
+    # in the towers' row order, which every loss term follows.
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, example in enumerate(batch):
         groups.setdefault(np.shape(example.image), []).append(i)
     order = [i for members in groups.values() for i in members]
-    towers = [build_image_embedding(
-        g, bind, np.stack([batch[i].image for i in members]), config,
-        np.stack([sample_slots(config, derive_seed(seed, "slots", i)) for i in members]))
-        for members in groups.values()]
+    stacks = [np.stack([batch[i].image for i in members]) for members in groups.values()]
+    slots0 = [np.stack([sample_slots(config, derive_seed(seed, "slots", i)) for i in members])
+              for members in groups.values()]
+    counts = [len(ex.annotations) for ex in batch]
+    matched = sum(min(config.num_slots, n) for n in counts)
 
-    def stacked(key: str) -> Node:
-        """One tower output over the whole batch, one row per image or slot."""
-        parts = [g.reshape(t[key], (int(np.prod(t[key].shape[:-1])), t[key].shape[-1]))
-                 for t in towers]
-        return parts[0] if len(parts) == 1 else g.concat(parts, axis=0)
+    def build() -> _StepGraph:
+        return _build_step_graph(stacks, slots0, matched, sum(counts), store, weights, config)
 
-    # Assignments are computed on box values, then baked into the graph.
-    frame = Frame()
-    box_values = g.evaluate([t["boxes"] for t in towers], frame=frame)
-    boxes_of = dict(zip(order, (boxes for values in box_values for boxes in values)))
-    assignments = [hungarian(pairwise_cost(boxes_of[i], example.annotations.boxes(),
-                                           literal_giou_cost=weights.literal_giou_cost))
-                   for i, example in enumerate(batch)]
-
-    # Contrastive branch: image embeddings vs concatenated-caption embeddings.
+    # The graph's shape: its towers' stack shapes, in tower order, and the
+    # matched and annotation counts, for hungarian matches min(K, N) pairs
+    # in each image.  Which image holds which annotation is bound data.
+    step = build() if graphs is None else graphs.get(
+        (config, weights, tuple(s.shape for s in stacks), matched, sum(counts)), build)
+    g = step.graph
     cat_texts = [concat_captions(ex.annotations.captions(), derive_seed(seed, "captions", i))
                  for i, ex in enumerate(batch)]
-    text_rows = g.constant(np.stack([text_row(cat_texts[i]) for i in order]))
-    l_c = _symmetric_ce(g, stacked("embedding"), text_rows, weights.tau)
+    ann_texts = [t for i in order for t in batch[i].annotations.captions()]
+    leaves = step.bind.values(store)
+    for tower, stack, s0 in zip(step.towers, stacks, slots0):
+        leaves[tower["patches"]] = patchify(stack, config.patch_size)
+        leaves[tower["slots0"]] = s0
+    leaves[step.inputs["captions"]] = np.stack([text_row(cat_texts[i]) for i in order])
+    leaves[step.inputs["annotations"]] = np.stack([text_row(t) for t in ann_texts])
+    frame = g.bind(leaves)
 
-    # Matched slots and boxes as rows of the (B·K, ·) tower outputs.  Every
-    # image has an annotation and a slot, so each image matches at least one
-    # pair.  The box losses average over matched pairs across the batch; the
-    # multi-label term scores each matched slot against all batch annotations.
+    # Assignments are computed on box values, then bound as data.  The cost
+    # rows are the slots of the images in tower order and its columns their
+    # annotations, so image p's block starts at row p·K and at column first,
+    # the row and the text index its matched pairs take.
+    pred_boxes = np.concatenate([values.reshape(-1, 4) for values in g.evaluate(
+        [t["boxes"] for t in step.towers], frame=frame)])
+    gt_boxes = np.concatenate([batch[i].annotations.boxes() for i in order])
+    cost = pairwise_cost(pred_boxes, gt_boxes, literal_giou_cost=weights.literal_giou_cost)
     k = config.num_slots
+    assignments: list[Assignment] = [None] * len(batch)
     rows: list[int] = []
-    gt_rows: list[Array] = []
     targets: list[int] = []
-    ann_texts: list[str] = []
+    first = 0
     for p, i in enumerate(order):
-        annotations = batch[i].annotations
+        n = len(batch[i].annotations)
+        assignments[i] = hungarian(cost[p * k:(p + 1) * k, first:first + n])
         for s, j in assignments[i].pairs:
             rows.append(p * k + s)
-            gt_rows.append(annotations.annotations[j].box)
-            targets.append(len(ann_texts) + j)
-        ann_texts.extend(annotations.captions())
-    pred = g.gather(stacked("boxes"), rows, axis=0)
-    gt = np.stack(gt_rows)
-    l_l1 = g.affine(g.sum(g.absolute(g.subtract(pred, g.constant(gt)))), 1.0 / len(rows), 0.0)
-    l_giou = g.affine(g.mean(_giou_columns(g, pred, gt)), -1.0, 1.0)
-    all_texts = g.constant(np.stack([text_row(t) for t in ann_texts]))
-    l_mc = _multilabel_node(g, bind, g.gather(stacked("slots"), rows, axis=0),
-                            all_texts, targets, weights.tau)
+            targets.append(first + j)
+        first += n
+    g.bind({step.inputs["select"]: _onehot(rows, len(pred_boxes)),
+            step.inputs["gt"]: gt_boxes[targets],
+            step.inputs["targets"]: _onehot(targets, first)}, frame=frame)
 
-    total = g.affine(l_c, weights.alpha, 0.0)
-    total = g.add(total, g.affine(l_l1, weights.beta, 0.0))
-    total = g.add(total, g.affine(l_giou, weights.gamma, 0.0))
-    total = g.add(total, g.affine(l_mc, weights.delta, 0.0))
-
-    values = g.evaluate([l_c, l_l1, l_giou, l_mc, total], check=False, frame=frame)
+    c = step.components
+    values = g.evaluate([c["L_C"], c["L_L1"], c["L_GIoU"], c["L_MC"], step.total],
+                        check=False, frame=frame)
     report = LossReport(L_C=float(values[0]), L_L1=float(values[1]),
                         L_GIoU=float(values[2]), L_MC=float(values[3]),
                         total=float(values[4]))
-    return TotalLossGraph(graph=g, total=total, report=report, assignments=assignments,
-                          components={"L_C": l_c, "L_L1": l_l1, "L_GIoU": l_giou, "L_MC": l_mc},
-                          concatenated_captions=cat_texts, frame=frame)
+    return TotalLossGraph(graph=g, total=step.total, report=report, assignments=assignments,
+                          components=dict(c), concatenated_captions=cat_texts, frame=frame)
 
 
 def total_loss(batch: Sequence[TrainExample], store: ParamStore, weights: LossWeights,

@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import urllib.error
-import urllib.request
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -70,8 +67,7 @@ class GenerationError(RuntimeError):
 class GenerationClient:
     """Single-owner generation session with per-noun history."""
 
-    def __init__(self, timeout: float = 10.0, retries: int = 2) -> None:
-        self.timeout = float(timeout)
+    def __init__(self, retries: int = 2) -> None:
         self.retries = int(retries)
         self.history: list[str] = []
         self._noun: str | None = None
@@ -117,8 +113,8 @@ _STOPWORDS = frozenset(
 class StubGenerationClient(GenerationClient):
     """Offline client: fixed template bank, then seeded numbered variations."""
 
-    def __init__(self, seed: int = 0, timeout: float = 10.0, retries: int = 2) -> None:
-        super().__init__(timeout=timeout, retries=retries)
+    def __init__(self, seed: int = 0, retries: int = 2) -> None:
+        super().__init__(retries=retries)
         self.seed = int(seed)
         self._variation = 0
 
@@ -147,68 +143,6 @@ class StubGenerationClient(GenerationClient):
         if words:
             return words[-1].lower()
         raise GenerationError(f"no noun-like token in {sentence!r}")
-
-
-class LiveGenerationClient(GenerationClient):
-    """Minimal chat-completion client over HTTP; transport is injectable."""
-
-    def __init__(self, endpoint: str, api_key: str = "", model: str = "default",
-                 timeout: float = 10.0, retries: int = 2,
-                 transport: Callable[[dict], str] | None = None) -> None:
-        super().__init__(timeout=timeout, retries=retries)
-        self.endpoint = endpoint
-        self.api_key = api_key
-        self.model = model
-        self._transport = transport or self._http_transport
-
-    def _http_transport(self, payload: dict) -> str:
-        request = urllib.request.Request(
-            self.endpoint,
-            data=json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json",
-                     **({"Authorization": f"Bearer {self.api_key}"}
-                        if self.api_key else {})})
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
-            body = json.loads(response.read().decode("utf-8"))
-        return body["choices"][0]["message"]["content"].strip()
-
-    def _complete(self, system: str, user: str) -> str:
-        payload = {"model": self.model,
-                   "messages": [{"role": "system", "content": system},
-                                {"role": "user", "content": user}]}
-        last: Exception | None = None
-        for _ in range(self.retries + 1):
-            try:
-                return self._transport(payload)
-            except (urllib.error.URLError, TimeoutError, OSError, KeyError) as exc:
-                last = exc
-        raise GenerationError(f"generation request failed: {last}")
-
-    def generate_sentence(self, noun: str) -> str:
-        system = ("You write one short sentence or question a person might "
-                  "say when they want to find the given object. Reply with "
-                  "the sentence only, and never repeat a previous one.")
-        user = f"Object: {noun}"
-        if self.history:
-            user += "\nPrevious generations:\n" + "\n".join(self.history)
-        return self._complete(system, user)
-
-    def generate_noun(self, sentence: str) -> str:
-        if not sentence:
-            raise GenerationError("empty sentence")
-        system = ("Answer with the single short object noun the sentence "
-                  "refers to, and nothing else.")
-        return self._complete(system, sentence)
-
-
-def client_from_env(offline: bool = True, seed: int = 0) -> GenerationClient:
-    """Pick the stub unless offline is off and an endpoint is configured."""
-    endpoint = os.environ.get("SLOTNAV_GEN_ENDPOINT", "")
-    if offline or not endpoint:
-        return StubGenerationClient(seed=seed)
-    return LiveGenerationClient(endpoint=endpoint,
-                                api_key=os.environ.get("SLOTNAV_GEN_API_KEY", ""),
-                                model=os.environ.get("SLOTNAV_GEN_MODEL", "default"))
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from slotnav.autodiff import (
     EvaluationError,
-    Frame,
     Graph,
     ParamStore,
     ShapeError,
@@ -56,18 +55,22 @@ def test_non_finite_intermediate_is_reported():
 
 
 def test_frame_extension_runs_only_the_new_nodes():
+    # A frame is extended by binding an input after part of the graph ran;
+    # the next call runs only the nodes without a value.
     g = Graph()
     x = g.parameter("x", [0.5, -1.5])
     tower = g.tanh(g.exp(x))
-    frame = Frame()
+    k = g.input((2,), "k")
+    head = g.sum(g.softmax(g.multiply(tower, k), axis=0))
+    frame = g.bind()
     first = g.evaluate(tower, frame=frame)
-    head = g.sum(g.softmax(tower, axis=0))
     ran = []
     forward = list(g._forward)
     g._forward[:] = [fn if fn is None else (lambda v, i=i, fn=fn: ran.append(i) or fn(v))
                      for i, fn in enumerate(forward)]
+    g.bind({k: [2.0, 3.0]}, frame=frame)
     value = g.evaluate(head, frame=frame)
-    assert sorted(ran) == list(range(tower.index + 1, head.index + 1))
+    assert sorted(ran) == [i for i in range(tower.index + 1, head.index + 1) if i != k.index]
     assert frame.values[tower.index] is first
     g._forward[:] = forward
     assert value == g.evaluate(head)
@@ -77,11 +80,11 @@ def test_gradient_from_frame_checks_nodes_evaluated_unchecked():
     g = Graph()
     x = g.parameter("x", [1.0, 2.0])
     tower = g.exp(x)
-    frame = Frame()
-    g.evaluate(tower, frame=frame)
     # Both head nodes are non-finite; the first, in ascending order, is named.
     head = g.log(g.affine(tower, -1.0, 0.0))
     total = g.sum(head)
+    frame = g.bind()
+    g.evaluate(tower, frame=frame)
     g.evaluate([head, total], check=False, frame=frame)
     with pytest.raises(EvaluationError) as reused:
         g.gradient(total, frame=frame)
@@ -550,3 +553,131 @@ def test_derive_seed_is_stable_and_salted():
     assert derive_seed(0, "slots", 1) != derive_seed(0, "slots", 2)
     # Frozen value guards against cross-process drift.
     assert derive_seed(123, "slots", 0) == 3921341953
+
+
+# ----------------------------------------------------------------------
+# Finiteness checks and leaf binding
+
+def test_finite_entries_whose_sum_overflows_pass_every_check():
+    big = [1e308, 1e308]
+    store = ParamStore({"w": big})
+    g = Graph()
+    w = g.parameter("w", store["w"])
+    x = g.input((2,), "x")
+    scaled = g.multiply(w, x)
+    g.bind({x: big})
+    g.bind({x: [1.0, 1.0]})
+    assert np.array_equal(g.evaluate(scaled), big)
+
+
+@pytest.mark.parametrize("bad", [[1.0, np.nan], [np.inf, 1.0], [np.inf, -np.inf]])
+def test_non_finite_entries_are_caught_by_every_check(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        ParamStore({"w": bad})
+    g = Graph()
+    with pytest.raises(ValueError, match="non-finite"):
+        g.constant(bad)
+    x = g.input((2,), "x")
+    with pytest.raises(ValueError, match="leaf x got non-finite"):
+        g.bind({x: bad})
+    # A node whose value is bad: 1/1 = 1, 0/0 = nan and +-1/0 = +-inf.
+    bad = np.array(bad)
+    y = g.parameter("y", np.where(np.isnan(bad), 0.0, np.sign(bad)))
+    out = g.divide(y, x)
+    g.bind({x: np.isfinite(bad).astype(float)})
+    with pytest.raises(EvaluationError, match=f"node {out.name}$"):
+        g.evaluate(out)
+    assert np.array_equal(g.evaluate(out, check=False), bad, equal_nan=True)
+
+
+def test_divergence_names_the_first_bad_node_after_an_overflowing_sum():
+    # wide has finite entries whose sum overflows; over is the first node
+    # with a non-finite entry, and worse follows it.
+    g = Graph()
+    big = g.parameter("big", [1e308, 1e308])
+    wide = g.affine(big, 1.0, 0.0)
+    over = g.add(wide, wide)
+    worse = g.sum(g.exp(over))
+    for run in (lambda: g.evaluate(worse), lambda: g.gradient(worse)):
+        with pytest.raises(EvaluationError) as err:
+            run()
+        assert str(err.value) == f"non-finite value in node {over.name}"
+
+
+def test_bind_checks_each_value_and_names_its_leaf():
+    g = Graph()
+    w = g.parameter("w", np.ones((2, 3)))
+    x = g.input((3,), "x")
+    out = g.sum(g.multiply(w, x))
+    with pytest.raises(ShapeError, match="leaf w has shape \\(2, 3\\), got \\(3, 2\\)"):
+        g.bind({w: np.ones((3, 2))})
+    with pytest.raises(ValueError, match="leaf x got non-finite entries"):
+        g.bind({x: [0.0, np.nan, 1.0]})
+    with pytest.raises(ValueError, match="is not a leaf"):
+        g.bind({out: 1.0})
+    with pytest.raises(ValueError, match="input x is not bound"):
+        g.evaluate(out)
+    frame = g.bind({x: [1.0, 2.0, 3.0]})
+    with pytest.raises(ValueError, match="leaf x is already bound in this frame"):
+        g.bind({x: [1.0, 2.0, 3.0]}, frame=frame)
+    assert g.evaluate(out, frame=frame) == 12.0
+    g.constant(0.0)
+    with pytest.raises(ValueError, match="before nodes were added"):
+        g.evaluate(out, frame=frame)
+
+
+def test_frames_of_two_bindings_never_read_each_other():
+    def build(w0, x0=None):
+        g = Graph()
+        w = g.parameter("w", w0)
+        x = g.input((3,), "x") if x0 is None else g.constant(x0)
+        hidden = g.tanh(g.multiply(w, x))
+        return g, w, x, hidden, g.sum(g.exp(hidden))
+
+    a = ([0.5, -1.0, 2.0], [1.0, 2.0, 3.0])
+    b = ([1.5, 0.25, -0.5], [-2.0, 0.5, 1.0])
+    g, w, x, hidden, total = build([0.0, 0.0, 0.0])
+    frame_a = g.bind({w: a[0], x: a[1]})
+    g.evaluate(hidden, frame=frame_a)
+    frame_b = g.bind({w: b[0], x: b[1]})
+    got_b = g.gradient(total, frame=frame_b)
+    got_a = g.gradient(total, frame=frame_a)
+    for (w0, x0), got in ((a, got_a), (b, got_b)):
+        fresh, *_, fresh_total = build(w0, x0)
+        want = fresh.gradient(fresh_total)
+        assert got.value == want.value
+        assert got.gradients["w"].tobytes() == want.gradients["w"].tobytes()
+    # The latest binding is the graph's current one.
+    assert g.gradient(total).value == got_b.value
+
+
+def test_a_bound_selection_matrix_picks_rows_as_gather_does():
+    # Each row selects one row of the table, and no row is selected twice,
+    # so the product and its gradient add only zeros to each value.
+    rng = np.random.default_rng(3)
+    table = rng.normal(size=(5, 3))
+    rows = [4, 0, 2]
+    g = Graph()
+    t = g.parameter("t", table)
+    select = g.input((3, 5), "select")
+    picked = g.matmul(select, t)
+    by_matrix = g.sum(g.multiply(picked, g.tanh(picked)))
+    h = Graph()
+    u = h.gather(h.parameter("t", table), rows)
+    by_index = h.sum(h.multiply(u, h.tanh(u)))
+    g.bind({select: np.eye(5)[rows]})
+    got, want = g.gradient(by_matrix), h.gradient(by_index)
+    assert got.value == want.value
+    assert got.gradients["t"].tobytes() == want.gradients["t"].tobytes()
+    assert g.finite_difference_check(by_matrix).passed
+
+
+def test_ancestor_orders_are_remembered_until_a_node_is_added():
+    g = Graph()
+    x = g.parameter("x", [1.0, 2.0])
+    y = g.exp(x)
+    first = g._ancestors([y.index])
+    assert g._ancestors([y.index]) is first
+    z = g.sum(y)
+    assert g._ancestors([y.index]) is not first
+    assert g._ancestors([z.index]) == [x.index, y.index, z.index]

@@ -74,6 +74,22 @@ def test_train_is_deterministic(bundle, capsys):
             == (second / "losses.log").read_bytes())
 
 
+def test_train_runs_in_one_process_share_nothing(bundle, tmp_path, capsys):
+    # A run with other batch shapes between two equal runs leaves the
+    # module's graph caches holding graphs of both.
+    other = tmp_path / "other.cfg"
+    other.write_text("lr = 0.01\ntotal_steps = 2\nbatch_size = 3\nseed = 4\n",
+                     encoding="utf-8")
+    argv = ["--config", str(bundle["cfg"]), "train", "--data", str(bundle["fx"])]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    assert main(["--config", str(other), "train", "--data", str(bundle["fx"]),
+                 "--out", str(tmp_path / "other")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    for name in ("checkpoint.lzp", "losses.log"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 # ----------------------------------------------------------------------
 # index and retrieve
 
@@ -171,7 +187,7 @@ def test_augment_offline_is_seeded(bundle, tmp_path, capsys):
     fx = bundle["fx"]
     out_a = tmp_path / "aug_a.jsonl"
     out_b = tmp_path / "aug_b.jsonl"
-    argv = ["--offline", "--seed", "3", "augment",
+    argv = ["--seed", "3", "augment",
             "--detections", str(fx / "detection.jsonl"), "--count", "2"]
     assert main(argv + ["--out", str(out_a)]) == 0
     first = lines_of(capsys)
@@ -187,7 +203,7 @@ def test_augment_offline_is_seeded(bundle, tmp_path, capsys):
 def test_augment_reports_malformed_lines(tmp_path, capsys):
     detections = tmp_path / "det.jsonl"
     detections.write_text('not json\n', encoding="utf-8")
-    assert main(["--offline", "augment", "--detections", str(detections),
+    assert main(["augment", "--detections", str(detections),
                  "--out", str(tmp_path / "out.jsonl")]) == 0
     out = lines_of(capsys)
     assert "records 0" in out

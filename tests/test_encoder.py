@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slotnav.autodiff import Graph, derive_seed
+from slotnav import encoder
+from slotnav.autodiff import Graph, GraphCache, derive_seed
 from slotnav.encoder import (
     Binding,
     EncoderConfig,
@@ -221,8 +222,14 @@ def test_image_embedding_builds_one_graph_and_evaluates_it_once(desk_store, monk
 
     monkeypatch.setattr(Graph, "__init__", counted_init)
     monkeypatch.setattr(Graph, "evaluate", counted_evaluate)
+    monkeypatch.setattr(encoder, "_IMAGE_GRAPHS", GraphCache(maxsize=2))
     image_embedding(random_image(12), desk_store, DESK, seed=3)
     assert calls == {"graphs": 1, "evaluate": 1}
+    # The graph is built once per image shape; each call evaluates it once.
+    image_embedding(random_image(13), desk_store, DESK, seed=4)
+    assert calls == {"graphs": 1, "evaluate": 2}
+    image_embedding(random_image(14)[:8], desk_store, DESK, seed=4)
+    assert calls == {"graphs": 2, "evaluate": 3}
 
 
 def staged_image_embedding(image, store, config, seed):
@@ -357,3 +364,42 @@ def test_reference_config_is_consistent():
         EncoderConfig(num_slots=0)
     with pytest.raises(ValueError):
         EncoderConfig(slot_std=0.0)
+
+
+def test_cached_inference_sees_every_store_update(desk_store, monkeypatch):
+    store = desk_store.copy()
+    image = random_image(70)
+    before_text = encode_text("red sofa", store, DESK).vector
+    before_image = image_embedding(image, store, DESK, seed=1)[0].vector
+    for name in ("txt.embed", "txt.blk0.mlp1.w", "img.patch.w", "slot.q.w", "agg.mlp2.b"):
+        store[name] = store[name] * 1.5 + 0.01
+    text = encode_text("red sofa", store, DESK).vector
+    emb, boxes, state = image_embedding(image, store, DESK, seed=1)
+    assert text.tobytes() != before_text.tobytes()
+    assert emb.vector.tobytes() != before_image.tobytes()
+    # A fresh build over the updated store gives the same bytes.
+    monkeypatch.setattr(encoder, "_TEXT_GRAPHS", GraphCache(maxsize=1))
+    monkeypatch.setattr(encoder, "_IMAGE_GRAPHS", GraphCache(maxsize=1))
+    assert encode_text("red sofa", store, DESK).vector.tobytes() == text.tobytes()
+    fresh_emb, fresh_boxes, fresh_state = image_embedding(image, store, DESK, seed=1)
+    assert fresh_emb.vector.tobytes() == emb.vector.tobytes()
+    assert fresh_boxes.boxes.tobytes() == boxes.boxes.tobytes()
+    assert fresh_state.slots.tobytes() == state.slots.tobytes()
+
+
+def test_text_graphs_are_kept_per_token_count(desk_store, monkeypatch):
+    built = []
+    build = encoder.build_text_embedding
+
+    def counted(*args):
+        built.append(args[2].shape[0])
+        return build(*args)
+
+    monkeypatch.setattr(encoder, "build_text_embedding", counted)
+    monkeypatch.setattr(encoder, "_TEXT_GRAPHS", GraphCache(maxsize=2))
+    for query in ("sofa", "lamp", "red sofa", "blue lamp", "sofa", "a red sofa"):
+        encode_text(query, desk_store, DESK)
+    # "a red sofa" pushes out the least recently used two-token graph, so
+    # "blue lamp" builds it anew.
+    encode_text("blue lamp", desk_store, DESK)
+    assert built == [1, 2, 3, 2]

@@ -2,6 +2,7 @@ import json
 import math
 import os
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,6 +186,23 @@ def test_gradient_from_the_loss_frame_equals_a_fresh_gradient():
     assert reused.value == fresh.value == built.report.total
     for name in names:
         assert np.array_equal(reused.gradients[name], fresh.gradients[name])
+
+
+def test_cached_steps_equal_fresh_steps_byte_for_byte(monkeypatch):
+    # Batches of 3, 3 and 2 images give two shape keys, and each epoch's
+    # shuffle moves the annotation counts between images.
+    cfg = replace(TrainConfig.overfit_preset(), batch_size=3, total_steps=20)
+    examples = fixture_examples()
+    cached_store, cached = train_on_examples(examples, cfg)
+    step = harness.train_step
+    monkeypatch.setattr(harness, "train_step",
+                        lambda store, batch, config, n, text_cache=None, graphs=None:
+                        step(store, batch, config, n, text_cache))
+    fresh_store_, fresh = train_on_examples(examples, cfg)
+    assert cached == fresh and len(fresh) == 20
+    assert cached_store.names() == fresh_store_.names()
+    for name in fresh_store_.names():
+        assert cached_store[name].tobytes() == fresh_store_[name].tobytes(), name
 
 
 def test_first_step_does_not_increase_loss():

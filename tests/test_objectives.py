@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from slotnav import objectives
-from slotnav.autodiff import Graph
+from slotnav.autodiff import Graph, GraphCache
 from slotnav.encoder import EncoderConfig, init_params
 from slotnav.fixtures import training_images, training_records
 from slotnav.harness import TrainConfig, dataset_examples
@@ -88,7 +88,7 @@ def test_graph_giou_matches_scalar_giou():
     pred = np.stack([random_box(rng) for _ in range(6)])
     gt = np.stack([random_box(rng) for _ in range(6)])
     g = Graph()
-    column = g.evaluate(_giou_columns(g, g.constant(pred), gt)).reshape(-1)
+    column = g.evaluate(_giou_columns(g, g.constant(pred), g.constant(gt))).reshape(-1)
     expected = [giou(pred[i], gt[i]) for i in range(6)]
     assert np.allclose(column, expected, atol=1e-12)
 
@@ -534,6 +534,27 @@ def test_mixed_image_sizes_build_one_tower_each(monkeypatch):
     report = out.graph.finite_difference_check(out.total, step=1e-5, tolerance=1e-4)
     assert report.passed, f"max rel error {report.max_relative_error:.3e}"
     assert (report.checked_coordinates, report.skipped_coordinates) == (2692, 0)
+
+
+def test_two_steps_on_one_cached_graph_each_equal_a_fresh_build(tiny_setup):
+    cfg, store, batch = tiny_setup
+    # The second batch has the first's shape key with its images and
+    # annotations moved around, so every bound leaf differs.
+    other = [replace(batch[1], annotations=batch[0].annotations),
+             replace(batch[0], image=batch[1].image[::-1], annotations=batch[1].annotations)]
+    graphs = GraphCache(maxsize=2)
+    first = total_loss_graph(batch, store, LossWeights(), cfg, seed=1, graphs=graphs)
+    second = total_loss_graph(other, store, LossWeights(), cfg, seed=2, graphs=graphs)
+    assert second.graph is first.graph
+    for built, examples, seed in ((first, batch, 1), (second, other, 2)):
+        fresh = total_loss_graph(examples, store, LossWeights(), cfg, seed=seed)
+        assert built.report == fresh.report
+        assert [a.pairs for a in built.assignments] == [a.pairs for a in fresh.assignments]
+        got = built.graph.gradient(built.total, frame=built.frame)
+        want = fresh.graph.gradient(fresh.total)
+        assert got.value == want.value
+        for name, grad in want.gradients.items():
+            assert got.gradients[name].tobytes() == grad.tobytes(), name
 
 
 def test_loss_line_roundtrip():

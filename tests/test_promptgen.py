@@ -1,18 +1,15 @@
 import json
-import urllib.error
 
 import numpy as np
 import pytest
 
 from slotnav.promptgen import (STUB_SENTENCE_BANK, CaptionedObject,
                                CaptionRecord, ConversionReport,
-                               GenerationClient, GenerationError,
-                               LiveGenerationClient, Pose, PromptTemplate,
-                               StubGenerationClient, build_prompt,
-                               client_from_env, convert_detection_dataset,
-                               convert_detection_lines, load_dataset,
-                               noun_to_sentences, parse_prompt, save_dataset,
-                               sentence_to_noun)
+                               GenerationClient, GenerationError, Pose,
+                               PromptTemplate, StubGenerationClient, build_prompt,
+                               convert_detection_dataset, convert_detection_lines,
+                               load_dataset, noun_to_sentences, parse_prompt,
+                               save_dataset, sentence_to_noun)
 
 
 class ScriptedClient(GenerationClient):
@@ -165,76 +162,6 @@ def test_sentence_to_noun_failure_names_sentence():
     client = ScriptedClient([])
     with pytest.raises(GenerationError, match="lost sentence"):
         sentence_to_noun("lost sentence", client)
-
-
-# ----------------------------------------------------------------------
-# Live client plumbing (faked transport, no network)
-
-def canned(content):
-    return json.dumps({"choices": [{"message": {"content": content}}]})
-
-
-def test_live_client_payload_shape():
-    seen = {}
-
-    def transport(payload):
-        seen.update(payload)
-        return "A fine sentence."
-
-    client = LiveGenerationClient("http://example.invalid/v1", model="m1",
-                                  transport=transport)
-    out = noun_to_sentences("sofa", 1, client)
-    assert out == ["A fine sentence."]
-    assert seen["model"] == "m1"
-    roles = [m["role"] for m in seen["messages"]]
-    assert roles == ["system", "user"]
-    assert "sofa" in seen["messages"][1]["content"]
-
-
-def test_live_client_sends_history():
-    bodies = []
-
-    def transport(payload):
-        bodies.append(payload["messages"][1]["content"])
-        return f"sentence {len(bodies)}"
-
-    client = LiveGenerationClient("http://example.invalid/v1", transport=transport)
-    noun_to_sentences("sofa", 2, client)
-    assert "sentence 1" in bodies[1]
-
-
-def test_live_client_retries_then_succeeds():
-    calls = {"n": 0}
-
-    def transport(payload):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise urllib.error.URLError("refused")
-        return "recovered"
-
-    client = LiveGenerationClient("http://example.invalid/v1",
-                                  retries=1, transport=transport)
-    assert client.generate_sentence("sofa") == "recovered"
-    assert calls["n"] == 2
-
-
-def test_live_client_exhausted_retries():
-    def transport(payload):
-        raise TimeoutError("too slow")
-
-    client = LiveGenerationClient("http://example.invalid/v1",
-                                  retries=2, transport=transport)
-    with pytest.raises(GenerationError):
-        client.generate_noun("where is it")
-
-
-def test_client_from_env(monkeypatch):
-    monkeypatch.delenv("SLOTNAV_GEN_ENDPOINT", raising=False)
-    assert isinstance(client_from_env(offline=True), StubGenerationClient)
-    assert isinstance(client_from_env(offline=False), StubGenerationClient)
-    monkeypatch.setenv("SLOTNAV_GEN_ENDPOINT", "http://example.invalid/v1")
-    assert isinstance(client_from_env(offline=False), LiveGenerationClient)
-    assert isinstance(client_from_env(offline=True), StubGenerationClient)
 
 
 # ----------------------------------------------------------------------
