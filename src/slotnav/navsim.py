@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -20,6 +20,8 @@ Cell = tuple[int, int]
 DEFAULT_HALF_ANGLE = math.pi / 4.0
 DEFAULT_MAX_RANGE = 3.0
 DEFAULT_CELL_M = 0.25
+FIELD_CACHE_SIZE = 64  # distance fields kept per world, least recently used dropped
+STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 
 # ----------------------------------------------------------------------
@@ -75,6 +77,7 @@ class GridWorld:
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "objects", tuple(self.objects))
+        object.__setattr__(self, "_fields", OrderedDict())
         seen = set()
         for obj in self.objects:
             if obj.object_id in seen:
@@ -91,7 +94,7 @@ class GridWorld:
         col, row = cell
         return any(self.in_bounds((col + dc, row + dr))
                    and not self.occupied((col + dc, row + dr))
-                   for dc, dr in ((-1, 0), (1, 0), (0, -1), (0, 1)))
+                   for dc, dr in STEPS)
 
     @property
     def rows(self) -> int:
@@ -121,6 +124,36 @@ class GridWorld:
 
     def objects_named(self, noun: str) -> list[WorldObject]:
         return [o for o in self.objects if o.noun == noun]
+
+    def distance_field(self, goal: Cell) -> Array:
+        """Read-only steps from each cell to goal over free 4-neighbours, else -1."""
+        if not self.in_bounds(goal):
+            raise ValueError(f"goal cell {goal} is outside the grid")
+        dist = self._fields.pop(goal, None)
+        if dist is None:
+            # Breadth-first wavefront over flat indices of the grid walled by one cell.
+            width = self.cols + 2
+            free = np.pad(~self.grid, 1).reshape(-1)
+            dist = np.full(free.shape, -1, dtype=np.min_scalar_type(-self.grid.size))
+            slot = np.empty(free.shape, dtype=np.intp)
+            frontier = np.array([(goal[1] + 1) * width + goal[0] + 1])
+            for step in range(self.grid.size):
+                frontier = frontier[free[frontier]]
+                # One copy per cell, or copies compound wave after wave.
+                order = np.arange(frontier.size)
+                slot[frontier] = order
+                frontier = frontier[slot[frontier] == order]
+                if not frontier.size:
+                    break
+                dist[frontier] = step
+                free[frontier] = False
+                frontier = (frontier[:, None] + (-1, 1, -width, width)).reshape(-1)
+            dist = dist.reshape(-1, width)[1:-1, 1:-1]
+            dist.flags.writeable = False
+        self._fields[goal] = dist
+        if len(self._fields) > FIELD_CACHE_SIZE:
+            self._fields.popitem(last=False)
+        return dist
 
 
 @dataclass(frozen=True)
@@ -230,7 +263,7 @@ def save_world(world: GridWorld, path: str) -> None:
 # Planning
 
 def plan_path(world: GridWorld, start: Pose, goal: Pose) -> list[Cell]:
-    """Shortest 4-connected cell path between the poses' cells, inclusive."""
+    """Inclusive shortest 4-connected path, down the goal's field in STEPS order."""
     start_cell = world.cell_of(start.x, start.y)
     goal_cell = world.cell_of(goal.x, goal.y)
     for label, cell in (("start", start_cell), ("goal", goal_cell)):
@@ -238,39 +271,21 @@ def plan_path(world: GridWorld, start: Pose, goal: Pose) -> list[Cell]:
             raise ValueError(f"{label} cell {cell} is outside the grid")
         if world.occupied(cell):
             raise ValueError(f"{label} cell {cell} is occupied")
-    if start_cell == goal_cell:
-        return [start_cell]
-
-    def heuristic(cell: Cell) -> int:
-        return abs(cell[0] - goal_cell[0]) + abs(cell[1] - goal_cell[1])
-
-    frontier: list[tuple[int, int, int, Cell]] = []
-    heapq.heappush(frontier, (heuristic(start_cell), 0, 0, start_cell))
-    came_from: dict[Cell, Cell | None] = {start_cell: None}
-    cost: dict[Cell, int] = {start_cell: 0}
-    tie = 0
-    while frontier:
-        _, g, _, cell = heapq.heappop(frontier)
-        if cell == goal_cell:
-            path = []
-            node: Cell | None = cell
-            while node is not None:
-                path.append(node)
-                node = came_from[node]
-            return path[::-1]
-        if g > cost[cell]:
-            continue
-        col, row = cell
-        for dc, dr in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            nxt = (col + dc, row + dr)
-            if not world.in_bounds(nxt) or world.occupied(nxt):
-                continue
-            if nxt not in cost or g + 1 < cost[nxt]:
-                cost[nxt] = g + 1
-                came_from[nxt] = cell
-                tie += 1
-                heapq.heappush(frontier, (g + 1 + heuristic(nxt), g + 1, tie, nxt))
-    return []
+    to_goal = world.distance_field(goal_cell)
+    col, row = start_cell
+    steps = int(to_goal[row, col])
+    if steps < 0:
+        return []
+    rows, cols = to_goal.shape
+    path = [start_cell]
+    for remaining in reversed(range(steps)):
+        for dc, dr in STEPS:
+            if 0 <= col + dc < cols and 0 <= row + dr < rows \
+                    and to_goal.item(row + dr, col + dc) == remaining:
+                break
+        col, row = col + dc, row + dr
+        path.append((col, row))
+    return path
 
 
 def path_steps(path: Sequence[Cell]) -> int:

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from slotnav.navsim import (FovParams, EpisodeResult, GridWorld, MemoryEntry,
-                            Pose, SuccessReport, WorldObject, execute_episode,
-                            format_world, in_fov, load_world, parse_world, path_steps,
-                            plan_path, save_episode_log, save_world, success_rate)
+from slotnav.navsim import (FIELD_CACHE_SIZE, FovParams, EpisodeResult, GridWorld,
+                            MemoryEntry, Pose, SuccessReport, WorldObject,
+                            episode_to_json, execute_episode, format_world, in_fov,
+                            load_world, parse_world, path_steps, plan_path,
+                            save_episode_log, save_world, success_rate)
 from slotnav.promptgen import normalize_angle
 from slotnav.retrieval import build_index, topk_images
 
@@ -199,6 +201,74 @@ def test_plan_path_matches_bfs_oracle():
             assert_valid_path(world, path, start_cell, goal_cell)
 
 
+@settings(max_examples=80, deadline=None)
+@given(rows=st.integers(1, 16), cols=st.integers(1, 16),
+       density=st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.6]),
+       seed=st.integers(0, 2**32 - 1), goal_pick=st.integers(0, 255))
+def test_distance_field_matches_bfs_oracle(rows, cols, density, seed, goal_pick):
+    grid = np.random.default_rng(seed).random((rows, cols)) < density
+    goal = (goal_pick % cols, goal_pick // cols % rows)
+    field = GridWorld(grid=grid, cell_m=0.25).distance_field(goal)
+    assert field.shape == grid.shape
+    for row in range(rows):
+        for col in range(cols):
+            if grid[row, col]:
+                assert field[row, col] == -1
+                continue
+            oracle = breadth_first_path(grid, (col, row), goal)
+            assert field[row, col] == (len(oracle) - 1 if oracle else -1)
+
+
+def test_distance_field_is_read_only_and_rejects_outside_goal():
+    world = parse_world("..#\n...\n")
+    field = world.distance_field((0, 0))
+    assert field.tolist() == [[0, 1, -1], [1, 2, 3]]
+    with pytest.raises(ValueError):
+        field[0, 0] = 5
+    with pytest.raises(ValueError, match="outside"):
+        world.distance_field((3, 0))
+
+
+def test_distance_field_cache_drops_least_recently_used():
+    world = GridWorld(grid=np.zeros((9, 9), dtype=bool), cell_m=0.25)
+    goals = [(c, r) for r in range(9) for c in range(9)][:FIELD_CACHE_SIZE + 2]
+    fields = {goal: world.distance_field(goal) for goal in goals[:FIELD_CACHE_SIZE]}
+    assert world.distance_field(goals[0]) is fields[goals[0]]  # a hit, now most recent
+    for goal in goals[FIELD_CACHE_SIZE:]:
+        world.distance_field(goal)
+    assert len(world._fields) == FIELD_CACHE_SIZE
+    assert goals[0] in world._fields
+    assert goals[1] not in world._fields and goals[2] not in world._fields
+    assert world.distance_field(goals[0]) is fields[goals[0]]
+    refetched = world.distance_field(goals[1])
+    assert refetched is not fields[goals[1]]
+    assert np.array_equal(refetched, fields[goals[1]])
+
+
+def test_plan_path_same_on_cache_hit_as_on_fresh_world():
+    rng = np.random.default_rng(5)
+    grid = rng.random((14, 14)) < 0.25
+    free = np.argwhere(~grid)
+    warm = GridWorld(grid=grid, cell_m=0.25)
+    for _ in range(40):
+        a, b = rng.choice(len(free), size=2, replace=False)
+        start = center_pose(warm, (int(free[a][1]), int(free[a][0])))
+        goal = center_pose(warm, (int(free[b][1]), int(free[b][0])))
+        first = plan_path(warm, start, goal)
+        assert plan_path(warm, start, goal) == first
+        assert plan_path(GridWorld(grid=grid, cell_m=0.25), start, goal) == first
+
+
+def test_world_equality_ignores_field_cache():
+    grid = np.zeros((4, 5), dtype=bool)
+    filled = GridWorld(grid=grid, cell_m=0.25)
+    empty = GridWorld(grid=grid, cell_m=0.25)
+    for col in range(5):
+        filled.distance_field((col, 0))
+    assert filled == empty
+    assert repr(filled) == repr(empty)
+
+
 # ----------------------------------------------------------------------
 # Field of view
 
@@ -330,9 +400,29 @@ def test_episode_skips_unreachable_candidate():
     result = execute_episode("", "sofa", memory, world, k=2,
                              encode=lambda _: query,
                              start=center_pose(world, (0, 0)))
-    assert any("m_trapped" in note for note in result.notes)
+    assert world.distance_field((4, 0))[0, 0] == -1
+    assert result.notes == ["skipped m_trapped: unreachable"]
     assert len(result.visited) == 1
     assert result.stop_pose == near
+
+
+def test_episode_skips_walled_in_goal():
+    world = parse_world(".....\n.###.\n.#.#.\n.###.\n.....\n\nob1 sofa 4 4\n")
+    enclosed = center_pose(world, (2, 2))
+    corner = center_pose(world, (4, 3), theta=math.pi / 2.0)
+    basis = unit_rows(2)
+    memory = [MemoryEntry("m_enclosed", enclosed, basis[0]),
+              MemoryEntry("m_corner", corner, basis[1])]
+    query = 0.9 * basis[0] + 0.4358898943540674 * basis[1]
+    start = center_pose(world, (0, 0))
+    assert world.distance_field((2, 2))[0, 0] == -1
+    result = execute_episode("", "sofa", memory, world, k=2,
+                             encode=lambda _: query, start=start)
+    assert result.ranked_ids == ["m_enclosed", "m_corner"]
+    assert result.notes == ["skipped m_enclosed: unreachable"]
+    assert result.visited == [corner]
+    assert result.path_cells == 7
+    assert result.object_in_fov is True
 
 
 def test_episode_all_unreachable():
@@ -375,6 +465,34 @@ def test_episode_deterministic():
                             start=center_pose(world, (0, 0)))
             for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def test_episodes_identical_on_warm_and_fresh_worlds():
+    rng = np.random.default_rng(17)
+    grid = rng.random((12, 12)) < 0.25
+    free = [(int(c), int(r)) for r, c in np.argwhere(~grid)]
+    picks = rng.choice(len(free), size=14, replace=False)
+    objects = (WorldObject("ob1", "sofa", free[picks[0]]),
+               WorldObject("ob2", "sofa", free[picks[1]]))
+    basis = unit_rows(8)
+    world = GridWorld(grid=grid, cell_m=0.25, objects=objects)
+    memory = [MemoryEntry(f"m{i}", center_pose(world, free[p], theta=float(i)), basis[i])
+              for i, p in enumerate(picks[2:10])]
+    calls = []
+    for p in picks[10:]:
+        vec = rng.normal(size=8)
+        calls.append((vec / np.linalg.norm(vec), center_pose(world, free[p])))
+
+    def run(target):
+        return [episode_to_json(execute_episode("Where is the sofa?", "sofa", memory,
+                                                target, k=4, encode=lambda _, v=vec: v,
+                                                start=start))
+                for vec, start in calls]
+
+    cold = run(world)
+    assert run(world) == cold
+    assert run(GridWorld(grid=grid, cell_m=0.25, objects=objects)) == cold
+    assert sum(record["path_cells"] for record in cold) > 0
 
 
 def test_episode_rank_ties_break_by_id():
