@@ -5,10 +5,11 @@ against named parameter leaves.  All values are dense float64 numpy arrays.
 Shapes are inferred and validated at construction time, so shape bugs surface
 when a node is created, not when the graph runs.
 
-Ops act on the trailing axes of their operands, and leading axes broadcast,
-in shape inference and backward alike: matmul multiplies the last two axes,
-transpose swaps them, slice_columns slices the last, and a second operand
-may broadcast over leading axes and from size-1 axes.  So one graph serves a
+Every op acts on the trailing axes of its operands, and leading axes
+broadcast, in shape inference and backward alike: matmul multiplies the last
+two axes, transpose swaps them, the axis of sum, softmax, concat or slice is
+counted from the end of the operand's own shape, and a second operand may
+broadcast over leading axes and from size-1 axes.  So one graph serves a
 stack of B images as well as one.
 
 Every forward closure also accepts values that carry extra leading axes in
@@ -137,8 +138,10 @@ class Frame:
 
     values[i] is node i's array, or None where it has not run or, for an
     input, is not bound yet; bound maps leaf index to each value the binding
-    gave beyond the build-time ones; unchecked holds the nodes that ran
-    under check=False and are not yet known finite.
+    gave beyond the build-time ones, and is the graph's current binding
+    while the frame is its latest, so inputs bound into the frame later join
+    that binding too; unchecked holds the nodes that ran under check=False
+    and are not yet known finite.
     """
 
     values: list
@@ -524,22 +527,6 @@ class Graph:
 
         return self._register("layer_norm", (a, s), a.shape, forward, backward)
 
-    def row_divide(self, a: Node, s: Node) -> Node:
-        """Divide each row of a rank-2 operand by the matching scalar in s."""
-        if len(a.shape) != 2 or s.shape != (a.shape[0],):
-            raise ShapeError(f"row_divide: expected (n, d) and (n,), got {a.shape} and {s.shape}")
-        ia, isx = a.index, s.index
-
-        def forward(v):
-            return v[ia] / v[isx][..., None]
-
-        def backward(v, g):
-            x, s_val = v[ia], v[isx]
-            return ((ia, g / s_val[:, None]),
-                    (isx, -(g * x).sum(axis=1) / (s_val * s_val)))
-
-        return self._register("row_divide", (a, s), a.shape, forward, backward)
-
     # ------------------------------------------------------------------
     # Structural ops
 
@@ -595,51 +582,25 @@ class Graph:
 
         return self._register("concat", tuple(nodes), shape, forward, backward)
 
-    def gather(self, a: Node, indices: Sequence[int], axis: int = 0) -> Node:
-        """Select rows (axis 0) or columns (axis 1) by index, duplicates allowed."""
-        if len(a.shape) != 2:
-            raise ShapeError(f"gather: operand must be rank 2, got {a.shape}")
-        if axis not in (0, 1):
-            raise ShapeError("gather: axis must be 0 or 1")
-        idx = np.asarray(list(indices), dtype=np.intp)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ShapeError("gather: indices must be a non-empty 1-d sequence")
-        if idx.min() < 0 or idx.max() >= a.shape[axis]:
-            raise ShapeError(f"gather: index out of range for axis {axis} of shape {a.shape}")
+    def slice(self, a: Node, start: int, stop: int, axis: int = -1) -> Node:
+        """Entries [start, stop) along one of a's own axes; the extra leading
+        axes of a value pass through."""
+        if not -len(a.shape) <= axis < len(a.shape) or not 0 <= start < stop <= a.shape[axis]:
+            raise ShapeError(f"slice: bad range [{start}, {stop}) on axis {axis} "
+                             f"of shape {a.shape}")
+        axis = axis % len(a.shape) - len(a.shape)
         ia = a.index
         in_shape = a.shape
-        shape = (len(idx), in_shape[1]) if axis == 0 else (in_shape[0], len(idx))
-
-        def forward(v):
-            return v[ia][..., idx, :] if axis == 0 else v[ia][..., idx]
+        index = (Ellipsis, slice(start, stop)) + (slice(None),) * (-1 - axis)
+        shape = list(in_shape)
+        shape[axis] = stop - start
 
         def backward(v, g):
             out = np.zeros(in_shape)
-            if axis == 0:
-                np.add.at(out, idx, g)
-            else:
-                np.add.at(out.T, idx, g.T)
+            out[index] = g
             return ((ia, out),)
 
-        return self._register("gather", (a,), shape, forward, backward)
-
-    def slice_columns(self, a: Node, start: int, stop: int) -> Node:
-        """Entries [start, stop) of the last axis."""
-        if len(a.shape) < 2 or not 0 <= start < stop <= a.shape[-1]:
-            raise ShapeError(f"slice_columns: bad range [{start}, {stop}) for shape {a.shape}")
-        ia = a.index
-        in_shape = a.shape
-
-        def forward(v):
-            return v[ia][..., start:stop]
-
-        def backward(v, g):
-            out = np.zeros(in_shape)
-            out[..., start:stop] = g
-            return ((ia, out),)
-
-        return self._register("slice_columns", (a,), a.shape[:-1] + (stop - start,),
-                              forward, backward)
+        return self._register("slice", (a,), tuple(shape), lambda v: v[ia][index], backward)
 
     # ------------------------------------------------------------------
     # Execution

@@ -22,7 +22,7 @@ from .navsim import (FovParams, MemoryEntry, Pose, execute_episode, load_world,
 from .objectives import (Annotation, AnnotationSet, LossWeights, TrainExample,
                          total_loss_graph)
 from .promptgen import (StubGenerationClient, convert_detection_dataset, load_dataset,
-                        save_dataset)
+                        read_lines, save_dataset)
 from .retrieval import (average_recall, batch_topk, load_ground_truth,
                         load_index, query_scores, save_index, top_rows)
 
@@ -141,21 +141,20 @@ def _load_records(path: str, parse: Callable[[dict], Any]) -> list:
     """Each nonblank line of a JSONL file, a JSON object, passed through
     parse; a bad line raises ValueError naming the file and the line."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError(f"expected a JSON object, got {type(record).__name__}")
-                records.append(parse(record))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: bad JSON record ({exc.msg})")
-            except KeyError as exc:
-                raise ValueError(f"{path}: line {lineno}: missing key {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+            records.append(parse(record))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {lineno}: bad JSON record ({exc.msg})")
+        except KeyError as exc:
+            raise ValueError(f"{path}: line {lineno}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return records
 
 

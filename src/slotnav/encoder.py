@@ -258,9 +258,9 @@ def _transformer_block(g: Graph, bind: Binding, x: Node, blk: str, heads: int) -
     outputs = []
     scale = 1.0 / np.sqrt(dh)
     for i in range(heads):
-        q = g.slice_columns(qkv, i * dh, (i + 1) * dh)
-        key = g.slice_columns(qkv, d + i * dh, d + (i + 1) * dh)
-        v = g.slice_columns(qkv, 2 * d + i * dh, 2 * d + (i + 1) * dh)
+        q = g.slice(qkv, i * dh, (i + 1) * dh)
+        key = g.slice(qkv, d + i * dh, d + (i + 1) * dh)
+        v = g.slice(qkv, 2 * d + i * dh, 2 * d + (i + 1) * dh)
         attn = g.softmax(g.affine(g.matmul(q, g.transpose(key)), scale, 0.0), axis=-1)
         outputs.append(g.matmul(attn, v))
     merged = outputs[0] if heads == 1 else g.concat(outputs, axis=-1)
@@ -271,7 +271,9 @@ def _transformer_block(g: Graph, bind: Binding, x: Node, blk: str, heads: int) -
 
 
 def _normalize_rows(g: Graph, x: Node) -> Node:
-    return g.row_divide(x, g.sqrt(g.sum(g.multiply(x, x), axis=-1)))
+    """x divided by its Euclidean norm along the last axis."""
+    norms = g.sqrt(g.sum(g.multiply(x, x), axis=-1))
+    return g.divide(x, g.reshape(norms, x.shape[:-1] + (1,)))
 
 
 def _images(node: Node) -> int:
@@ -297,7 +299,7 @@ def build_image_tokens(g: Graph, bind: Binding, image: Array,
 def _patch_tokens(g: Graph, bind: Binding, patches: Node,
                   config: EncoderConfig) -> tuple[Node, Node]:
     x = _linear(g, bind, patches, "img.patch")
-    x = g.add(x, g.gather(bind("img.pos"), range(patches.shape[-2]), axis=0))
+    x = g.add(x, g.slice(bind("img.pos"), 0, patches.shape[-2], axis=-2))
     for i in range(config.depth):
         x = _transformer_block(g, bind, x, f"img.blk{i}", config.heads)
     tokens = _layer_norm(g, bind, x, "img.ln_out")
@@ -351,10 +353,10 @@ def build_box_head(g: Graph, bind: Binding, slots: Node) -> Node:
     h = g.gelu(_linear(g, bind, slots, "box.l0"))
     h = g.gelu(_linear(g, bind, h, "box.l1"))
     raw = g.sigmoid(_linear(g, bind, h, "box.l2"))
-    cx = g.slice_columns(raw, 0, 1)
-    cy = g.slice_columns(raw, 1, 2)
-    half_w = g.affine(g.slice_columns(raw, 2, 3), 0.5, 0.0)
-    half_h = g.affine(g.slice_columns(raw, 3, 4), 0.5, 0.0)
+    cx = g.slice(raw, 0, 1)
+    cy = g.slice(raw, 1, 2)
+    half_w = g.affine(g.slice(raw, 2, 3), 0.5, 0.0)
+    half_h = g.affine(g.slice(raw, 3, 4), 0.5, 0.0)
     zero = g.constant(0.0, name="box.zero")
     one = g.constant(1.0, name="box.one")
 
@@ -412,7 +414,7 @@ def build_text_embedding(g: Graph, bind: Binding, rows: Node,
                          config: EncoderConfig) -> Node:
     """Text tower over rows, the frozen embedding table's rows of a query's
     token ids, one per token."""
-    x = g.add(rows, g.gather(bind(TEXT_PREFIX + "pos"), range(rows.shape[0]), axis=0))
+    x = g.add(rows, g.slice(bind(TEXT_PREFIX + "pos"), 0, rows.shape[0], axis=-2))
     x = _transformer_block(g, bind, x, TEXT_PREFIX + "blk0", config.heads)
     x = _layer_norm(g, bind, x, TEXT_PREFIX + "ln_out")
     pooled = g.reshape(g.mean(x, axis=0), (1, config.dim))

@@ -16,7 +16,7 @@ from .encoder import (EncoderConfig, check_field_types, encode_text, image_embed
                       init_params, read_ppm)
 from .objectives import (Annotation, AnnotationSet, LossReport, LossWeights,
                          TrainExample, format_loss_line, total_loss, total_loss_graph)
-from .promptgen import CaptionRecord, build_prompt, load_dataset
+from .promptgen import CaptionRecord, build_prompt, load_dataset, read_lines
 from .retrieval import GroundTruth, average_recall, batch_topk, build_index
 
 Array = np.ndarray
@@ -92,23 +92,22 @@ def parse_config_file(path: str) -> TrainConfig:
     top: dict = {}
     weights: dict = {}
     encoder: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected key = value")
-            key, text = (part.strip() for part in line.split("=", 1))
-            target, name = (top, key)
-            if key.startswith("weights."):
-                target, name = weights, key[len("weights."):]
-            elif key.startswith("encoder."):
-                target, name = encoder, key[len("encoder."):]
-            try:
-                target[name] = json.loads(text)
-            except json.JSONDecodeError:
-                raise ValueError(f"{path}: line {lineno}: bad value {text!r}")
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {lineno}: expected key = value")
+        key, text = (part.strip() for part in line.split("=", 1))
+        target, name = (top, key)
+        if key.startswith("weights."):
+            target, name = weights, key[len("weights."):]
+        elif key.startswith("encoder."):
+            target, name = encoder, key[len("encoder."):]
+        try:
+            target[name] = json.loads(text)
+        except json.JSONDecodeError:
+            raise ValueError(f"{path}: line {lineno}: bad value {text!r}")
     try:
         return config_from_dict({**top, "weights": weights, "encoder": encoder})
     except (TypeError, ValueError) as exc:

@@ -60,16 +60,20 @@ class WorldObject:
         return self.cell[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridWorld:
-    """Rectangular occupancy grid plus object instances, in map meters."""
+    """Rectangular occupancy grid plus object instances, in map meters.
+
+    The world holds a read-only copy of the grid it is given, and compares
+    and hashes by value: the grid's shape and cells, cell_m and objects.
+    """
 
     grid: Array
     cell_m: float
     objects: tuple[WorldObject, ...] = ()
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=bool)
+        grid = np.array(self.grid, dtype=bool)
         if grid.ndim != 2 or grid.size == 0:
             raise ValueError("occupancy grid must be a nonempty 2-d array")
         if self.cell_m <= 0.0:
@@ -87,6 +91,15 @@ class GridWorld:
                 raise ValueError(f"object {obj.object_id!r} outside the grid")
             if not self._viewable(obj.cell):
                 raise ValueError(f"object {obj.object_id!r} has no adjacent free cell")
+
+    def _key(self) -> tuple:
+        return (self.grid.shape, self.grid.tobytes(), self.cell_m, self.objects)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GridWorld) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def _viewable(self, cell: Cell) -> bool:
         if not self.occupied(cell):

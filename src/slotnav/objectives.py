@@ -25,8 +25,8 @@ from typing import MutableMapping, Sequence
 import numpy as np
 
 from .autodiff import Frame, Graph, GraphCache, Node, ParamStore, derive_seed
-from .encoder import (Binding, EncoderConfig, build_image_embedding, check_field_types,
-                      encode_text, patchify, sample_slots)
+from .encoder import (Binding, EncoderConfig, _normalize_rows, build_image_embedding,
+                      check_field_types, encode_text, patchify, sample_slots)
 
 Array = np.ndarray
 
@@ -354,7 +354,7 @@ def _symmetric_ce(g: Graph, image_rows: Node, text_rows: Node, tau: float) -> No
 
 
 def _column(g: Graph, boxes: Node, j: int) -> Node:
-    return g.slice_columns(boxes, j, j + 1)
+    return g.slice(boxes, j, j + 1)
 
 
 def _giou_columns(g: Graph, pred: Node, gt: Node) -> Node:
@@ -404,9 +404,12 @@ def multilabel_contrastive_loss(slots: Array, text_embeddings: Array,
     texts = np.atleast_2d(np.asarray(text_embeddings, dtype=np.float64))
     if not assignment.pairs:
         return MultilabelLoss(value=0.0, empty=True)
+    rows = [i for i, _ in assignment.pairs]
+    if not all(0 <= i < len(slots) for i in rows):
+        raise ValueError(f"assignment names slots {rows}, but there are {len(slots)}")
     g = Graph()
     bind = Binding(g, store, trainable=False)
-    matched = g.gather(g.constant(slots), [i for i, _ in assignment.pairs], axis=0)
+    matched = g.constant(slots[rows])
     targets = g.constant(_onehot([j for _, j in assignment.pairs], len(texts)))
     node = _multilabel_node(g, bind, matched, g.constant(texts), targets, tau)
     return MultilabelLoss(value=float(g.evaluate(node)), empty=False)
@@ -417,8 +420,7 @@ def _multilabel_node(g: Graph, bind: Binding, matched: Node, all_texts: Node,
     """Shared builder: project matched slot rows, normalize, CE against all
     texts, row r's target being the text where one-hot row r holds 1."""
     projected = g.add(g.matmul(matched, bind("mc.proj.w")), bind("mc.proj.b"))
-    norms = g.sqrt(g.sum(g.multiply(projected, projected), axis=1))
-    unit = g.row_divide(projected, norms)
+    unit = _normalize_rows(g, projected)
     logits = g.affine(g.matmul(unit, g.transpose(all_texts)), 1.0 / tau, 0.0)
     return _ce_rows(g, logits, targets)
 
@@ -437,7 +439,8 @@ class TrainExample:
 
 @dataclass
 class TotalLossGraph:
-    """Differentiable total loss plus the evaluated per-component report.
+    """Differentiable total loss, its evaluated per-component report and
+    each image's box assignment.
 
     frame holds this step's binding and the values of every node the report
     evaluated, for graph.gradient(total, frame=frame).  The graph may serve
@@ -449,8 +452,6 @@ class TotalLossGraph:
     total: Node
     report: LossReport
     assignments: list[Assignment]
-    components: dict[str, Node]
-    concatenated_captions: list[str]
     frame: Frame
 
 
@@ -600,7 +601,7 @@ def total_loss_graph(batch: Sequence[TrainExample], store: ParamStore,
                         L_GIoU=float(values[2]), L_MC=float(values[3]),
                         total=float(values[4]))
     return TotalLossGraph(graph=g, total=step.total, report=report, assignments=assignments,
-                          components=dict(c), concatenated_captions=cat_texts, frame=frame)
+                          frame=frame)
 
 
 def total_loss(batch: Sequence[TrainExample], store: ParamStore, weights: LossWeights,

@@ -6,7 +6,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -276,17 +276,35 @@ def save_dataset(records: Sequence[CaptionRecord], path: str) -> None:
             fh.write(json.dumps(record_to_json(record), sort_keys=True) + "\n")
 
 
+def read_lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 text file, read in text mode; a byte that is not
+    UTF-8 raises ValueError naming the file and the line that holds it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        # Text mode decodes ahead of the lines it yields, so the line comes
+        # from where a decode of the whole file stops.
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{path}: line {line}: not UTF-8 text ({exc})") from None
+        raise
+
+
 def load_dataset(path: str) -> list[CaptionRecord]:
     """Read a line-delimited JSON dataset, validating every record."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(record_from_json(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(record_from_json(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return records
 
 
@@ -342,6 +360,6 @@ def convert_detection_lines(lines: Iterable[str], count: int,
 
 def convert_detection_dataset(path: str, count: int,
                               client: GenerationClient) -> ConversionReport:
-    """File-path form of convert_detection_lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return convert_detection_lines(fh, count, client)
+    """File-path form of convert_detection_lines; a file that is not UTF-8
+    text is an error, not a skipped line."""
+    return convert_detection_lines(read_lines(path), count, client)

@@ -10,6 +10,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .encoder import Embedding
+from .promptgen import read_lines
 
 Array = np.ndarray
 
@@ -230,19 +231,16 @@ def save_ground_truth(gt: GroundTruth, path: str) -> None:
 def load_ground_truth(path: str, index: EmbeddingIndex | None = None) -> GroundTruth:
     """Read tab-separated relevance pairs, optionally checking ids exist."""
     relevant: dict[str, set[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected query<tab>image")
-            relevant.setdefault(parts[0], set()).add(parts[1])
-    if index is not None:
-        known = set(index.ids)
-        for qid, iids in relevant.items():
-            unknown = iids - known
-            if unknown:
-                raise ValueError(f"query {qid!r} references unknown ids {sorted(unknown)}")
+    known = None if index is None else set(index.ids)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{path}: line {lineno}: expected query<tab>image")
+        if known is not None and parts[1] not in known:
+            raise ValueError(f"{path}: line {lineno}: query {parts[0]!r} "
+                             f"references unknown id {parts[1]!r}")
+        relevant.setdefault(parts[0], set()).add(parts[1])
     return GroundTruth(relevant={q: frozenset(s) for q, s in relevant.items()})

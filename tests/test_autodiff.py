@@ -238,9 +238,10 @@ def _unary_cases():
         ("layer_norm", lambda g, x: g.layer_norm(x), None),
         ("transpose", lambda g, x: g.transpose(x), None),
         ("reshape", lambda g, x: g.reshape(x, (6, 2)), None),
-        ("gather_rows", lambda g, x: g.gather(x, [2, 0, 2], axis=0), None),
-        ("gather_cols", lambda g, x: g.gather(x, [3, 3, 1], axis=1), None),
-        ("slice_columns", lambda g, x: g.slice_columns(x, 1, 3), None),
+        ("slice_last", lambda g, x: g.slice(x, 1, 3), None),
+        ("slice_rows", lambda g, x: g.slice(x, 1, 3, axis=-2), None),
+        ("slice_stacked_rows", lambda g, x: g.slice(g.reshape(x, (2, 3, 2)), 0, 2, axis=-2),
+         None),
         ("sum_axis", lambda g, x: g.sum(x, axis=0), None),
         ("mean_axis", lambda g, x: g.mean(x, axis=1), None),
         ("mean_all", lambda g, x: g.mean(x), None),
@@ -329,7 +330,7 @@ def test_ops_act_on_trailing_axes_and_broadcast_leading_ones():
     own = g.matmul(x, stack)
     ratio = g.divide(own, col)
     gram = g.matmul(g.transpose(own), shared)
-    cols = g.slice_columns(x, 1, 3)
+    cols = g.slice(x, 1, 3)
     assert shared.shape == own.shape == ratio.shape == cols.shape == (3, 4, 2)
     assert g.transpose(x).shape == (3, 5, 4) and gram.shape == (3, 2, 2)
 
@@ -358,23 +359,9 @@ def test_ops_act_on_trailing_axes_and_broadcast_leading_ones():
         g.divide(col, own)
     with pytest.raises(ShapeError):
         g.add(x, g.constant(np.zeros((2, 1, 5))))
-
-
-def test_row_divide_gradient():
-    rng = np.random.default_rng(7)
-    g = Graph()
-    a = g.parameter("a", rng.normal(size=(4, 3)))
-    s = g.parameter("s", np.abs(rng.normal(size=4)) + 1.0)
-    loss = g.sum(g.multiply(g.row_divide(a, s), g.constant(rng.normal(size=(4, 3)))))
-    assert g.finite_difference_check(loss, step=1e-6).passed
-
-
-def test_gather_accumulates_duplicate_indices():
-    g = Graph()
-    x = g.parameter("x", np.arange(6.0).reshape(3, 2))
-    out = g.gather(x, [1, 1], axis=0)
-    report = g.gradient(g.sum(out))
-    assert np.array_equal(report.gradients["x"], [[0, 0], [2, 2], [0, 0]])
+    for start, stop, axis in ((0, 5, -2), (2, 2, -1), (0, 1, 3), (0, 1, -4)):
+        with pytest.raises(ShapeError):
+            g.slice(x, start, stop, axis=axis)
 
 
 def test_scalar_broadcast_against_matrix():
@@ -663,12 +650,14 @@ def test_a_bound_selection_matrix_picks_rows_as_gather_does():
     picked = g.matmul(select, t)
     by_matrix = g.sum(g.multiply(picked, g.tanh(picked)))
     h = Graph()
-    u = h.gather(h.parameter("t", table), rows)
+    u = h.parameter("u", table[rows])
     by_index = h.sum(h.multiply(u, h.tanh(u)))
     g.bind({select: np.eye(5)[rows]})
     got, want = g.gradient(by_matrix), h.gradient(by_index)
+    scattered = np.zeros_like(table)
+    scattered[rows] = want.gradients["u"]
     assert got.value == want.value
-    assert got.gradients["t"].tobytes() == want.gradients["t"].tobytes()
+    assert got.gradients["t"].tobytes() == scattered.tobytes()
     assert g.finite_difference_check(by_matrix).passed
 
 

@@ -499,3 +499,79 @@ def test_malformed_world_names_the_line(bundle, tmp_path, capsys):
     assert err.startswith("error:")
     assert "bad_world.txt" in err
     assert "line 2" in err
+
+
+# ----------------------------------------------------------------------
+# Text input that is not UTF-8
+
+NOT_UTF8 = b"\xff\xfe bad\n"
+
+
+def _append_bad_line(src, dst):
+    """dst holds src's lines and then a line that is not UTF-8; returns its
+    line number."""
+    text = src.read_bytes()
+    dst.write_bytes(text + NOT_UTF8)
+    return text.count(b"\n") + 1
+
+
+def _assert_names(capsys, path, line):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line {line}: "), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["nav_memory_poses.jsonl", "nav_queries.jsonl"])
+def test_nav_eval_input_that_is_not_utf8_names_its_file_and_line(bundle, tmp_path, capsys,
+                                                                  name):
+    fx = bundle["fx"]
+    paths = {n: fx / n for n in ("nav_memory_poses.jsonl", "nav_queries.jsonl")}
+    paths[name] = tmp_path / name
+    line = _append_bad_line(fx / name, paths[name])
+    assert main(["nav-eval", "--world", str(fx / "world.txt"),
+                 "--memory", str(fx / "nav_memory.lze"),
+                 "--poses", str(paths["nav_memory_poses.jsonl"]),
+                 "--queries", str(paths["nav_queries.jsonl"]),
+                 "--query-index", str(fx / "nav_queries.lze")]) == 1
+    _assert_names(capsys, paths[name], line)
+
+
+def test_train_dataset_that_is_not_utf8_names_its_file_and_line(bundle, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for entry in bundle["fx"].iterdir():
+        (data / entry.name).write_bytes(entry.read_bytes())
+    line = _append_bad_line(bundle["fx"] / "dataset.jsonl", data / "dataset.jsonl")
+    assert main(["--config", str(bundle["cfg"]), "train", "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 1
+    _assert_names(capsys, data / "dataset.jsonl", line)
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_that_is_not_utf8_names_its_file_and_line(bundle, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    line = _append_bad_line(bundle["cfg"], cfg)
+    assert main(["--config", str(cfg), "train", "--data", str(bundle["fx"]),
+                 "--out", str(tmp_path / "run")]) == 1
+    _assert_names(capsys, cfg, line)
+
+
+def test_augment_detections_that_are_not_utf8_are_a_file_error(bundle, tmp_path, capsys):
+    detections = tmp_path / "det.jsonl"
+    line = _append_bad_line(bundle["fx"] / "detection.jsonl", detections)
+    assert main(["augment", "--detections", str(detections),
+                 "--out", str(tmp_path / "out.jsonl")]) == 1
+    _assert_names(capsys, detections, line)
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_eval_retrieval_gt_naming_an_unknown_id_names_its_file_and_line(bundle, tmp_path,
+                                                                        capsys):
+    fx = bundle["fx"]
+    gt = tmp_path / "gt.tsv"
+    line = (fx / "ortho_gt.tsv").read_text(encoding="utf-8").count("\n") + 1
+    gt.write_text((fx / "ortho_gt.tsv").read_text(encoding="utf-8") + "q0\titemZZZ\n",
+                  encoding="utf-8")
+    assert main(["eval-retrieval", "--index", str(fx / "ortho_index.lze"),
+                 "--queries", str(fx / "ortho_queries.lze"), "--gt", str(gt)]) == 1
+    _assert_names(capsys, gt, line)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slotnav import encoder
-from slotnav.autodiff import Graph, GraphCache, derive_seed
+from slotnav.autodiff import Graph, GraphCache, ParamStore, derive_seed
 from slotnav.encoder import (
     Binding,
     EncoderConfig,
@@ -15,6 +15,7 @@ from slotnav.encoder import (
     build_image_embedding,
     build_image_tokens,
     build_slot_attention,
+    build_text_embedding,
     encode_text,
     image_embedding,
     init_params,
@@ -330,6 +331,36 @@ def test_embedding_path_gradients_match_finite_differences():
     report = g.finite_difference_check(target, step=1e-5, tolerance=1e-4)
     assert report.passed, f"max rel error {report.max_relative_error:.3e}"
     assert report.checked_coordinates > 0
+
+
+def test_positional_slices_pass_no_gradient_beyond_their_rows():
+    # A stack of two images of four patches each reads the first four rows
+    # of a six-row table, and a two-token query the first two of sixteen.
+    cfg = EncoderConfig(max_tokens=6)
+    store = ParamStore(dict(init_params(cfg, seed=5).items()))
+    g = Graph()
+    bind = Binding(g, store, trainable=True)
+    images = np.stack([random_image(1), random_image(2)])
+    slots0 = np.stack([sample_slots(cfg, 3), sample_slots(cfg, 4)])
+    nodes = build_image_embedding(g, bind, images, cfg, slots0)
+    text = build_text_embedding(g, bind, g.constant(store["txt.embed"][[3, 7]]), cfg)
+    grads = g.gradient(g.sum(g.multiply(nodes["embedding"], text))).gradients
+    for name, rows in (("img.pos", 4), ("txt.pos", 2)):
+        assert grads[name].shape == store[name].shape
+        assert np.all(grads[name][rows:] == 0.0), name
+        assert np.all(np.any(grads[name][:rows] != 0.0, axis=1)), name
+
+
+def test_normalize_rows_of_a_stack_and_its_gradient():
+    rng = np.random.default_rng(31)
+    g = Graph()
+    x = g.parameter("x", rng.normal(size=(2, 3, 4)))
+    unit = encoder._normalize_rows(g, x)
+    assert np.allclose(np.linalg.norm(g.evaluate(unit), axis=-1), 1.0, rtol=0, atol=1e-12)
+    loss = g.sum(g.multiply(unit, g.constant(rng.normal(size=(2, 3, 4)))))
+    report = g.finite_difference_check(loss, step=1e-6)
+    assert report.passed, f"max rel error {report.max_relative_error:.3e}"
+    assert (report.checked_coordinates, report.skipped_coordinates) == (24, 0)
 
 
 def test_ppm_roundtrip(tmp_path):

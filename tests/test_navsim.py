@@ -269,6 +269,29 @@ def test_world_equality_ignores_field_cache():
     assert repr(filled) == repr(empty)
 
 
+def test_world_keeps_its_own_copy_of_the_grid():
+    grid = np.zeros((3, 4), dtype=bool)
+    world = GridWorld(grid=grid, cell_m=0.25)
+    grid[0, 0] = True
+    assert grid[0, 0] and not world.occupied((0, 0))
+    assert not world.grid.flags.writeable
+
+
+def test_worlds_over_equal_grids_are_equal_and_hash_alike():
+    grid = np.zeros((3, 4), dtype=bool)
+    grid[1, 2] = True
+    objects = (WorldObject(object_id="o1", noun="cup", cell=(0, 0)),)
+    a = GridWorld(grid=grid, cell_m=0.25, objects=objects)
+    b = GridWorld(grid=grid.copy(), cell_m=0.25, objects=objects)
+    assert a == b and hash(a) == hash(b)
+    assert {a: "seen"}[b] == "seen"
+    assert a != GridWorld(grid=grid.T.copy(), cell_m=0.25, objects=objects)
+    assert a != GridWorld(grid=grid.reshape(4, 3), cell_m=0.25, objects=objects)
+    assert a != GridWorld(grid=grid, cell_m=0.5, objects=objects)
+    assert a != GridWorld(grid=grid, cell_m=0.25)
+    assert a != grid
+
+
 # ----------------------------------------------------------------------
 # Field of view
 

@@ -404,6 +404,16 @@ def test_multilabel_loss_ignores_unmatched_slots():
     assert a.value == b.value
 
 
+def test_multilabel_loss_rejects_a_slot_outside_the_slots():
+    cfg, store = _identity_projection_store()
+    texts = np.zeros((1, cfg.dim))
+    for slot in (2, -1):
+        with pytest.raises(ValueError):
+            multilabel_contrastive_loss(np.zeros((2, cfg.slot_dim)), texts,
+                                        Assignment(pairs=((slot, 0),), unmatched_slots=(),
+                                                   cost=0.0), store)
+
+
 def test_multilabel_loss_empty_assignment_flag():
     cfg, store = _identity_projection_store()
     out = multilabel_contrastive_loss(np.zeros((2, cfg.slot_dim)), np.zeros((1, cfg.dim)),

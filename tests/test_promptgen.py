@@ -9,7 +9,7 @@ from slotnav.promptgen import (STUB_SENTENCE_BANK, CaptionedObject,
                                PromptTemplate, StubGenerationClient, build_prompt,
                                convert_detection_dataset, convert_detection_lines,
                                load_dataset, noun_to_sentences, parse_prompt,
-                               save_dataset, sentence_to_noun)
+                               read_lines, save_dataset, sentence_to_noun)
 
 
 class ScriptedClient(GenerationClient):
@@ -262,3 +262,13 @@ def test_convert_file_form(tmp_path):
     assert len(report.records) == 1
     assert report.records[0].objects[0].captions == [
         "sofa", "Where is the sofa?", "I am looking for a sofa."]
+
+
+def test_read_lines_reads_as_text_mode_and_names_the_line_of_a_bad_byte(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(b"a\r\nb\rc\n\xe2\x80\xa8d\n")
+    assert list(read_lines(str(path))) == ["a\n", "b\n", "c\n", "\u2028d\n"]
+    # Far past the first block text mode decodes, and inside a later one.
+    path.write_bytes(b"0123456789\n" * 3000 + b"ok \xff\n" + b"more\n")
+    with pytest.raises(ValueError, match=f"^{path}: line 3001: not UTF-8 text"):
+        list(read_lines(str(path)))
