@@ -183,7 +183,8 @@ def cmd_index(args) -> int:
     store, config = _load_run(args.run)
     records = load_dataset(os.path.join(args.data, "dataset.jsonl"))
     # One image in memory at a time, so memory does not grow with the corpus.
-    examples = (dataset_examples([r], load_image_dir([r], args.data))[0] for r in records)
+    examples = (dataset_examples([r], load_image_dir([r], args.data, config.encoder))[0]
+                for r in records)
     index = embed_images(examples, [r.image_id for r in records], store, config)
     save_index(index, args.out)
     print(f"indexed {len(records)}")

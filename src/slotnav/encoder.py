@@ -8,9 +8,13 @@ hash-tokenized into a tiny frozen transformer.  Everything is expressed on
 the autodiff graph so the objectives module can differentiate end to end.
 Inference runs the same graphs with parameters as constants:
 image_embedding runs the whole image pathway training differentiates, and
-encode_text the text tower.  Each builds its graph once per shape, keeps a
-bounded number of them, and on every call binds the store's parameters and
-the call's data into a new frame, which it evaluates once.
+encode_text the text tower.  encode_text builds its graph once per token
+count, and image_embedding once per patch count, so images of different
+sizes with the same count share a graph; image data enters only through
+input leaves, so a graph keeps no image of its own, only its latest call's
+binding.  Each keeps a bounded number of graphs, and on every call binds
+the store's parameters and the call's data into a new frame, which it
+evaluates once.
 run_slot_attention runs slot attention alone on a token matrix, for the
 slot-attention invariant tests.
 """
@@ -227,15 +231,31 @@ class Binding:
 # Graph builders
 
 
+def _grid(shape: tuple[int, ...], patch_size: int) -> tuple[tuple[int, ...], int, int]:
+    """Leading axes and patch rows and columns of an H×W×3 image, or a stack
+    of them, of this shape; ValueError unless its sides are multiples of
+    patch_size."""
+    if len(shape) < 3 or shape[-1] != 3:
+        raise ValueError(f"expected an H×W×3 image, got shape {shape}")
+    *lead, h, w, _ = shape
+    if h % patch_size or w % patch_size:
+        raise ValueError(f"image {h}×{w} not divisible by patch size {patch_size}")
+    return tuple(lead), h // patch_size, w // patch_size
+
+
+def patch_shape(shape: Sequence[int], config: EncoderConfig) -> tuple[int, ...]:
+    """Shape of patchify's output for an image, or a stack, of this shape;
+    ValueError unless its patch count also fits max_tokens."""
+    lead, gh, gw = _grid(tuple(shape), config.patch_size)
+    if gh * gw > config.max_tokens:
+        raise ValueError(f"{gh * gw} patches exceed max_tokens={config.max_tokens}")
+    return (*lead, gh * gw, config.patch_size * config.patch_size * 3)
+
+
 def patchify(image: Array, patch_size: int) -> Array:
     """Split an H×W×3 image, or a stack of them, into flattened row-major patches."""
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim < 3 or image.shape[-1] != 3:
-        raise ValueError(f"expected an H×W×3 image, got shape {image.shape}")
-    *lead, h, w, _ = image.shape
-    if h % patch_size or w % patch_size:
-        raise ValueError(f"image {h}×{w} not divisible by patch size {patch_size}")
-    gh, gw = h // patch_size, w // patch_size
+    lead, gh, gw = _grid(image.shape, patch_size)
     tiles = image.reshape(*lead, gh, patch_size, gw, patch_size, 3)
     r = len(lead)
     tiles = tiles.transpose(*range(r), r, r + 2, r + 1, r + 3, r + 4)
@@ -281,19 +301,13 @@ def _images(node: Node) -> int:
     return math.prod(node.shape[:-2])
 
 
-def _patches(image: Array, config: EncoderConfig) -> Array:
-    patches = patchify(image, config.patch_size)
-    n = patches.shape[-2]
-    if n > config.max_tokens:
-        raise ValueError(f"{n} patches exceed max_tokens={config.max_tokens}")
-    return patches
-
-
 def build_image_tokens(g: Graph, bind: Binding, image: Array,
                        config: EncoderConfig) -> tuple[Node, Node]:
     """Patch transformer over one H×W×3 image or a B×H×W×3 stack; returns
     tokens (N×D or B×N×D) and pooled (1×D or B×D)."""
-    return _patch_tokens(g, bind, g.constant(_patches(image, config), name="patches"), config)
+    patch_shape(np.shape(image), config)
+    return _patch_tokens(g, bind, g.constant(patchify(image, config.patch_size),
+                                             name="patches"), config)
 
 
 def _patch_tokens(g: Graph, bind: Binding, patches: Node,
@@ -382,10 +396,12 @@ def build_aggregate(g: Graph, bind: Binding, pooled: Node, slots: Node,
 def build_image_embedding(g: Graph, bind: Binding, image: Array,
                           config: EncoderConfig, initial_slots: Array) -> dict[str, object]:
     """Full image pathway over one image or a stack of same-size images;
-    returns the named nodes downstream consumers need, among them the data
-    leaves "patches" and "slots0", which a call rebinds."""
-    patches = g.constant(_patches(image, config), name="patches")
-    slots0 = g.constant(np.asarray(initial_slots, dtype=np.float64), name="slots0")
+    returns the named nodes downstream consumers need, among them the input
+    leaves "patches" and "slots0", which every evaluation binds.  Only the
+    shapes of image and initial_slots are read, so the graph is built from
+    no image's data and serves every image with the same patch count."""
+    patches = g.input(patch_shape(np.shape(image), config), name="patches")
+    slots0 = g.input(np.shape(initial_slots), name="slots0")
     tokens, pooled = _patch_tokens(g, bind, patches, config)
     slots, traces = build_slot_attention(g, bind, tokens, slots0, config.slot_iters, config)
     boxes = build_box_head(g, bind, slots)
@@ -471,9 +487,10 @@ def _runner(g: Graph, bind: Binding, leaves: Sequence[Node], outputs: list[Node]
     return run
 
 
-# Inference graphs by (config, token count) and by (config, image shape).
+# Inference graphs by (config, token count) and by (config, patch shape):
+# images of different sizes with the same patch count share a graph.
 _TEXT_GRAPHS = GraphCache(maxsize=16)
-_IMAGE_GRAPHS = GraphCache(maxsize=16)
+_IMAGE_GRAPHS = GraphCache(maxsize=32)
 
 
 def encode_text(query: str, store: ParamStore, config: EncoderConfig) -> Embedding:
@@ -494,7 +511,7 @@ def image_embedding(image: Array, store: ParamStore, config: EncoderConfig,
                     seed: int | None = None) -> tuple[Embedding, BoxSet, SlotState]:
     """End-to-end inference for one image through the graph training
     differentiates, evaluated once."""
-    patches = _patches(image, config)
+    shape = patch_shape(np.shape(image), config)
     slots0 = _seeded_slots(config, seed)
 
     def build():
@@ -505,8 +522,8 @@ def image_embedding(image: Array, store: ParamStore, config: EncoderConfig,
                        [nodes["embedding"], nodes["boxes"]]
                        + [n for trace in nodes["traces"] for n in trace])
 
-    run = _IMAGE_GRAPHS.get((config, np.shape(image)), build)
-    embedding, boxes, *traces = run(store, patches, slots0)
+    run = _IMAGE_GRAPHS.get((config, shape), build)
+    embedding, boxes, *traces = run(store, patchify(image, config.patch_size), slots0)
     return Embedding(vector=embedding.reshape(-1)), BoxSet(boxes=boxes), _slot_state(traces)
 
 

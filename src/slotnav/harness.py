@@ -13,7 +13,7 @@ import numpy as np
 
 from .autodiff import EvaluationError, GraphCache, ParamStore, derive_seed, save_checkpoint
 from .encoder import (EncoderConfig, check_field_types, encode_text, image_embedding,
-                      init_params, read_ppm)
+                      init_params, patch_shape, read_ppm)
 from .objectives import (Annotation, AnnotationSet, LossReport, LossWeights,
                          TrainExample, format_loss_line, total_loss, total_loss_graph)
 from .promptgen import CaptionRecord, build_prompt, load_dataset, read_lines
@@ -134,10 +134,20 @@ def dataset_examples(records: Sequence[CaptionRecord],
     return examples
 
 
-def load_image_dir(records: Sequence[CaptionRecord], data_dir: str) -> dict[str, Array]:
-    """Read {image_id}.ppm for every record."""
-    return {r.image_id: read_ppm(os.path.join(data_dir, f"{r.image_id}.ppm"))
-            for r in records}
+def load_image_dir(records: Sequence[CaptionRecord], data_dir: str,
+                   config: EncoderConfig | None = None) -> dict[str, Array]:
+    """Read {image_id}.ppm for every record.  Given an encoder config, an
+    image it cannot patch raises ValueError naming the file."""
+    images = {}
+    for r in records:
+        path = os.path.join(data_dir, f"{r.image_id}.ppm")
+        images[r.image_id] = image = read_ppm(path)
+        if config is not None:
+            try:
+                patch_shape(image.shape, config)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+    return images
 
 
 def hash_inputs(paths: Sequence[str]) -> str:
@@ -263,7 +273,7 @@ def train(data_dir: str, config: TrainConfig, out_dir: str) -> RunManifest:
     """Train from a dataset directory and write checkpoint, log, manifest."""
     dataset_path = os.path.join(data_dir, "dataset.jsonl")
     records = load_dataset(dataset_path)
-    images = load_image_dir(records, data_dir)
+    images = load_image_dir(records, data_dir, config.encoder)
     examples = dataset_examples(records, images)
     store, reports = train_on_examples(examples, config)
 

@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from slotnav import harness
-from slotnav.autodiff import Graph
+from slotnav import encoder, harness
+from slotnav.autodiff import Graph, GraphCache
 from slotnav.cli import _load_run, main
-from slotnav.encoder import TEXT_PREFIX
+from slotnav.encoder import TEXT_PREFIX, write_ppm
 from slotnav.promptgen import load_dataset
 from slotnav.retrieval import load_index, save_index
 
@@ -136,6 +136,40 @@ def test_index_reads_one_image_at_a_time(bundle, tmp_path, monkeypatch, capsys):
                  "--out", str(index_path)]) == 0
     assert events == ["read", "embed"] * len(records)
     assert index_path.read_bytes() == expected.read_bytes()
+
+
+def _bundle_copy(bundle, tmp_path):
+    """A copy of the fixture bundle, and its records."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for entry in bundle["fx"].iterdir():
+        (data / entry.name).write_bytes(entry.read_bytes())
+    return data, load_dataset(str(data / "dataset.jsonl"))
+
+
+def test_index_of_mixed_sizes_builds_one_graph_per_patch_count(bundle, tmp_path,
+                                                               monkeypatch, capsys):
+    data, records = _bundle_copy(bundle, tmp_path)
+    # Patch counts 4, 8, 4, 9, 4, 64, 8, 9 at patch size 8: no two
+    # neighbours share one, so a one-graph cache builds a graph per image.
+    sides = [(16, 16), (16, 32), (8, 32), (24, 24), (32, 8), (64, 64), (32, 16), (72, 8)]
+    rng = np.random.default_rng(12)
+    for record, (h, w) in zip(records, sides, strict=True):
+        write_ppm(str(data / f"{record.image_id}.ppm"), rng.random((h, w, 3)))
+    built = []
+    build = encoder.build_image_embedding
+    monkeypatch.setattr(encoder, "build_image_embedding",
+                        lambda g, bind, image, *rest: built.append(np.shape(image))
+                        or build(g, bind, image, *rest))
+    argv = ["index", "--run", str(bundle["run"]), "--data", str(data), "--out"]
+    monkeypatch.setattr(encoder, "_IMAGE_GRAPHS", GraphCache(maxsize=32))
+    assert main(argv + [str(tmp_path / "shared.lze")]) == 0
+    assert len(built) == 4
+    monkeypatch.setattr(encoder, "_IMAGE_GRAPHS", GraphCache(maxsize=1))
+    assert main(argv + [str(tmp_path / "cold.lze")]) == 0
+    assert len(built) == 4 + len(records)
+    capsys.readouterr()
+    assert (tmp_path / "shared.lze").read_bytes() == (tmp_path / "cold.lze").read_bytes()
 
 
 def test_retrieve_on_orthonormal_fixture(bundle, capsys):
@@ -434,18 +468,33 @@ def test_checkpoint_that_does_not_match_its_config_exits_one(bundle, tmp_path, c
 
 
 def test_index_over_a_malformed_image_exits_one_and_names_it(bundle, tmp_path, capsys):
-    data = tmp_path / "data"
-    data.mkdir()
-    for entry in bundle["fx"].iterdir():
-        (data / entry.name).write_bytes(entry.read_bytes())
-    first = load_dataset(str(data / "dataset.jsonl"))[0].image_id
-    image = data / f"{first}.ppm"
+    data, records = _bundle_copy(bundle, tmp_path)
+    image = data / f"{records[0].image_id}.ppm"
     image.write_bytes(image.read_bytes()[:-1])
     assert main(["index", "--run", str(bundle["run"]), "--data", str(data),
                  "--out", str(tmp_path / "imgs.lze")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {image}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("side, message", [(20, "image 20×20 not divisible by patch size 8"),
+                                           (72, "81 patches exceed max_tokens=64")],
+                         ids=["indivisible", "too_many_patches"])
+@pytest.mark.parametrize("command", ["index", "train"])
+def test_image_the_encoder_cannot_patch_exits_one_and_names_it(bundle, tmp_path, capsys,
+                                                               command, side, message):
+    data, records = _bundle_copy(bundle, tmp_path)
+    image = data / f"{records[-1].image_id}.ppm"
+    write_ppm(str(image), np.full((side, side, 3), 0.5))
+    out = tmp_path / "out"
+    argv = (["index", "--run", str(bundle["run"]), "--data", str(data), "--out", str(out)]
+            if command == "index" else
+            ["--config", str(bundle["cfg"]), "train", "--data", str(data), "--out", str(out)])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {image}: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", ['lr = "abc"', 'weights.tau = "x"', "encoder.num_slots = 2.5",
@@ -537,10 +586,7 @@ def test_nav_eval_input_that_is_not_utf8_names_its_file_and_line(bundle, tmp_pat
 
 
 def test_train_dataset_that_is_not_utf8_names_its_file_and_line(bundle, tmp_path, capsys):
-    data = tmp_path / "data"
-    data.mkdir()
-    for entry in bundle["fx"].iterdir():
-        (data / entry.name).write_bytes(entry.read_bytes())
+    data, _ = _bundle_copy(bundle, tmp_path)
     line = _append_bad_line(bundle["fx"] / "dataset.jsonl", data / "dataset.jsonl")
     assert main(["--config", str(bundle["cfg"]), "train", "--data", str(data),
                  "--out", str(tmp_path / "run")]) == 1

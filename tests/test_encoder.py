@@ -39,6 +39,13 @@ def random_image(seed, size=16):
     return np.random.default_rng(seed).random((size, size, 3))
 
 
+def bind_image(g, nodes, images, slots0, config=DESK):
+    """Bind an image graph's data leaves to images and slots0; the binding
+    becomes the graph's current one."""
+    return g.bind({nodes["patches"]: patchify(images, config.patch_size),
+                   nodes["slots0"]: slots0})
+
+
 def test_patchify_layout_is_row_major_tiles():
     image = np.arange(2 * 4 * 3, dtype=float).reshape(2, 4, 3)
     patches = patchify(image, 2)
@@ -226,11 +233,46 @@ def test_image_embedding_builds_one_graph_and_evaluates_it_once(desk_store, monk
     monkeypatch.setattr(encoder, "_IMAGE_GRAPHS", GraphCache(maxsize=2))
     image_embedding(random_image(12), desk_store, DESK, seed=3)
     assert calls == {"graphs": 1, "evaluate": 1}
-    # The graph is built once per image shape; each call evaluates it once.
+    # The graph is built once per patch count; each call evaluates it once.
     image_embedding(random_image(13), desk_store, DESK, seed=4)
     assert calls == {"graphs": 1, "evaluate": 2}
     image_embedding(random_image(14)[:8], desk_store, DESK, seed=4)
     assert calls == {"graphs": 2, "evaluate": 3}
+
+
+def test_images_with_one_patch_count_share_a_graph_exactly(desk_store, monkeypatch):
+    rng = np.random.default_rng(61)
+    images = [rng.random(shape) for shape in ((16, 16, 3), (8, 32, 3), (32, 8, 3))]
+    built = []
+    build = encoder.build_image_embedding
+
+    def counted(g, bind, image, config, initial_slots):
+        built.append(np.shape(image))
+        return build(g, bind, image, config, initial_slots)
+
+    monkeypatch.setattr(encoder, "build_image_embedding", counted)
+    monkeypatch.setattr(encoder, "_IMAGE_GRAPHS", GraphCache(maxsize=32))
+    shared = [image_embedding(image, desk_store, DESK, seed=7 + i)
+              for i, image in enumerate(images)]
+    assert built == [(16, 16, 3)]
+    for i, (image, (emb, boxes, state)) in enumerate(zip(images, shared)):
+        monkeypatch.setattr(encoder, "_IMAGE_GRAPHS", GraphCache(maxsize=1))
+        cold_emb, cold_boxes, cold_state = image_embedding(image, desk_store, DESK, seed=7 + i)
+        assert emb.vector.tobytes() == cold_emb.vector.tobytes()
+        assert boxes.boxes.tobytes() == cold_boxes.boxes.tobytes()
+        assert len(state.history) == len(cold_state.history) == DESK.slot_iters
+        for ours, cold in zip(state.history, cold_state.history):
+            for field in ("slots", "attention", "weights"):
+                assert getattr(ours, field).tobytes() == getattr(cold, field).tobytes()
+    assert len(built) == 1 + len(images)
+
+
+def test_a_built_image_graph_holds_no_image_data(desk_store):
+    g = Graph()
+    nodes = build_image_embedding(g, Binding(g, desk_store, trainable=False),
+                                  random_image(1), DESK, sample_slots(DESK, 2))
+    with pytest.raises(ValueError, match="input patches is not bound"):
+        g.evaluate(nodes["embedding"])
 
 
 def staged_image_embedding(image, store, config, seed):
@@ -291,6 +333,7 @@ def test_image_stack_gives_each_image_its_one_image_values(desk_store):
     g = Graph()
     stack = build_image_embedding(g, Binding(g, desk_store), np.stack(images), DESK,
                                   np.stack(slots0))
+    bind_image(g, stack, np.stack(images), np.stack(slots0))
     keys = ("tokens", "pooled", "slots", "boxes", "embedding")
     batched = dict(zip(keys, g.evaluate([stack[k] for k in keys])))
     assert batched["tokens"].shape == (4, 4, DESK.dim)
@@ -299,6 +342,7 @@ def test_image_stack_gives_each_image_its_one_image_values(desk_store):
     for b in range(4):
         h = Graph()
         one = build_image_embedding(h, Binding(h, desk_store), images[b], DESK, slots0[b])
+        bind_image(h, one, images[b], slots0[b])
         alone = dict(zip(keys, h.evaluate([one[k] for k in keys])))
         assert alone["pooled"].shape == alone["embedding"].shape == (1, DESK.dim)
         for k in keys:
@@ -324,8 +368,9 @@ def test_embedding_path_gradients_match_finite_differences():
     rng = np.random.default_rng(23)
     g = Graph()
     bind = Binding(g, store, trainable=True)
-    nodes = build_image_embedding(g, bind, rng.random((16, 16, 3)), cfg,
-                                  sample_slots(cfg, 29))
+    image, slots0 = rng.random((16, 16, 3)), sample_slots(cfg, 29)
+    nodes = build_image_embedding(g, bind, image, cfg, slots0)
+    bind_image(g, nodes, image, slots0, cfg)
     probe = g.constant(rng.normal(size=(1, cfg.dim)))
     target = g.sum(g.multiply(nodes["embedding"], probe))
     report = g.finite_difference_check(target, step=1e-5, tolerance=1e-4)
@@ -343,6 +388,7 @@ def test_positional_slices_pass_no_gradient_beyond_their_rows():
     images = np.stack([random_image(1), random_image(2)])
     slots0 = np.stack([sample_slots(cfg, 3), sample_slots(cfg, 4)])
     nodes = build_image_embedding(g, bind, images, cfg, slots0)
+    bind_image(g, nodes, images, slots0, cfg)
     text = build_text_embedding(g, bind, g.constant(store["txt.embed"][[3, 7]]), cfg)
     grads = g.gradient(g.sum(g.multiply(nodes["embedding"], text))).gradients
     for name, rows in (("img.pos", 4), ("txt.pos", 2)):
