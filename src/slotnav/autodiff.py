@@ -140,13 +140,11 @@ class Frame:
     input, is not bound yet; bound maps leaf index to each value the binding
     gave beyond the build-time ones, and is the graph's current binding
     while the frame is its latest, so inputs bound into the frame later join
-    that binding too; unchecked holds the nodes that ran under check=False
-    and are not yet known finite.
+    that binding too.
     """
 
     values: list
     bound: dict[int, Array]
-    unchecked: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -622,33 +620,25 @@ class Graph:
             order = self._orders[key] = sorted(seen)
         return order
 
-    def _run(self, order: Sequence[int], frame: Frame, check: bool = True) -> None:
+    def _run(self, order: Sequence[int], frame: Frame) -> None:
         """Run the nodes of order that have no value in frame yet.
 
-        With check, every node of order is known finite afterwards: a node
-        that runs is checked as it runs, and one that ran earlier under
-        check=False is checked from its stored value, in the same ascending
-        order, so the first non-finite node is the one named.  An input the
-        frame has not bound raises ValueError naming it.
+        Each node is checked finite as it runs, in ascending order, so the
+        first non-finite node is the one named.  An input the frame has not
+        bound raises ValueError naming it.
         """
         forward = self._forward
-        values, unchecked = frame.values, frame.unchecked
+        values = frame.values
         with np.errstate(all="ignore"):
             for i in order:
-                out = values[i]
-                if out is None:
-                    try:
-                        out = values[i] = forward[i](values)
-                    except TypeError:
-                        if forward[i] is None:
-                            raise ValueError(f"input {self._names[i]} is not bound") from None
-                        raise
-                    if not check:
-                        unchecked.add(i)
-                        continue
-                elif not (check and i in unchecked):
+                if values[i] is not None:
                     continue
-                unchecked.discard(i)
+                try:
+                    out = values[i] = forward[i](values)
+                except TypeError:
+                    if forward[i] is None:
+                        raise ValueError(f"input {self._names[i]} is not bound") from None
+                    raise
                 if not _finite(out):
                     raise EvaluationError(f"non-finite value in node {self._names[i]}")
 
@@ -661,12 +651,10 @@ class Graph:
                              "nodes were added")
         return frame
 
-    def evaluate(self, outputs: Node | Sequence[Node], check: bool = True,
-                 frame: Frame | None = None):
+    def evaluate(self, outputs: Node | Sequence[Node], frame: Frame | None = None):
         """Evaluate one node (returns its array) or several (returns a list).
 
-        With check=False, non-finite intermediates flow through instead of
-        raising, so callers can report which result went bad.  Given a frame,
+        A non-finite node raises EvaluationError naming it.  Given a frame,
         only nodes without a value in it run; without one, a new frame over
         the current binding.
         """
@@ -676,7 +664,7 @@ class Graph:
             if n.graph is not self:
                 raise ValueError("output node belongs to a different graph")
         frame = self._frame_for(frame)
-        self._run(self._ancestors([n.index for n in nodes]), frame, check=check)
+        self._run(self._ancestors([n.index for n in nodes]), frame)
         results = [frame.values[n.index] for n in nodes]
         return results[0] if single else results
 
@@ -983,10 +971,6 @@ class ParamStore:
 
     def copy(self) -> "ParamStore":
         return ParamStore({n: v.copy() for n, v in self._values.items()}, frozen=self.frozen)
-
-    def coordinate_count(self, trainable_only: bool = True) -> int:
-        names = self.trainable_names() if trainable_only else self.names()
-        return int(sum(self._values[n].size for n in names))
 
 
 def save_checkpoint(store: ParamStore | Mapping[str, Array], path) -> None:

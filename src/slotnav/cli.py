@@ -21,8 +21,7 @@ from .navsim import (FovParams, MemoryEntry, Pose, execute_episode, load_world,
                      save_episode_log, success_rate)
 from .objectives import (Annotation, AnnotationSet, LossWeights, TrainExample,
                          total_loss_graph)
-from .promptgen import (StubGenerationClient, convert_detection_dataset, load_dataset,
-                        read_lines, save_dataset)
+from .promptgen import convert_detection_dataset, load_dataset, read_lines, save_dataset
 from .retrieval import (average_recall, batch_topk, load_ground_truth,
                         load_index, query_scores, save_index, top_rows)
 
@@ -227,8 +226,7 @@ def cmd_eval_retrieval(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    report = convert_detection_dataset(args.detections, args.count,
-                                       StubGenerationClient(seed=args.seed or 0))
+    report = convert_detection_dataset(args.detections, args.count, seed=args.seed or 0)
     save_dataset(report.records, args.out)
     for lineno, message in report.errors:
         print(f"skipped {args.detections}: line {lineno}: {message}", file=sys.stderr)

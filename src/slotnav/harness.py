@@ -165,9 +165,6 @@ def hash_inputs(paths: Sequence[str]) -> str:
 # ----------------------------------------------------------------------
 # Training
 
-_COMPONENTS = ("L_C", "L_L1", "L_GIoU", "L_MC", "total")
-
-
 def train_step(store: ParamStore, batch: Sequence[TrainExample],
                config: TrainConfig, step: int,
                text_cache: MutableMapping[str, Array] | None = None,
@@ -184,9 +181,6 @@ def train_step(store: ParamStore, batch: Sequence[TrainExample],
         built = total_loss_graph(batch, store, config.weights, config.encoder,
                                  seed, text_cache, graphs)
         report = built.report
-        for name in _COMPONENTS:
-            if not math.isfinite(getattr(report, name)):
-                raise RuntimeError(f"non-finite loss component {name} at step {step}")
         lr_t = learning_rate(config, step)
         if lr_t != 0.0:
             grads = built.graph.gradient(built.total, parameters=store.trainable_names(),

@@ -595,8 +595,7 @@ def total_loss_graph(batch: Sequence[TrainExample], store: ParamStore,
             step.inputs["targets"]: _onehot(targets, first)}, frame=frame)
 
     c = step.components
-    values = g.evaluate([c["L_C"], c["L_L1"], c["L_GIoU"], c["L_MC"], step.total],
-                        check=False, frame=frame)
+    values = g.evaluate([c["L_C"], c["L_L1"], c["L_GIoU"], c["L_MC"], step.total], frame=frame)
     report = LossReport(L_C=float(values[0]), L_L1=float(values[1]),
                         L_GIoU=float(values[2]), L_MC=float(values[3]),
                         total=float(values[4]))

@@ -1,10 +1,9 @@
-"""Prompt building and text-generation plumbing for caption augmentation."""
+"""Prompts, caption records and seeded caption augmentation."""
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -16,78 +15,24 @@ Array = np.ndarray
 
 
 # ----------------------------------------------------------------------
-# Prompt template
+# Prompts
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    """Noun-first prompt layout with a reversible separator."""
-
-    separator: str = ". "
-
-    def __post_init__(self) -> None:
-        if not self.separator:
-            raise ValueError("separator must be nonempty")
+PROMPT_SEPARATOR = ". "
 
 
-DEFAULT_TEMPLATE = PromptTemplate()
-
-
-def build_prompt(noun: str, sentence: str | None = None,
-                 template: PromptTemplate = DEFAULT_TEMPLATE) -> str:
+def build_prompt(noun: str, sentence: str | None = None) -> str:
     """Format the object noun, then the sentence when one is present."""
     if not noun:
         raise ValueError("noun must be nonempty")
-    if template.separator in noun:
+    if PROMPT_SEPARATOR in noun:
         raise ValueError("noun may not contain the prompt separator")
     if sentence is None:
         return noun
-    return noun + template.separator + sentence
-
-
-def parse_prompt(text: str,
-                 template: PromptTemplate = DEFAULT_TEMPLATE) -> tuple[str, str | None]:
-    """Invert build_prompt; the first separator splits noun from sentence."""
-    if template.separator in text:
-        noun, sentence = text.split(template.separator, 1)
-        return noun, sentence
-    return text, None
+    return noun + PROMPT_SEPARATOR + sentence
 
 
 # ----------------------------------------------------------------------
-# Generation clients
-
-class GenerationError(RuntimeError):
-    """Generation failed; carries whatever was produced before the failure."""
-
-    def __init__(self, message: str, partial: Sequence[str] = ()) -> None:
-        super().__init__(message)
-        self.partial = list(partial)
-
-
-class GenerationClient:
-    """Single-owner generation session with per-noun history."""
-
-    def __init__(self, retries: int = 2) -> None:
-        self.retries = int(retries)
-        self.history: list[str] = []
-        self._noun: str | None = None
-
-    def begin_noun(self, noun: str) -> None:
-        """Start (or continue) the session for a noun; a new noun resets history."""
-        if noun != self._noun:
-            self._noun = noun
-            self.history = []
-            self._session_reset()
-
-    def _session_reset(self) -> None:
-        pass
-
-    def generate_sentence(self, noun: str) -> str:
-        raise NotImplementedError
-
-    def generate_noun(self, sentence: str) -> str:
-        raise NotImplementedError
-
+# Caption generation
 
 STUB_SENTENCE_BANK = (
     "Where is the {noun}?",
@@ -104,87 +49,23 @@ STUB_SENTENCE_BANK = (
     "Which way is the {noun}?",
 )
 
-_STOPWORDS = frozenset(
-    "the a an is are was were am i you we my your me it this that of to in on "
-    "at for with and or where what which how who can could would please there "
-    "here nearby around down up".split())
 
+def noun_to_sentences(noun: str, count: int, seed: int = 0, start: int = 0) -> list[str]:
+    """Sentences start .. start + count - 1 about the noun, all distinct.
 
-class StubGenerationClient(GenerationClient):
-    """Offline client: fixed template bank, then seeded numbered variations."""
-
-    def __init__(self, seed: int = 0, retries: int = 2) -> None:
-        super().__init__(retries=retries)
-        self.seed = int(seed)
-        self._variation = 0
-
-    def _session_reset(self) -> None:
-        self._variation = 0
-
-    def generate_sentence(self, noun: str) -> str:
-        for template in STUB_SENTENCE_BANK:
-            sentence = template.format(noun=noun)
-            if sentence not in self.history:
-                return sentence
-        # Bank exhausted: numbered variations, offset by the session seed so
-        # different seeds diverge while the same seed replays exactly.
-        base = derive_seed(self.seed, "variation", 0) % 1000
-        self._variation += 1
-        return f"Tell me where the {noun} is, variation {base + self._variation}."
-
-    def generate_noun(self, sentence: str) -> str:
-        if not sentence:
-            raise GenerationError("empty sentence")
-        tokens = [t.strip(".,!?;:'\"()") for t in sentence.split()]
-        words = [t for t in tokens if t and t.replace("-", "").isalpha()]
-        content = [w for w in words if w.lower() not in _STOPWORDS]
-        if content:
-            return content[-1].lower()
-        if words:
-            return words[-1].lower()
-        raise GenerationError(f"no noun-like token in {sentence!r}")
-
-
-# ----------------------------------------------------------------------
-# Generation operations
-
-def noun_to_sentences(noun: str, count: int, client: GenerationClient) -> list[str]:
-    """Generate count distinct sentences about the noun, tracking history."""
+    Sentence i fills template i of STUB_SENTENCE_BANK; past the bank come
+    numbered variations, offset by the seed so different seeds diverge while
+    the same seed replays exactly.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     if not noun:
         raise ValueError("noun must be nonempty")
-    client.begin_noun(noun)
-    out: list[str] = []
-    while len(out) < count:
-        sentence: str | None = None
-        try:
-            for _ in range(client.retries + 1):
-                candidate = client.generate_sentence(noun)
-                if candidate not in client.history:
-                    sentence = candidate
-                    break
-        except GenerationError as exc:
-            raise GenerationError(str(exc), partial=out) from exc
-        if sentence is None:
-            warnings.warn(f"dropped duplicate generations for {noun!r} after "
-                          f"{client.retries + 1} attempts", stacklevel=2)
-            break
-        client.history.append(sentence)
-        out.append(sentence)
-    return out
-
-
-def sentence_to_noun(sentence: str, client: GenerationClient) -> str:
-    """Reduce a sentence to a short noun phrase, at most four words."""
-    if not sentence:
-        raise ValueError("sentence must be nonempty")
-    try:
-        noun = client.generate_noun(sentence)
-    except GenerationError as exc:
-        raise GenerationError(f"noun extraction failed for {sentence!r}: {exc}") from exc
-    words = noun.split()
-    return " ".join(words[:4])
+    bank = len(STUB_SENTENCE_BANK)
+    base = derive_seed(seed, "variation", 0) % 1000
+    return [STUB_SENTENCE_BANK[i].format(noun=noun) if i < bank
+            else f"Tell me where the {noun} is, variation {base + i - bank + 1}."
+            for i in range(start, start + count)]
 
 
 # ----------------------------------------------------------------------
@@ -325,16 +206,21 @@ class ConversionReport:
 
 
 def convert_detection_lines(lines: Iterable[str], count: int,
-                            client: GenerationClient) -> ConversionReport:
+                            seed: int = 0) -> ConversionReport:
     """Augment detection records (noun + box) into multi-caption records.
 
     Caption 0 stays the raw noun; the next count captions come from
-    noun_to_sentences. Malformed lines are skipped and reported.
+    noun_to_sentences.  A run of consecutive objects with one noun, in file
+    order and across lines, continues one numbering, so its captions never
+    repeat; any other noun starts again at sentence 0.  The objects of a line
+    that is then skipped count too.  Malformed lines are skipped and
+    reported.
     """
     if count < 1:
         raise ValueError("caption count must be >= 1")
     records: list[CaptionRecord] = []
     errors: list[tuple[int, str]] = []
+    run_noun, run_length = None, 0
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -344,7 +230,9 @@ def convert_detection_lines(lines: Iterable[str], count: int,
             objects = []
             for entry in data["objects"]:
                 noun = entry["noun"]
-                captions = [noun] + noun_to_sentences(noun, count, client)
+                start = run_length if noun == run_noun else 0
+                captions = [noun] + noun_to_sentences(noun, count, seed, start)
+                run_noun, run_length = noun, start + count
                 objects.append(CaptionedObject(noun=noun, box=entry["box"],
                                                captions=captions))
             records.append(CaptionRecord(
@@ -358,8 +246,7 @@ def convert_detection_lines(lines: Iterable[str], count: int,
     return ConversionReport(records=records, errors=errors)
 
 
-def convert_detection_dataset(path: str, count: int,
-                              client: GenerationClient) -> ConversionReport:
+def convert_detection_dataset(path: str, count: int, seed: int = 0) -> ConversionReport:
     """File-path form of convert_detection_lines; a file that is not UTF-8
     text is an error, not a skipped line."""
-    return convert_detection_lines(read_lines(path), count, client)
+    return convert_detection_lines(read_lines(path), count, seed)

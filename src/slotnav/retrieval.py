@@ -5,7 +5,7 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -100,12 +100,6 @@ def build_index(embeddings: Sequence[Array] | Array,
                           ids=tuple(str(i) for i in ids))
 
 
-def index_from_embeddings(items: Iterable[tuple[str, Embedding]]) -> EmbeddingIndex:
-    """Build an index from (id, embedding) pairs produced by the encoder."""
-    pairs = list(items)
-    return build_index([e.vector for _, e in pairs], [i for i, _ in pairs])
-
-
 # ----------------------------------------------------------------------
 # Search
 
@@ -143,9 +137,6 @@ def topk_images(query: Embedding | Array, index: EmbeddingIndex, k: int) -> list
     """Ids of the k most similar images, descending similarity."""
     return [index.ids[i] for i in top_rows(query_scores(query, index), index.ids, k)]
 
-
-# Image-to-text search ranks the same way, with the texts as the index.
-topk_texts = topk_images
 
 
 def batch_topk(queries: EmbeddingIndex, items: EmbeddingIndex,

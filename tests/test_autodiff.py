@@ -76,23 +76,6 @@ def test_frame_extension_runs_only_the_new_nodes():
     assert value == g.evaluate(head)
 
 
-def test_gradient_from_frame_checks_nodes_evaluated_unchecked():
-    g = Graph()
-    x = g.parameter("x", [1.0, 2.0])
-    tower = g.exp(x)
-    # Both head nodes are non-finite; the first, in ascending order, is named.
-    head = g.log(g.affine(tower, -1.0, 0.0))
-    total = g.sum(head)
-    frame = g.bind()
-    g.evaluate(tower, frame=frame)
-    g.evaluate([head, total], check=False, frame=frame)
-    with pytest.raises(EvaluationError) as reused:
-        g.gradient(total, frame=frame)
-    with pytest.raises(EvaluationError) as fresh:
-        g.gradient(total)
-    assert str(reused.value) == str(fresh.value) == f"non-finite value in node {head.name}"
-
-
 def test_gradient_of_square():
     g = Graph()
     x = g.parameter("x", 3.0)
@@ -530,8 +513,6 @@ def test_param_store_freezing():
     dup = store.copy()
     dup["w"] = np.zeros(2)
     assert np.array_equal(store["w"], np.ones(2))
-    assert store.coordinate_count() == 2
-    assert store.coordinate_count(trainable_only=False) == 4
 
 
 def test_derive_seed_is_stable_and_salted():
@@ -574,7 +555,6 @@ def test_non_finite_entries_are_caught_by_every_check(bad):
     g.bind({x: np.isfinite(bad).astype(float)})
     with pytest.raises(EvaluationError, match=f"node {out.name}$"):
         g.evaluate(out)
-    assert np.array_equal(g.evaluate(out, check=False), bad, equal_nan=True)
 
 
 def test_divergence_names_the_first_bad_node_after_an_overflowing_sum():

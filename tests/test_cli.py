@@ -90,6 +90,18 @@ def test_train_runs_in_one_process_share_nothing(bundle, tmp_path, capsys):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_train_divergence_in_the_loss_head_names_its_node_and_step(bundle, tmp_path,
+                                                                   capsys):
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("weights.alpha = 1e308\nweights.beta = 1e308\n"
+                   "total_steps = 2\nbatch_size = 4\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "train", "--data", str(bundle["fx"]),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: non-finite value in node \S+ at step 0\n", err)
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------------
 # index and retrieve
 
@@ -242,6 +254,52 @@ def test_augment_reports_malformed_lines(tmp_path, capsys):
     out = lines_of(capsys)
     assert "records 0" in out
     assert "errors 1" in out
+
+
+def test_augment_numbers_a_run_of_one_noun_across_objects_and_lines(tmp_path, capsys):
+    # convert_detection_lines through its command: consecutive objects with
+    # one noun continue its numbering, within a line and across lines, and
+    # line 3's good lamp consumes sentences although its bad box skips the
+    # line.  Any other noun restarts at sentence 0.
+    def line(image_id, *objects):
+        return json.dumps({"image_id": image_id, "width": 16, "height": 16,
+                           "objects": [{"noun": n, "box": list(box)} for n, box in objects]})
+
+    ok, bad = (0.1, 0.1, 0.5, 0.5), (0.5, 0.0, 0.2, 1.0)
+    detections = tmp_path / "det.jsonl"
+    detections.write_text("\n".join([
+        line("a", ("sofa", ok), ("sofa", ok), ("lamp", ok)),
+        line("b", ("lamp", ok)),
+        line("c", ("lamp", ok), ("lamp", bad)),
+        line("d", ("lamp", ok), ("sofa", ok))]) + "\n", encoding="utf-8")
+    out = tmp_path / "aug.jsonl"
+    assert main(["augment", "--detections", str(detections), "--out", str(out),
+                 "--count", "2"]) == 0
+    assert capsys.readouterr().err == (
+        f"skipped {detections}: line 3: invalid normalized box [0.5, 0.0, 0.2, 1.0]\n")
+    assert [(r.image_id, [o.captions for o in r.objects]) for r in load_dataset(str(out))] == [
+        ("a", [["sofa", "Where is the sofa?", "I am looking for a sofa."],
+               ["sofa", "Can you find the sofa?", "Please take me to the sofa."],
+               ["lamp", "Where is the lamp?", "I am looking for a lamp."]]),
+        ("b", [["lamp", "Can you find the lamp?", "Please take me to the lamp."]]),
+        ("d", [["lamp", "Do you see a lamp around here?", "Head over to the lamp."],
+               ["sofa", "Where is the sofa?", "I am looking for a sofa."]])]
+
+    # Past the 12-sentence bank the numbered variations start at the seed's
+    # base, here 555 for seed 3, and the second cup continues them.
+    detections.write_text(line("e", ("cup", ok)) + "\n" + line("f", ("cup", ok)) + "\n",
+                          encoding="utf-8")
+    assert main(["--seed", "3", "augment", "--detections", str(detections),
+                 "--out", str(out), "--count", "15"]) == 0
+    e, f = [r.objects[0].captions for r in load_dataset(str(out))]
+    assert e[1:13] == [s.format(noun="cup") for s in (
+        "Where is the {noun}?", "I am looking for a {noun}.", "Can you find the {noun}?",
+        "Please take me to the {noun}.", "Is there a {noun} nearby?",
+        "Show me where the {noun} is.", "I need to use the {noun}.", "Guide me to the {noun}.",
+        "Do you see a {noun} around here?", "Head over to the {noun}.",
+        "I want to check on the {noun}.", "Which way is the {noun}?")]
+    assert e[13:] + f[1:] == [f"Tell me where the cup is, variation {v}."
+                              for v in range(567, 585)]
 
 
 # ----------------------------------------------------------------------

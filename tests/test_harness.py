@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from slotnav import harness
-from slotnav.autodiff import Graph, derive_seed, load_checkpoint
+from slotnav.autodiff import EvaluationError, Graph, derive_seed, load_checkpoint
 from slotnav.encoder import EncoderConfig, init_params
 from slotnav.fixtures import training_images, training_records, write_fixture_bundle
 from slotnav.harness import (AblationReport, ConvergenceReport, RunManifest,
@@ -245,7 +245,7 @@ def test_non_finite_loss_names_the_component():
                       weights=LossWeights(alpha=1e308, beta=1e308,
                                           gamma=1e308, delta=1e308))
     store = fresh_store(cfg)
-    with pytest.raises(RuntimeError, match="total"):
+    with pytest.raises(EvaluationError, match=r"^non-finite value in node \S+ at step 0$"):
         train_step(store, fixture_examples()[:2], cfg, 0)
 
 

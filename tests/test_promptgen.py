@@ -4,32 +4,14 @@ import numpy as np
 import pytest
 
 from slotnav.promptgen import (STUB_SENTENCE_BANK, CaptionedObject,
-                               CaptionRecord, ConversionReport,
-                               GenerationClient, GenerationError, Pose,
-                               PromptTemplate, StubGenerationClient, build_prompt,
+                               CaptionRecord, ConversionReport, Pose, build_prompt,
                                convert_detection_dataset, convert_detection_lines,
-                               load_dataset, noun_to_sentences, parse_prompt,
-                               read_lines, save_dataset, sentence_to_noun)
-
-
-class ScriptedClient(GenerationClient):
-    """Replays canned sentences, then raises like a dead endpoint."""
-
-    def __init__(self, sentences, retries=1):
-        super().__init__(retries=retries)
-        self._queue = list(sentences)
-
-    def generate_sentence(self, noun):
-        if not self._queue:
-            raise GenerationError("endpoint timed out")
-        return self._queue.pop(0)
-
-    def generate_noun(self, sentence):
-        raise GenerationError("endpoint timed out")
+                               load_dataset, noun_to_sentences, read_lines,
+                               save_dataset)
 
 
 # ----------------------------------------------------------------------
-# Prompt template
+# Prompts
 
 def test_build_prompt_with_sentence():
     assert build_prompt("sofa", "Where can I sit down?") == "sofa. Where can I sit down?"
@@ -55,113 +37,52 @@ def test_build_prompt_rejects_separator_in_noun():
         build_prompt("sofa. bed", "hi")
 
 
-def test_parse_prompt_inverts_build():
-    cases = [("sofa", "Where can I sit down?"),
-             ("lamp", None),
-             ("tv", "First part. Second part stays whole.")]
-    for noun, sentence in cases:
-        assert parse_prompt(build_prompt(noun, sentence)) == (noun, sentence)
-
-
-def test_template_rejects_empty_separator():
-    with pytest.raises(ValueError):
-        PromptTemplate(separator="")
-
-
 # ----------------------------------------------------------------------
-# Stub generation
+# Sentence generation
 
 def test_stub_first_two_sentences_pinned():
-    client = StubGenerationClient(seed=0)
-    assert noun_to_sentences("sofa", 2, client) == [
+    assert noun_to_sentences("sofa", 2) == [
         "Where is the sofa?", "I am looking for a sofa."]
 
 
 def test_stub_sentences_pairwise_distinct():
-    client = StubGenerationClient(seed=4)
-    out = noun_to_sentences("chair", len(STUB_SENTENCE_BANK) + 3, client)
+    out = noun_to_sentences("chair", len(STUB_SENTENCE_BANK) + 3, seed=4)
     assert len(out) == len(STUB_SENTENCE_BANK) + 3
     assert len(set(out)) == len(out)
 
 
 def test_stub_same_seed_replays_exactly():
-    first = noun_to_sentences("table", 15, StubGenerationClient(seed=9))
-    second = noun_to_sentences("table", 15, StubGenerationClient(seed=9))
+    first = noun_to_sentences("table", 15, seed=9)
+    second = noun_to_sentences("table", 15, seed=9)
     assert first == second
 
 
 def test_stub_seeds_diverge_past_bank():
     n = len(STUB_SENTENCE_BANK) + 1
-    a = noun_to_sentences("table", n, StubGenerationClient(seed=1))
-    b = noun_to_sentences("table", n, StubGenerationClient(seed=2))
+    a = noun_to_sentences("table", n, seed=1)
+    b = noun_to_sentences("table", n, seed=2)
     assert a[:len(STUB_SENTENCE_BANK)] == b[:len(STUB_SENTENCE_BANK)]
     assert a[-1] != b[-1]
 
 
 def test_history_blocks_repeats_within_noun_session():
-    client = StubGenerationClient(seed=0)
-    first = noun_to_sentences("sofa", 3, client)
-    second = noun_to_sentences("sofa", 3, client)
+    first = noun_to_sentences("sofa", 3)
+    second = noun_to_sentences("sofa", 12, start=3)
     assert not set(first) & set(second)
-    assert client.history == first + second
+    assert first + second == noun_to_sentences("sofa", 15)
 
 
 def test_new_noun_resets_history():
-    client = StubGenerationClient(seed=0)
-    noun_to_sentences("sofa", 2, client)
-    out = noun_to_sentences("lamp", 2, client)
-    assert out == ["Where is the lamp?", "I am looking for a lamp."]
-    assert client.history == out
+    report = convert_detection_lines([detection_line("img000", ["sofa", "lamp"])], 2)
+    assert report.records[0].objects[1].captions == [
+        "lamp", "Where is the lamp?", "I am looking for a lamp."]
 
 
 def test_noun_to_sentences_rejects_bad_count():
     with pytest.raises(ValueError):
-        noun_to_sentences("sofa", 0, StubGenerationClient())
-
-
-def test_noun_to_sentences_failure_carries_partial():
-    client = ScriptedClient(["one sentence", "another sentence"])
-    with pytest.raises(GenerationError) as info:
-        noun_to_sentences("sofa", 5, client)
-    assert info.value.partial == ["one sentence", "another sentence"]
-
-
-def test_noun_to_sentences_drops_persistent_duplicates():
-    client = ScriptedClient(["same", "same", "same", "same", "same"], retries=1)
-    with pytest.warns(UserWarning):
-        out = noun_to_sentences("sofa", 3, client)
-    assert out == ["same"]
-
-
-# ----------------------------------------------------------------------
-# Noun extraction
-
-def test_sentence_to_noun_stub_rule():
-    client = StubGenerationClient()
-    assert sentence_to_noun("Where can I sit down on the sofa?", client) == "sofa"
-
-
-def test_sentence_to_noun_identity_on_noun():
-    assert sentence_to_noun("sofa", StubGenerationClient()) == "sofa"
-
-
-def test_sentence_to_noun_truncates_to_four_words():
-    class Wordy(GenerationClient):
-        def generate_noun(self, sentence):
-            return "very long noun phrase with six words"
-
-    assert sentence_to_noun("anything", Wordy()) == "very long noun phrase"
-
-
-def test_sentence_to_noun_rejects_empty():
+        noun_to_sentences("sofa", 0)
     with pytest.raises(ValueError):
-        sentence_to_noun("", StubGenerationClient())
-
-
-def test_sentence_to_noun_failure_names_sentence():
-    client = ScriptedClient([])
-    with pytest.raises(GenerationError, match="lost sentence"):
-        sentence_to_noun("lost sentence", client)
+        noun_to_sentences("", 1)
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +142,7 @@ def detection_line(image_id, nouns):
 
 def test_convert_counts():
     lines = [detection_line("img000", ["sofa", "lamp"])]
-    report = convert_detection_lines(lines, 3, StubGenerationClient())
+    report = convert_detection_lines(lines, 3)
     assert len(report.records) == 1
     assert report.errors == []
     for obj in report.records[0].objects:
@@ -230,7 +151,7 @@ def test_convert_counts():
 
 
 def test_convert_empty_input():
-    report = convert_detection_lines([], 3, StubGenerationClient())
+    report = convert_detection_lines([], 3)
     assert report.records == [] and report.errors == []
 
 
@@ -239,7 +160,7 @@ def test_convert_skips_malformed_lines():
              "not json at all",
              json.dumps({"image_id": "img002", "width": 16, "height": 16,
                          "objects": [{"noun": "tv"}]})]
-    report = convert_detection_lines(lines, 1, StubGenerationClient())
+    report = convert_detection_lines(lines, 1)
     assert [r.image_id for r in report.records] == ["img000"]
     assert [lineno for lineno, _ in report.errors] == [2, 3]
 
@@ -248,7 +169,7 @@ def test_convert_reference_scale_counts():
     nouns = ["sofa", "lamp", "tv", "bed", "desk", "chair", "shelf",
              "plant", "rug", "door", "sink"]
     lines = [detection_line(f"img{i:04d}", nouns) for i in range(97)]
-    report = convert_detection_lines(lines, 10, StubGenerationClient())
+    report = convert_detection_lines(lines, 10)
     labels = sum(len(r.objects) for r in report.records)
     assert labels == 1067
     assert report.generated_captions == 10670
@@ -258,7 +179,7 @@ def test_convert_file_form(tmp_path):
     path = str(tmp_path / "det.jsonl")
     with open(path, "w") as fh:
         fh.write(detection_line("img000", ["sofa"]) + "\n")
-    report = convert_detection_dataset(path, 2, StubGenerationClient())
+    report = convert_detection_dataset(path, 2)
     assert len(report.records) == 1
     assert report.records[0].objects[0].captions == [
         "sofa", "Where is the sofa?", "I am looking for a sofa."]

@@ -4,10 +4,8 @@ import pytest
 from slotnav.encoder import Embedding
 from slotnav.retrieval import (EmbeddingIndex, GroundTruth, RecallReport,
                                average_recall, batch_topk, build_index,
-                               index_from_embeddings, load_ground_truth,
-                               load_index, save_ground_truth, save_index,
-                               similarity_matrix, top_rows, topk_images,
-                               topk_texts)
+                               load_ground_truth, load_index, save_ground_truth,
+                               save_index, similarity_matrix, top_rows, topk_images)
 
 from _oracles import ranked_ids
 
@@ -67,14 +65,6 @@ def test_index_constructor_enforces_unit_rows():
         EmbeddingIndex(matrix=np.array([[2.0, 0.0]]), ids=("a",))
 
 
-def test_index_from_embeddings():
-    pairs = [("x", Embedding(vector=np.array([1.0, 0.0]))),
-             ("y", Embedding(vector=np.array([0.0, 2.0])))]
-    idx = index_from_embeddings(pairs)
-    assert idx.ids == ("x", "y")
-    assert np.allclose(idx.row("y"), [0.0, 1.0])
-
-
 # ----------------------------------------------------------------------
 # Search
 
@@ -113,17 +103,6 @@ def test_topk_rejects_dimension_mismatch():
 def test_topk_accepts_embedding_dataclass():
     idx = build_index(np.eye(3), ["a", "b", "c"])
     assert topk_images(Embedding(vector=np.array([0.0, 1.0, 0.0])), idx, 1) == ["b"]
-
-
-def test_topk_texts_singleton():
-    texts = build_index(np.array([[1.0, 0.0]]), ["t0"])
-    assert topk_texts(np.array([0.3, 0.2]), texts, 1) == ["t0"]
-
-
-def test_topk_texts_self_retrieval():
-    texts = build_index(np.eye(5), [f"t{j}" for j in range(5)])
-    for j in range(5):
-        assert topk_texts(texts.matrix[j], texts, 1) == [f"t{j}"]
 
 
 def test_topk_matches_full_sort_oracle():
