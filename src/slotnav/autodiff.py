@@ -23,16 +23,23 @@ the same path with a block of one coordinate.
 Leaf values are bound per call, so a graph built once serves every call
 of its shapes.  A leaf is built with a value (parameter, constant) or
 without one (input).  bind(values) makes a binding, the build-time values
-overridden by the values given, each checked for its leaf's shape and for
-finite entries, and returns a Frame holding it; it becomes the graph's
-current binding, which evaluate, gradient and finite_difference_check read
-when given no frame.  evaluate and gradient keep node values in the frame:
-given one, they run only the nodes without a value yet.  Inputs a frame has
-not bound can be bound into it before a node reads them, so a caller that
-evaluates part of a graph, binds inputs computed from those values and then
-differentiates computes every node once.  A frame never mixes bindings:
+overridden by the values given, each checked for its leaf's shape and,
+unless it is the leaf's build-time array, for finite entries, and returns
+a Frame holding it; it becomes the graph's current binding, which
+evaluate, gradient and finite_difference_check read when given no frame.
+evaluate and gradient keep node values in the frame: given one, they run
+only the nodes without a value yet.  Inputs a frame has not bound can be
+bound into it before a node reads them, so a caller that evaluates part of
+a graph, binds inputs computed from those values and then differentiates
+computes every node once.  A frame never mixes bindings:
 each of its leaves is bound once, and it serves only the graph it was made
 from, as it was then.
+
+A run names the first node, in ascending order, whose value has a
+non-finite entry.  It tests only the nodes no other node of the run reads
+and the operands an op can hide (_HIDING_OPS), since every other op
+carries a non-finite entry into its output; only after a test fails does
+it scan the run's nodes for the first bad one.
 """
 
 from __future__ import annotations
@@ -51,6 +58,16 @@ Array = np.ndarray
 # Ops whose gradient is discontinuous.  finite_difference_check skips
 # coordinates whose probe steps straddle one of these kinks.
 _KINK_OPS = ("minimum", "maximum", "absolute")
+
+# Operand positions at which an op can map a non-finite entry to a finite
+# output: the minimum or maximum of inf and a finite value, a dropped
+# entry, a saturated exp, tanh or sigmoid, the zero weight of a -inf logit,
+# division by inf, and layer_norm's standard deviation, a denominator.
+# Every other op carries a non-finite operand entry into its output, since
+# inf * 0 and inf - inf are nan.  _run checks the operands at these places.
+_HIDING_OPS = {"minimum": (0, 1), "maximum": (0, 1), "slice": (0,), "exp": (0,),
+               "tanh": (0,), "sigmoid": (0,), "softmax": (0,), "divide": (1,),
+               "layer_norm": (1,)}
 
 _LN_EPS = 1e-8
 
@@ -192,8 +209,10 @@ class Graph:
         self._leaf_values: dict[int, Array] = {}
         self._bound: dict[int, Array] = {}
         self._params: dict[str, int] = {}
-        # _ancestors' orders by target tuple; cleared when a node is added.
+        # _ancestors' orders by target tuple, and the nodes _run checks in
+        # each; cleared when a node is added.
         self._orders: dict[tuple[int, ...], list[int]] = {}
+        self._checks: dict[tuple[int, ...], frozenset[int]] = {}
 
     # ------------------------------------------------------------------
     # Node construction
@@ -208,6 +227,7 @@ class Graph:
         label = name if name is not None else f"{op}#{index}"
         if self._orders:
             self._orders.clear()
+            self._checks.clear()
         self._ops.append(op)
         self._parents.append(tuple(p.index for p in parents))
         self._shapes.append(shape)
@@ -247,7 +267,8 @@ class Graph:
         by values, in a new frame, which becomes the graph's current binding.
         With frame, values bind inputs that frame has not bound yet, in place.
         Each value must have its leaf's shape and finite entries; a value
-        that does not raises an error naming the leaf.
+        that does not raises an error naming the leaf.  The array a leaf
+        was built with passed that test then, so it is not tested again.
         """
         checked = {}
         with np.errstate(over="ignore", invalid="ignore"):
@@ -259,7 +280,7 @@ class Graph:
                 if arr.shape != node.shape:
                     raise ShapeError(f"bind: leaf {node.name} has shape {node.shape}, "
                                      f"got {arr.shape}")
-                if not _finite(arr):
+                if arr is not self._leaf_values.get(i) and not _finite(arr):
                     raise ValueError(f"bind: leaf {node.name} got non-finite entries")
                 checked[i] = arr
         if frame is None:
@@ -618,29 +639,64 @@ class Graph:
                 seen.add(i)
                 stack.extend(self._parents[i])
             order = self._orders[key] = sorted(seen)
+            self._checks[key] = self._checked(order)
         return order
 
-    def _run(self, order: Sequence[int], frame: Frame) -> None:
-        """Run the nodes of order that have no value in frame yet.
+    def _checked(self, order: list[int]) -> frozenset[int]:
+        """The nodes of order whose values _run tests: those no node of order
+        reads, and the operands that a node of order can hide, at a place
+        _HIDING_OPS names or because its output has no entries."""
+        read: set[int] = set()
+        hidden: set[int] = set()
+        for i in order:
+            parents = self._parents[i]
+            read.update(parents)
+            if math.prod(self._shapes[i]) == 0:
+                hidden.update(parents)
+            else:
+                hidden.update(parents[k] for k in _HIDING_OPS.get(self._ops[i], ()))
+        return frozenset(hidden.union(i for i in order if i not in read))
 
-        Each node is checked finite as it runs, in ascending order, so the
-        first non-finite node is the one named.  An input the frame has not
-        bound raises ValueError naming it.
+    def _run(self, targets: tuple[int, ...], frame: Frame) -> list[int]:
+        """Run the nodes that targets depend on and that have no value in
+        frame yet; returns their ancestor order.
+
+        Only the nodes _checked picks are tested for finite entries as they
+        run.  A non-finite entry of any other node reaches one of them, so
+        a run that passes leaves every node it computed finite.  When a test
+        fails, the nodes this call computed are scanned in ascending order
+        and the first non-finite one is named, the node a test after every
+        node would name; the values computed after it are dropped from
+        frame.  An input the frame has not bound raises ValueError naming
+        it, unless a node computed before it is non-finite.
         """
+        order = self._ancestors(targets)
+        checks = self._checks[targets]
         forward = self._forward
         values = frame.values
+        pending = [i for i in order if values[i] is None]
         with np.errstate(all="ignore"):
-            for i in order:
-                if values[i] is not None:
-                    continue
+            for n, i in enumerate(pending):
                 try:
                     out = values[i] = forward[i](values)
                 except TypeError:
                     if forward[i] is None:
+                        self._name_first_non_finite(pending[:n], values)
                         raise ValueError(f"input {self._names[i]} is not bound") from None
                     raise
-                if not _finite(out):
-                    raise EvaluationError(f"non-finite value in node {self._names[i]}")
+                if i in checks and not _finite(out):
+                    self._name_first_non_finite(pending[:n + 1], values)
+        return order
+
+    def _name_first_non_finite(self, ran: list[int], values: list) -> None:
+        """Raise EvaluationError naming the first node of ran with a
+        non-finite value, after dropping the values of the nodes after it;
+        return if every value is finite."""
+        for n, i in enumerate(ran):
+            if not _finite(values[i]):
+                for j in ran[n + 1:]:
+                    values[j] = None
+                raise EvaluationError(f"non-finite value in node {self._names[i]}")
 
     def _frame_for(self, frame: Frame | None) -> Frame:
         """frame, or a new one over the current binding."""
@@ -664,7 +720,7 @@ class Graph:
             if n.graph is not self:
                 raise ValueError("output node belongs to a different graph")
         frame = self._frame_for(frame)
-        self._run(self._ancestors([n.index for n in nodes]), frame)
+        self._run(tuple(n.index for n in nodes), frame)
         results = [frame.values[n.index] for n in nodes]
         return results[0] if single else results
 
@@ -686,8 +742,7 @@ class Graph:
 
         frame = self._frame_for(frame)
         values = frame.values
-        order = self._ancestors([output.index])
-        self._run(order, frame)
+        order = self._run((output.index,), frame)
 
         # Every parent of a node of order is in order, so each contribution
         # lands on a node still to be visited.

@@ -355,7 +355,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, OSError, RuntimeError, EvaluationError) as exc:
+    except (ValueError, KeyError, OSError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

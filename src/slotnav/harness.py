@@ -203,7 +203,10 @@ def batches_for_epoch(count: int, config: TrainConfig, epoch: int) -> list[list[
 def train_on_examples(examples: Sequence[TrainExample], config: TrainConfig,
                       store: ParamStore | None = None,
                       stop_ratio: float | None = None) -> tuple[ParamStore, list[LossReport]]:
-    """Run the step budget (optionally stopping at a loss ratio); in memory."""
+    """Run the step budget (optionally stopping at a loss ratio); in memory.
+    With no examples an epoch has no batches, so ValueError."""
+    if not examples:
+        raise ValueError("no training examples")
     if store is None:
         store = init_params(config.encoder, seed=derive_seed(config.seed, "init", 0))
     text_cache: dict[str, Array] = {}
@@ -267,6 +270,8 @@ def train(data_dir: str, config: TrainConfig, out_dir: str) -> RunManifest:
     """Train from a dataset directory and write checkpoint, log, manifest."""
     dataset_path = os.path.join(data_dir, "dataset.jsonl")
     records = load_dataset(dataset_path)
+    if not records:
+        raise ValueError(f"{dataset_path}: no records")
     images = load_image_dir(records, data_dir, config.encoder)
     examples = dataset_examples(records, images)
     store, reports = train_on_examples(examples, config)

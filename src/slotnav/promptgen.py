@@ -101,8 +101,8 @@ class CaptionedObject:
         x1, y1, x2, y2 = self.box
         if not (0.0 <= x1 <= x2 <= 1.0 and 0.0 <= y1 <= y2 <= 1.0):
             raise ValueError(f"invalid normalized box {self.box.tolist()}")
-        if not self.noun:
-            raise ValueError("object noun must be nonempty")
+        if not isinstance(self.noun, str) or not self.noun:
+            raise ValueError(f"object noun must be a nonempty string, got {self.noun!r}")
 
 
 @dataclass

@@ -101,3 +101,26 @@ def ranked_ids(scores, ids):
         out.append(ids[best])
         remaining.remove(best)
     return out
+
+
+def run_every_node(graph, outputs, frame):
+    """Check after every node: run each node outputs depend on and frame
+    has no value for, in ascending index order, with no test in between.
+    Returns the name of the first node with a non-finite entry (None if
+    every one is finite) and the values, the frame's left unchanged."""
+    seen = set()
+    stack = [n.index for n in outputs]
+    while stack:
+        i = stack.pop()
+        if i not in seen:
+            seen.add(i)
+            stack.extend(graph._parents[i])
+    values = list(frame.values)
+    first = None
+    with np.errstate(all="ignore"):
+        for i in sorted(seen):
+            if values[i] is None:
+                values[i] = graph._forward[i](values)
+                if first is None and not np.isfinite(values[i]).all():
+                    first = graph._names[i]
+    return first, values

@@ -1,9 +1,14 @@
 """Expression graph: forward semantics, gradients, finite differences, checkpoints."""
 
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracles import run_every_node
 from slotnav.autodiff import (
+    _HIDING_OPS,
     EvaluationError,
     Graph,
     ParamStore,
@@ -650,3 +655,224 @@ def test_ancestor_orders_are_remembered_until_a_node_is_added():
     z = g.sum(y)
     assert g._ancestors([y.index]) is not first
     assert g._ancestors([z.index]) == [x.index, y.index, z.index]
+
+
+# ----------------------------------------------------------------------
+# Where finiteness is checked: the nodes no node of the order reads, and
+# the operands an op can hide.
+
+def _bad(g, value):
+    """A node whose first entry is value (inf, -inf or nan) and whose
+    others are 1: num / den with a zero first denominator."""
+    num = 0.0 if np.isnan(value) else np.sign(value)
+    return g.divide(g.constant([num, 1.0, 1.0]), g.constant([0.0, 1.0, 1.0]))
+
+
+def _ok(g):
+    return g.constant([0.5, -2.0, 3.0])
+
+
+# (op, operand, bad value, builder): the builder returns the node that
+# makes the bad value and the node that hides it.
+_HIDDEN = [
+    ("minimum", 0, np.inf, lambda g, b: g.minimum(b, _ok(g))),
+    ("minimum", 1, np.inf, lambda g, b: g.minimum(_ok(g), b)),
+    ("maximum", 0, -np.inf, lambda g, b: g.maximum(b, _ok(g))),
+    ("maximum", 1, -np.inf, lambda g, b: g.maximum(_ok(g), b)),
+    ("slice", 0, np.nan, lambda g, b: g.slice(b, 1, 3)),
+    ("exp", 0, -np.inf, lambda g, b: g.exp(b)),
+    ("tanh", 0, np.inf, lambda g, b: g.tanh(b)),
+    ("sigmoid", 0, -np.inf, lambda g, b: g.sigmoid(b)),
+    ("softmax", 0, -np.inf, lambda g, b: g.softmax(b, axis=0)),
+    ("divide", 1, np.inf, lambda g, b: g.divide(_ok(g), b)),
+]
+
+
+@pytest.mark.parametrize("op, operand, value, build", _HIDDEN,
+                         ids=[f"{c[0]}-{c[1]}" for c in _HIDDEN])
+def test_a_value_an_op_hides_still_names_the_node_that_made_it(op, operand, value, build):
+    g = Graph()
+    bad = _bad(g, value)
+    hiding = build(g, bad)
+    assert hiding.op == op and operand in _HIDING_OPS[op]
+    total = g.sum(g.multiply(hiding, g.parameter("w", [2.0] * hiding.shape[0])))
+    first, values = run_every_node(g, [total], g.bind())
+    assert first == bad.name and np.isfinite(values[hiding.index]).all()
+    for run in (lambda: g.evaluate(total), lambda: g.gradient(total)):
+        with pytest.raises(EvaluationError) as err:
+            run()
+        assert str(err.value) == f"non-finite value in node {bad.name}"
+
+
+def test_a_standard_deviation_layer_norm_hides_names_its_statistics_node():
+    # The squares of +-1e200 overflow, so the standard deviation is inf
+    # and every normalized entry is 0.
+    g = Graph()
+    normed = g.layer_norm(g.constant([1e200, -1e200, 0.0]))
+    stats = normed.index - 1
+    total = g.sum(normed)
+    first, values = run_every_node(g, [total], g.bind())
+    assert first == f"layer_norm_stats#{stats}"
+    assert np.array_equal(values[normed.index], [0.0, 0.0, 0.0])
+    for run in (lambda: g.evaluate(total), lambda: g.gradient(total)):
+        with pytest.raises(EvaluationError, match=f"node layer_norm_stats#{stats}$"):
+            run()
+
+
+def test_an_op_with_an_empty_output_hides_every_operand_entry():
+    g = Graph()
+    bad = _bad(g, np.inf)
+    empty = g.matmul(g.reshape(bad, (1, 3)), g.constant(np.zeros((3, 0))))
+    total = g.sum(g.add(g.constant([1.0]), g.sum(empty)))
+    with pytest.raises(EvaluationError, match=f"node {bad.name}$"):
+        g.evaluate(total)
+
+
+def _x(*shape, low=-2.0, high=2.0):
+    return np.random.default_rng(len(shape) + sum(shape)).uniform(low, high, size=shape)
+
+
+# Every Graph method that registers an op, on operand values that make a
+# non-finite entry hardest to carry: all-zero partners, where only
+# inf * 0 = nan carries it, and affine's scale 0.
+_OP_CASES = {
+    "matmul": [lambda g: g.matmul(g.constant(_x(2, 3)), g.constant(np.zeros((3, 4)))),
+               lambda g: g.matmul(g.constant(np.zeros((2, 3))), g.constant(_x(3, 4))),
+               lambda g: g.matmul(g.constant(_x(2, 2, 3)), g.constant(np.zeros((2, 3, 2))))],
+    "transpose": [lambda g: g.transpose(g.constant(_x(2, 3)))],
+    "add": [lambda g: g.add(g.constant(_x(2, 3)), g.constant(_x(3)))],
+    "subtract": [lambda g: g.subtract(g.constant(_x(2, 3)), g.constant(_x(3)))],
+    "multiply": [lambda g: g.multiply(g.constant(np.zeros((2, 3))), g.constant(np.zeros(3)))],
+    "divide": [lambda g: g.divide(g.constant(np.zeros((2, 3))), g.constant(_x(3)))],
+    "minimum": [lambda g: g.minimum(g.constant(_x(2, 3)), g.constant(_x(3)))],
+    "maximum": [lambda g: g.maximum(g.constant(_x(2, 3)), g.constant(_x(3)))],
+    "affine": [lambda g: g.affine(g.constant(_x(2, 3)), 0.0, 1.0)],
+    "absolute": [lambda g: g.absolute(g.constant(_x(2, 3)))],
+    "exp": [lambda g: g.exp(g.constant(_x(2, 3)))],
+    "log": [lambda g: g.log(g.constant(_x(2, 3, low=0.5)))],
+    "sqrt": [lambda g: g.sqrt(g.constant(_x(2, 3, low=0.5)))],
+    "sigmoid": [lambda g: g.sigmoid(g.constant(_x(2, 3)))],
+    "tanh": [lambda g: g.tanh(g.constant(_x(2, 3)))],
+    "gelu": [lambda g: g.gelu(g.constant(_x(2, 3)))],
+    "sum": [lambda g: g.sum(g.constant(_x(2, 3))),
+            lambda g: g.sum(g.constant(_x(2, 3)), axis=0)],
+    "mean": [lambda g: g.mean(g.constant(_x(2, 3)), axis=-1)],
+    "softmax": [lambda g: g.softmax(g.constant(_x(2, 3)), axis=-1)],
+    "log_softmax": [lambda g: g.log_softmax(g.constant(_x(2, 3)), axis=-1)],
+    "layer_norm": [lambda g: g.layer_norm(g.constant(_x(2, 3)))],
+    "reshape": [lambda g: g.reshape(g.constant(_x(2, 3)), (3, 2))],
+    "concat": [lambda g: g.concat([g.constant(_x(2, 3)), g.constant(_x(1, 3))], axis=0)],
+    "slice": [lambda g: g.slice(g.constant(_x(2, 3)), 0, 1, axis=0)],
+}
+
+
+def test_the_op_cases_cover_every_method_that_registers_an_op():
+    makers = {name for name, f in vars(Graph).items()
+              if inspect.isfunction(f) and not name.startswith("_")
+              and inspect.signature(f).return_annotation == "Node"}
+    assert makers - {"parameter", "constant", "input"} == set(_OP_CASES)
+
+
+@pytest.mark.parametrize("method, build",
+                         [(m, b) for m, builds in _OP_CASES.items() for b in builds],
+                         ids=[f"{m}-{k}" for m, builds in _OP_CASES.items()
+                              for k in range(len(builds))])
+def test_every_op_hides_a_non_finite_operand_only_where_the_hiding_set_says(method, build):
+    g = Graph()
+    out = build(g)
+    first, values = run_every_node(g, [out], g.bind())
+    assert first is None
+    for i, parents in enumerate(g._parents):
+        for k, p in enumerate(parents):
+            if k in _HIDING_OPS.get(g._ops[i], ()):
+                continue
+            for entry in range(values[p].size):
+                for bad in (np.inf, -np.inf, np.nan):
+                    operand = values[p].copy()
+                    operand.flat[entry] = bad
+                    with np.errstate(all="ignore"):
+                        got = g._forward[i](values[:p] + [operand] + values[p + 1:])
+                    assert not np.isfinite(got).all(), (g._names[i], k, entry, bad)
+
+
+_UNARY = ("absolute", "exp", "log", "sqrt", "sigmoid", "tanh", "gelu")
+_BINARY = ("add", "subtract", "multiply", "divide", "minimum", "maximum")
+
+
+def _grow(g, pool, kind, a, b):
+    """One (2, 3) node of kind from pool nodes a and b."""
+    x, y = pool[a % len(pool)], pool[b % len(pool)]
+    if kind in _UNARY:
+        return getattr(g, kind)(x)
+    if kind in _BINARY:
+        return getattr(g, kind)(x, y)
+    if kind == "affine":
+        return g.affine(x, (0.0, -1.5, 2.0)[b % 3], 0.25)
+    if kind in ("softmax", "log_softmax"):
+        return getattr(g, kind)(x, axis=b % 2)
+    if kind == "layer_norm":
+        return g.layer_norm(x)
+    if kind == "rows":
+        return g.concat([g.slice(x, 0, 1, axis=0), g.slice(y, 1, 2, axis=0)], axis=0)
+    if kind == "transpose":
+        return g.reshape(g.transpose(x), (2, 3))
+    if kind == "matmul":
+        return g.matmul(x, g.constant(np.eye(3) * (b % 3 - 1)))
+    if kind == "sum":
+        return g.add(x, g.sum(y, axis=0))
+    return g.add(x, g.mean(y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(leaves=st.lists(st.floats(-4.0, 4.0), min_size=12, max_size=12),
+       steps=st.lists(st.tuples(st.sampled_from(_UNARY + _BINARY + (
+           "affine", "softmax", "log_softmax", "layer_norm", "rows", "transpose",
+           "matmul", "sum", "mean")), st.integers(0, 99), st.integers(0, 99)),
+           min_size=1, max_size=10),
+       inject=st.integers(0, 10), zero=st.integers(0, 6), early=st.integers(0, 99))
+def test_random_graphs_name_the_node_a_check_after_every_node_names(leaves, steps, inject,
+                                                                    zero, early):
+    # A divide by the input den makes inf or nan where den is zero (zero < 6
+    # picks the entry; 6 injects nothing); other nodes may overflow too.
+    g = Graph()
+    pool = [g.parameter("p", np.reshape(leaves[:6], (2, 3))),
+            g.parameter("q", np.reshape(leaves[6:], (2, 3)))]
+    den = g.input((2, 3), "den")
+    for n, (kind, a, b) in enumerate(steps):
+        if n == inject % len(steps):
+            pool.append(g.divide(pool[a % len(pool)], den))
+        pool.append(_grow(g, pool, kind, a, b))
+    total = g.sum(pool[-1])
+    first_part = pool[early % len(pool)]
+    den_value = np.ones(6)
+    den_value[zero:zero + 1] = 0.0
+    den_value = den_value.reshape(2, 3)
+
+    for outputs in ([first_part], [total]):
+        want, values = run_every_node(g, outputs, g.bind({den: den_value}))
+        frame = g.bind({den: den_value})
+        if want is None:
+            got = g.evaluate(outputs, frame=frame)
+            assert all(x.tobytes() == values[n.index].tobytes()
+                       for x, n in zip(got, outputs))
+            continue
+        with pytest.raises(EvaluationError) as err:
+            g.evaluate(outputs, frame=frame)
+        assert str(err.value) == f"non-finite value in node {want}"
+        # The frame keeps the values up to the named node, as a check after
+        # every node leaves it.
+        named = g._names.index(want)
+        assert all((v is None) == (i > named or values[i] is None)
+                   for i, v in enumerate(frame.values) if g._forward[i] is not None)
+
+    # Part of the graph first, then the gradient over the same frame.
+    frame = g.bind({den: den_value})
+    want = run_every_node(g, [first_part], frame)[0] or run_every_node(g, [total], frame)[0]
+    with np.errstate(all="ignore"):
+        try:
+            g.evaluate(first_part, frame=frame)
+            g.gradient(total, frame=frame)
+            got = None
+        except EvaluationError as exc:
+            got = str(exc)
+    assert got == (None if want is None else f"non-finite value in node {want}")

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -100,6 +101,29 @@ def test_train_divergence_in_the_loss_head_names_its_node_and_step(bundle, tmp_p
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: non-finite value in node \S+ at step 0\n", err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", ["", "\n"], ids=["empty", "blank-line"])
+def test_train_on_a_dataset_with_no_records_exits_1_naming_it(tmp_path, capsys, content):
+    # With no records an epoch has no batches; training must refuse rather
+    # than loop.  The alarm fails the test if it does not return.
+    dataset = tmp_path / "fx" / "dataset.jsonl"
+    dataset.parent.mkdir()
+    dataset.write_text(content, encoding="utf-8")
+
+    def hang(signum, frame):
+        pytest.fail("train did not return within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(30)
+    try:
+        code = main(["train", "--data", str(dataset.parent), "--out", str(tmp_path / "run")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {dataset}: no records\n"
+    assert not (tmp_path / "run").exists()
 
 
 # ----------------------------------------------------------------------
@@ -254,6 +278,25 @@ def test_augment_reports_malformed_lines(tmp_path, capsys):
     out = lines_of(capsys)
     assert "records 0" in out
     assert "errors 1" in out
+
+
+def test_augment_skips_a_noun_that_is_not_a_string_and_writes_strict_json(tmp_path, capsys):
+    detections = tmp_path / "det.jsonl"
+    detections.write_text("".join(
+        '{"image_id": "%s", "width": 16, "height": 16, '
+        '"objects": [{"noun": %s, "box": [0.1, 0.1, 0.5, 0.5]}]}\n' % pair
+        for pair in (("a", "7"), ("b", "NaN"), ("c", '"cup"'))), encoding="utf-8")
+    out = tmp_path / "aug.jsonl"
+    assert main(["augment", "--detections", str(detections), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "".join(
+        f"skipped {detections}: line {n}: object noun must be a nonempty string, got {v}\n"
+        for n, v in ((1, "7"), (2, "nan")))
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line, parse_constant=reject)["image_id"] for line in lines] == ["c"]
 
 
 def test_augment_numbers_a_run_of_one_noun_across_objects_and_lines(tmp_path, capsys):

@@ -144,6 +144,12 @@ def test_step_report_matches_direct_loss():
     assert report.L_MC == direct.L_MC
 
 
+def test_training_on_no_examples_is_an_error_not_an_endless_loop():
+    # Its epochs have no batches, so the step count would never advance.
+    with pytest.raises(ValueError, match="no training examples"):
+        train_on_examples([], desk_config())
+
+
 def test_train_step_runs_each_forward_closure_at_most_once(monkeypatch):
     calls: Counter = Counter()
     register = Graph._register

@@ -119,6 +119,12 @@ def test_object_rejects_bad_box():
         CaptionedObject(noun="sofa", box=[0.0, 0.0, 1.0, 1.5], captions=["x"])
 
 
+@pytest.mark.parametrize("noun", [7, float("nan"), "", None])
+def test_object_rejects_a_noun_that_is_not_a_nonempty_string(noun):
+    with pytest.raises(ValueError, match="object noun must be a nonempty string"):
+        CaptionedObject(noun=noun, box=[0.1, 0.1, 0.5, 0.5], captions=["x"])
+
+
 def test_load_dataset_reports_line(tmp_path):
     path = str(tmp_path / "data.jsonl")
     with open(path, "w") as fh:
