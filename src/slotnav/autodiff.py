@@ -92,11 +92,19 @@ def _finite(a: Array) -> bool:
 
 
 def _as_array(value) -> Array:
+    """value as a read-only float64 array of finite entries, copied if it is
+    or views a writeable array, so that no later write reaches what was checked."""
     arr = np.asarray(value, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         finite = _finite(arr)
     if not finite:
         raise ValueError("array contains non-finite entries")
+    base = arr
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if isinstance(base, np.ndarray):
+        arr = arr.copy()
+        arr.flags.writeable = False
     return arr
 
 
@@ -267,8 +275,8 @@ class Graph:
         by values, in a new frame, which becomes the graph's current binding.
         With frame, values bind inputs that frame has not bound yet, in place.
         Each value must have its leaf's shape and finite entries; a value
-        that does not raises an error naming the leaf.  The array a leaf
-        was built with passed that test then, so it is not tested again.
+        that does not raises an error naming the leaf.  A leaf's build-time
+        array passed that test then and is read-only, so it is not tested again.
         """
         checked = {}
         with np.errstate(over="ignore", invalid="ignore"):

@@ -180,7 +180,10 @@ def cmd_train(args) -> int:
 
 def cmd_index(args) -> int:
     store, config = _load_run(args.run)
-    records = load_dataset(os.path.join(args.data, "dataset.jsonl"))
+    dataset_path = os.path.join(args.data, "dataset.jsonl")
+    records = load_dataset(dataset_path)
+    if not records:
+        raise ValueError(f"{dataset_path}: no records")
     # One image in memory at a time, so memory does not grow with the corpus.
     examples = (dataset_examples([r], load_image_dir([r], args.data, config.encoder))[0]
                 for r in records)
@@ -259,9 +262,15 @@ def cmd_nav_eval(args) -> int:
         entries.append(MemoryEntry(image_id=image_id, pose=poses[image_id],
                                    embedding=memory_index.matrix[i]))
 
-    queries = _load_records(args.queries, lambda r: (
-        r["query_id"], r["noun"], r.get("sentence", ""),
-        args.k if args.k is not None else int(r.get("k", 1)), _pose(r["start"])))
+    def query(r):
+        if not world.objects_named(r["noun"]):
+            raise ValueError(f"{args.world} has no object named {r['noun']!r}")
+        return (r["query_id"], r["noun"], r.get("sentence", ""),
+                args.k if args.k is not None else int(r.get("k", 1)), _pose(r["start"]))
+
+    queries = _load_records(args.queries, query)
+    if not queries:
+        raise ValueError(f"{args.queries}: no records")
     if (args.query_index is None) == (args.run is None):
         raise ValueError("pass exactly one of --query-index or --run")
     if args.query_index is not None:

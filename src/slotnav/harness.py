@@ -186,7 +186,9 @@ def train_step(store: ParamStore, batch: Sequence[TrainExample],
             grads = built.graph.gradient(built.total, parameters=store.trainable_names(),
                                          frame=built.frame).gradients
             for name in store.trainable_names():
-                store[name] = store[name] - lr_t * grads[name]
+                updated = store[name] - lr_t * grads[name]
+                updated.flags.writeable = False  # so the store need not copy it
+                store[name] = updated
     except EvaluationError as exc:
         raise EvaluationError(f"{exc} at step {step}") from exc
     return report

@@ -168,6 +168,16 @@ class GridWorld:
             self._fields.popitem(last=False)
         return dist
 
+    def steps_between(self, a: Cell, b: Cell) -> int:
+        """Steps from a to b over free 4-neighbours, else -1.  Steps are
+        symmetric: read b's field if cached, else a's if cached, else build b's."""
+        for cell in (a, b):
+            if not self.in_bounds(cell):
+                raise ValueError(f"cell {cell} is outside the grid")
+        if a in self._fields and b not in self._fields:
+            a, b = b, a
+        return int(self.distance_field(b)[a[1], a[0]])
+
 
 @dataclass(frozen=True)
 class FovParams:
@@ -250,15 +260,6 @@ def parse_world(text: str, cell_m: float = DEFAULT_CELL_M) -> GridWorld:
                      objects=tuple(objects))
 
 
-def format_world(world: GridWorld) -> str:
-    """Inverse of parse_world."""
-    rows = ["".join("#" if world.grid[r, c] else "."
-                    for c in range(world.cols))
-            for r in range(world.rows)]
-    table = [f"{o.object_id} {o.noun} {o.col} {o.row}" for o in world.objects]
-    return "\n".join(rows) + ("\n\n" + "\n".join(table) + "\n" if table else "\n")
-
-
 def load_world(path: str, cell_m: float = DEFAULT_CELL_M) -> GridWorld:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -267,16 +268,11 @@ def load_world(path: str, cell_m: float = DEFAULT_CELL_M) -> GridWorld:
             raise ValueError(f"{path}: {exc}") from exc
 
 
-def save_world(world: GridWorld, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_world(world))
-
-
 # ----------------------------------------------------------------------
 # Planning
 
-def plan_path(world: GridWorld, start: Pose, goal: Pose) -> list[Cell]:
-    """Inclusive shortest 4-connected path, down the goal's field in STEPS order."""
+def plan_path(world: GridWorld, start: Pose, goal: Pose) -> int:
+    """Shortest 4-connected steps from start's cell to goal's, -1 if unreachable."""
     start_cell = world.cell_of(start.x, start.y)
     goal_cell = world.cell_of(goal.x, goal.y)
     for label, cell in (("start", start_cell), ("goal", goal_cell)):
@@ -284,26 +280,7 @@ def plan_path(world: GridWorld, start: Pose, goal: Pose) -> list[Cell]:
             raise ValueError(f"{label} cell {cell} is outside the grid")
         if world.occupied(cell):
             raise ValueError(f"{label} cell {cell} is occupied")
-    to_goal = world.distance_field(goal_cell)
-    col, row = start_cell
-    steps = int(to_goal[row, col])
-    if steps < 0:
-        return []
-    rows, cols = to_goal.shape
-    path = [start_cell]
-    for remaining in reversed(range(steps)):
-        for dc, dr in STEPS:
-            if 0 <= col + dc < cols and 0 <= row + dr < rows \
-                    and to_goal.item(row + dr, col + dc) == remaining:
-                break
-        col, row = col + dc, row + dr
-        path.append((col, row))
-    return path
-
-
-def path_steps(path: Sequence[Cell]) -> int:
-    """Number of cell transitions along a path."""
-    return max(len(path) - 1, 0)
+    return world.steps_between(start_cell, goal_cell)
 
 
 # ----------------------------------------------------------------------
@@ -420,14 +397,14 @@ def execute_episode(query: str, noun: str, memory: Sequence[MemoryEntry],
     current = start
     for entry in [memory[i] for i in rows]:
         try:
-            path = plan_path(world, current, entry.pose)
+            steps = plan_path(world, current, entry.pose)
         except ValueError as exc:
             notes.append(f"skipped {entry.image_id}: {exc}")
             continue
-        if not path:
+        if steps < 0:
             notes.append(f"skipped {entry.image_id}: unreachable")
             continue
-        path_cells += path_steps(path)
+        path_cells += steps
         current = entry.pose
         visited.append(current)
         seen = _fov_hit(world, current, instances, fov)

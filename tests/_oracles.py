@@ -88,6 +88,20 @@ def breadth_first_path(grid, start, goal):
     return []
 
 
+def format_world(world):
+    """Inverse of slotnav.navsim.parse_world."""
+    rows = ["".join("#" if world.grid[r, c] else "."
+                    for c in range(world.cols))
+            for r in range(world.rows)]
+    table = [f"{o.object_id} {o.noun} {o.col} {o.row}" for o in world.objects]
+    return "\n".join(rows) + ("\n\n" + "\n".join(table) + "\n" if table else "\n")
+
+
+def save_world(world, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_world(world))
+
+
 def ranked_ids(scores, ids):
     """Order ids by descending score, ties by ascending id, via selection."""
     remaining = list(range(len(ids)))

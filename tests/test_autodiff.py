@@ -543,6 +543,32 @@ def test_finite_entries_whose_sum_overflows_pass_every_check():
     assert np.array_equal(g.evaluate(scaled), big)
 
 
+def test_a_checked_array_cannot_be_written_after_its_check():
+    # bind trusts a leaf's build-time array, so no write may reach one.
+    w = np.zeros(2)
+    store = ParamStore({"w": w})
+    g = Graph()
+    c = g.constant(store["w"])
+    out = g.sum(g.exp(c))
+    w[0] = -np.inf
+    for held in (store["w"], g.evaluate(c)):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = -np.inf
+    assert g.evaluate(out, frame=g.bind({c: store["w"]})) == 2.0
+    x = np.ones(2)
+    d = g.constant(x)
+    x[1] = np.nan
+    assert np.array_equal(g.evaluate(d), [1.0, 1.0])
+    y = np.ones(2)
+    view = y.view()
+    view.flags.writeable = False
+    assert not np.shares_memory(ParamStore({"v": view})["v"], y)
+    ready = np.ones(2)
+    ready.flags.writeable = False
+    assert ParamStore({"r": ready})["r"] is ready
+    assert ParamStore({"r": ready.reshape(1, 2)})["r"].base is ready
+
+
 @pytest.mark.parametrize("bad", [[1.0, np.nan], [np.inf, 1.0], [np.inf, -np.inf]])
 def test_non_finite_entries_are_caught_by_every_check(bad):
     with pytest.raises(ValueError, match="non-finite"):

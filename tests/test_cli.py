@@ -651,6 +651,46 @@ def test_malformed_world_names_the_line(bundle, tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_index_over_a_dataset_with_no_records_exits_one_and_names_it(bundle, tmp_path,
+                                                                   capsys):
+    dataset = tmp_path / "data" / "dataset.jsonl"
+    dataset.parent.mkdir()
+    dataset.write_text("\n", encoding="utf-8")
+    assert main(["index", "--run", str(bundle["run"]), "--data", str(dataset.parent),
+                 "--out", str(tmp_path / "imgs.lze")]) == 1
+    assert capsys.readouterr().err == f"error: {dataset}: no records\n"
+    assert not (tmp_path / "imgs.lze").exists()
+
+
+def _set_second_noun(text, noun):
+    lines = text.splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "noun": noun})
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: "", "no records"),
+    (lambda text: "\n\n", "no records"),
+    (lambda text: _set_second_noun(text, "piano"),
+     "line 2: {world} has no object named 'piano'"),
+], ids=["empty", "blank-lines", "unknown-noun"])
+def test_nav_eval_queries_with_no_usable_record_exit_one_and_name_the_file(
+        bundle, tmp_path, capsys, edit, message):
+    fx = bundle["fx"]
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(edit((fx / "nav_queries.jsonl").read_text(encoding="utf-8")),
+                       encoding="utf-8")
+    assert main(["nav-eval", "--world", str(fx / "world.txt"),
+                 "--memory", str(fx / "nav_memory.lze"),
+                 "--poses", str(fx / "nav_memory_poses.jsonl"),
+                 "--queries", str(queries),
+                 "--query-index", str(fx / "nav_queries.lze")]) == 1
+    captured = capsys.readouterr()
+    expected = message.format(world=fx / "world.txt")
+    assert captured.err == f"error: {queries}: {expected}\n"
+    assert captured.out == ""
+
+
 # ----------------------------------------------------------------------
 # Text input that is not UTF-8
 

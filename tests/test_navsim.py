@@ -3,17 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from slotnav.navsim import (FIELD_CACHE_SIZE, FovParams, EpisodeResult, GridWorld,
                             MemoryEntry, Pose, SuccessReport, WorldObject,
-                            episode_to_json, execute_episode, format_world, in_fov,
-                            load_world, parse_world, path_steps, plan_path,
-                            save_episode_log, save_world, success_rate)
+                            episode_to_json, execute_episode, in_fov, load_world,
+                            parse_world, plan_path, save_episode_log, success_rate)
 from slotnav.promptgen import normalize_angle
 from slotnav.retrieval import build_index, topk_images
 
-from _oracles import breadth_first_path
+from _oracles import breadth_first_path, format_world, save_world
 
 
 def corridor_world(length=8, cell_m=0.25, objects=()):
@@ -139,24 +138,25 @@ def test_world_cell_size_flag():
 # ----------------------------------------------------------------------
 # Planning
 
+def bfs_steps(grid, start_cell, goal_cell):
+    path = breadth_first_path(grid, start_cell, goal_cell)
+    return len(path) - 1 if path else -1
+
+
 def test_plan_path_straight_corridor():
     world = corridor_world(length=8)
-    path = plan_path(world, center_pose(world, (0, 0)), center_pose(world, (5, 0)))
-    assert path_steps(path) == 5
-    assert path[0] == (0, 0) and path[-1] == (5, 0)
+    assert plan_path(world, center_pose(world, (0, 0)), center_pose(world, (5, 0))) == 5
 
 
 def test_plan_path_same_cell():
     world = corridor_world()
-    path = plan_path(world, center_pose(world, (2, 0)), center_pose(world, (2, 0)))
-    assert path == [(2, 0)] and path_steps(path) == 0
+    assert plan_path(world, center_pose(world, (2, 0)), center_pose(world, (2, 0))) == 0
 
 
 def test_plan_path_walled_off_goal():
     text = ".....\n.###.\n.#.#.\n.###.\n.....\n"
     world = parse_world(text)
-    path = plan_path(world, center_pose(world, (0, 0)), center_pose(world, (2, 2)))
-    assert path == []
+    assert plan_path(world, center_pose(world, (0, 0)), center_pose(world, (2, 2))) == -1
 
 
 def test_plan_path_rejects_occupied_endpoints():
@@ -173,13 +173,10 @@ def test_plan_path_rejects_out_of_bounds():
     world = corridor_world()
     with pytest.raises(ValueError):
         plan_path(world, Pose(x=-1.0, y=0.0, theta=0.0), center_pose(world, (0, 0)))
-
-
-def assert_valid_path(world, path, start_cell, goal_cell):
-    assert path[0] == start_cell and path[-1] == goal_cell
-    for a, b in zip(path, path[1:]):
-        assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
-        assert not world.occupied(b)
+    world.distance_field((0, 0))  # a cached end is read, so the other must be checked
+    for a, b in (((-1, 0), (0, 0)), ((0, 0), (-1, 0)), ((0, 0), (0, 1))):
+        with pytest.raises(ValueError, match="outside"):
+            world.steps_between(a, b)
 
 
 def test_plan_path_matches_bfs_oracle():
@@ -193,12 +190,33 @@ def test_plan_path_matches_bfs_oracle():
         start_cell = (int(free[pick[0]][1]), int(free[pick[0]][0]))
         goal_cell = (int(free[pick[1]][1]), int(free[pick[1]][0]))
         world = GridWorld(grid=grid, cell_m=0.25)
-        path = plan_path(world, center_pose(world, start_cell),
-                         center_pose(world, goal_cell))
-        oracle = breadth_first_path(grid, start_cell, goal_cell)
-        assert len(path) == len(oracle)
-        if path:
-            assert_valid_path(world, path, start_cell, goal_cell)
+        steps = plan_path(world, center_pose(world, start_cell),
+                          center_pose(world, goal_cell))
+        assert steps == bfs_steps(grid, start_cell, goal_cell)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 12),
+       density=st.sampled_from([0.0, 0.2, 0.4]), seed=st.integers(0, 2**32 - 1),
+       picks=st.tuples(*[st.integers(0, 143)] * 3),
+       cached=st.sampled_from(["fresh", "neither", "start", "goal", "both"]))
+def test_plan_path_counts_bfs_steps_whichever_field_is_cached(rows, cols, density, seed,
+                                                               picks, cached):
+    grid = np.random.default_rng(seed).random((rows, cols)) < density
+    free = [(int(c), int(r)) for r, c in np.argwhere(~grid)]
+    assume(free)
+    start_cell, goal_cell, other = (free[p % len(free)] for p in picks)
+    assume(cached != "neither" or other not in (start_cell, goal_cell))
+    world = GridWorld(grid=grid, cell_m=0.25)
+    warm = {"fresh": [], "neither": [other], "start": [start_cell],
+            "goal": [goal_cell], "both": [start_cell, goal_cell]}[cached]
+    for cell in warm:
+        world.distance_field(cell)
+    steps = plan_path(world, center_pose(world, start_cell), center_pose(world, goal_cell))
+    assert steps == bfs_steps(grid, start_cell, goal_cell)
+    # A cached end is read; with neither end cached the goal's field is built.
+    ends = {start_cell, goal_cell}
+    assert set(world._fields) == set(warm) | ({goal_cell} if ends.isdisjoint(warm) else set())
 
 
 @settings(max_examples=80, deadline=None)
@@ -516,6 +534,30 @@ def test_episodes_identical_on_warm_and_fresh_worlds():
     assert run(world) == cold
     assert run(GridWorld(grid=grid, cell_m=0.25, objects=objects)) == cold
     assert sum(record["path_cells"] for record in cold) > 0
+
+
+def test_episode_over_k_reachable_candidates_builds_at_most_half_their_fields():
+    # Each leg starts at the last leg's goal, so every other leg reads a cached field.
+    rng = np.random.default_rng(23)
+    grid = np.zeros((9, 9), dtype=bool)
+    grid[4, 1:8] = True
+    free = [(int(c), int(r)) for r, c in np.argwhere(~grid)]
+    blind = FovParams(max_range=0.1)  # sees only its own cell, so every leg runs
+    for k in range(1, 13):
+        picks = rng.choice(len(free), size=k + 2, replace=False)
+        sofa, start = free[picks[0]], free[picks[1]]
+        world = GridWorld(grid=grid, cell_m=0.25,
+                          objects=(WorldObject("ob1", "sofa", sofa),))
+        memory = [MemoryEntry(f"m{i}", center_pose(world, free[p]), np.array([1.0]))
+                  for i, p in enumerate(picks[2:])]
+        result = execute_episode("", "sofa", memory, world, k=k,
+                                 encode=lambda _: np.array([1.0]),
+                                 start=center_pose(world, start), fov=blind)
+        assert len(result.visited) == k and not result.notes
+        assert len(world._fields) <= math.ceil(k / 2)
+        assert result.path_cells == sum(
+            bfs_steps(grid, world.cell_of(a.x, a.y), world.cell_of(b.x, b.y))
+            for a, b in zip([center_pose(world, start)] + result.visited, result.visited))
 
 
 def test_episode_rank_ties_break_by_id():
