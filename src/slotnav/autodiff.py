@@ -1058,8 +1058,8 @@ def save_checkpoint(store: ParamStore | Mapping[str, Array], path) -> None:
 
 
 def load_checkpoint(path) -> dict[str, Array]:
-    """Read a checkpoint written by save_checkpoint; a malformed file raises
-    ValueError naming the path."""
+    """Read a checkpoint written by save_checkpoint into read-only arrays, which
+    a ParamStore keeps uncopied; a malformed file raises ValueError naming the path."""
     with open(path, "rb") as fh:
         data = fh.read()
     offset = 4
@@ -1082,7 +1082,9 @@ def load_checkpoint(path) -> dict[str, Array]:
             name = take(read_u32()).decode("utf-8")
             shape = tuple(read_u32() for _ in range(read_u32()))
             raw = take(8 * math.prod(shape))
-            out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+            value = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+            value.flags.writeable = False
+            out[name] = value
         if offset != len(data):
             raise ValueError(f"{len(data) - offset} trailing bytes")
     except ValueError as exc:

@@ -66,6 +66,9 @@ class GridWorld:
 
     The world holds a read-only copy of the grid it is given, and compares
     and hashes by value: the grid's shape and cells, cell_m and objects.
+    It keeps the FIELD_CACHE_SIZE most recently used breadth-first
+    distance fields, each as integer bit-planes over the grid walled by
+    one cell.
     """
 
     grid: Array
@@ -82,6 +85,8 @@ class GridWorld:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "_fields", OrderedDict())
+        free = np.packbits(np.pad(~grid, 1), bitorder="little")
+        object.__setattr__(self, "_free", int.from_bytes(free.tobytes(), "little"))
         seen = set()
         for obj in self.objects:
             if obj.object_id in seen:
@@ -142,30 +147,14 @@ class GridWorld:
         """Read-only steps from each cell to goal over free 4-neighbours, else -1."""
         if not self.in_bounds(goal):
             raise ValueError(f"goal cell {goal} is outside the grid")
-        dist = self._fields.pop(goal, None)
-        if dist is None:
-            # Breadth-first wavefront over flat indices of the grid walled by one cell.
-            width = self.cols + 2
-            free = np.pad(~self.grid, 1).reshape(-1)
-            dist = np.full(free.shape, -1, dtype=np.min_scalar_type(-self.grid.size))
-            slot = np.empty(free.shape, dtype=np.intp)
-            frontier = np.array([(goal[1] + 1) * width + goal[0] + 1])
-            for step in range(self.grid.size):
-                frontier = frontier[free[frontier]]
-                # One copy per cell, or copies compound wave after wave.
-                order = np.arange(frontier.size)
-                slot[frontier] = order
-                frontier = frontier[slot[frontier] == order]
-                if not frontier.size:
-                    break
-                dist[frontier] = step
-                free[frontier] = False
-                frontier = (frontier[:, None] + (-1, 1, -width, width)).reshape(-1)
-            dist = dist.reshape(-1, width)[1:-1, 1:-1]
-            dist.flags.writeable = False
-        self._fields[goal] = dist
-        if len(self._fields) > FIELD_CACHE_SIZE:
-            self._fields.popitem(last=False)
+        reached, *planes = self._field(goal)
+        size = (self.rows + 2) * (self.cols + 2)
+        dist = np.zeros(size, dtype=np.min_scalar_type(-self.grid.size))
+        for k, plane in enumerate(planes):
+            dist |= _unpack(plane, size).astype(dist.dtype) << k
+        dist[_unpack(reached, size) == 0] = -1
+        dist = dist.reshape(self.rows + 2, -1)[1:-1, 1:-1]
+        dist.flags.writeable = False
         return dist
 
     def steps_between(self, a: Cell, b: Cell) -> int:
@@ -176,7 +165,50 @@ class GridWorld:
                 raise ValueError(f"cell {cell} is outside the grid")
         if a in self._fields and b not in self._fields:
             a, b = b, a
-        return int(self.distance_field(b)[a[1], a[0]])
+        reached, *planes = self._field(b)
+        bit = self._bit(a)
+        if not reached >> bit & 1:
+            return -1
+        return sum((plane >> bit & 1) << k for k, plane in enumerate(planes))
+
+    def _bit(self, cell: Cell) -> int:
+        """cell's bit in a mask over the grid walled by one cell."""
+        col, row = cell
+        return (row + 1) * (self.cols + 2) + col + 1
+
+    def _field(self, goal: Cell) -> tuple[int, ...]:
+        """goal's breadth-first field, kept in the least-recently-used cache,
+        as integer bit masks over the walled grid: the cells that reach goal,
+        then bit k of their step counts for k = 0, 1, ..."""
+        field = self._fields.pop(goal, None)
+        if field is None:
+            # One wavefront layer per loop.  The wall cells are 0 in _free,
+            # so no shift carries a cell across a row's end.
+            width = self.cols + 2
+            front = self._free & 1 << self._bit(goal)
+            unvisited = self._free ^ front
+            planes: list[int] = []
+            step = 0
+            while front:
+                if step >> len(planes):
+                    planes.append(0)
+                for k in range(len(planes)):
+                    if step >> k & 1:
+                        planes[k] |= front
+                front = (front << 1 | front >> 1 | front << width | front >> width) & unvisited
+                unvisited ^= front
+                step += 1
+            field = (self._free ^ unvisited, *planes)
+        self._fields[goal] = field
+        if len(self._fields) > FIELD_CACHE_SIZE:
+            self._fields.popitem(last=False)
+        return field
+
+
+def _unpack(bits: int, size: int) -> Array:
+    """The low size bits of a nonnegative integer as a uint8 0/1 array."""
+    raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -381,7 +413,7 @@ def execute_episode(query: str, noun: str, memory: Sequence[MemoryEntry],
         raise ValueError(f"world has no object named {noun!r}")
     prompt = build_prompt(noun, query) if query else noun
     vec = np.asarray(encode(prompt), dtype=np.float64).reshape(-1)
-    matrix = np.stack([entry.embedding for entry in memory])
+    matrix = np.array([entry.embedding for entry in memory])
     if vec.shape[0] != matrix.shape[1]:
         raise ValueError(f"query embedding has dimension {vec.shape[0]}, "
                          f"memory has {matrix.shape[1]}")

@@ -511,6 +511,17 @@ def test_every_strict_prefix_of_a_checkpoint_raises_naming_it(tmp_path):
         load_checkpoint(cut)
 
 
+def test_a_store_keeps_loaded_checkpoint_arrays_uncopied(tmp_path):
+    path = tmp_path / "store.lzp"
+    save_checkpoint(ParamStore({"w": np.ones((2, 3)), "b": np.zeros(2)}), path)
+    loaded = load_checkpoint(path)
+    store = ParamStore(loaded)
+    for name in ("w", "b"):
+        assert store[name] is loaded[name]
+    with pytest.raises(ValueError):
+        loaded["w"][0, 0] = 2.0
+
+
 def test_param_store_freezing():
     store = ParamStore({"w": np.ones(2), "txt.w": np.ones(2)}, frozen=["txt.w"])
     assert store.trainable_names() == ["w"]

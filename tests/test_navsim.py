@@ -251,16 +251,56 @@ def test_distance_field_cache_drops_least_recently_used():
     world = GridWorld(grid=np.zeros((9, 9), dtype=bool), cell_m=0.25)
     goals = [(c, r) for r in range(9) for c in range(9)][:FIELD_CACHE_SIZE + 2]
     fields = {goal: world.distance_field(goal) for goal in goals[:FIELD_CACHE_SIZE]}
-    assert world.distance_field(goals[0]) is fields[goals[0]]  # a hit, now most recent
+    cached = {goal: world._fields[goal] for goal in goals[:FIELD_CACHE_SIZE]}
+    assert np.array_equal(world.distance_field(goals[0]), fields[goals[0]])
+    assert world._fields[goals[0]] is cached[goals[0]]  # a hit, now most recent
     for goal in goals[FIELD_CACHE_SIZE:]:
         world.distance_field(goal)
     assert len(world._fields) == FIELD_CACHE_SIZE
     assert goals[0] in world._fields
     assert goals[1] not in world._fields and goals[2] not in world._fields
-    assert world.distance_field(goals[0]) is fields[goals[0]]
+    assert np.array_equal(world.distance_field(goals[0]), fields[goals[0]])
+    assert world._fields[goals[0]] is cached[goals[0]]
     refetched = world.distance_field(goals[1])
-    assert refetched is not fields[goals[1]]
+    assert world._fields[goals[1]] is not cached[goals[1]]
     assert np.array_equal(refetched, fields[goals[1]])
+
+
+def serpentine_world(side=33):
+    """Walls on odd rows, each open at alternating ends: one corridor whose
+    far end lies more than 511 steps from the near one."""
+    grid = np.zeros((side, side), dtype=bool)
+    for row in range(1, side, 2):
+        grid[row] = True
+        grid[row, side - 1 if row % 4 == 1 else 0] = False
+    return GridWorld(grid=grid, cell_m=0.25)
+
+
+def test_distance_field_past_511_steps_matches_bfs_oracle():
+    world = serpentine_world()
+    goal = (0, 0)
+    field = world.distance_field(goal)
+    assert field.max() > 511  # steps read from bit-planes 8 and 9
+    free = [(col, row) for row in range(world.rows) for col in range(world.cols)
+            if not world.grid[row, col]]
+    for cell in free:
+        oracle = breadth_first_path(world.grid, cell, goal)
+        assert field[cell[1], cell[0]] == len(oracle) - 1
+    assert (field[world.grid] == -1).all()
+    far = max(free, key=lambda cell: field[cell[1], cell[0]])
+    for cell in (far, (world.cols - 1, 8), (16, 16)):
+        oracle = breadth_first_path(world.grid, goal, cell)
+        start, end = center_pose(world, goal), center_pose(world, cell)
+        assert plan_path(world, start, end) == len(oracle) - 1  # reads goal's field
+        assert plan_path(serpentine_world(), start, end) == len(oracle) - 1  # builds cell's
+
+
+def test_distance_field_to_an_occupied_goal_is_all_unreachable():
+    world = parse_world("...\n.#.\n...\n")
+    field = world.distance_field((1, 1))
+    assert field.tolist() == [[-1] * 3] * 3
+    assert field.dtype == world.distance_field((0, 0)).dtype
+    assert world.steps_between((0, 0), (1, 1)) == -1
 
 
 def test_plan_path_same_on_cache_hit_as_on_fresh_world():
@@ -597,6 +637,14 @@ def test_episode_k_beyond_memory_returns_every_entry():
                              encode=lambda _: basis[2],
                              start=center_pose(world, (0, 0)))
     assert result.ranked_ids == ["m_far", "m_away", "m_near"]
+
+
+def test_episode_rejects_memory_embeddings_of_unequal_dimension():
+    world, memory, basis = episode_fixture()
+    short = MemoryEntry("m_short", memory[0].pose, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        execute_episode("", "sofa", [*memory, short], world, k=1,
+                        encode=lambda _: basis[0], start=center_pose(world, (0, 0)))
 
 
 def test_episode_rejects_non_finite_query():
