@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -251,7 +252,33 @@ def _fov_params(args) -> FovParams:
     return fov
 
 
+def _radii(text: str) -> list[float]:
+    """--radii: comma-separated finite positive numbers."""
+    radii = []
+    for part in filter(str.strip, text.split(",")):
+        try:
+            radius = float(part)
+        except ValueError:
+            raise ValueError(f"--radii: {part.strip()!r} is not a number") from None
+        if not (math.isfinite(radius) and radius > 0.0):
+            raise ValueError(f"--radii: {part.strip()!r} is not a finite positive number")
+        radii.append(radius)
+    if not radii:
+        raise ValueError("--radii: no radii given")
+    return radii
+
+
+def _k(value) -> int:
+    """A retrieval depth: an integer of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"k must be an integer of at least 1, got {value!r}")
+    return value
+
+
 def cmd_nav_eval(args) -> int:
+    radii = _radii(args.radii)
+    if args.k is not None and args.k < 1:
+        raise ValueError(f"--k: must be at least 1, got {args.k}")
     world = load_world(args.world, cell_m=args.cell_m)
     memory_index = load_index(args.memory)
     poses = dict(_load_records(args.poses, lambda r: (r["image_id"], _pose(r["pose"]))))
@@ -266,7 +293,7 @@ def cmd_nav_eval(args) -> int:
         if not world.objects_named(r["noun"]):
             raise ValueError(f"{args.world} has no object named {r['noun']!r}")
         return (r["query_id"], r["noun"], r.get("sentence", ""),
-                args.k if args.k is not None else int(r.get("k", 1)), _pose(r["start"]))
+                args.k if args.k is not None else _k(r.get("k", 1)), _pose(r["start"]))
 
     queries = _load_records(args.queries, query)
     if not queries:
@@ -298,9 +325,6 @@ def cmd_nav_eval(args) -> int:
               f"fov {str(episode.object_in_fov).lower()} "
               f"visited {len(episode.visited)} path_cells {episode.path_cells}")
 
-    radii = [float(part) for part in args.radii.split(",") if part.strip()]
-    if not radii:
-        raise ValueError("no radii given")
     for radius in radii:
         report = success_rate(episodes, radius)
         print(f"sr@{radius:g}m {report.success_rate:.6f}")

@@ -67,8 +67,9 @@ class GridWorld:
     The world holds a read-only copy of the grid it is given, and compares
     and hashes by value: the grid's shape and cells, cell_m and objects.
     It keeps the FIELD_CACHE_SIZE most recently used breadth-first
-    distance fields, each as integer bit-planes over the grid walled by
-    one cell.
+    distance fields, each a search from its goal paused once it has
+    reached what was asked of it, held as integer bit-planes over the
+    grid walled by one cell.
     """
 
     grid: Array
@@ -147,62 +148,105 @@ class GridWorld:
         """Read-only steps from each cell to goal over free 4-neighbours, else -1."""
         if not self.in_bounds(goal):
             raise ValueError(f"goal cell {goal} is outside the grid")
-        reached, *planes = self._field(goal)
+        field = self._field(goal)
+        self._grow(field, 0)  # bit 0 is a wall cell, never reached: grow to the end
         size = (self.rows + 2) * (self.cols + 2)
         dist = np.zeros(size, dtype=np.min_scalar_type(-self.grid.size))
-        for k, plane in enumerate(planes):
+        for k, plane in enumerate(field.planes):
             dist |= _unpack(plane, size).astype(dist.dtype) << k
-        dist[_unpack(reached, size) == 0] = -1
+        dist[_unpack(field.reached, size) == 0] = -1
         dist = dist.reshape(self.rows + 2, -1)[1:-1, 1:-1]
         dist.flags.writeable = False
         return dist
 
     def steps_between(self, a: Cell, b: Cell) -> int:
         """Steps from a to b over free 4-neighbours, else -1.  Steps are
-        symmetric: read b's field if cached, else a's if cached, else build b's."""
+        symmetric: use b's field if cached, else a's if cached, else start
+        b's, and grow it only until it reaches the other end."""
         for cell in (a, b):
             if not self.in_bounds(cell):
                 raise ValueError(f"cell {cell} is outside the grid")
         if a in self._fields and b not in self._fields:
             a, b = b, a
-        reached, *planes = self._field(b)
+        field = self._field(b)
         bit = self._bit(a)
-        if not reached >> bit & 1:
+        self._grow(field, bit)
+        if not field.reached >> bit & 1:
             return -1
-        return sum((plane >> bit & 1) << k for k, plane in enumerate(planes))
+        return sum((plane >> bit & 1) << k for k, plane in enumerate(field.planes))
 
     def _bit(self, cell: Cell) -> int:
         """cell's bit in a mask over the grid walled by one cell."""
         col, row = cell
         return (row + 1) * (self.cols + 2) + col + 1
 
-    def _field(self, goal: Cell) -> tuple[int, ...]:
-        """goal's breadth-first field, kept in the least-recently-used cache,
-        as integer bit masks over the walled grid: the cells that reach goal,
-        then bit k of their step counts for k = 0, 1, ..."""
+    def _field(self, goal: Cell) -> _Field:
+        """goal's breadth-first field, kept in the least-recently-used cache;
+        a new one has reached only goal itself."""
         field = self._fields.pop(goal, None)
         if field is None:
-            # One wavefront layer per loop.  The wall cells are 0 in _free,
-            # so no shift carries a cell across a row's end.
-            width = self.cols + 2
             front = self._free & 1 << self._bit(goal)
-            unvisited = self._free ^ front
-            planes: list[int] = []
-            step = 0
-            while front:
-                if step >> len(planes):
-                    planes.append(0)
-                for k in range(len(planes)):
-                    if step >> k & 1:
-                        planes[k] |= front
-                front = (front << 1 | front >> 1 | front << width | front >> width) & unvisited
-                unvisited ^= front
-                step += 1
-            field = (self._free ^ unvisited, *planes)
+            field = _Field(reached=front, front=front, unvisited=self._free ^ front)
         self._fields[goal] = field
         if len(self._fields) > FIELD_CACHE_SIZE:
             self._fields.popitem(last=False)
         return field
+
+    def _grow(self, field: _Field, bit: int) -> None:
+        """Resume field's search one wavefront layer at a time until it
+        has reached the cell at bit or its front is empty, then pause it.
+
+        Bit k of the step counts is set on runs of 2**k consecutive steps.
+        Plane k takes each run as one XOR of the unvisited mask where the
+        run starts and again where it ends: the free cells cancel, leaving
+        the cells the run reached.  Runs still open when the search pauses
+        are closed with the unvisited mask then, and reopened by the same
+        XOR when it resumes.  The wall cells are 0 in _free, so no shift
+        carries a cell across a row's end.
+        """
+        front, unvisited, step, planes = field.front, field.unvisited, field.step, field.planes
+        if not front or field.reached >> bit & 1:
+            return
+        width = self.cols + 2
+        _xor_open_runs(planes, step, unvisited)
+        while True:
+            front = (front << 1 | front >> 1 | front << width | front >> width) & unvisited
+            if not front:
+                break
+            step += 1
+            low = step & -step  # bits 0 .. log2(low) of step flip here
+            if low == step:
+                planes.append(0)
+            for k in range(low.bit_length()):
+                planes[k] ^= unvisited
+            unvisited ^= front
+            if front >> bit & 1:
+                break
+        _xor_open_runs(planes, step, unvisited)
+        field.front, field.unvisited, field.step = front, unvisited, step
+        field.reached = self._free ^ unvisited
+
+
+@dataclass(slots=True)
+class _Field:
+    """A goal's paused breadth-first search, as integer bit masks over the
+    walled grid: the cells reached so far, the front (the cells step steps
+    away; 0 once the search has ended), the free cells not yet reached,
+    and planes[k], bit k of every reached cell's step count."""
+
+    reached: int
+    front: int
+    unvisited: int
+    step: int = 0
+    planes: list[int] = field(default_factory=list)
+
+
+def _xor_open_runs(planes: list[int], step: int, mask: int) -> None:
+    """XOR mask into the plane of every bit set in step: opens or closes
+    the runs of 2**k steps that step lies in."""
+    for k in range(step.bit_length()):
+        if step >> k & 1:
+            planes[k] ^= mask
 
 
 def _unpack(bits: int, size: int) -> Array:
@@ -463,8 +507,8 @@ def execute_episode(query: str, noun: str, memory: Sequence[MemoryEntry],
 
 def success_rate(episodes: Sequence[EpisodeResult], radius: float) -> SuccessReport:
     """Fraction of episodes stopping within radius with the object in view."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be a finite positive number, got {radius}")
     if not episodes:
         raise ValueError("no episodes to score")
     wins = sum(1 for e in episodes if e.distance <= radius and e.object_in_fov)

@@ -452,6 +452,45 @@ def test_nav_eval_reads_a_query_k_only_without_the_k_flag(bundle, tmp_path, caps
     assert outputs[5].err.startswith(f"error: {queries}: line 1: ")
 
 
+def _nav_eval_fixture(fx, queries=None):
+    return ["nav-eval", "--world", str(fx / "world.txt"),
+            "--memory", str(fx / "nav_memory.lze"),
+            "--poses", str(fx / "nav_memory_poses.jsonl"),
+            "--queries", str(queries or fx / "nav_queries.jsonl"),
+            "--query-index", str(fx / "nav_queries.lze")]
+
+
+@pytest.mark.parametrize("radii", ["0", "abc", "1.0,-2", "nan", "inf", ","])
+def test_nav_eval_rejects_bad_radii_before_any_episode(bundle, capsys, radii):
+    assert main(_nav_eval_fixture(bundle["fx"]) + ["--radii", radii]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --radii: ")
+    assert "episode" not in captured.out
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_nav_eval_rejects_a_k_flag_below_one_before_any_episode(bundle, capsys, k):
+    assert main(_nav_eval_fixture(bundle["fx"]) + ["--k", str(k)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --k: must be at least 1, got {k}\n"
+    assert "episode" not in captured.out
+
+
+@pytest.mark.parametrize("k", [0, -2, 1.5, "2", True])
+def test_nav_eval_rejects_a_query_k_that_is_not_a_positive_integer(bundle, tmp_path,
+                                                                   capsys, k):
+    fx = bundle["fx"]
+    queries = tmp_path / "queries.jsonl"
+    records = [json.loads(line) for line in
+               (fx / "nav_queries.jsonl").read_text(encoding="utf-8").splitlines()]
+    records[2]["k"] = k
+    queries.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert main(_nav_eval_fixture(fx, queries)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {queries}: line 3: k must be an integer")
+    assert "episode" not in captured.out
+
+
 # ----------------------------------------------------------------------
 # gradcheck
 

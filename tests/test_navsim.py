@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from slotnav import navsim
 from slotnav.navsim import (FIELD_CACHE_SIZE, FovParams, EpisodeResult, GridWorld,
                             MemoryEntry, Pose, SuccessReport, WorldObject,
                             episode_to_json, execute_episode, in_fov, load_world,
@@ -293,6 +294,52 @@ def test_distance_field_past_511_steps_matches_bfs_oracle():
         start, end = center_pose(world, goal), center_pose(world, cell)
         assert plan_path(world, start, end) == len(oracle) - 1  # reads goal's field
         assert plan_path(serpentine_world(), start, end) == len(oracle) - 1  # builds cell's
+
+
+def test_field_grown_in_stages_across_run_boundaries_matches_bfs_oracle():
+    world = serpentine_world()
+    goal = (0, 0)
+    corridor = breadth_first_path(world.grid, goal, (world.cols - 1, world.rows - 1))
+    for steps in (255, 256, 511, 512):
+        # 255 and 511 pause with every lower plane's run open; 256 and 512
+        # close them and open the next plane's first run.
+        cell = corridor[steps]
+        oracle = breadth_first_path(world.grid, cell, goal)
+        assert plan_path(world, center_pose(world, cell), center_pose(world, goal)) \
+            == len(oracle) - 1 == steps
+        assert list(world._fields) == [goal]
+        assert world._fields[goal].step == steps  # paused on reaching cell
+    field = world.distance_field(goal)
+    for row in range(world.rows):
+        for col in range(world.cols):
+            oracle = breadth_first_path(world.grid, (col, row), goal)
+            assert field[row, col] == (len(oracle) - 1 if oracle else -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 10), cols=st.integers(1, 10),
+       density=st.sampled_from([0.0, 0.2, 0.4]), seed=st.integers(0, 2**32 - 1),
+       calls=st.lists(st.tuples(st.booleans(), st.integers(0, 4), st.integers(0, 4)),
+                      min_size=1, max_size=16))
+def test_paused_fields_evicted_part_grown_answer_like_the_bfs_oracle(rows, cols, density,
+                                                                     seed, calls):
+    rng = np.random.default_rng(seed)
+    grid = rng.random((rows, cols)) < density
+    # Calls among five cells, so fields are resumed as well as evicted.
+    cells = [(int(col), int(row)) for row, col in rng.integers((rows, cols), size=(5, 2))]
+    world = GridWorld(grid=grid, cell_m=0.25)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(navsim, "FIELD_CACHE_SIZE", 2)
+        for whole, i, j in calls:
+            a, b = cells[i], cells[j]
+            if whole:
+                field = world.distance_field(b)
+                assert [[field[row, col] for col in range(cols)] for row in range(rows)] \
+                    == [[bfs_steps(grid, (col, row), b) for col in range(cols)]
+                        for row in range(rows)]
+            else:
+                assert world.steps_between(a, b) == bfs_steps(grid, a, b)
+            assert len(world._fields) <= 2
 
 
 def test_distance_field_to_an_occupied_goal_is_all_unreachable():
@@ -697,6 +744,12 @@ def test_success_rate_contract_errors():
         success_rate([], 1.0)
     with pytest.raises(ValueError):
         success_rate([fake_episode(0.1, True)], 0.0)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+def test_success_rate_rejects_a_non_finite_radius(radius):
+    with pytest.raises(ValueError, match="finite positive"):
+        success_rate([fake_episode(0.1, True)], radius)
 
 
 def test_episode_result_invariants():
