@@ -196,6 +196,8 @@ def cmd_index(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    if args.k < 1:
+        raise ValueError(f"-k: must be at least 1, got {args.k}")
     index = load_index(args.index)
     if (args.queries is None) == (args.query is None):
         raise ValueError("pass exactly one of --queries or --query")
@@ -215,13 +217,14 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_eval_retrieval(args) -> int:
+    ks = sorted(set(_flag_list("--ks", args.ks, int, lambda k: k >= 1,
+                               "an integer of at least 1")))
     index = load_index(args.index)
+    if ks[-1] > len(index):
+        raise ValueError(f"--ks: {ks[-1]} exceeds the index's {len(index)} items")
     queries = load_index(args.queries)
     gt = load_ground_truth(args.gt, index=index)
-    ks = sorted({int(part) for part in args.ks.split(",") if part.strip()})
-    if not ks:
-        raise ValueError("no cutoffs given")
-    results = batch_topk(queries, index, min(max(ks), len(index.ids)))
+    results = batch_topk(queries, index, ks[-1])
     report = average_recall(results, gt, ks)
     for k in ks:
         print(f"ar@{k} {report.values[k]:.6f}")
@@ -242,30 +245,39 @@ def cmd_augment(args) -> int:
 
 
 def _fov_params(args) -> FovParams:
-    fov = FovParams()
-    if args.half_angle is not None:
-        fov = replace(fov, half_angle=args.half_angle)
-    if args.max_range is not None:
-        fov = replace(fov, max_range=args.max_range)
-    if args.no_occlusion:
-        fov = replace(fov, occlusion=False)
+    """The camera model the flags give; a bad value raises ValueError naming
+    its flag."""
+    fov = FovParams(occlusion=not args.no_occlusion)
+    for flag, name in (("--half-angle", "half_angle"), ("--max-range", "max_range")):
+        if getattr(args, name) is not None:
+            try:
+                fov = replace(fov, **{name: getattr(args, name)})
+            except ValueError as exc:
+                raise ValueError(f"{flag}: {exc}") from None
     return fov
 
 
-def _radii(text: str) -> list[float]:
-    """--radii: comma-separated finite positive numbers."""
-    radii = []
+def _finite_positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0.0
+
+
+def _flag_list(flag: str, text: str, parse: Callable[[str], Any],
+               valid: Callable[[Any], bool], noun: str) -> list:
+    """A comma-separated flag value, each item parsed and valid; else a
+    ValueError naming the flag."""
+    items = []
     for part in filter(str.strip, text.split(",")):
         try:
-            radius = float(part)
+            item = parse(part)
+            ok = valid(item)
         except ValueError:
-            raise ValueError(f"--radii: {part.strip()!r} is not a number") from None
-        if not (math.isfinite(radius) and radius > 0.0):
-            raise ValueError(f"--radii: {part.strip()!r} is not a finite positive number")
-        radii.append(radius)
-    if not radii:
-        raise ValueError("--radii: no radii given")
-    return radii
+            ok = False
+        if not ok:
+            raise ValueError(f"{flag}: {part.strip()!r} is not {noun}")
+        items.append(item)
+    if not items:
+        raise ValueError(f"{flag}: no values given")
+    return items
 
 
 def _k(value) -> int:
@@ -276,9 +288,13 @@ def _k(value) -> int:
 
 
 def cmd_nav_eval(args) -> int:
-    radii = _radii(args.radii)
+    radii = _flag_list("--radii", args.radii, float, _finite_positive,
+                       "a finite positive number")
     if args.k is not None and args.k < 1:
         raise ValueError(f"--k: must be at least 1, got {args.k}")
+    if not _finite_positive(args.cell_m):
+        raise ValueError(f"--cell-m: {args.cell_m!r} is not a finite positive number")
+    fov = _fov_params(args)
     world = load_world(args.world, cell_m=args.cell_m)
     memory_index = load_index(args.memory)
     poses = dict(_load_records(args.poses, lambda r: (r["image_id"], _pose(r["pose"]))))
@@ -315,7 +331,6 @@ def cmd_nav_eval(args) -> int:
         def encode_for(_query_id):
             return lambda prompt: encode_text(prompt, store, config.encoder).vector
 
-    fov = _fov_params(args)
     episodes = []
     for query_id, noun, sentence, k, start in queries:
         episode = execute_episode(sentence, noun, entries, world, k,

@@ -15,8 +15,6 @@ input leaves, so a graph keeps no image of its own, only its latest call's
 binding.  Each keeps a bounded number of graphs, and on every call binds
 the store's parameters and the call's data into a new frame, which it
 evaluates once.
-run_slot_attention runs slot attention alone on a token matrix, for the
-slot-attention invariant tests.
 """
 
 from __future__ import annotations
@@ -301,17 +299,10 @@ def _images(node: Node) -> int:
     return math.prod(node.shape[:-2])
 
 
-def build_image_tokens(g: Graph, bind: Binding, image: Array,
-                       config: EncoderConfig) -> tuple[Node, Node]:
-    """Patch transformer over one H×W×3 image or a B×H×W×3 stack; returns
-    tokens (N×D or B×N×D) and pooled (1×D or B×D)."""
-    patch_shape(np.shape(image), config)
-    return _patch_tokens(g, bind, g.constant(patchify(image, config.patch_size),
-                                             name="patches"), config)
-
-
 def _patch_tokens(g: Graph, bind: Binding, patches: Node,
                   config: EncoderConfig) -> tuple[Node, Node]:
+    """Patch transformer over patchify's rows for one image or a stack;
+    returns tokens (N×D or B×N×D) and pooled (1×D or B×D)."""
     x = _linear(g, bind, patches, "img.patch")
     x = g.add(x, g.slice(bind("img.pos"), 0, patches.shape[-2], axis=-2))
     for i in range(config.depth):
@@ -462,20 +453,6 @@ def _slot_state(values: list[Array]) -> SlotState:
     final = history[-1]
     return SlotState(slots=final.slots, attention=final.attention, weights=final.weights,
                      iteration=final.iteration, history=history)
-
-
-def run_slot_attention(tokens: Array, store: ParamStore, config: EncoderConfig,
-                       seed: int | None = None,
-                       initial_slots: Array | None = None) -> SlotState:
-    """Slot attention alone over an N×D token matrix, for config.slot_iters
-    iterations from Gaussian-initialized (or the given) slots."""
-    if initial_slots is None:
-        initial_slots = _seeded_slots(config, seed)
-    g = Graph()
-    _, traces = build_slot_attention(g, Binding(g, store, trainable=False),
-                                     g.constant(tokens, name="tokens"), initial_slots,
-                                     config.slot_iters, config)
-    return _slot_state(g.evaluate([node for trace in traces for node in trace]))
 
 
 def _runner(g: Graph, bind: Binding, leaves: Sequence[Node], outputs: list[Node]):

@@ -15,7 +15,7 @@ from .autodiff import EvaluationError, GraphCache, ParamStore, derive_seed, save
 from .encoder import (EncoderConfig, check_field_types, encode_text, image_embedding,
                       init_params, patch_shape, read_ppm)
 from .objectives import (Annotation, AnnotationSet, LossReport, LossWeights,
-                         TrainExample, format_loss_line, total_loss, total_loss_graph)
+                         TrainExample, format_loss_line, total_loss_graph)
 from .promptgen import CaptionRecord, build_prompt, load_dataset, read_lines
 from .retrieval import GroundTruth, average_recall, batch_topk, build_index
 
@@ -393,8 +393,8 @@ def loss_ablation(examples: Sequence[TrainExample],
     only_run = overfit_harness(examples, ablated)
     yardstick = LossWeights(tau=config.weights.tau)
     seed = eval_seed(config)
-    full = total_loss(examples, full_run.store, yardstick, config.encoder, seed)
-    only = total_loss(examples, only_run.store, yardstick, config.encoder, seed)
+    full = total_loss_graph(examples, full_run.store, yardstick, config.encoder, seed).report
+    only = total_loss_graph(examples, only_run.store, yardstick, config.encoder, seed).report
     return AblationReport(full_loss=full.total, contrastive_only_loss=only.total,
                           full_ar1=full_run.ar1, contrastive_only_ar1=only_run.ar1)
 

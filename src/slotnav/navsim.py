@@ -51,14 +51,6 @@ class WorldObject:
     noun: str
     cell: Cell
 
-    @property
-    def col(self) -> int:
-        return self.cell[0]
-
-    @property
-    def row(self) -> int:
-        return self.cell[1]
-
 
 @dataclass(frozen=True, eq=False)
 class GridWorld:
@@ -80,8 +72,8 @@ class GridWorld:
         grid = np.array(self.grid, dtype=bool)
         if grid.ndim != 2 or grid.size == 0:
             raise ValueError("occupancy grid must be a nonempty 2-d array")
-        if self.cell_m <= 0.0:
-            raise ValueError("cell size must be positive")
+        if not (math.isfinite(self.cell_m) and self.cell_m > 0.0):
+            raise ValueError(f"cell size must be a finite positive number, got {self.cell_m}")
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "objects", tuple(self.objects))
@@ -143,21 +135,6 @@ class GridWorld:
 
     def objects_named(self, noun: str) -> list[WorldObject]:
         return [o for o in self.objects if o.noun == noun]
-
-    def distance_field(self, goal: Cell) -> Array:
-        """Read-only steps from each cell to goal over free 4-neighbours, else -1."""
-        if not self.in_bounds(goal):
-            raise ValueError(f"goal cell {goal} is outside the grid")
-        field = self._field(goal)
-        self._grow(field, 0)  # bit 0 is a wall cell, never reached: grow to the end
-        size = (self.rows + 2) * (self.cols + 2)
-        dist = np.zeros(size, dtype=np.min_scalar_type(-self.grid.size))
-        for k, plane in enumerate(field.planes):
-            dist |= _unpack(plane, size).astype(dist.dtype) << k
-        dist[_unpack(field.reached, size) == 0] = -1
-        dist = dist.reshape(self.rows + 2, -1)[1:-1, 1:-1]
-        dist.flags.writeable = False
-        return dist
 
     def steps_between(self, a: Cell, b: Cell) -> int:
         """Steps from a to b over free 4-neighbours, else -1.  Steps are
@@ -249,12 +226,6 @@ def _xor_open_runs(planes: list[int], step: int, mask: int) -> None:
             planes[k] ^= mask
 
 
-def _unpack(bits: int, size: int) -> Array:
-    """The low size bits of a nonnegative integer as a uint8 0/1 array."""
-    raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=size, bitorder="little")
-
-
 @dataclass(frozen=True)
 class FovParams:
     """Camera model: angular half-width, range, and occlusion switch."""
@@ -265,9 +236,9 @@ class FovParams:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.half_angle < math.pi:
-            raise ValueError("half_angle must lie in (0, pi)")
-        if self.max_range <= 0.0:
-            raise ValueError("max_range must be positive")
+            raise ValueError(f"half_angle must lie in (0, pi), got {self.half_angle}")
+        if not self.max_range > 0.0:  # inf means no range limit
+            raise ValueError(f"max_range must be positive, got {self.max_range}")
 
 
 @dataclass

@@ -127,47 +127,18 @@ class LossReport:
     total: float
 
 
-@dataclass
-class MultilabelLoss:
-    """Multi-label contrastive value; empty marks the no-matched-slots case."""
-
-    value: float
-    empty: bool
-
-
 # ----------------------------------------------------------------------
 # Box geometry
-
-
-def l1_box(a, b) -> float:
-    """Sum of absolute corner differences."""
-    a, b = _check_box(np.asarray(a)), _check_box(np.asarray(b))
-    return float(np.abs(a - b).sum())
-
-
-def giou(a, b) -> float:
-    """Generalized IoU value in (-1, 1]: IoU minus the hull penalty.
-
-    Degenerate corners: union 0 with coincident boxes returns 1 (perfect
-    match convention); union 0 with distinct boxes returns -1.
-    """
-    a, b = _check_box(np.asarray(a)), _check_box(np.asarray(b))
-    inter_w = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
-    inter_h = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
-    inter = inter_w * inter_h
-    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
-    hull = (max(a[2], b[2]) - min(a[0], b[0])) * (max(a[3], b[3]) - min(a[1], b[1]))
-    if union == 0.0:
-        return 1.0 if hull == 0.0 else -1.0
-    return float(inter / union - (hull - union) / hull)
 
 
 def pairwise_cost(pred_boxes, gt_boxes, literal_giou_cost: bool = False) -> Array:
     """K×N matching costs: L1 plus the GIoU term.
 
     The minimizing convention is l1 + (1 - giou); the literal switch uses
-    l1 + giou instead.  One broadcast in the operation order of l1_box and
-    giou, so each entry equals theirs bit for bit.
+    l1 + giou instead.  A zero union gives GIoU 1 for coincident boxes and
+    -1 for distinct ones.  One broadcast in the operation order of the
+    scalar references in tests/_oracles.py, so each entry equals theirs
+    bit for bit.
     """
     pred = _check_box(np.atleast_2d(pred_boxes), ndim=2)
     gt = _check_box(np.atleast_2d(gt_boxes), ndim=2)
@@ -329,7 +300,7 @@ def concat_captions(captions: Sequence[str], seed: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# Graph pieces shared by the loss builders
+# Graph pieces of the loss
 
 
 def _onehot(targets: Sequence[int], n: int) -> Array:
@@ -378,47 +349,10 @@ def _giou_columns(g: Graph, pred: Node, gt: Node) -> Node:
                       g.divide(g.subtract(hull, union), hull))
 
 
-# ----------------------------------------------------------------------
-# Standalone loss operations (evaluated eagerly through small graphs)
-
-
-def contrastive_loss(image_embeddings, text_embeddings, tau: float = 0.07) -> float:
-    """Symmetric batch cross-entropy over cosine logits with diagonal targets."""
-    imgs = np.atleast_2d(np.asarray(image_embeddings, dtype=np.float64))
-    txts = np.atleast_2d(np.asarray(text_embeddings, dtype=np.float64))
-    if imgs.shape[0] == 0:
-        raise ValueError("contrastive loss needs at least one pair")
-    if imgs.shape != txts.shape:
-        raise ValueError(f"embedding shapes differ: {imgs.shape} vs {txts.shape}")
-    g = Graph()
-    node = _symmetric_ce(g, g.constant(imgs), g.constant(txts), tau)
-    return float(g.evaluate(node))
-
-
-def multilabel_contrastive_loss(slots: Array, text_embeddings: Array,
-                                assignment: Assignment, store: ParamStore,
-                                tau: float = 0.07) -> MultilabelLoss:
-    """Cross-entropy of projected matched slots against all batch annotation
-    texts, the assigned annotation being the target class."""
-    slots = np.asarray(slots, dtype=np.float64)
-    texts = np.atleast_2d(np.asarray(text_embeddings, dtype=np.float64))
-    if not assignment.pairs:
-        return MultilabelLoss(value=0.0, empty=True)
-    rows = [i for i, _ in assignment.pairs]
-    if not all(0 <= i < len(slots) for i in rows):
-        raise ValueError(f"assignment names slots {rows}, but there are {len(slots)}")
-    g = Graph()
-    bind = Binding(g, store, trainable=False)
-    matched = g.constant(slots[rows])
-    targets = g.constant(_onehot([j for _, j in assignment.pairs], len(texts)))
-    node = _multilabel_node(g, bind, matched, g.constant(texts), targets, tau)
-    return MultilabelLoss(value=float(g.evaluate(node)), empty=False)
-
-
 def _multilabel_node(g: Graph, bind: Binding, matched: Node, all_texts: Node,
                      targets: Node, tau: float) -> Node:
-    """Shared builder: project matched slot rows, normalize, CE against all
-    texts, row r's target being the text where one-hot row r holds 1."""
+    """Multi-label term: project matched slot rows, normalize, CE against
+    all texts, row r's target being the text where one-hot row r holds 1."""
     projected = g.add(g.matmul(matched, bind("mc.proj.w")), bind("mc.proj.b"))
     unit = _normalize_rows(g, projected)
     logits = g.affine(g.matmul(unit, g.transpose(all_texts)), 1.0 / tau, 0.0)
@@ -603,13 +537,6 @@ def total_loss_graph(batch: Sequence[TrainExample], store: ParamStore,
                           frame=frame)
 
 
-def total_loss(batch: Sequence[TrainExample], store: ParamStore, weights: LossWeights,
-               config: EncoderConfig, seed: int = 0,
-               text_cache: MutableMapping[str, Array] | None = None) -> LossReport:
-    """Evaluate the weighted objective for one batch."""
-    return total_loss_graph(batch, store, weights, config, seed, text_cache).report
-
-
 # ----------------------------------------------------------------------
 # Loss log lines
 
@@ -618,11 +545,3 @@ def format_loss_line(step: int, report: LossReport) -> str:
     return (f"{step},{report.L_C!r},{report.L_L1!r},{report.L_GIoU!r},"
             f"{report.L_MC!r},{report.total!r}")
 
-
-def parse_loss_line(line: str) -> tuple[int, LossReport]:
-    parts = line.strip().split(",")
-    if len(parts) != 6:
-        raise ValueError(f"expected 6 comma-separated fields, got {len(parts)}")
-    return int(parts[0]), LossReport(L_C=float(parts[1]), L_L1=float(parts[2]),
-                                     L_GIoU=float(parts[3]), L_MC=float(parts[4]),
-                                     total=float(parts[5]))

@@ -49,9 +49,6 @@ class EmbeddingIndex:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def row(self, item_id: str) -> Array:
-        return self.matrix[self.ids.index(item_id)]
-
 
 @dataclass(frozen=True)
 class GroundTruth:

@@ -1,10 +1,15 @@
-"""Brute-force reference implementations shared by unit and acceptance tests."""
+"""Brute-force reference implementations, and runners of single encoder
+stages, shared by unit and acceptance tests."""
 
 import itertools
 from collections import deque
 from fractions import Fraction
 
 import numpy as np
+
+from slotnav.autodiff import Graph
+from slotnav.encoder import (Binding, _patch_tokens, _slot_state, build_slot_attention,
+                             patchify)
 
 
 def brute_force_assignment(cost):
@@ -44,6 +49,29 @@ def exact_sum_assignment(cost):
                       for rows in itertools.permutations(range(k), n))
     return min(candidates,
                key=lambda pairs: (sum(Fraction(cost[i, j]) for i, j in pairs), pairs))
+
+
+def l1_box(a, b):
+    """Sum of absolute corner differences."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return float(np.abs(a - b).sum())
+
+
+def giou(a, b):
+    """Generalized IoU value in (-1, 1]: IoU minus the hull penalty.
+
+    Degenerate corners: union 0 with coincident boxes returns 1 (perfect
+    match convention); union 0 with distinct boxes returns -1.
+    """
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    inter_w = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
+    inter_h = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
+    inter = inter_w * inter_h
+    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
+    hull = (max(a[2], b[2]) - min(a[0], b[0])) * (max(a[3], b[3]) - min(a[1], b[1]))
+    if union == 0.0:
+        return 1.0 if hull == 0.0 else -1.0
+    return float(inter / union - (hull - union) / hull)
 
 
 def iou(a, b):
@@ -93,7 +121,7 @@ def format_world(world):
     rows = ["".join("#" if world.grid[r, c] else "."
                     for c in range(world.cols))
             for r in range(world.rows)]
-    table = [f"{o.object_id} {o.noun} {o.col} {o.row}" for o in world.objects]
+    table = [f"{o.object_id} {o.noun} {o.cell[0]} {o.cell[1]}" for o in world.objects]
     return "\n".join(rows) + ("\n\n" + "\n".join(table) + "\n" if table else "\n")
 
 
@@ -138,3 +166,23 @@ def run_every_node(graph, outputs, frame):
                 if first is None and not np.isfinite(values[i]).all():
                     first = graph._names[i]
     return first, values
+
+
+def image_tokens(image, store, config):
+    """Evaluated tokens and pooled rows of the encoder's patch transformer
+    over one image or a stack, its patches a constant."""
+    g = Graph()
+    patches = g.constant(patchify(image, config.patch_size), name="patches")
+    return g.evaluate(list(_patch_tokens(g, Binding(g, store, trainable=False), patches,
+                                         config)))
+
+
+def slot_attention(tokens, store, config, initial_slots):
+    """The encoder's slot attention alone over an N×D token matrix, for
+    config.slot_iters iterations from initial_slots: the final SlotState
+    with every iteration in its history."""
+    g = Graph()
+    _, traces = build_slot_attention(g, Binding(g, store, trainable=False),
+                                     g.constant(tokens, name="tokens"), initial_slots,
+                                     config.slot_iters, config)
+    return _slot_state(g.evaluate([node for trace in traces for node in trace]))

@@ -7,7 +7,7 @@ import pytest
 
 from slotnav.autodiff import derive_seed
 from slotnav.cli import main
-from slotnav.encoder import EncoderConfig, init_params, run_slot_attention, sample_slots
+from slotnav.encoder import EncoderConfig, init_params, sample_slots
 from slotnav.fixtures import (NAV_START, nav_memory_entries, nav_query_records,
                               nav_query_rows, nav_world, ortho_indexes,
                               training_images, training_records)
@@ -16,13 +16,13 @@ from slotnav.harness import (TrainConfig, dataset_examples, loss_ablation,
 from slotnav.navsim import (FovParams, GridWorld, Pose, execute_episode,
                             plan_path, success_rate)
 from slotnav.objectives import (Annotation, AnnotationSet, LossWeights,
-                                TrainExample, giou, hungarian,
+                                TrainExample, hungarian, pairwise_cost,
                                 total_loss_graph)
 from slotnav.retrieval import (GroundTruth, average_recall, batch_topk,
                                build_index, topk_images)
 
-from _oracles import (breadth_first_path, brute_force_assignment, iou,
-                      random_box, ranked_ids)
+from _oracles import (breadth_first_path, brute_force_assignment, giou, iou,
+                      l1_box, random_box, ranked_ids, slot_attention)
 
 
 # ----------------------------------------------------------------------
@@ -92,17 +92,22 @@ def test_hungarian_equals_brute_force_500_matrices():
 
 
 def test_giou_worked_examples_and_random_properties():
-    assert giou((0, 0, 2, 2), (0, 0, 2, 2)) == pytest.approx(1.0, abs=1e-12)
-    # inter 1, union 7, hull 9.
-    assert giou((0, 0, 2, 2), (1, 1, 3, 3)) == pytest.approx(1 / 7 - 2 / 9,
-                                                             abs=1e-12)
-    # disjoint: union 2, hull 9.
-    assert giou((0, 0, 1, 1), (2, 2, 3, 3)) == pytest.approx(0 - 7 / 9,
-                                                             abs=1e-12)
+    # pairwise_cost's literal convention is L1 plus GIoU.
+    def literal(a, b):
+        return pairwise_cost([a], [b], literal_giou_cost=True)[0, 0]
+
+    assert literal((0, 0, 2, 2), (0, 0, 2, 2)) == pytest.approx(0 + 1.0, abs=1e-12)
+    # L1 4; inter 1, union 7, hull 9.
+    assert literal((0, 0, 2, 2), (1, 1, 3, 3)) == pytest.approx(4 + 1 / 7 - 2 / 9,
+                                                                abs=1e-12)
+    # L1 8; disjoint: union 2, hull 9.
+    assert literal((0, 0, 1, 1), (2, 2, 3, 3)) == pytest.approx(8 + 0 - 7 / 9,
+                                                                abs=1e-12)
     rng = np.random.default_rng(0)
     for _ in range(10_000):
         a, b = random_box(rng), random_box(rng)
         g = giou(a, b)
+        assert literal(a, b) == l1_box(a, b) + g
         assert -1.0 < g <= 1.0
         assert g <= iou(a, b) + 1e-12
         assert g == pytest.approx(giou(b, a), abs=1e-12)
@@ -121,7 +126,7 @@ def test_slot_attention_invariants_reference_scale():
         rng = np.random.default_rng(100 + instance)
         tokens = rng.normal(size=(16, cfg.dim))
         init = sample_slots(cfg, 300 + instance)
-        base = run_slot_attention(tokens, store, cfg, initial_slots=init)
+        base = slot_attention(tokens, store, cfg, init)
         assert len(base.history) == cfg.slot_iters
         for state in base.history:
             assert np.all(np.isfinite(state.slots))
@@ -131,7 +136,7 @@ def test_slot_attention_invariants_reference_scale():
             worst_rows = max(worst_rows, rows)
             worst_cols = max(worst_cols, cols)
         perm = rng.permutation(cfg.num_slots)
-        swapped = run_slot_attention(tokens, store, cfg, initial_slots=init[perm])
+        swapped = slot_attention(tokens, store, cfg, init[perm])
         drift = float(np.abs(swapped.slots - base.slots[perm]).max())
         assert drift < 1e-9, f"instance {instance}: {drift:.3e}"
         worst_perm = max(worst_perm, drift)

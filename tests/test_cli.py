@@ -218,6 +218,16 @@ def test_retrieve_on_orthonormal_fixture(bundle, capsys):
     assert all(line.split()[1] == "1" for line in out)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_retrieve_rejects_a_k_below_one_before_reading_any_file(bundle, tmp_path, capsys, k):
+    for index in (bundle["fx"] / "ortho_index.lze", tmp_path / "missing.lze"):
+        assert main(["retrieve", "--index", str(index), "--queries",
+                     str(bundle["fx"] / "ortho_queries.lze"), "-k", str(k)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: -k: must be at least 1, got {k}\n"
+        assert captured.out == ""
+
+
 def test_retrieve_requires_exactly_one_query_source(bundle, capsys):
     fx = bundle["fx"]
     assert main(["retrieve", "--index", str(fx / "ortho_index.lze")]) == 1
@@ -236,6 +246,30 @@ def test_eval_retrieval_on_orthonormal_fixture(bundle, capsys):
     assert out[0] == "ar@1 1.000000"
     assert out[1] == "ar@5 1.000000"
     assert out[2] == "queries 6"
+
+
+def _eval_retrieval(fx, ks, index=None):
+    return ["eval-retrieval", "--index", str(index or fx / "ortho_index.lze"),
+            "--queries", str(fx / "ortho_queries.lze"), "--gt", str(fx / "ortho_gt.tsv"),
+            "--ks", ks]
+
+
+@pytest.mark.parametrize("ks", ["0", "abc", "1,0", "-1", "1.5", ","])
+def test_eval_retrieval_rejects_bad_ks_before_reading_any_file(bundle, tmp_path, capsys, ks):
+    for index in (None, tmp_path / "missing.lze"):
+        assert main(_eval_retrieval(bundle["fx"], ks, index)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --ks: ")
+        assert captured.out == ""
+
+
+def test_eval_retrieval_rejects_a_cutoff_past_the_index(bundle, capsys):
+    assert main(_eval_retrieval(bundle["fx"], "1,99")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --ks: 99 exceeds the index's 6 items\n"
+    assert captured.out == ""
+    assert main(_eval_retrieval(bundle["fx"], "6")) == 0
+    assert lines_of(capsys)[0] == "ar@6 1.000000"
 
 
 def test_eval_retrieval_rejects_bad_gt(bundle, tmp_path, capsys):
@@ -466,6 +500,32 @@ def test_nav_eval_rejects_bad_radii_before_any_episode(bundle, capsys, radii):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: --radii: ")
     assert "episode" not in captured.out
+
+
+@pytest.mark.parametrize("flag, value", [("--max-range", "nan"), ("--max-range", "0"),
+                                         ("--max-range", "-1"), ("--cell-m", "nan"),
+                                         ("--cell-m", "inf"), ("--cell-m", "0"),
+                                         ("--half-angle", "4"), ("--half-angle", "nan"),
+                                         ("--half-angle", "0")])
+def test_nav_eval_rejects_a_bad_camera_or_cell_flag_before_loading(bundle, tmp_path, capsys,
+                                                                    flag, value):
+    argv = _nav_eval_fixture(bundle["fx"]) + [flag, value]
+    missing = argv[:]
+    missing[missing.index("--world") + 1] = str(tmp_path / "missing.txt")
+    for args in (argv, missing):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag}: ")
+        assert "episode" not in captured.out
+
+
+def test_nav_eval_max_range_inf_means_no_range_limit(bundle, capsys):
+    outputs = []
+    for value in ("inf", "100"):
+        assert main(_nav_eval_fixture(bundle["fx"]) + ["--max-range", value]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "episodes 4" in outputs[0]
 
 
 @pytest.mark.parametrize("k", [0, -2])

@@ -13,7 +13,6 @@ from slotnav.encoder import (
     build_aggregate,
     build_box_head,
     build_image_embedding,
-    build_image_tokens,
     build_slot_attention,
     build_text_embedding,
     encode_text,
@@ -21,11 +20,12 @@ from slotnav.encoder import (
     init_params,
     patchify,
     read_ppm,
-    run_slot_attention,
     sample_slots,
     write_ppm,
 )
 from slotnav.harness import TrainConfig
+
+from _oracles import image_tokens, slot_attention
 
 DESK = EncoderConfig(max_tokens=4)
 
@@ -55,23 +55,17 @@ def test_patchify_layout_is_row_major_tiles():
     assert np.array_equal(patches[0], expected)
 
 
-def tokens_of(image, store, config=DESK):
-    g = Graph()
-    tokens, pooled = build_image_tokens(g, Binding(g, store, trainable=False), image, config)
-    return g.evaluate([tokens, pooled])
-
-
 def boxes_of(slots, store):
     g = Graph()
     return g.evaluate(build_box_head(g, Binding(g, store, trainable=False), g.constant(slots)))
 
 
 def one_step(tokens, slots0, store):
-    return run_slot_attention(tokens, store, replace(DESK, slot_iters=1), initial_slots=slots0)
+    return slot_attention(tokens, store, replace(DESK, slot_iters=1), slots0)
 
 
 def test_encode_image_token_count(desk_store):
-    tokens, pooled = tokens_of(random_image(0), desk_store)
+    tokens, pooled = image_tokens(random_image(0), desk_store, DESK)
     assert tokens.shape == (4, DESK.dim)
     assert pooled.shape == (1, DESK.dim)
     assert np.allclose(pooled[0], tokens.mean(axis=0))
@@ -94,7 +88,7 @@ def test_encode_image_deterministic(desk_store):
 def test_zero_image_with_zero_positions_gives_identical_tokens(desk_store):
     store = desk_store.copy()
     store["img.pos"] = np.zeros_like(store["img.pos"])
-    tokens, _ = tokens_of(np.zeros((16, 16, 3)), store)
+    tokens, _ = image_tokens(np.zeros((16, 16, 3)), store, DESK)
     assert np.allclose(tokens, tokens[0], atol=1e-12)
 
 
@@ -135,30 +129,31 @@ def test_slot_step_permutation_equivariance(desk_store):
 
 
 def test_seed_draws_the_slots_derived_from_it(desk_store):
-    tokens, _ = tokens_of(random_image(6), desk_store)
+    image = random_image(6)
+    tokens, _ = image_tokens(image, desk_store, DESK)
     seed = 21
     init = sample_slots(DESK, derive_seed(seed, "slots"))
-    seeded = run_slot_attention(tokens, desk_store, DESK, seed=seed)
-    given = run_slot_attention(tokens, desk_store, DESK, initial_slots=init)
+    _, _, seeded = image_embedding(image, desk_store, DESK, seed=seed)
+    given = slot_attention(tokens, desk_store, DESK, init)
     assert seeded.iteration == given.iteration == DESK.slot_iters
     for a, b in zip(seeded.history, given.history):
         assert a.slots.tobytes() == b.slots.tobytes()
         assert a.attention.tobytes() == b.attention.tobytes()
 
 
-def test_run_slot_attention_same_seed_identical(desk_store):
-    tokens, _ = tokens_of(random_image(7), desk_store)
-    a = run_slot_attention(tokens, desk_store, DESK, seed=3)
-    b = run_slot_attention(tokens, desk_store, DESK, seed=3)
+def test_image_embedding_same_seed_same_slots(desk_store):
+    image = random_image(7)
+    _, _, a = image_embedding(image, desk_store, DESK, seed=3)
+    _, _, b = image_embedding(image, desk_store, DESK, seed=3)
     assert a.slots.tobytes() == b.slots.tobytes()
-    c = run_slot_attention(tokens, desk_store, DESK, seed=4)
+    _, _, c = image_embedding(image, desk_store, DESK, seed=4)
     assert not np.array_equal(a.slots, c.slots)
 
 
 def test_many_slots_many_iterations_stay_finite(desk_store):
     cfg = EncoderConfig(max_tokens=4, num_slots=10, slot_iters=20)
-    tokens, _ = tokens_of(random_image(8), desk_store, cfg)
-    state = run_slot_attention(tokens, desk_store, cfg, seed=0)
+    tokens, _ = image_tokens(random_image(8), desk_store, cfg)
+    state = slot_attention(tokens, desk_store, cfg, sample_slots(cfg, derive_seed(0, "slots")))
     assert np.all(np.isfinite(state.slots))
     assert state.iteration == 20
     for past in state.history:
@@ -205,11 +200,11 @@ def test_zeroed_slot_branch_ignores_slots(desk_store):
 
 
 def test_full_run_permutation_equivariance(desk_store):
-    tokens, _ = tokens_of(random_image(11), desk_store)
+    tokens, _ = image_tokens(random_image(11), desk_store, DESK)
     init = sample_slots(DESK, 13)
     perm = np.array([3, 1, 0, 2])
-    base = run_slot_attention(tokens, desk_store, DESK, initial_slots=init)
-    swapped = run_slot_attention(tokens, desk_store, DESK, initial_slots=init[perm])
+    base = slot_attention(tokens, desk_store, DESK, init)
+    swapped = slot_attention(tokens, desk_store, DESK, init[perm])
     assert np.allclose(swapped.slots, base.slots[perm], atol=1e-9)
     base_boxes = boxes_of(base.slots, desk_store)
     swapped_boxes = boxes_of(swapped.slots, desk_store)
@@ -282,8 +277,7 @@ def staged_image_embedding(image, store, config, seed):
         g = Graph()
         return g, Binding(g, store, trainable=False)
 
-    g, bind = stage()
-    tokens, pooled = g.evaluate(list(build_image_tokens(g, bind, image, config)))
+    tokens, pooled = image_tokens(image, store, config)
     g, bind = stage()
     init = sample_slots(config, derive_seed(seed, "slots"))
     _, traces = build_slot_attention(g, bind, g.constant(tokens), init,

@@ -18,7 +18,7 @@ from slotnav.harness import (AblationReport, ConvergenceReport, RunManifest,
                              loss_ablation, overfit_harness, parse_config_file,
                              prompt_template_report, train, train_on_examples,
                              train_step, training_set_ar1)
-from slotnav.objectives import LossWeights, total_loss, total_loss_graph
+from slotnav.objectives import LossWeights, total_loss_graph
 
 
 def desk_config(**overrides):
@@ -136,8 +136,8 @@ def test_step_report_matches_direct_loss():
     cfg = desk_config()
     store = fresh_store(cfg)
     batch = fixture_examples()[:2]
-    direct = total_loss(batch, store, cfg.weights, cfg.encoder,
-                        derive_seed(cfg.seed, "step", 0))
+    direct = total_loss_graph(batch, store, cfg.weights, cfg.encoder,
+                              derive_seed(cfg.seed, "step", 0)).report
     report = train_step(store, batch, cfg, 0)
     assert report.total == direct.total
     assert report.L_C == direct.L_C
@@ -216,8 +216,8 @@ def test_first_step_does_not_increase_loss():
     store = fresh_store(cfg)
     batch = fixture_examples()[:2]
     before = train_step(store, batch, cfg, 0)
-    after = total_loss(batch, store, cfg.weights, cfg.encoder,
-                       derive_seed(cfg.seed, "step", 0))
+    after = total_loss_graph(batch, store, cfg.weights, cfg.encoder,
+                             derive_seed(cfg.seed, "step", 0)).report
     assert after.total <= before.total
 
 

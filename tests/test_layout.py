@@ -1,0 +1,58 @@
+"""Layout: every top-level definition in src/ serves the program.
+
+A function or class that only tests call checks a copy of the code that
+trains and navigates, not that code.  Such a definition belongs in the
+tests, next to what it checks, or nowhere.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The paper's experiments: no command runs them, but they reproduce its claims.
+EXPERIMENTS = {"loss_ablation", "prompt_template_report"}
+
+
+def _referenced(tree):
+    """Names read in tree, as a bare name or an attribute; docstrings and
+    imports are not reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def unreferenced_definitions(src, readers):
+    """Top-level functions and classes of the modules in src that no
+    top-level statement of src or readers reads, other than their own."""
+    modules = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+               for path in [*src, *readers]}
+    statements = [stmt for tree in modules.values() for stmt in tree.body]
+    reads = [(stmt, _referenced(stmt)) for stmt in statements]
+    unused = []
+    for path in src:
+        for stmt in modules[path].body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not any(stmt.name in names for other, names in reads
+                                if other is not stmt):
+                unused.append(f"{path.name}:{stmt.lineno} {stmt.name}")
+    return unused
+
+
+def test_every_src_definition_is_read_by_src_or_bench():
+    src = sorted((ROOT / "src" / "slotnav").glob("*.py"))
+    bench = sorted((ROOT / "bench").glob("*.py"))
+    assert src and bench
+    unused = [entry for entry in unreferenced_definitions(src, bench)
+              if entry.split()[-1] not in EXPERIMENTS]
+    assert unused == [], "defined in src/ but read only by tests: " + ", ".join(unused)
+
+
+def test_a_definition_read_only_by_itself_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text('"""recurse() is named only here and in its own body."""\n\n'
+                      "def recurse(n):\n    return recurse(n - 1) if n else 0\n\n\n"
+                      "class Kept:\n    pass\n\n\n"
+                      "def uses():\n    return Kept()\n", encoding="utf-8")
+    reader = tmp_path / "reader.py"
+    reader.write_text("import module\n\nmodule.uses()\n", encoding="utf-8")
+    assert unreferenced_definitions([module], [reader]) == ["module.py:3 recurse"]

@@ -94,8 +94,9 @@ def test_object_on_wall_needs_free_neighbor():
 
 
 def test_world_rejects_bad_cell_size():
-    with pytest.raises(ValueError):
-        GridWorld(grid=np.zeros((1, 1), dtype=bool), cell_m=0.0)
+    for bad in (0.0, -0.25, math.nan, math.inf):
+        with pytest.raises(ValueError, match="cell size"):
+            GridWorld(grid=np.zeros((1, 1), dtype=bool), cell_m=bad)
 
 
 def test_grid_is_immutable():
@@ -144,6 +145,15 @@ def bfs_steps(grid, start_cell, goal_cell):
     return len(path) - 1 if path else -1
 
 
+def whole_field(world, goal):
+    """steps_between every cell and goal as a rows×cols array, -1 where
+    unreachable.  The first call starts goal's field, so every later one
+    reads it and grows it only as far as that cell."""
+    world.steps_between(goal, goal)
+    return np.array([[world.steps_between((col, row), goal) for col in range(world.cols)]
+                     for row in range(world.rows)])
+
+
 def test_plan_path_straight_corridor():
     world = corridor_world(length=8)
     assert plan_path(world, center_pose(world, (0, 0)), center_pose(world, (5, 0))) == 5
@@ -174,7 +184,7 @@ def test_plan_path_rejects_out_of_bounds():
     world = corridor_world()
     with pytest.raises(ValueError):
         plan_path(world, Pose(x=-1.0, y=0.0, theta=0.0), center_pose(world, (0, 0)))
-    world.distance_field((0, 0))  # a cached end is read, so the other must be checked
+    world.steps_between((0, 0), (0, 0))  # a cached end is read, so the other must be checked
     for a, b in (((-1, 0), (0, 0)), ((0, 0), (-1, 0)), ((0, 0), (0, 1))):
         with pytest.raises(ValueError, match="outside"):
             world.steps_between(a, b)
@@ -212,7 +222,7 @@ def test_plan_path_counts_bfs_steps_whichever_field_is_cached(rows, cols, densit
     warm = {"fresh": [], "neither": [other], "start": [start_cell],
             "goal": [goal_cell], "both": [start_cell, goal_cell]}[cached]
     for cell in warm:
-        world.distance_field(cell)
+        whole_field(world, cell)
     steps = plan_path(world, center_pose(world, start_cell), center_pose(world, goal_cell))
     assert steps == bfs_steps(grid, start_cell, goal_cell)
     # A cached end is read; with neither end cached the goal's field is built.
@@ -227,7 +237,7 @@ def test_plan_path_counts_bfs_steps_whichever_field_is_cached(rows, cols, densit
 def test_distance_field_matches_bfs_oracle(rows, cols, density, seed, goal_pick):
     grid = np.random.default_rng(seed).random((rows, cols)) < density
     goal = (goal_pick % cols, goal_pick // cols % rows)
-    field = GridWorld(grid=grid, cell_m=0.25).distance_field(goal)
+    field = whole_field(GridWorld(grid=grid, cell_m=0.25), goal)
     assert field.shape == grid.shape
     for row in range(rows):
         for col in range(cols):
@@ -238,31 +248,28 @@ def test_distance_field_matches_bfs_oracle(rows, cols, density, seed, goal_pick)
             assert field[row, col] == (len(oracle) - 1 if oracle else -1)
 
 
-def test_distance_field_is_read_only_and_rejects_outside_goal():
+def test_distance_field_values_and_outside_goal():
     world = parse_world("..#\n...\n")
-    field = world.distance_field((0, 0))
-    assert field.tolist() == [[0, 1, -1], [1, 2, 3]]
-    with pytest.raises(ValueError):
-        field[0, 0] = 5
+    assert whole_field(world, (0, 0)).tolist() == [[0, 1, -1], [1, 2, 3]]
     with pytest.raises(ValueError, match="outside"):
-        world.distance_field((3, 0))
+        world.steps_between((0, 0), (3, 0))
 
 
 def test_distance_field_cache_drops_least_recently_used():
     world = GridWorld(grid=np.zeros((9, 9), dtype=bool), cell_m=0.25)
     goals = [(c, r) for r in range(9) for c in range(9)][:FIELD_CACHE_SIZE + 2]
-    fields = {goal: world.distance_field(goal) for goal in goals[:FIELD_CACHE_SIZE]}
+    fields = {goal: whole_field(world, goal) for goal in goals[:FIELD_CACHE_SIZE]}
     cached = {goal: world._fields[goal] for goal in goals[:FIELD_CACHE_SIZE]}
-    assert np.array_equal(world.distance_field(goals[0]), fields[goals[0]])
+    assert np.array_equal(whole_field(world, goals[0]), fields[goals[0]])
     assert world._fields[goals[0]] is cached[goals[0]]  # a hit, now most recent
     for goal in goals[FIELD_CACHE_SIZE:]:
-        world.distance_field(goal)
+        whole_field(world, goal)
     assert len(world._fields) == FIELD_CACHE_SIZE
     assert goals[0] in world._fields
     assert goals[1] not in world._fields and goals[2] not in world._fields
-    assert np.array_equal(world.distance_field(goals[0]), fields[goals[0]])
+    assert np.array_equal(whole_field(world, goals[0]), fields[goals[0]])
     assert world._fields[goals[0]] is cached[goals[0]]
-    refetched = world.distance_field(goals[1])
+    refetched = whole_field(world, goals[1])
     assert world._fields[goals[1]] is not cached[goals[1]]
     assert np.array_equal(refetched, fields[goals[1]])
 
@@ -280,7 +287,7 @@ def serpentine_world(side=33):
 def test_distance_field_past_511_steps_matches_bfs_oracle():
     world = serpentine_world()
     goal = (0, 0)
-    field = world.distance_field(goal)
+    field = whole_field(world, goal)
     assert field.max() > 511  # steps read from bit-planes 8 and 9
     free = [(col, row) for row in range(world.rows) for col in range(world.cols)
             if not world.grid[row, col]]
@@ -309,7 +316,7 @@ def test_field_grown_in_stages_across_run_boundaries_matches_bfs_oracle():
             == len(oracle) - 1 == steps
         assert list(world._fields) == [goal]
         assert world._fields[goal].step == steps  # paused on reaching cell
-    field = world.distance_field(goal)
+    field = whole_field(world, goal)
     for row in range(world.rows):
         for col in range(world.cols):
             oracle = breadth_first_path(world.grid, (col, row), goal)
@@ -333,7 +340,7 @@ def test_paused_fields_evicted_part_grown_answer_like_the_bfs_oracle(rows, cols,
         for whole, i, j in calls:
             a, b = cells[i], cells[j]
             if whole:
-                field = world.distance_field(b)
+                field = whole_field(world, b)
                 assert [[field[row, col] for col in range(cols)] for row in range(rows)] \
                     == [[bfs_steps(grid, (col, row), b) for col in range(cols)]
                         for row in range(rows)]
@@ -344,9 +351,7 @@ def test_paused_fields_evicted_part_grown_answer_like_the_bfs_oracle(rows, cols,
 
 def test_distance_field_to_an_occupied_goal_is_all_unreachable():
     world = parse_world("...\n.#.\n...\n")
-    field = world.distance_field((1, 1))
-    assert field.tolist() == [[-1] * 3] * 3
-    assert field.dtype == world.distance_field((0, 0)).dtype
+    assert whole_field(world, (1, 1)).tolist() == [[-1] * 3] * 3
     assert world.steps_between((0, 0), (1, 1)) == -1
 
 
@@ -369,7 +374,7 @@ def test_world_equality_ignores_field_cache():
     filled = GridWorld(grid=grid, cell_m=0.25)
     empty = GridWorld(grid=grid, cell_m=0.25)
     for col in range(5):
-        filled.distance_field((col, 0))
+        whole_field(filled, (col, 0))
     assert filled == empty
     assert repr(filled) == repr(empty)
 
@@ -430,8 +435,10 @@ def test_in_fov_validates_params():
     pose = Pose(x=0.0, y=0.0, theta=0.0)
     with pytest.raises(ValueError):
         in_fov(pose, (1.0, 0.0), half_angle=0.0)
-    with pytest.raises(ValueError):
-        in_fov(pose, (1.0, 0.0), max_range=0.0)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            in_fov(pose, (1.0, 0.0), max_range=bad)
+    assert in_fov(pose, (1e9, 0.0), max_range=math.inf)  # no range limit
 
 
 def test_in_fov_occlusion_switchable():
@@ -528,7 +535,7 @@ def test_episode_skips_unreachable_candidate():
     result = execute_episode("", "sofa", memory, world, k=2,
                              encode=lambda _: query,
                              start=center_pose(world, (0, 0)))
-    assert world.distance_field((4, 0))[0, 0] == -1
+    assert world.steps_between((0, 0), (4, 0)) == -1
     assert result.notes == ["skipped m_trapped: unreachable"]
     assert len(result.visited) == 1
     assert result.stop_pose == near
@@ -543,7 +550,7 @@ def test_episode_skips_walled_in_goal():
               MemoryEntry("m_corner", corner, basis[1])]
     query = 0.9 * basis[0] + 0.4358898943540674 * basis[1]
     start = center_pose(world, (0, 0))
-    assert world.distance_field((2, 2))[0, 0] == -1
+    assert world.steps_between((0, 0), (2, 2)) == -1
     result = execute_episode("", "sofa", memory, world, k=2,
                              encode=lambda _: query, start=start)
     assert result.ranked_ids == ["m_enclosed", "m_corner"]

@@ -10,7 +10,7 @@ import pytest
 
 from slotnav import objectives
 from slotnav.autodiff import Graph, GraphCache
-from slotnav.encoder import EncoderConfig, init_params
+from slotnav.encoder import Binding, EncoderConfig, init_params
 from slotnav.fixtures import training_images, training_records
 from slotnav.harness import TrainConfig, dataset_examples
 from slotnav.objectives import (
@@ -21,39 +21,44 @@ from slotnav.objectives import (
     LossWeights,
     TrainExample,
     concat_captions,
-    contrastive_loss,
     format_loss_line,
-    giou,
     hungarian,
-    l1_box,
-    multilabel_contrastive_loss,
     pairwise_cost,
-    parse_loss_line,
-    total_loss,
     total_loss_graph,
     _giou_columns,
+    _multilabel_node,
+    _onehot,
+    _symmetric_ce,
 )
 
-from _oracles import brute_force_assignment, exact_sum_assignment, iou, random_box
+from _oracles import (brute_force_assignment, exact_sum_assignment, giou, iou, l1_box,
+                      random_box)
 
 
 # ----------------------------------------------------------------------
-# GIoU and L1
+# GIoU and L1, through pairwise_cost
+
+
+def literal_cost(a, b):
+    """pairwise_cost of one pair under the literal convention: L1 plus GIoU."""
+    return pairwise_cost([a], [b], literal_giou_cost=True)[0, 0]
 
 
 def test_giou_worked_examples():
-    assert giou((0, 0, 2, 2), (0, 0, 2, 2)) == pytest.approx(1.0, abs=1e-12)
-    # inter 1, union 7, hull 9.
-    assert giou((0, 0, 2, 2), (1, 1, 3, 3)) == pytest.approx(1 / 7 - 2 / 9, abs=1e-12)
-    # disjoint: union 2, hull 9.
-    assert giou((0, 0, 1, 1), (2, 2, 3, 3)) == pytest.approx(0 - 7 / 9, abs=1e-12)
+    assert literal_cost((0, 0, 2, 2), (0, 0, 2, 2)) == pytest.approx(0 + 1.0, abs=1e-12)
+    # L1 4; inter 1, union 7, hull 9.
+    assert literal_cost((0, 0, 2, 2), (1, 1, 3, 3)) == pytest.approx(4 + 1 / 7 - 2 / 9,
+                                                                     abs=1e-12)
+    # L1 8; disjoint: union 2, hull 9.
+    assert literal_cost((0, 0, 1, 1), (2, 2, 3, 3)) == pytest.approx(8 + 0 - 7 / 9,
+                                                                     abs=1e-12)
 
 
 def test_giou_degenerate_conventions():
-    assert giou((0.2, 0.2, 0.2, 0.2), (0.2, 0.2, 0.2, 0.2)) == 1.0
-    assert giou((0, 0, 0, 0), (1, 1, 1, 1)) == -1.0
+    assert literal_cost((0.2, 0.2, 0.2, 0.2), (0.2, 0.2, 0.2, 0.2)) == 0.0 + 1.0
+    assert literal_cost((0, 0, 0, 0), (1, 1, 1, 1)) == 4.0 - 1.0
     with pytest.raises(ValueError):
-        giou((1, 0, 0, 1), (0, 0, 1, 1))
+        literal_cost((1, 0, 0, 1), (0, 0, 1, 1))
 
 
 def test_giou_properties_random_pairs():
@@ -61,6 +66,7 @@ def test_giou_properties_random_pairs():
     for _ in range(10_000):
         a, b = random_box(rng), random_box(rng)
         g = giou(a, b)
+        assert literal_cost(a, b) == l1_box(a, b) + g
         assert -1.0 < g <= 1.0
         assert g <= iou(a, b) + 1e-12
         assert g == pytest.approx(giou(b, a), abs=1e-12)
@@ -69,18 +75,20 @@ def test_giou_properties_random_pairs():
 def test_giou_equals_iou_iff_hull_equals_union():
     # Stacked boxes sharing full width: hull == union exactly.
     a, b = (0.0, 0.0, 1.0, 0.5), (0.0, 0.5, 1.0, 1.0)
-    assert giou(a, b) == pytest.approx(iou(a, b), abs=1e-15)
+    assert literal_cost(a, b) - l1_box(a, b) == pytest.approx(iou(a, b), abs=1e-15)
     # Offset boxes: hull strictly larger, giou strictly smaller.
     c, d = (0.0, 0.0, 0.5, 0.5), (0.6, 0.6, 1.0, 1.0)
-    assert giou(c, d) < iou(c, d) - 1e-9
+    assert literal_cost(c, d) - l1_box(c, d) < iou(c, d) - 1e-9
 
 
 def test_l1_box():
-    assert l1_box((0, 0, 1, 1), (0, 0, 1, 1)) == 0.0
+    # Coincident boxes: L1 0 and GIoU 1, so the minimizing cost is 0.
+    assert pairwise_cost([(0, 0, 1, 1)], [(0, 0, 1, 1)])[0, 0] == 0.0
     assert l1_box((0, 0, 2, 2), (1, 1, 3, 3)) == pytest.approx(4.0, abs=1e-12)
     rng = np.random.default_rng(1)
     a, b = random_box(rng), random_box(rng)
     assert l1_box(a, b) == pytest.approx(l1_box(b, a), abs=0)
+    assert pairwise_cost([a], [b]).tobytes() == pairwise_cost([b], [a]).tobytes()
 
 
 def test_graph_giou_matches_scalar_giou():
@@ -309,7 +317,14 @@ def test_assignment_rejects_duplicates():
 
 
 # ----------------------------------------------------------------------
-# Contrastive losses
+# Contrastive losses: the step graph's builders
+
+
+def contrastive_loss(imgs, txts, tau=0.07):
+    """The step graph's symmetric cross-entropy over these rows."""
+    g = Graph()
+    return float(g.evaluate(_symmetric_ce(g, g.constant(np.atleast_2d(imgs)),
+                                          g.constant(np.atleast_2d(txts)), tau)))
 
 
 def test_contrastive_loss_single_pair_is_zero():
@@ -346,8 +361,6 @@ def test_contrastive_loss_rewards_alignment():
     far = contrastive_loss(imgs_far, txts, tau=0.5)
     near = contrastive_loss(imgs_near, txts, tau=0.5)
     assert 0.0 <= near < far
-    with pytest.raises(ValueError):
-        contrastive_loss(np.empty((0, 3)), np.empty((0, 3)))
 
 
 def test_concat_captions():
@@ -367,6 +380,18 @@ def _identity_projection_store():
     return cfg, store
 
 
+def multilabel_loss(slots, texts, assignment, store, tau=0.07):
+    """The step graph's multi-label term: the assignment's slots picked by a
+    0/1 matrix, each scored against every text, its annotation the target."""
+    g = Graph()
+    rows = _onehot([i for i, _ in assignment.pairs], len(slots))
+    matched = g.matmul(g.constant(rows), g.constant(slots))
+    targets = g.constant(_onehot([j for _, j in assignment.pairs], len(texts)))
+    node = _multilabel_node(g, Binding(g, store, trainable=False), matched,
+                            g.constant(texts), targets, tau)
+    return float(g.evaluate(node))
+
+
 def test_multilabel_loss_single_annotation_is_zero():
     cfg, store = _identity_projection_store()
     slots = np.zeros((2, cfg.slot_dim))
@@ -374,9 +399,8 @@ def test_multilabel_loss_single_annotation_is_zero():
     texts = np.zeros((1, cfg.dim))
     texts[0, 0] = 1.0
     assignment = Assignment(pairs=((0, 0),), unmatched_slots=(1,), cost=0.0)
-    out = multilabel_contrastive_loss(slots, texts, assignment, store, tau=1.0)
-    assert not out.empty
-    assert out.value == pytest.approx(0.0, abs=1e-12)
+    assert multilabel_loss(slots, texts, assignment, store, tau=1.0) == \
+        pytest.approx(0.0, abs=1e-12)
 
 
 def test_multilabel_loss_orthogonal_distractor():
@@ -387,8 +411,8 @@ def test_multilabel_loss_orthogonal_distractor():
     texts[0, 0] = 1.0
     texts[1, 1] = 1.0
     assignment = Assignment(pairs=((0, 0),), unmatched_slots=(1,), cost=0.0)
-    out = multilabel_contrastive_loss(slots, texts, assignment, store, tau=1.0)
-    assert out.value == pytest.approx(-np.log(np.e / (np.e + 1.0)), abs=1e-12)
+    assert multilabel_loss(slots, texts, assignment, store, tau=1.0) == \
+        pytest.approx(-np.log(np.e / (np.e + 1.0)), abs=1e-12)
 
 
 def test_multilabel_loss_ignores_unmatched_slots():
@@ -398,28 +422,10 @@ def test_multilabel_loss_ignores_unmatched_slots():
     texts = rng.normal(size=(2, cfg.dim))
     texts /= np.linalg.norm(texts, axis=1, keepdims=True)
     assignment = Assignment(pairs=((0, 0), (1, 1)), unmatched_slots=(2,), cost=0.0)
-    a = multilabel_contrastive_loss(slots, texts, assignment, store)
+    a = multilabel_loss(slots, texts, assignment, store)
     slots[2] = 0.0
-    b = multilabel_contrastive_loss(slots, texts, assignment, store)
-    assert a.value == b.value
-
-
-def test_multilabel_loss_rejects_a_slot_outside_the_slots():
-    cfg, store = _identity_projection_store()
-    texts = np.zeros((1, cfg.dim))
-    for slot in (2, -1):
-        with pytest.raises(ValueError):
-            multilabel_contrastive_loss(np.zeros((2, cfg.slot_dim)), texts,
-                                        Assignment(pairs=((slot, 0),), unmatched_slots=(),
-                                                   cost=0.0), store)
-
-
-def test_multilabel_loss_empty_assignment_flag():
-    cfg, store = _identity_projection_store()
-    out = multilabel_contrastive_loss(np.zeros((2, cfg.slot_dim)), np.zeros((1, cfg.dim)),
-                                      Assignment(pairs=(), unmatched_slots=(0, 1), cost=0.0),
-                                      store)
-    assert out.empty and out.value == 0.0
+    b = multilabel_loss(slots, texts, assignment, store)
+    assert a == b
 
 
 # ----------------------------------------------------------------------
@@ -449,8 +455,8 @@ def tiny_setup():
 
 def test_total_loss_zero_weights(tiny_setup):
     cfg, store, batch = tiny_setup
-    report = total_loss(batch, store, LossWeights(alpha=0, beta=0, gamma=0, delta=0),
-                        cfg, seed=1)
+    report = total_loss_graph(batch, store, LossWeights(alpha=0, beta=0, gamma=0, delta=0),
+                              cfg, seed=1).report
     assert report.total == 0.0
     assert report.L_C > 0.0
 
@@ -458,15 +464,15 @@ def test_total_loss_zero_weights(tiny_setup):
 def test_total_loss_weighted_identity(tiny_setup):
     cfg, store, batch = tiny_setup
     w = LossWeights(alpha=1.0, beta=1.0, gamma=1.0, delta=1.0)
-    report = total_loss(batch, store, w, cfg, seed=1)
+    report = total_loss_graph(batch, store, w, cfg, seed=1).report
     recombined = report.L_C + report.L_L1 + report.L_GIoU + report.L_MC
     assert abs(report.total - recombined) < 1e-12
 
 
 def test_total_loss_doubling_delta_adds_l_mc(tiny_setup):
     cfg, store, batch = tiny_setup
-    base = total_loss(batch, store, LossWeights(), cfg, seed=4)
-    double = total_loss(batch, store, LossWeights(delta=2.0), cfg, seed=4)
+    base = total_loss_graph(batch, store, LossWeights(), cfg, seed=4).report
+    double = total_loss_graph(batch, store, LossWeights(delta=2.0), cfg, seed=4).report
     assert double.total - base.total == pytest.approx(base.L_MC, abs=1e-12)
     assert double.L_MC == base.L_MC
 
@@ -569,11 +575,9 @@ def test_two_steps_on_one_cached_graph_each_equal_a_fresh_build(tiny_setup):
 
 def test_loss_line_roundtrip():
     report = LossReport(L_C=0.5, L_L1=1.25, L_GIoU=0.75, L_MC=2.0, total=4.5)
-    step, back = parse_loss_line(format_loss_line(12, report))
-    assert step == 12
-    assert back == report
-    with pytest.raises(ValueError):
-        parse_loss_line("1,2,3")
+    step, *values = format_loss_line(12, report).split(",")
+    assert int(step) == 12
+    assert LossReport(*map(float, values)) == report
 
 
 def test_annotation_validation():

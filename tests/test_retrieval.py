@@ -175,8 +175,8 @@ def test_batch_topk_matches_single_queries():
     images = random_index(rng, 6, 6, prefix="i")
     batched = batch_topk(texts, images, 3)
     assert set(batched) == set(texts.ids)
-    for qid in texts.ids:
-        assert batched[qid] == topk_images(texts.row(qid), images, 3)
+    for qid, row in zip(texts.ids, texts.matrix):
+        assert batched[qid] == topk_images(row, images, 3)
 
 
 # ----------------------------------------------------------------------
