@@ -7,10 +7,10 @@ when a node is created, not when the graph runs.
 
 Every op acts on the trailing axes of its operands, and leading axes
 broadcast, in shape inference and backward alike: matmul multiplies the last
-two axes, transpose swaps them, the axis of sum, softmax, concat or slice is
-counted from the end of the operand's own shape, and a second operand may
-broadcast over leading axes and from size-1 axes.  So one graph serves a
-stack of B images as well as one.
+two axes, transpose permutes the operand's own (by default the last two),
+the axis of sum, softmax, concat or slice is counted from the end of the
+operand's own shape, and a second operand may broadcast over leading axes
+and from size-1 axes.  So one graph serves a stack of B images as well as one.
 
 Every forward closure also accepts values that carry extra leading axes in
 front of a node's own shape, and broadcasts them through; without them it
@@ -174,10 +174,12 @@ class Frame:
 
 @dataclass
 class GradientReport:
-    """Loss value plus gradients for every requested parameter."""
+    """Loss value plus gradients for every requested parameter: views of
+    flat, which holds them raveled end to end in the order requested."""
 
     value: float
     gradients: dict[str, Array]
+    flat: Array
 
 
 @dataclass
@@ -213,6 +215,8 @@ class Graph:
         self._names: list[str] = []
         self._forward: list[Callable | None] = []
         self._backward: list[Callable | None] = []
+        # Whether a node depends on a parameter, and so takes gradients.
+        self._needs: list[bool] = []
         # Build-time leaf values, and the current binding's values beyond them.
         self._leaf_values: dict[int, Array] = {}
         self._bound: dict[int, Array] = {}
@@ -242,6 +246,7 @@ class Graph:
         self._names.append(label)
         self._forward.append(forward)
         self._backward.append(backward)
+        self._needs.append(op == "parameter" or any(self._needs[p.index] for p in parents))
         return Node(self, index, op, shape, label)
 
     def parameter(self, name: str, value) -> Node:
@@ -276,7 +281,8 @@ class Graph:
         With frame, values bind inputs that frame has not bound yet, in place.
         Each value must have its leaf's shape and finite entries; a value
         that does not raises an error naming the leaf.  A leaf's build-time
-        array passed that test then and is read-only, so it is not tested again.
+        array passed that test then and is read-only, or a ParamStore's view,
+        which its store changes only to finite values, so it is not tested again.
         """
         checked = {}
         with np.errstate(over="ignore", invalid="ignore"):
@@ -323,40 +329,57 @@ class Graph:
         if len(b.shape) > 2 and a.shape[:-2] != b.shape[:-2]:
             raise ShapeError(f"matmul: leading axes differ, {a.shape} vs {b.shape}")
         ia, ib = a.index, b.index
-        a_rank, b_shape = len(a.shape), b.shape
+        a_rank, b_rank = len(a.shape), len(b.shape)
+        need_a, need_b = self._needs[ia], self._needs[ib]
 
         def forward(v):
-            return v[ia] @ _align(v[ib], len(b_shape), a_rank)
+            return v[ia] @ _align(v[ib], b_rank, a_rank)
 
         def backward(v, g):
-            return ((ia, g @ v[ib].swapaxes(-1, -2)),
-                    (ib, _reduce_to(v[ia].swapaxes(-1, -2) @ g, b_shape)))
+            x, w = v[ia], v[ib]
+            if b_rank > 2:
+                return ((ia, g @ w.swapaxes(-1, -2) if need_a else None),
+                        (ib, x.swapaxes(-1, -2) @ g if need_b else None))
+            # A weight a stack shares: one product over all its rows per gradient.
+            rows = g.reshape(-1, g.shape[-1])
+            return ((ia, (rows @ w.T).reshape(x.shape) if need_a else None),
+                    (ib, x.reshape(-1, x.shape[-1]).T @ rows if need_b else None))
 
         return self._register("matmul", (a, b), a.shape[:-1] + b.shape[-1:], forward, backward)
 
-    def transpose(self, a: Node) -> Node:
-        """Swap the last two axes."""
-        if len(a.shape) < 2:
+    def transpose(self, a: Node, axes: Sequence[int] | None = None) -> Node:
+        """Permute a's own axes as np.transpose does, by default swapping the
+        last two; a value's extra leading axes stay in front."""
+        ia, rank = a.index, len(a.shape)
+        if axes is None and rank < 2:
             raise ShapeError(f"transpose: operand needs two axes, got {a.shape}")
-        ia = a.index
-        return self._register(
-            "transpose", (a,), a.shape[:-2] + (a.shape[-1], a.shape[-2]),
-            lambda v: v[ia].swapaxes(-1, -2),
-            lambda v, g: ((ia, g.swapaxes(-1, -2)),),
-        )
+        perm = (*range(rank - 2), rank - 1, rank - 2) if axes is None else \
+            tuple(p % rank if -rank <= p < rank else rank for p in axes)
+        if sorted(perm) != list(range(rank)):
+            raise ShapeError(f"transpose: {axes} is not a permutation of the axes of {a.shape}")
+        inverse = tuple(np.argsort(perm).tolist())
+
+        def forward(v):
+            lead = v[ia].ndim - rank
+            return v[ia].transpose((*range(lead), *(lead + p for p in perm)))
+
+        return self._register("transpose", (a,), tuple(a.shape[p] for p in perm), forward,
+                              lambda v, g: ((ia, g.transpose(inverse)),))
 
     def _binary(self, op: str, a: Node, b: Node, fwd, dfa, dfb) -> Node:
         shape = _broadcast_shape(op, a.shape, b.shape)
         ia, ib = a.index, b.index
         b_shape = b.shape
         a_rank, b_rank = len(a.shape), len(b_shape)
+        need_a, need_b = self._needs[ia], self._needs[ib]
 
         def forward(v):
             return fwd(v[ia], _align(v[ib], b_rank, a_rank))
 
         def backward(v, g):
-            return ((ia, dfa(v[ia], v[ib], g)),
-                    (ib, _reduce_to(dfb(v[ia], v[ib], g), b_shape)))
+            x, y = v[ia], v[ib]
+            return ((ia, dfa(x, y, g) if need_a else None),
+                    (ib, _reduce_to(dfb(x, y, g), b_shape) if need_b else None))
 
         return self._register(op, (a, b), shape, forward, backward)
 
@@ -386,14 +409,9 @@ class Graph:
                             lambda x, y, g: g * (x >= y), lambda x, y, g: g * (x < y))
 
     def affine(self, a: Node, scale: float, shift: float) -> Node:
-        ia = a.index
-        scale = float(scale)
-        shift = float(shift)
-        return self._register(
-            "affine", (a,), a.shape,
-            lambda v: v[ia] * scale + shift,
-            lambda v, g: ((ia, g * scale),),
-        )
+        ia, scale, shift = a.index, float(scale), float(shift)
+        return self._register("affine", (a,), a.shape, lambda v: v[ia] * scale + shift,
+                              lambda v, g: ((ia, g * scale),))
 
     def _unary(self, op: str, a: Node, fwd, grad_from_xy) -> Node:
         ia = a.index
@@ -450,32 +468,17 @@ class Graph:
     # Reductions and normalizations
 
     def sum(self, a: Node, axis: int | None = None) -> Node:
-        ia = a.index
-        in_shape = a.shape
-        rank = len(in_shape)
-        if axis is None:
-            shape: tuple[int, ...] = ()
-            own_axes = tuple(range(-rank, 0))
+        """Sum over one of a's own axes, or over all of them."""
+        ia, in_shape, rank = a.index, a.shape, len(a.shape)
+        if axis is not None and not -rank <= axis < rank:
+            raise ShapeError(f"sum: axis {axis} out of range for shape {in_shape}")
+        axes = tuple(range(rank)) if axis is None else (axis % rank,)
+        own_axes = tuple(i - rank for i in axes)
 
-            def forward(v):
-                return np.asarray(v[ia].sum(axis=own_axes))
-
-            def backward(v, g):
-                return ((ia, np.broadcast_to(g, in_shape)),)
-        else:
-            if not -len(in_shape) <= axis < len(in_shape):
-                raise ShapeError(f"sum: axis {axis} out of range for shape {in_shape}")
-            axis = axis % rank
-            shape = in_shape[:axis] + in_shape[axis + 1:]
-            neg_axis = axis - rank
-
-            def forward(v):
-                return v[ia].sum(axis=neg_axis)
-
-            def backward(v, g):
-                return ((ia, np.broadcast_to(np.expand_dims(g, axis), in_shape)),)
-
-        return self._register("sum", (a,), shape, forward, backward)
+        return self._register(
+            "sum", (a,), tuple(n for i, n in enumerate(in_shape) if i not in axes),
+            lambda v: np.asarray(v[ia].sum(axis=own_axes)),
+            lambda v, g: ((ia, np.broadcast_to(np.expand_dims(g, axes), in_shape)),))
 
     def mean(self, a: Node, axis: int | None = None) -> Node:
         count = math.prod(a.shape) if axis is None else a.shape[axis]
@@ -530,14 +533,17 @@ class Graph:
         """
         if len(a.shape) == 0 or a.shape[-1] < 1:
             raise ShapeError(f"layer_norm: operand needs a non-empty last axis, got {a.shape}")
-        ia = a.index
+        ia, width = a.index, a.shape[-1]
+
+        def mean(x):
+            # x.mean's own arithmetic, without its Python-level wrapper.
+            return np.add.reduce(x, axis=-1, keepdims=True) / width
 
         def stats(v):
             x = v[ia]
-            mean = x.mean(axis=-1, keepdims=True)
-            xc = x - mean
-            return np.concatenate(
-                (mean, np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _LN_EPS)), axis=-1)
+            mu = mean(x)
+            xc = x - mu
+            return np.concatenate((mu, np.sqrt(mean(xc * xc) + _LN_EPS)), axis=-1)
 
         s = self._register("layer_norm_stats", (a,), a.shape[:-1] + (2,), stats, None)
         i_stats, io = s.index, s.index + 1
@@ -548,9 +554,7 @@ class Graph:
 
         def backward(v, g):
             y = v[io]
-            gm = g.mean(axis=-1, keepdims=True)
-            gy = (g * y).mean(axis=-1, keepdims=True)
-            return ((ia, (g - gm - y * gy) / v[i_stats][..., 1:]),)
+            return ((ia, (g - mean(g) - y * mean(g * y)) / v[i_stats][..., 1:]),)
 
         return self._register("layer_norm", (a, s), a.shape, forward, backward)
 
@@ -561,18 +565,14 @@ class Graph:
         new_shape = tuple(int(s) for s in shape)
         if math.prod(new_shape) != math.prod(a.shape):
             raise ShapeError(f"reshape: cannot reshape {a.shape} to {new_shape}")
-        ia = a.index
-        old_shape = a.shape
-        old_rank = len(old_shape)
+        ia, old_shape = a.index, a.shape
 
         def forward(v):
             x = v[ia]
-            return x.reshape(x.shape[:x.ndim - old_rank] + new_shape)
+            return x.reshape(x.shape[:x.ndim - len(old_shape)] + new_shape)
 
-        return self._register(
-            "reshape", (a,), new_shape, forward,
-            lambda v, g: ((ia, g.reshape(old_shape)),),
-        )
+        return self._register("reshape", (a,), new_shape, forward,
+                              lambda v, g: ((ia, g.reshape(old_shape)),))
 
     def concat(self, nodes: Sequence[Node], axis: int = 0) -> Node:
         if not nodes:
@@ -588,7 +588,7 @@ class Graph:
         sizes = [n.shape[axis] for n in nodes]
         shape = nodes[0].shape[:axis] + (sum(sizes),) + nodes[0].shape[axis + 1:]
         idxs = tuple(n.index for n in nodes)
-        bounds = np.cumsum([0] + sizes)
+        bounds = np.cumsum([0] + sizes).tolist()
         neg_axis = axis - rank
 
         def forward(v):
@@ -600,12 +600,7 @@ class Graph:
             return np.concatenate(parts, axis=neg_axis)
 
         def backward(v, g):
-            pieces = []
-            for k, i in enumerate(idxs):
-                sl = [slice(None)] * rank
-                sl[axis] = slice(bounds[k], bounds[k + 1])
-                pieces.append((i, g[tuple(sl)]))
-            return tuple(pieces)
+            return tuple(zip(idxs, np.split(g, bounds[1:-1], axis=axis)))
 
         return self._register("concat", tuple(nodes), shape, forward, backward)
 
@@ -616,8 +611,7 @@ class Graph:
             raise ShapeError(f"slice: bad range [{start}, {stop}) on axis {axis} "
                              f"of shape {a.shape}")
         axis = axis % len(a.shape) - len(a.shape)
-        ia = a.index
-        in_shape = a.shape
+        ia, in_shape = a.index, a.shape
         index = (Ellipsis, slice(start, stop)) + (slice(None),) * (-1 - axis)
         shape = list(in_shape)
         shape[axis] = stop - start
@@ -753,28 +747,36 @@ class Graph:
         order = self._run((output.index,), frame)
 
         # Every parent of a node of order is in order, so each contribution
-        # lands on a node still to be visited.
+        # lands on a node still to be visited.  A node no parameter reaches
+        # gets none: no op's contribution to it is kept, and matmul and the
+        # binary ops do not compute one.  An overflow is left for the caller
+        # to find in the gradients.
         adjoint: list = [None] * len(self._ops)
         adjoint[output.index] = np.asarray(1.0)
-        backward = self._backward
-        for i in reversed(order):
-            g = adjoint[i]
-            if g is None or backward[i] is None:
-                continue
-            for parent, contribution in backward[i](values, g):
-                if adjoint[parent] is None:
-                    adjoint[parent] = contribution if isinstance(contribution, np.ndarray) \
-                        else np.asarray(contribution)
-                else:
-                    adjoint[parent] = adjoint[parent] + contribution
+        backward, needs = self._backward, self._needs
+        with np.errstate(all="ignore"):
+            for i in reversed(order):
+                g = adjoint[i]
+                if g is None or backward[i] is None:
+                    continue
+                for parent, contribution in backward[i](values, g):
+                    if not needs[parent]:
+                        continue
+                    if adjoint[parent] is None:
+                        adjoint[parent] = contribution if isinstance(contribution, np.ndarray) \
+                            else np.asarray(contribution)
+                    else:
+                        adjoint[parent] = adjoint[parent] + contribution
 
-        grads = {}
-        for name in names:
-            i = self._params[name]
-            g = adjoint[i]
-            grads[name] = np.zeros(self._shapes[i]) if g is None \
-                else np.broadcast_to(np.asarray(g), self._shapes[i]).copy()
-        return GradientReport(value=float(values[output.index]), gradients=grads)
+        leaves = [self._params[name] for name in names]
+        bounds = np.cumsum([0] + [math.prod(self._shapes[i]) for i in leaves]).tolist()
+        flat = np.zeros(bounds[-1])
+        grads = {name: flat[lo:hi].reshape(self._shapes[i])
+                 for name, i, lo, hi in zip(names, leaves, bounds, bounds[1:])}
+        for name, i in zip(names, leaves):
+            if adjoint[i] is not None:
+                grads[name][...] = adjoint[i]
+        return GradientReport(value=float(values[output.index]), gradients=grads, flat=flat)
 
     # ------------------------------------------------------------------
     # Finite differences
@@ -988,52 +990,63 @@ _CHECKPOINT_MAGIC = b"LZP1"
 
 
 class ParamStore:
-    """Named float64 tensors with an optional frozen (non-trainable) subset."""
+    """Named float64 tensors end to end in one flat array, the trainable ones
+    first and the frozen (non-trainable) ones last, each in the order given.
+    store[name] is a read-only view, so it shows every later update; copy()
+    gives a snapshot.  Every value is finite, so a graph need not test a view
+    it holds again."""
 
-    def __init__(self, values: Mapping[str, Array] | None = None,
-                 frozen: Iterable[str] = ()) -> None:
-        self._values: dict[str, Array] = {}
-        self.frozen: set[str] = set(frozen)
-        for name, value in (values or {}).items():
-            self[name] = value
-        for name in self.frozen:
-            if name not in self._values:
-                raise KeyError(f"frozen name not in store: {name}")
+    def __init__(self, values: Mapping[str, object], frozen: Iterable[str] = ()) -> None:
+        arrays = {n: np.asarray(v, dtype=np.float64) for n, v in values.items()}
+        self.frozen = frozenset(frozen)
+        for name in self.frozen - set(arrays):
+            raise KeyError(f"frozen name not in store: {name}")
+        self._trainable = [n for n in arrays if n not in self.frozen]
+        order = self._trainable + [n for n in arrays if n in self.frozen]
+        bounds = np.cumsum([0] + [arrays[n].size for n in order]).tolist()
+        self._spans = {n: slice(lo, hi) for n, lo, hi in zip(order, bounds, bounds[1:])}
+        self._flat = np.concatenate([arrays[n].reshape(-1) for n in order] + [np.empty(0)])
+        self._flat.flags.writeable = False
+        self._raise_if_non_finite(self._flat, order, ValueError,
+                                  "parameter {} has non-finite entries")
+        self._views = {n: self._flat[self._spans[n]].reshape(arrays[n].shape) for n in order}
+        self._trainable_flat = self._flat[:bounds[len(self._trainable)]]
+
+    def _raise_if_non_finite(self, flat: Array, names: list[str], error, message: str) -> None:
+        """Raise error naming the first of names whose span of flat is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not _finite(flat):
+                raise error(message.format(next(
+                    n for n in names if not np.isfinite(flat[self._spans[n]]).all())))
 
     def __getitem__(self, name: str) -> Array:
-        return self._values[name]
-
-    def __setitem__(self, name: str, value) -> None:
-        self._values[name] = _as_array(value)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
-
-    def __iter__(self):
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
+        return self._views[name]
 
     def items(self):
-        return self._values.items()
+        return self._views.items()
 
     def names(self) -> list[str]:
-        return list(self._values)
+        return list(self._views)
 
     def trainable_names(self) -> list[str]:
-        return [n for n in self._values if n not in self.frozen]
+        return list(self._trainable)
 
-    def is_frozen(self, name: str) -> bool:
-        return name in self.frozen
-
-    def freeze(self, name: str) -> None:
-        if name not in self._values:
-            raise KeyError(f"no such parameter: {name}")
-        self.frozen.add(name)
+    def descend(self, step: float, gradient: Array) -> None:
+        """Subtract step * gradient from the trainable values in place; gradient
+        is laid out as they are (trainable_names' order, each tensor raveled)
+        and is overwritten.  A non-finite result raises EvaluationError naming
+        the first parameter that has one, and leaves every value as it was."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(self._trainable_flat, np.multiply(gradient, step, out=gradient),
+                        out=gradient)
+        self._raise_if_non_finite(gradient, self._trainable, EvaluationError,
+                                  "non-finite value in parameter {}")
+        self._flat.flags.writeable = True
+        self._flat[:gradient.size] = gradient
+        self._flat.flags.writeable = False
 
     def copy(self) -> "ParamStore":
-        return ParamStore({n: v.copy() for n, v in self._values.items()}, frozen=self.frozen)
+        return ParamStore(self._views, frozen=self.frozen)
 
 
 def save_checkpoint(store: ParamStore | Mapping[str, Array], path) -> None:
@@ -1042,7 +1055,7 @@ def save_checkpoint(store: ParamStore | Mapping[str, Array], path) -> None:
     All integers are little-endian uint32; values are little-endian float64
     in row-major order.  Insertion order is preserved.
     """
-    items = list(store.items()) if isinstance(store, ParamStore) else list(store.items())
+    items = list(store.items())
     with open(path, "wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(items)))
@@ -1058,18 +1071,19 @@ def save_checkpoint(store: ParamStore | Mapping[str, Array], path) -> None:
 
 
 def load_checkpoint(path) -> dict[str, Array]:
-    """Read a checkpoint written by save_checkpoint into read-only arrays, which
-    a ParamStore keeps uncopied; a malformed file raises ValueError naming the path."""
+    """Read a checkpoint written by save_checkpoint into read-only arrays,
+    views of the file's bytes; a malformed file raises ValueError naming
+    the path."""
     with open(path, "rb") as fh:
         data = fh.read()
     offset = 4
 
-    def take(size: int) -> bytes:
+    def take(size: int) -> memoryview:
         nonlocal offset
         if offset + size > len(data):
             raise ValueError(f"truncated at byte {len(data)}")
         offset += size
-        return data[offset - size:offset]
+        return memoryview(data)[offset - size:offset]
 
     def read_u32() -> int:
         return struct.unpack("<I", take(4))[0]
@@ -1079,12 +1093,9 @@ def load_checkpoint(path) -> dict[str, Array]:
             raise ValueError(f"bad checkpoint magic {data[:4]!r}")
         out: dict[str, Array] = {}
         for _ in range(read_u32()):
-            name = take(read_u32()).decode("utf-8")
+            name = bytes(take(read_u32())).decode("utf-8")
             shape = tuple(read_u32() for _ in range(read_u32()))
-            raw = take(8 * math.prod(shape))
-            value = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-            value.flags.writeable = False
-            out[name] = value
+            out[name] = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
         if offset != len(data):
             raise ValueError(f"{len(data) - offset} trailing bytes")
     except ValueError as exc:

@@ -13,7 +13,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .autodiff import EvaluationError, ParamStore, derive_seed, load_checkpoint
-from .encoder import TEXT_PREFIX, EncoderConfig, encode_text, init_params
+from .encoder import EncoderConfig, encode_text, init_params, param_specs
 from .fixtures import write_fixture_bundle
 from .harness import (RunManifest, TrainConfig, config_from_dict,
                       dataset_examples, embed_images, load_image_dir,
@@ -120,21 +120,22 @@ def _load_run(run_dir: str) -> tuple[ParamStore, TrainConfig]:
     manifest = RunManifest.load(manifest_path)
     try:
         config = config_from_dict(manifest.config)
-        expected = init_params(config.encoder)
+        specs = param_specs(config.encoder)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path}: bad config ({exc})") from exc
     path = os.path.join(run_dir, manifest.checkpoint)
     params = load_checkpoint(path)
-    for name, value in expected.items():
+    for name, shape, _, _ in specs:
         got = params[name].shape if name in params else "missing"
-        if got != value.shape:
+        if got != shape:
             raise ValueError(f"{path}: tensor {name} is {got}, "
-                             f"but the run's config needs {value.shape}")
+                             f"but the run's config needs {shape}")
+    names = [name for name, _, _, _ in specs]
     for name in params:
-        if name not in expected:
+        if name not in names:
             raise ValueError(f"{path}: tensor {name} is not in the run's config")
-    store = ParamStore(params, frozen=[n for n in params if n.startswith(TEXT_PREFIX)])
-    return store, config
+    return ParamStore({name: params[name] for name in names},
+                      frozen=[name for name, _, frozen, _ in specs if frozen]), config
 
 
 def _load_records(path: str, parse: Callable[[dict], Any]) -> list:

@@ -126,49 +126,47 @@ class Embedding:
 # Parameter initialization
 
 
-def _linear_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> Array:
-    return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
-
-
-def init_params(config: EncoderConfig, seed: int | None = None) -> ParamStore:
-    """Seeded parameter store; text-encoder tensors are registered frozen."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+def param_specs(config: EncoderConfig) -> list[tuple[str, tuple[int, ...], bool, str]]:
+    """Every parameter tensor config gives, in store order, as (name, shape,
+    frozen, init): the text-encoder tensors are frozen, and last; init_params
+    draws "normal" ones with standard deviation 1/sqrt(fan-in) and "small"
+    ones as 0.02 times a standard normal, and fills "zeros" and "ones"."""
     d, ds, k = config.dim, config.slot_dim, config.num_slots
-    patch_in = config.patch_size * config.patch_size * 3
-    hidden = config.mlp_ratio * d
-    store = ParamStore()
+    specs = []
+
+    def add(name: str, shape: tuple[int, ...], init: str) -> None:
+        specs.append((name, shape, name.startswith(TEXT_PREFIX), init))
 
     def linear(name: str, fan_in: int, fan_out: int) -> None:
-        store[name + ".w"] = _linear_init(rng, fan_in, fan_out)
-        store[name + ".b"] = np.zeros(fan_out)
+        add(name + ".w", (fan_in, fan_out), "normal")
+        add(name + ".b", (fan_out,), "zeros")
 
     def norm(name: str, width: int) -> None:
-        store[name + ".g"] = np.ones(width)
-        store[name + ".b"] = np.zeros(width)
+        add(name + ".g", (width,), "ones")
+        add(name + ".b", (width,), "zeros")
 
-    def transformer(prefix: str, width: int, depth: int) -> None:
-        wide = config.mlp_ratio * width
+    def transformer(prefix: str, depth: int) -> None:
         for i in range(depth):
             blk = f"{prefix}blk{i}"
-            norm(blk + ".ln1", width)
-            linear(blk + ".qkv", width, 3 * width)
-            linear(blk + ".out", width, width)
-            norm(blk + ".ln2", width)
-            linear(blk + ".mlp1", width, wide)
-            linear(blk + ".mlp2", wide, width)
-        norm(prefix + "ln_out", width)
+            norm(blk + ".ln1", d)
+            linear(blk + ".qkv", d, 3 * d)
+            linear(blk + ".out", d, d)
+            norm(blk + ".ln2", d)
+            linear(blk + ".mlp1", d, config.mlp_ratio * d)
+            linear(blk + ".mlp2", config.mlp_ratio * d, d)
+        norm(prefix + "ln_out", d)
 
-    linear("img.patch", patch_in, d)
-    store["img.pos"] = 0.02 * rng.normal(size=(config.max_tokens, d))
-    transformer("img.", d, config.depth)
+    linear("img.patch", config.patch_size * config.patch_size * 3, d)
+    add("img.pos", (config.max_tokens, d), "small")
+    transformer("img.", config.depth)
 
-    store["slot.k.w"] = _linear_init(rng, d, ds)
-    store["slot.q.w"] = _linear_init(rng, ds, ds)
-    store["slot.v.w"] = _linear_init(rng, d, ds)
+    add("slot.k.w", (d, ds), "normal")
+    add("slot.q.w", (ds, ds), "normal")
+    add("slot.v.w", (d, ds), "normal")
     for gate in ("z", "r", "n"):
-        store[f"slot.gru.w{gate}"] = _linear_init(rng, ds, ds)
-        store[f"slot.gru.u{gate}"] = _linear_init(rng, ds, ds)
-        store[f"slot.gru.b{gate}"] = np.zeros(ds)
+        add(f"slot.gru.w{gate}", (ds, ds), "normal")
+        add(f"slot.gru.u{gate}", (ds, ds), "normal")
+        add(f"slot.gru.b{gate}", (ds,), "zeros")
     norm("slot.norm", ds)
     linear("slot.mlp1", ds, ds)
     linear("slot.mlp2", ds, ds)
@@ -178,20 +176,27 @@ def init_params(config: EncoderConfig, seed: int | None = None) -> ParamStore:
     linear("box.l2", ds, 4)
 
     linear("agg.slots", k * ds, d)
-    linear("agg.mlp1", 2 * d, hidden)
-    linear("agg.mlp2", hidden, d)
+    linear("agg.mlp1", 2 * d, config.mlp_ratio * d)
+    linear("agg.mlp2", config.mlp_ratio * d, d)
 
     linear("mc.proj", ds, d)
 
-    store[TEXT_PREFIX + "embed"] = 0.02 * rng.normal(size=(config.text_vocab, d))
-    store[TEXT_PREFIX + "pos"] = 0.02 * rng.normal(size=(config.text_len, d))
-    transformer(TEXT_PREFIX, d, 1)
+    add(TEXT_PREFIX + "embed", (config.text_vocab, d), "small")
+    add(TEXT_PREFIX + "pos", (config.text_len, d), "small")
+    transformer(TEXT_PREFIX, 1)
     linear(TEXT_PREFIX + "proj", d, d)
+    return specs
 
-    for name in store.names():
-        if name.startswith(TEXT_PREFIX):
-            store.freeze(name)
-    return store
+
+def init_params(config: EncoderConfig, seed: int | None = None) -> ParamStore:
+    """Seeded parameter store; text-encoder tensors are registered frozen."""
+    rng = np.random.default_rng(config.seed if seed is None else seed)
+    draw = {"normal": lambda shape: rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape),
+            "small": lambda shape: 0.02 * rng.normal(size=shape),
+            "zeros": np.zeros, "ones": np.ones}
+    specs = param_specs(config)
+    return ParamStore({name: draw[init](shape) for name, shape, _, init in specs},
+                      frozen=[name for name, _, frozen, _ in specs if frozen])
 
 
 class Binding:
@@ -212,7 +217,7 @@ class Binding:
         node = self._nodes.get(name)
         if node is None:
             value = self.store[name]
-            if self.trainable and not self.store.is_frozen(name):
+            if self.trainable and name not in self.store.frozen:
                 node = self.graph.parameter(name, value)
             else:
                 node = self.graph.constant(value, name=name)
@@ -221,8 +226,10 @@ class Binding:
 
     def values(self, store: ParamStore) -> dict[Node, Array]:
         """Each bound tensor's node with its value in store, to rebind a
-        built graph to that store."""
-        return {node: store[name] for name, node in self._nodes.items()}
+        built graph to that store; none for the store it was built from,
+        whose views, showing its current values, the graph already holds."""
+        return {} if store is self.store else {
+            node: store[name] for name, node in self._nodes.items()}
 
 
 # ----------------------------------------------------------------------
@@ -269,20 +276,19 @@ def _linear(g: Graph, bind: Binding, x: Node, prefix: str) -> Node:
 
 
 def _transformer_block(g: Graph, bind: Binding, x: Node, blk: str, heads: int) -> Node:
-    d = x.shape[-1]
+    *lead, n, d = x.shape
+    r = len(lead)
     dh = d // heads
     h = _layer_norm(g, bind, x, blk + ".ln1")
-    qkv = _linear(g, bind, h, blk + ".qkv")
-    outputs = []
-    scale = 1.0 / np.sqrt(dh)
-    for i in range(heads):
-        q = g.slice(qkv, i * dh, (i + 1) * dh)
-        key = g.slice(qkv, d + i * dh, d + (i + 1) * dh)
-        v = g.slice(qkv, 2 * d + i * dh, 2 * d + (i + 1) * dh)
-        attn = g.softmax(g.affine(g.matmul(q, g.transpose(key)), scale, 0.0), axis=-1)
-        outputs.append(g.matmul(attn, v))
-    merged = outputs[0] if heads == 1 else g.concat(outputs, axis=-1)
-    x = g.add(x, _linear(g, bind, merged, blk + ".out"))
+    # qkv's columns are q, k and v, each head by head: (..., N, 3, heads, dh)
+    # becomes (..., 3, heads, N, dh), and attention runs every head at once.
+    qkv = g.reshape(_linear(g, bind, h, blk + ".qkv"), (*lead, n, 3, heads, dh))
+    qkv = g.transpose(qkv, (*range(r), r + 1, r + 2, r, r + 3))
+    q, key, v = (g.slice(qkv, i, i + 1, axis=-4) for i in range(3))
+    attn = g.softmax(g.affine(g.matmul(q, g.transpose(key)), 1.0 / np.sqrt(dh), 0.0), axis=-1)
+    # (..., 1, heads, N, dh) back to (..., N, d), the heads side by side.
+    merged = g.transpose(g.matmul(attn, v), (*range(r), r + 2, r, r + 1, r + 3))
+    x = g.add(x, _linear(g, bind, g.reshape(merged, x.shape), blk + ".out"))
     m = _layer_norm(g, bind, x, blk + ".ln2")
     m = g.gelu(_linear(g, bind, m, blk + ".mlp1"))
     return g.add(x, _linear(g, bind, m, blk + ".mlp2"))
@@ -358,19 +364,13 @@ def build_box_head(g: Graph, bind: Binding, slots: Node) -> Node:
     h = g.gelu(_linear(g, bind, slots, "box.l0"))
     h = g.gelu(_linear(g, bind, h, "box.l1"))
     raw = g.sigmoid(_linear(g, bind, h, "box.l2"))
-    cx = g.slice(raw, 0, 1)
-    cy = g.slice(raw, 1, 2)
-    half_w = g.affine(g.slice(raw, 2, 3), 0.5, 0.0)
-    half_h = g.affine(g.slice(raw, 3, 4), 0.5, 0.0)
-    zero = g.constant(0.0, name="box.zero")
-    one = g.constant(1.0, name="box.one")
-
-    def clip(node: Node) -> Node:
-        return g.maximum(g.minimum(node, one), zero)
-
-    corners = [clip(g.subtract(cx, half_w)), clip(g.subtract(cy, half_h)),
-               clip(g.add(cx, half_w)), clip(g.add(cy, half_h))]
-    return g.concat(corners, axis=-1)
+    # (cx, cy, w, h) to (cx - w/2, cy - h/2, cx + w/2, cy + h/2): each corner
+    # adds two terms, one of them halved exactly, as cx - 0.5 * w would.
+    corners = g.matmul(raw, g.constant([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
+                                        [-0.5, 0.0, 0.5, 0.0], [0.0, -0.5, 0.0, 0.5]],
+                                       name="box.corners"))
+    return g.maximum(g.minimum(corners, g.constant(1.0, name="box.one")),
+                     g.constant(0.0, name="box.zero"))
 
 
 def build_aggregate(g: Graph, bind: Binding, pooled: Node, slots: Node,

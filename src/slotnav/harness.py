@@ -174,24 +174,18 @@ def train_step(store: ParamStore, batch: Sequence[TrainExample],
     graphs keeps the run's loss graphs, one per batch shape key, so a step
     rebinds a graph an earlier step built.  The gradient starts from the
     loss graph's evaluated frame, so every node runs once.  A divergence
-    raises EvaluationError naming the node and step.
+    raises EvaluationError naming its node or parameter, and the step.
     """
-    seed = derive_seed(config.seed, "step", step)
     try:
         built = total_loss_graph(batch, store, config.weights, config.encoder,
-                                 seed, text_cache, graphs)
-        report = built.report
+                                 derive_seed(config.seed, "step", step), text_cache, graphs)
         lr_t = learning_rate(config, step)
         if lr_t != 0.0:
-            grads = built.graph.gradient(built.total, parameters=store.trainable_names(),
-                                         frame=built.frame).gradients
-            for name in store.trainable_names():
-                updated = store[name] - lr_t * grads[name]
-                updated.flags.writeable = False  # so the store need not copy it
-                store[name] = updated
+            store.descend(lr_t, built.graph.gradient(
+                built.total, parameters=store.trainable_names(), frame=built.frame).flat)
     except EvaluationError as exc:
         raise EvaluationError(f"{exc} at step {step}") from exc
-    return report
+    return built.report
 
 
 def batches_for_epoch(count: int, config: TrainConfig, epoch: int) -> list[list[int]]:

@@ -166,37 +166,44 @@ def pairwise_cost(pred_boxes, gt_boxes, literal_giou_cost: bool = False) -> Arra
 _ENUMERATED_ASSIGNMENTS = 720
 
 
-def hungarian(cost) -> Assignment:
-    """Maximum-cardinality minimum-cost assignment with a deterministic
-    tie-break: the lexicographically smallest sorted pair list among optima.
+def hungarian(blocks: Sequence) -> list[Assignment]:
+    """For each cost block, the maximum-cardinality minimum-cost assignment
+    with a deterministic tie-break: the lexicographically smallest sorted
+    pair list among optima.
 
     Exact, with no tolerance.  Up to _ENUMERATED_ASSIGNMENTS assignments, the
-    training shapes among them, the result is enumeration's to the bit.
-    Larger shapes take a polynomial solver that compares exact sums of the
-    same costs instead of row-order float sums; the two differ only where
-    rounding reorders or ties two totals.  A cost is returned as the
-    row-order sum.
+    training shapes among them, the result is enumeration's to the bit, and
+    the blocks of one shape share one enumeration.  Larger shapes take a
+    polynomial solver that compares exact sums of the same costs instead of
+    row-order float sums; the two differ only where rounding reorders or
+    ties two totals.  A cost is returned as the row-order sum.
     """
-    cost = np.atleast_2d(np.asarray(cost, dtype=np.float64))
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("costs must be finite")
-    k, n = cost.shape
-    small = math.perm(max(k, n), min(k, n)) <= _ENUMERATED_ASSIGNMENTS
-    pairs = _enumerated_pairs(cost) if small else _exact_sum_pairs(cost)
-    total = 0.0
-    for i, j in pairs:
-        total += cost[i, j]
-    unmatched = tuple(sorted(set(range(k)) - {i for i, _ in pairs}))
-    return Assignment(pairs=tuple(pairs), unmatched_slots=unmatched, cost=float(total))
+    blocks = [np.atleast_2d(np.asarray(cost, dtype=np.float64)) for cost in blocks]
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for b, cost in enumerate(blocks):
+        by_shape.setdefault(cost.shape, []).append(b)
+    out: list = [None] * len(blocks)
+    for (k, n), members in by_shape.items():
+        costs = np.stack([blocks[b] for b in members])
+        if not np.isfinite(costs).all():
+            raise ValueError("costs must be finite")
+        small = math.perm(max(k, n), min(k, n)) <= _ENUMERATED_ASSIGNMENTS
+        for cost, b, pairs in zip(costs, members, _enumerated_pairs(costs) if small
+                                  else map(_exact_sum_pairs, costs)):
+            total = 0.0
+            for i, j in pairs:
+                total += cost[i, j]
+            unmatched = tuple(sorted(set(range(k)) - {i for i, _ in pairs}))
+            out[b] = Assignment(pairs=tuple(pairs), unmatched_slots=unmatched, cost=float(total))
+    return out
 
 
 @functools.lru_cache(maxsize=16)
 def _assignment_codes(k: int, n: int) -> Array:
     """Every maximum-cardinality assignment of a K×N cost matrix, one row
-    each: the row's column, or N for a row left out.
-
-    Built once per shape and read-only, since every call shares it.
-    """
+    each, ascending: the row's column, or N for a row left out, so codes
+    order as pair lists do.  Built once per shape and read-only, since
+    every call shares it."""
     m = min(k, n)
     perms = itertools.chain.from_iterable(itertools.permutations(range(max(k, n)), m))
     cols = np.fromiter(perms, dtype=np.intp).reshape(math.perm(max(k, n), m), m)
@@ -204,27 +211,24 @@ def _assignment_codes(k: int, n: int) -> Array:
         # Here each permutation gives the columns their rows.
         codes = np.full((len(cols), k), n)
         np.put_along_axis(codes, cols, np.arange(n), axis=1)
-        cols = codes
+        cols = codes[np.lexsort(codes.T[::-1])]
     cols.setflags(write=False)
     return cols
 
 
-def _enumerated_pairs(cost: Array) -> list[tuple[int, int]]:
-    """hungarian's pairs by enumerating every maximum-cardinality assignment.
-
-    Each assignment reads by row: the row's column, or N for a row left out,
-    so ascending order of these codes is ascending order of pair lists.
-    Totals add in row order from 0.0, a row left out adding an exact 0.0, as
-    the brute-force reference sums; the least code among the least totals wins.
-    """
-    k, n = cost.shape
+def _enumerated_pairs(costs: Array) -> list[list[tuple[int, int]]]:
+    """hungarian's pairs for each of a stack of same-shape blocks, by
+    enumerating every maximum-cardinality assignment.  Totals add in row
+    order from 0.0, a row left out adding an exact 0.0, as the brute-force
+    reference sums; the first, least, code among a block's least totals wins."""
+    _, k, n = costs.shape
     cols = _assignment_codes(k, n)
-    padded = np.hstack([cost, np.zeros((k, 1))])
-    total = np.zeros(len(cols))
+    padded = np.concatenate([costs, np.zeros(costs.shape[:2] + (1,))], axis=2)
+    total = np.zeros((len(costs), len(cols)))
     for i in range(k):
-        total += padded[i, cols[:, i]]
-    best = min(map(tuple, cols[total == total.min()].tolist()))
-    return [(i, j) for i, j in enumerate(best) if j < n]
+        total += padded[:, i, cols[:, i]]
+    return [[(i, j) for i, j in enumerate(code) if j < n]
+            for code in cols[total.argmin(axis=1)].tolist()]
 
 
 def _exact_sum_pairs(cost: Array) -> list[tuple[int, int]]:
@@ -324,29 +328,19 @@ def _symmetric_ce(g: Graph, image_rows: Node, text_rows: Node, tau: float) -> No
     return g.affine(g.add(by_image, by_text), 0.5, 0.0)
 
 
-def _column(g: Graph, boxes: Node, j: int) -> Node:
-    return g.slice(boxes, j, j + 1)
-
-
 def _giou_columns(g: Graph, pred: Node, gt: Node) -> Node:
-    """Vectorized GIoU values for row-aligned boxes; expects positive unions."""
-    m = pred.shape[0]
-    gx1, gy1, gx2, gy2 = (_column(g, gt, j) for j in range(4))
-    px1, py1 = _column(g, pred, 0), _column(g, pred, 1)
-    px2, py2 = _column(g, pred, 2), _column(g, pred, 3)
-    zero = g.constant(np.zeros((m, 1)))
+    """Vectorized GIoU values for row-aligned boxes, as an (M, 1) column;
+    expects positive unions.  Each box's corners are (x1, y1) and (x2, y2)."""
+    p1, p2, g1, g2 = (g.slice(boxes, lo, lo + 2) for boxes in (pred, gt) for lo in (0, 2))
 
-    iw = g.maximum(g.subtract(g.minimum(px2, gx2), g.maximum(px1, gx1)), zero)
-    ih = g.maximum(g.subtract(g.minimum(py2, gy2), g.maximum(py1, gy1)), zero)
-    inter = g.multiply(iw, ih)
-    area_p = g.multiply(g.subtract(px2, px1), g.subtract(py2, py1))
-    area_g = g.multiply(g.subtract(gx2, gx1), g.subtract(gy2, gy1))
-    union = g.subtract(g.add(area_p, area_g), inter)
-    hw = g.subtract(g.maximum(px2, gx2), g.minimum(px1, gx1))
-    hh = g.subtract(g.maximum(py2, gy2), g.minimum(py1, gy1))
-    hull = g.multiply(hw, hh)
-    return g.subtract(g.divide(inter, union),
-                      g.divide(g.subtract(hull, union), hull))
+    def area(sides: Node) -> Node:
+        return g.multiply(g.slice(sides, 0, 1), g.slice(sides, 1, 2))
+
+    inter = area(g.maximum(g.subtract(g.minimum(p2, g2), g.maximum(p1, g1)),
+                           g.constant(0.0, name="giou.zero")))
+    union = g.subtract(g.add(area(g.subtract(p2, p1)), area(g.subtract(g2, g1))), inter)
+    hull = area(g.subtract(g.maximum(p2, g2), g.minimum(p1, g1)))
+    return g.subtract(g.divide(inter, union), g.divide(g.subtract(hull, union), hull))
 
 
 def _multilabel_node(g: Graph, bind: Binding, matched: Node, all_texts: Node,
@@ -506,33 +500,31 @@ def total_loss_graph(batch: Sequence[TrainExample], store: ParamStore,
 
     # Assignments are computed on box values, then bound as data.  The cost
     # rows are the slots of the images in tower order and its columns their
-    # annotations, so image p's block starts at row p·K and at column first,
-    # the row and the text index its matched pairs take.
+    # annotations, so image p's block starts at row p·K and at column
+    # firsts[p], the row and the text index its matched pairs take.
     pred_boxes = np.concatenate([values.reshape(-1, 4) for values in g.evaluate(
         [t["boxes"] for t in step.towers], frame=frame)])
     gt_boxes = np.concatenate([batch[i].annotations.boxes() for i in order])
     cost = pairwise_cost(pred_boxes, gt_boxes, literal_giou_cost=weights.literal_giou_cost)
     k = config.num_slots
+    firsts = np.cumsum([0] + [counts[i] for i in order]).tolist()
+    matches = hungarian([cost[p * k:(p + 1) * k, firsts[p]:firsts[p + 1]]
+                         for p in range(len(order))])
     assignments: list[Assignment] = [None] * len(batch)
     rows: list[int] = []
     targets: list[int] = []
-    first = 0
     for p, i in enumerate(order):
-        n = len(batch[i].annotations)
-        assignments[i] = hungarian(cost[p * k:(p + 1) * k, first:first + n])
-        for s, j in assignments[i].pairs:
+        assignments[i] = matches[p]
+        for s, j in matches[p].pairs:
             rows.append(p * k + s)
-            targets.append(first + j)
-        first += n
+            targets.append(firsts[p] + j)
     g.bind({step.inputs["select"]: _onehot(rows, len(pred_boxes)),
             step.inputs["gt"]: gt_boxes[targets],
-            step.inputs["targets"]: _onehot(targets, first)}, frame=frame)
+            step.inputs["targets"]: _onehot(targets, firsts[-1])}, frame=frame)
 
     c = step.components
-    values = g.evaluate([c["L_C"], c["L_L1"], c["L_GIoU"], c["L_MC"], step.total], frame=frame)
-    report = LossReport(L_C=float(values[0]), L_L1=float(values[1]),
-                        L_GIoU=float(values[2]), L_MC=float(values[3]),
-                        total=float(values[4]))
+    report = LossReport(*map(float, g.evaluate(
+        [c["L_C"], c["L_L1"], c["L_GIoU"], c["L_MC"], step.total], frame=frame)))
     return TotalLossGraph(graph=g, total=step.total, report=report, assignments=assignments,
                           frame=frame)
 

@@ -1,5 +1,5 @@
-"""Brute-force reference implementations, and runners of single encoder
-stages, shared by unit and acceptance tests."""
+"""Brute-force reference implementations, runners of single encoder stages,
+and small store helpers, shared by unit and acceptance tests."""
 
 import itertools
 from collections import deque
@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from slotnav.autodiff import Graph
+from slotnav.autodiff import Graph, ParamStore
 from slotnav.encoder import (Binding, _patch_tokens, _slot_state, build_slot_attention,
                              patchify)
 
@@ -186,3 +186,35 @@ def slot_attention(tokens, store, config, initial_slots):
                                      g.constant(tokens, name="tokens"), initial_slots,
                                      config.slot_iters, config)
     return _slot_state(g.evaluate([node for trace in traces for node in trace]))
+
+
+def transformer_block(x, store, blk, heads):
+    """The encoder's pre-norm transformer block in numpy, each attention head
+    sliced out of the qkv columns on its own and the heads' outputs
+    concatenated, over an N×D token matrix or a stack of them."""
+    def layer_norm(v, prefix):
+        centered = v - v.mean(axis=-1, keepdims=True)
+        sd = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-8)
+        return centered / sd * store[prefix + ".g"] + store[prefix + ".b"]
+
+    def linear(v, prefix):
+        return v @ store[prefix + ".w"] + store[prefix + ".b"]
+
+    d = x.shape[-1]
+    dh = d // heads
+    qkv = linear(layer_norm(x, blk + ".ln1"), blk + ".qkv")
+    heads_out = []
+    for i in range(heads):
+        q, k, v = (qkv[..., part * d + i * dh:part * d + (i + 1) * dh] for part in range(3))
+        logits = q @ k.swapaxes(-1, -2) / np.sqrt(dh)
+        weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        heads_out.append(weights / weights.sum(axis=-1, keepdims=True) @ v)
+    x = x + linear(np.concatenate(heads_out, axis=-1), blk + ".out")
+    m = linear(layer_norm(x, blk + ".ln2"), blk + ".mlp1")
+    m = 0.5 * m * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (m + 0.044715 * m ** 3)))
+    return x + linear(m, blk + ".mlp2")
+
+
+def with_values(store, values):
+    """A new store: store's tensors, those named in values replaced."""
+    return ParamStore({**dict(store.items()), **values}, frozen=store.frozen)

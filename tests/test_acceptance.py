@@ -79,7 +79,7 @@ def test_hungarian_equals_brute_force_500_matrices():
         else:
             cost = rng.normal(size=(k, n))
         expected_total, expected_pairs = brute_force_assignment(cost)
-        out = hungarian(cost)
+        out = hungarian([cost])[0]
         assert out.cost == expected_total, f"trial {trial}"
         assert out.pairs == expected_pairs, f"trial {trial}"
     elapsed = time.perf_counter() - start

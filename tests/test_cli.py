@@ -2,6 +2,7 @@ import json
 import os
 import re
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,21 @@ def test_train_divergence_in_the_loss_head_names_its_node_and_step(bundle, tmp_p
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: non-finite value in node \S+ at step 0\n", err)
     assert "Traceback" not in err
+
+
+def test_train_divergence_in_the_update_names_its_parameter_and_step(bundle, tmp_path,
+                                                                   capsys):
+    # The loss stays finite; lr times its gradient overflows.
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("lr = 1e10\nweights.alpha = 1e300\ntotal_steps = 3\nbatch_size = 8\n",
+                   encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", str(cfg), "train", "--data", str(bundle["fx"]),
+                     "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: non-finite value in parameter img\.\S+ at step 0\n", err)
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("content", ["", "\n"], ids=["empty", "blank-line"])

@@ -18,6 +18,7 @@ from slotnav.encoder import (
     encode_text,
     image_embedding,
     init_params,
+    param_specs,
     patchify,
     read_ppm,
     sample_slots,
@@ -25,7 +26,7 @@ from slotnav.encoder import (
 )
 from slotnav.harness import TrainConfig
 
-from _oracles import image_tokens, slot_attention
+from _oracles import image_tokens, slot_attention, transformer_block, with_values
 
 DESK = EncoderConfig(max_tokens=4)
 
@@ -86,8 +87,7 @@ def test_encode_image_deterministic(desk_store):
 
 
 def test_zero_image_with_zero_positions_gives_identical_tokens(desk_store):
-    store = desk_store.copy()
-    store["img.pos"] = np.zeros_like(store["img.pos"])
+    store = with_values(desk_store, {"img.pos": np.zeros_like(desk_store["img.pos"])})
     tokens, _ = image_tokens(np.zeros((16, 16, 3)), store, DESK)
     assert np.allclose(tokens, tokens[0], atol=1e-12)
 
@@ -173,9 +173,8 @@ def test_predict_boxes_shape_and_validity(desk_store):
 def test_center_size_half_half_one_one_maps_to_full_image_box(desk_store):
     # Zero the last layer weights so its bias alone sets the sigmoid inputs:
     # sigmoid -> (0.5, 0.5, ~1, ~1), corners -> (0, 0, 1, 1).
-    store = desk_store.copy()
-    store["box.l2.w"] = np.zeros_like(store["box.l2.w"])
-    store["box.l2.b"] = np.array([0.0, 0.0, 50.0, 50.0])
+    store = with_values(desk_store, {"box.l2.w": np.zeros_like(desk_store["box.l2.w"]),
+                                     "box.l2.b": np.array([0.0, 0.0, 50.0, 50.0])})
     boxes = boxes_of(sample_slots(DESK, 0), store)
     assert np.allclose(boxes, np.tile([0.0, 0.0, 1.0, 1.0], (DESK.num_slots, 1)), atol=1e-9)
 
@@ -190,9 +189,8 @@ def test_aggregate_embedding_shape_and_norm(desk_store):
 
 
 def test_zeroed_slot_branch_ignores_slots(desk_store):
-    store = desk_store.copy()
-    store["agg.slots.w"] = np.zeros_like(store["agg.slots.w"])
-    store["agg.slots.b"] = np.zeros_like(store["agg.slots.b"])
+    store = with_values(desk_store, {"agg.slots.w": np.zeros_like(desk_store["agg.slots.w"]),
+                                     "agg.slots.b": np.zeros_like(desk_store["agg.slots.b"])})
     ea, _, a = image_embedding(random_image(10), store, DESK, seed=1)
     eb, _, b = image_embedding(random_image(10), store, DESK, seed=2)
     assert not np.array_equal(a.slots, b.slots)
@@ -372,6 +370,39 @@ def test_embedding_path_gradients_match_finite_differences():
     assert report.checked_coordinates > 0
 
 
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_over_a_head_axis_equals_a_per_head_oracle(heads):
+    cfg = EncoderConfig(dim=8, heads=heads, max_tokens=4)
+    store = init_params(cfg, seed=heads)
+    rng = np.random.default_rng(heads)
+    for shape in ((5, 8), (3, 5, 8)):
+        x = rng.normal(size=shape)
+        g = Graph()
+        out = encoder._transformer_block(g, Binding(g, store, trainable=False), g.constant(x),
+                                         "img.blk0", heads)
+        got, want = g.evaluate(out), transformer_block(x, store, "img.blk0", heads)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    # The block's gradients, with every parameter probed along a leading axis.
+    g = Graph()
+    bind = Binding(g, store)
+    out = encoder._transformer_block(g, bind, g.constant(rng.normal(size=(2, 3, 8))),
+                                     "img.blk0", heads)
+    loss = g.sum(g.multiply(out, g.constant(rng.normal(size=out.shape))))
+    report = g.finite_difference_check(loss, step=1e-6, tolerance=1e-5)
+    assert report.passed and report.checked_coordinates == sum(
+        store[name].size for name in store.names() if name.startswith("img.blk0."))
+
+
+def test_param_specs_give_init_params_names_shapes_and_frozen_flags():
+    for cfg in (EncoderConfig(), EncoderConfig(dim=8, slot_dim=6, num_slots=3, depth=2,
+                                               heads=4, max_tokens=9, text_len=5)):
+        store = init_params(cfg, seed=1)
+        assert [(name, value.shape, name in store.frozen) for name, value in store.items()] \
+            == [(name, shape, frozen) for name, shape, frozen, _ in param_specs(cfg)]
+
+
 def test_positional_slices_pass_no_gradient_beyond_their_rows():
     # A stack of two images of four patches each reads the first four rows
     # of a six-row table, and a two-token query the first two of sixteen.
@@ -442,8 +473,14 @@ def test_cached_inference_sees_every_store_update(desk_store, monkeypatch):
     image = random_image(70)
     before_text = encode_text("red sofa", store, DESK).vector
     before_image = image_embedding(image, store, DESK, seed=1)[0].vector
-    for name in ("txt.embed", "txt.blk0.mlp1.w", "img.patch.w", "slot.q.w", "agg.mlp2.b"):
-        store[name] = store[name] * 1.5 + 0.01
+    # A cached graph holds this store's views: an update in place reaches it.
+    size = sum(store[name].size for name in store.trainable_names())
+    store.descend(0.5, np.linspace(-1.0, 1.0, size))
+    after_image = image_embedding(image, store, DESK, seed=1)[0].vector
+    assert after_image.tobytes() != before_image.tobytes()
+    # Another store reaches it through the binding, frozen tensors included.
+    store = with_values(store, {name: store[name] * 1.5 + 0.01 for name in (
+        "txt.embed", "txt.blk0.mlp1.w", "img.patch.w", "slot.q.w", "agg.mlp2.b")})
     text = encode_text("red sofa", store, DESK).vector
     emb, boxes, state = image_embedding(image, store, DESK, seed=1)
     assert text.tobytes() != before_text.tobytes()

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 from collections import Counter
 from dataclasses import replace
 
@@ -366,7 +365,7 @@ def test_training_set_ar1_is_bounded():
 # Overfit harness and ablation plumbing
 
 def test_overfit_harness_requires_multi_label():
-    from slotnav.objectives import Annotation, AnnotationSet, TrainExample
+    from slotnav.objectives import AnnotationSet, TrainExample
     example = fixture_examples()[0]
     single = TrainExample(image=example.image,
                           annotations=AnnotationSet(example.annotations.annotations[:1]))

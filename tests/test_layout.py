@@ -56,3 +56,51 @@ def test_a_definition_read_only_by_itself_is_reported(tmp_path):
     reader = tmp_path / "reader.py"
     reader.write_text("import module\n\nmodule.uses()\n", encoding="utf-8")
     assert unreferenced_definitions([module], [reader]) == ["module.py:3 recurse"]
+
+
+def _own_imports(scope):
+    """The import statements of scope's own body, not of the functions in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unread_imports(paths):
+    """Names an import binds that nothing in its scope reads: its module for
+    a top-level import, its function for one inside a function."""
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        scopes = [tree] + [node for node in ast.walk(tree)
+                           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for scope in scopes:
+            names = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+            for stmt in _own_imports(scope):
+                if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                    continue
+                for alias in stmt.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound != "*" and bound not in names:
+                        unread.append(f"{path.name}:{stmt.lineno} {bound}")
+    return sorted(unread)
+
+
+def test_every_import_in_src_and_tests_is_read():
+    paths = sorted((ROOT / "src" / "slotnav").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert unread_imports(paths) == []
+
+
+def test_an_import_read_only_outside_its_function_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("from __future__ import annotations\n\n"
+                      "import os\nimport os.path as osp\nimport math\n"
+                      "from json import dumps, loads\n\n\n"
+                      "def f():\n    import struct\n    from json import dumps\n"
+                      "    return osp.join(struct.calcsize('i'))\n\n\n"
+                      "def g():\n    return math.pi + len(dumps(1))\n", encoding="utf-8")
+    assert unread_imports([module]) == ["module.py:11 dumps", "module.py:3 os",
+                                        "module.py:6 loads"]

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from slotnav import navsim
 from slotnav.navsim import (FIELD_CACHE_SIZE, FovParams, EpisodeResult, GridWorld,
-                            MemoryEntry, Pose, SuccessReport, WorldObject,
+                            MemoryEntry, Pose, WorldObject,
                             episode_to_json, execute_episode, in_fov, load_world,
                             parse_world, plan_path, save_episode_log, success_rate)
 from slotnav.promptgen import normalize_angle

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slotnav import objectives
 from slotnav.autodiff import Graph, GraphCache
@@ -32,7 +33,7 @@ from slotnav.objectives import (
 )
 
 from _oracles import (brute_force_assignment, exact_sum_assignment, giou, iou, l1_box,
-                      random_box)
+                      random_box, with_values)
 
 
 # ----------------------------------------------------------------------
@@ -158,29 +159,29 @@ def test_pairwise_cost_rejects_a_bad_box_in_either_argument(bad):
 def test_hungarian_diagonal_optimum():
     cost = np.full((3, 3), 100.0)
     np.fill_diagonal(cost, 0.0)
-    out = hungarian(cost)
+    out = hungarian([cost])[0]
     assert out.pairs == ((0, 0), (1, 1), (2, 2))
     assert out.cost == 0.0
     assert out.unmatched_slots == ()
 
 
 def test_hungarian_two_by_two_example():
-    out = hungarian([[1, 2], [3, 0]])
+    out = hungarian([[[1, 2], [3, 0]]])[0]
     assert out.pairs == ((0, 0), (1, 1))
     assert out.cost == pytest.approx(1.0)
 
 
 def test_hungarian_rectangular_example():
-    out = hungarian([[5, 1], [2, 4], [3, 3]])
+    out = hungarian([[[5, 1], [2, 4], [3, 3]]])[0]
     assert out.pairs == ((0, 1), (1, 0))
     assert out.unmatched_slots == (2,)
     assert out.cost == pytest.approx(3.0)
 
 
 def test_hungarian_tie_break_is_lexicographic():
-    out = hungarian(np.ones((3, 3)))
+    out = hungarian([np.ones((3, 3))])[0]
     assert out.pairs == ((0, 0), (1, 1), (2, 2))
-    out = hungarian([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+    out = hungarian([[[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]])[0]
     assert out.pairs == ((0, 0), (1, 1))
     assert out.unmatched_slots == (2,)
 
@@ -197,7 +198,7 @@ def test_hungarian_matches_brute_force_oracle():
         else:
             cost = rng.normal(size=(k, n))
         expected_total, expected_pairs = brute_force_assignment(cost)
-        out = hungarian(cost)
+        out = hungarian([cost])[0]
         assert out.cost == expected_total, f"trial {trial}"
         assert out.pairs == expected_pairs, f"trial {trial}"
         assert len(out.pairs) == min(k, n)
@@ -206,7 +207,7 @@ def test_hungarian_matches_brute_force_oracle():
 def test_hungarian_matches_brute_force_on_near_ties():
     # Optima that tie, or differ only in the last bits of a row-order sum.
     # 3e-10 and 1e-10 differ by less than an absolute 1e-9.
-    out = hungarian([[3e-10, 0.1, 0.7, 1e-10, 1e-10]])
+    out = hungarian([[[3e-10, 0.1, 0.7, 1e-10, 1e-10]]])[0]
     assert out.pairs == ((0, 3),)
     assert out.cost == 1e-10
     pools = ([0.1, 0.2, 0.3, 0.6, 0.7, 1.0],
@@ -217,7 +218,7 @@ def test_hungarian_matches_brute_force_on_near_ties():
         k, n = (int(v) for v in rng.integers(1, 6, size=2))
         cost = rng.choice(pools[trial % 3], size=(k, n))
         expected_total, expected_pairs = brute_force_assignment(cost)
-        out = hungarian(cost)
+        out = hungarian([cost])[0]
         assert out.pairs == expected_pairs, f"trial {trial}: {cost.tolist()}"
         assert np.float64(out.cost).tobytes() == np.float64(expected_total).tobytes(), \
             f"trial {trial}"
@@ -228,29 +229,62 @@ def test_hungarian_matches_brute_force_on_near_ties():
     for trial, ((k, n), pool) in enumerate(itertools.product(at_bound * 5, pools)):
         cost = rng.choice(pool, size=(k, n))
         expected_total, expected_pairs = brute_force_assignment(cost)
-        out = hungarian(cost)
+        out = hungarian([cost])[0]
         assert out.pairs == expected_pairs, f"{k}x{n} trial {trial}: {cost.tolist()}"
         assert np.float64(out.cost).tobytes() == np.float64(expected_total).tobytes(), \
             f"{k}x{n} trial {trial}"
     for trial, ((k, n), pool) in enumerate(itertools.product(past_bound * 5, pools)):
         cost = rng.choice(pool, size=(k, n))
-        assert hungarian(cost).pairs == exact_sum_assignment(cost), \
+        assert hungarian([cost])[0].pairs == exact_sum_assignment(cost), \
             f"{k}x{n} trial {trial}: {cost.tolist()}"
 
 
+# Costs from small pools tie often; the third pool's sums round.
+_COST_POOLS = ([0.0, 1.0, 2.0], [0.1, 0.2, 0.3, 0.6, 0.7, 1.0, 1e-10, 3e-10],
+               [1e16, -1e16, 0.5, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def _cost_blocks(draw):
+    """Blocks of a few (K, N) shapes, several of each, with tying costs."""
+    shapes = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                           min_size=1, max_size=3))
+    pool = draw(st.sampled_from(_COST_POOLS))
+    blocks = []
+    for _ in range(draw(st.integers(1, 10))):
+        k, n = draw(st.sampled_from(shapes))
+        blocks.append(np.array(draw(st.lists(st.sampled_from(pool), min_size=k * n,
+                                             max_size=k * n))).reshape(k, n))
+    return blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cost_blocks())
+def test_blocks_matched_together_get_the_pairs_and_cost_each_gets_alone(blocks):
+    together = hungarian(blocks)
+    assert len(together) == len(blocks)
+    for cost, got in zip(blocks, together):
+        alone = hungarian([cost])[0]
+        assert got == alone
+        assert np.float64(got.cost).tobytes() == np.float64(alone.cost).tobytes()
+        expected_total, expected_pairs = brute_force_assignment(cost)
+        assert got.pairs == expected_pairs
+        assert np.float64(got.cost).tobytes() == np.float64(expected_total).tobytes()
+
+
 def test_hungarian_edge_shapes_and_non_finite_costs():
-    out = hungarian(np.zeros((3, 0)))
+    out = hungarian([np.zeros((3, 0))])[0]
     assert (out.pairs, out.unmatched_slots, out.cost) == ((), (0, 1, 2), 0.0)
-    out = hungarian(np.zeros((0, 3)))
+    out = hungarian([np.zeros((0, 3))])[0]
     assert (out.pairs, out.unmatched_slots, out.cost) == ((), (), 0.0)
     for bad in (np.nan, np.inf, -np.inf):
         cost = np.ones((2, 3))
         cost[1, 2] = bad
         with pytest.raises(ValueError, match="^costs must be finite$"):
-            hungarian(cost)
+            hungarian([cost])[0]
     # Wide and tall shapes alike, on both sides of the enumeration bound.
     for k, n in ((1, 63), (1, 64), (3, 200), (200, 3)):
-        out = hungarian(np.ones((k, n)))
+        out = hungarian([np.ones((k, n))])[0]
         assert out.pairs == tuple((i, i) for i in range(min(k, n)))
         assert out.unmatched_slots == tuple(range(min(k, n), k))
 
@@ -261,7 +295,7 @@ def test_hungarian_exact_sum_path_matches_brute_force(monkeypatch):
     # enumeration breaks them; tall shapes leave rows out.  On near ties
     # the reference is enumeration with exact sums.
     monkeypatch.setattr(objectives, "_ENUMERATED_ASSIGNMENTS", 0)
-    out = hungarian([[3e-10, 0.1, 0.7, 1e-10, 1e-10]])
+    out = hungarian([[[3e-10, 0.1, 0.7, 1e-10, 1e-10]]])[0]
     assert (out.pairs, out.cost) == (((0, 3),), 1e-10)
     rng = np.random.default_rng(4)
     for trial in range(300):
@@ -274,7 +308,7 @@ def test_hungarian_exact_sum_path_matches_brute_force(monkeypatch):
         else:
             cost = rng.normal(size=(k, n))
         expected_total, expected_pairs = brute_force_assignment(cost)
-        out = hungarian(cost)
+        out = hungarian([cost])[0]
         assert out.pairs == expected_pairs, f"trial {trial}: {cost.tolist()}"
         assert out.cost == expected_total, f"trial {trial}"
     # Near ties, where row-order rounding and exact sums can disagree.
@@ -284,7 +318,7 @@ def test_hungarian_exact_sum_path_matches_brute_force(monkeypatch):
     for trial in range(600):
         k, n = (int(v) for v in rng.integers(1, 6, size=2))
         cost = rng.choice(pools[trial % 3], size=(k, n))
-        assert hungarian(cost).pairs == exact_sum_assignment(cost), \
+        assert hungarian([cost])[0].pairs == exact_sum_assignment(cost), \
             f"trial {trial}: {cost.tolist()}"
 
 
@@ -299,7 +333,7 @@ def test_hungarian_large_shapes_finish_in_bounded_time_and_memory():
         cost[rows, cols] = 0.0
         tracemalloc.start()
         start = time.perf_counter()
-        out = hungarian(cost)
+        out = hungarian([cost])[0]
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
@@ -373,10 +407,8 @@ def test_concat_captions():
 
 def _identity_projection_store():
     cfg = EncoderConfig(max_tokens=4)
-    store = init_params(cfg, seed=0)
-    d = cfg.dim
-    store["mc.proj.w"] = np.eye(cfg.slot_dim, d)
-    store["mc.proj.b"] = np.zeros(d)
+    store = with_values(init_params(cfg, seed=0), {"mc.proj.w": np.eye(cfg.slot_dim, cfg.dim),
+                                                   "mc.proj.b": np.zeros(cfg.dim)})
     return cfg, store
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slotnav.promptgen import (STUB_SENTENCE_BANK, CaptionedObject,
-                               CaptionRecord, ConversionReport, Pose, build_prompt,
+                               CaptionRecord, Pose, build_prompt,
                                convert_detection_dataset, convert_detection_lines,
                                load_dataset, noun_to_sentences, read_lines,
                                save_dataset)
