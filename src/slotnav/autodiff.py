@@ -22,7 +22,7 @@ the same path with a block of one coordinate.
 
 Leaf values are bound per call, so a graph built once serves every call
 of its shapes.  A leaf is built with a value (parameter, constant) or
-without one (input).  bind(values) makes a binding, the build-time values
+without one (input).  Graph.bind makes a binding, the build-time values
 overridden by the values given, each checked for its leaf's shape and,
 unless it is the leaf's build-time array, for finite entries, and returns
 a Frame holding it; it becomes the graph's current binding, which
@@ -964,8 +964,8 @@ class Graph:
 
 
 class GraphCache:
-    """Built graphs by shape key, each built once and rebound per call; past
-    maxsize the least recently used is dropped."""
+    """Built graphs by shape key, each built once and given new data per
+    call; past maxsize the least recently used is dropped."""
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize = maxsize
@@ -994,7 +994,13 @@ class ParamStore:
     first and the frozen (non-trainable) ones last, each in the order given.
     store[name] is a read-only view, so it shows every later update; copy()
     gives a snapshot.  Every value is finite, so a graph need not test a view
-    it holds again."""
+    it holds again.
+
+    It keeps what is derived from it for exactly its own life: graphs, the
+    graphs built over its views, which see every descend, and text_rows,
+    the frozen text tower's read-only output rows, which no descend
+    changes.  A new store and a copy start with both empty.  Neither holds
+    the store itself, so a dropped store frees them at once."""
 
     def __init__(self, values: Mapping[str, object], frozen: Iterable[str] = ()) -> None:
         arrays = {n: np.asarray(v, dtype=np.float64) for n, v in values.items()}
@@ -1011,6 +1017,8 @@ class ParamStore:
                                   "parameter {} has non-finite entries")
         self._views = {n: self._flat[self._spans[n]].reshape(arrays[n].shape) for n in order}
         self._trainable_flat = self._flat[:bounds[len(self._trainable)]]
+        self.graphs = GraphCache(maxsize=64)
+        self.text_rows: dict = {}
 
     def _raise_if_non_finite(self, flat: Array, names: list[str], error, message: str) -> None:
         """Raise error naming the first of names whose span of flat is not finite."""

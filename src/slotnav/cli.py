@@ -199,12 +199,12 @@ def cmd_index(args) -> int:
 def cmd_retrieve(args) -> int:
     if args.k < 1:
         raise ValueError(f"-k: must be at least 1, got {args.k}")
-    index = load_index(args.index)
     if (args.queries is None) == (args.query is None):
         raise ValueError("pass exactly one of --queries or --query")
+    if args.query is not None and args.run is None:
+        raise ValueError("--query needs --run for the text encoder")
+    index = load_index(args.index)
     if args.query is not None:
-        if args.run is None:
-            raise ValueError("--query needs --run for the text encoder")
         store, config = _load_run(args.run)
         rows = {"query": encode_text(args.query, store, config.encoder).vector}
     else:
@@ -295,6 +295,8 @@ def cmd_nav_eval(args) -> int:
         raise ValueError(f"--k: must be at least 1, got {args.k}")
     if not _finite_positive(args.cell_m):
         raise ValueError(f"--cell-m: {args.cell_m!r} is not a finite positive number")
+    if (args.query_index is None) == (args.run is None):
+        raise ValueError("pass exactly one of --query-index or --run")
     fov = _fov_params(args)
     world = load_world(args.world, cell_m=args.cell_m)
     memory_index = load_index(args.memory)
@@ -315,8 +317,6 @@ def cmd_nav_eval(args) -> int:
     queries = _load_records(args.queries, query)
     if not queries:
         raise ValueError(f"{args.queries}: no records")
-    if (args.query_index is None) == (args.run is None):
-        raise ValueError("pass exactly one of --query-index or --run")
     if args.query_index is not None:
         query_index = load_index(args.query_index)
         rows = {qid: query_index.matrix[i]

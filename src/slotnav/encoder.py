@@ -8,13 +8,13 @@ hash-tokenized into a tiny frozen transformer.  Everything is expressed on
 the autodiff graph so the objectives module can differentiate end to end.
 Inference runs the same graphs with parameters as constants:
 image_embedding runs the whole image pathway training differentiates, and
-encode_text the text tower.  encode_text builds its graph once per token
-count, and image_embedding once per patch count, so images of different
-sizes with the same count share a graph; image data enters only through
-input leaves, so a graph keeps no image of its own, only its latest call's
-binding.  Each keeps a bounded number of graphs, and on every call binds
-the store's parameters and the call's data into a new frame, which it
-evaluates once.
+encode_text the text tower.  Both keep their graphs in the store's graphs,
+built over its views: the text tower once per token count, and the image
+pathway once per patch count, so images of different sizes with the same
+count share a graph.  Data enters only through input leaves, so a graph
+keeps no image of its own, only its latest call's binding.  Every call
+binds its data into a new frame, which it evaluates once.  The text tower
+reads only frozen tensors, so the store's text_rows keeps each text's row.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Graph, GraphCache, Node, ParamStore, derive_seed
+from .autodiff import Graph, Node, ParamStore, derive_seed
 
 Array = np.ndarray
 
@@ -223,13 +223,6 @@ class Binding:
                 node = self.graph.constant(value, name=name)
             self._nodes[name] = node
         return node
-
-    def values(self, store: ParamStore) -> dict[Node, Array]:
-        """Each bound tensor's node with its value in store, to rebind a
-        built graph to that store; none for the store it was built from,
-        whose views, showing its current values, the graph already holds."""
-        return {} if store is self.store else {
-            node: store[name] for name, node in self._nodes.items()}
 
 
 # ----------------------------------------------------------------------
@@ -430,7 +423,7 @@ def build_text_embedding(g: Graph, bind: Binding, rows: Node,
 
 # ----------------------------------------------------------------------
 # Inference: the training builders, parameters as constants, built once per
-# shape and rebound on every call
+# store and shape
 
 
 def sample_slots(config: EncoderConfig, seed: int) -> Array:
@@ -455,33 +448,32 @@ def _slot_state(values: list[Array]) -> SlotState:
                      iteration=final.iteration, history=history)
 
 
-def _runner(g: Graph, bind: Binding, leaves: Sequence[Node], outputs: list[Node]):
-    """Run of a built inference graph: outputs evaluated with a store's
-    parameters and the call's data bound to leaves."""
-    def run(store: ParamStore, *data: Array) -> list[Array]:
-        frame = g.bind({**bind.values(store), **dict(zip(leaves, data))})
-        return g.evaluate(outputs, frame=frame)
+def _runner(g: Graph, leaves: Sequence[Node], outputs: list[Node]):
+    """Run of a built inference graph: outputs evaluated with the call's
+    data bound to leaves."""
+    def run(*data: Array) -> list[Array]:
+        return g.evaluate(outputs, frame=g.bind(dict(zip(leaves, data))))
     return run
 
 
-# Inference graphs by (config, token count) and by (config, patch shape):
-# images of different sizes with the same patch count share a graph.
-_TEXT_GRAPHS = GraphCache(maxsize=16)
-_IMAGE_GRAPHS = GraphCache(maxsize=32)
-
-
 def encode_text(query: str, store: ParamStore, config: EncoderConfig) -> Embedding:
-    ids = tokenize(query, config)
+    """The text tower's unit row for query, read-only, computed once per
+    store and config."""
+    row = store.text_rows.get((config, query))
+    if row is None:
+        ids = tokenize(query, config)
 
-    def build():
-        g = Graph()
-        bind = Binding(g, store, trainable=False)
-        rows = g.input((len(ids), config.dim), name=TEXT_PREFIX + "tokens")
-        return _runner(g, bind, [rows], [build_text_embedding(g, bind, rows, config)])
+        def build():
+            g = Graph()
+            bind = Binding(g, store, trainable=False)
+            rows = g.input((len(ids), config.dim), name=TEXT_PREFIX + "tokens")
+            return _runner(g, [rows], [build_text_embedding(g, bind, rows, config)])
 
-    run = _TEXT_GRAPHS.get((config, len(ids)), build)
-    vec, = run(store, store[TEXT_PREFIX + "embed"][ids])
-    return Embedding(vector=vec.reshape(-1))
+        run = store.graphs.get(("text", config, len(ids)), build)
+        vec, = run(store[TEXT_PREFIX + "embed"][ids])
+        row = store.text_rows[(config, query)] = vec.reshape(-1)
+        row.flags.writeable = False
+    return Embedding(vector=row)
 
 
 def image_embedding(image: Array, store: ParamStore, config: EncoderConfig,
@@ -495,12 +487,12 @@ def image_embedding(image: Array, store: ParamStore, config: EncoderConfig,
         g = Graph()
         bind = Binding(g, store, trainable=False)
         nodes = build_image_embedding(g, bind, image, config, slots0)
-        return _runner(g, bind, [nodes["patches"], nodes["slots0"]],
+        return _runner(g, [nodes["patches"], nodes["slots0"]],
                        [nodes["embedding"], nodes["boxes"]]
                        + [n for trace in nodes["traces"] for n in trace])
 
-    run = _IMAGE_GRAPHS.get((config, shape), build)
-    embedding, boxes, *traces = run(store, patchify(image, config.patch_size), slots0)
+    run = store.graphs.get(("image", config, shape), build)
+    embedding, boxes, *traces = run(patchify(image, config.patch_size), slots0)
     return Embedding(vector=embedding.reshape(-1)), BoxSet(boxes=boxes), _slot_state(traces)
 
 

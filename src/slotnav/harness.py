@@ -7,11 +7,11 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable, MutableMapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import EvaluationError, GraphCache, ParamStore, derive_seed, save_checkpoint
+from .autodiff import EvaluationError, ParamStore, derive_seed, save_checkpoint
 from .encoder import (EncoderConfig, check_field_types, encode_text, image_embedding,
                       init_params, patch_shape, read_ppm)
 from .objectives import (Annotation, AnnotationSet, LossReport, LossWeights,
@@ -166,19 +166,17 @@ def hash_inputs(paths: Sequence[str]) -> str:
 # Training
 
 def train_step(store: ParamStore, batch: Sequence[TrainExample],
-               config: TrainConfig, step: int,
-               text_cache: MutableMapping[str, Array] | None = None,
-               graphs: GraphCache | None = None) -> LossReport:
+               config: TrainConfig, step: int) -> LossReport:
     """One gradient-descent step; frozen parameters are never touched.
 
-    graphs keeps the run's loss graphs, one per batch shape key, so a step
+    The store keeps its loss graphs, one per batch shape key, so a step
     rebinds a graph an earlier step built.  The gradient starts from the
     loss graph's evaluated frame, so every node runs once.  A divergence
     raises EvaluationError naming its node or parameter, and the step.
     """
     try:
         built = total_loss_graph(batch, store, config.weights, config.encoder,
-                                 derive_seed(config.seed, "step", step), text_cache, graphs)
+                                 derive_seed(config.seed, "step", step))
         lr_t = learning_rate(config, step)
         if lr_t != 0.0:
             store.descend(lr_t, built.graph.gradient(
@@ -205,8 +203,6 @@ def train_on_examples(examples: Sequence[TrainExample], config: TrainConfig,
         raise ValueError("no training examples")
     if store is None:
         store = init_params(config.encoder, seed=derive_seed(config.seed, "init", 0))
-    text_cache: dict[str, Array] = {}
-    graphs = GraphCache(maxsize=16)
     reports: list[LossReport] = []
     step = 0
     epoch = 0
@@ -216,7 +212,7 @@ def train_on_examples(examples: Sequence[TrainExample], config: TrainConfig,
             if step >= config.total_steps:
                 break
             batch = [examples[i] for i in batch_indices]
-            report = train_step(store, batch, config, step, text_cache, graphs)
+            report = train_step(store, batch, config, step)
             reports.append(report)
             if initial is None:
                 initial = report.total

@@ -1,10 +1,11 @@
 """Training objectives: box geometry, Hungarian matching, contrastive losses.
 
-The total loss is one differentiable scalar, built once per batch shape
-key (its image stacks' shapes, its matched pairs and its annotations) and
-evaluated in two phases over one frame per step.  The step binds the parameters, the
-images, the initial slots and the caption embeddings, and evaluates the
-boxes, which fills the frame with the image towers.  The rectangular
+The total loss is one differentiable scalar, built once per store and batch
+shape key (its image stacks' shapes, its matched pairs and its annotations)
+over the store's views, and evaluated in two phases over one frame per
+step.  The step binds the images, the initial slots and the caption
+embeddings, and evaluates the boxes, which fills the frame with the image
+towers.  The rectangular
 assignment between slots and annotations is computed on those values and
 bound into the same frame as data: a 0/1 matrix selecting the matched
 slots, their annotation boxes and the multi-label targets.  Gradients flow
@@ -20,11 +21,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import MutableMapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Frame, Graph, GraphCache, Node, ParamStore, derive_seed
+from .autodiff import Frame, Graph, Node, ParamStore, derive_seed
 from .encoder import (Binding, EncoderConfig, _normalize_rows, build_image_embedding,
                       check_field_types, encode_text, patchify, sample_slots)
 
@@ -371,9 +372,9 @@ class TotalLossGraph:
     each image's box assignment.
 
     frame holds this step's binding and the values of every node the report
-    evaluated, for graph.gradient(total, frame=frame).  The graph may serve
-    later steps of its shape key; each binds a frame of its own, and the
-    latest is the graph's current binding.
+    evaluated, for graph.gradient(total, frame=frame).  The store keeps the
+    graph for later calls of its shape key; each binds a frame of its own,
+    and the latest is the graph's current binding.
     """
 
     graph: Graph
@@ -385,11 +386,10 @@ class TotalLossGraph:
 
 @dataclass
 class _StepGraph:
-    """The loss graph of one batch shape key: the parameters' binding, the
-    image towers and the data inputs a step binds, the components and total."""
+    """The loss graph of one batch shape key: the image towers and the data
+    inputs a step binds, the components and total."""
 
     graph: Graph
-    bind: Binding
     towers: list[dict]
     inputs: dict[str, Node]
     components: dict[str, Node]
@@ -438,32 +438,22 @@ def _build_step_graph(stacks: Sequence[Array], slots0: Sequence[Array], matched:
     total = g.add(total, g.affine(l_l1, weights.beta, 0.0))
     total = g.add(total, g.affine(l_giou, weights.gamma, 0.0))
     total = g.add(total, g.affine(l_mc, weights.delta, 0.0))
-    return _StepGraph(graph=g, bind=bind, towers=towers, inputs=inputs, total=total,
+    return _StepGraph(graph=g, towers=towers, inputs=inputs, total=total,
                       components={"L_C": l_c, "L_L1": l_l1, "L_GIoU": l_giou, "L_MC": l_mc})
 
 
 def total_loss_graph(batch: Sequence[TrainExample], store: ParamStore,
                      weights: LossWeights, config: EncoderConfig,
-                     seed: int,
-                     text_cache: MutableMapping[str, Array] | None = None,
-                     graphs: GraphCache | None = None) -> TotalLossGraph:
+                     seed: int) -> TotalLossGraph:
     """Bind and evaluate the full objective for one batch.
 
     Caption and slot randomness derive from the given seed; pass the training
-    step there so each step resamples both.  text_cache maps caption text to
-    a precomputed frozen embedding row; it is filled in place so callers can
-    reuse it across steps.  graphs keeps the loss graph of each batch shape
-    key for the steps of one run, whose store, weights and config stay the
-    same; without it the graph is built for this call alone.
+    step there so each step resamples both.  The loss graph of each batch
+    shape key is kept in the store's graphs, so later calls of its key
+    rebind it, and the caption rows come from encode_text, which keeps them.
     """
     if len(batch) == 0:
         raise ValueError("batch must contain at least one example")
-    cache: MutableMapping[str, Array] = text_cache if text_cache is not None else {}
-
-    def text_row(text: str) -> Array:
-        if text not in cache:
-            cache[text] = encode_text(text, store, config).vector
-        return cache[text]
 
     # One image tower per distinct image shape, in first-appearance order;
     # a batch of one image size builds one.  order lists the batch indices
@@ -484,13 +474,17 @@ def total_loss_graph(batch: Sequence[TrainExample], store: ParamStore,
     # The graph's shape: its towers' stack shapes, in tower order, and the
     # matched and annotation counts, for hungarian matches min(K, N) pairs
     # in each image.  Which image holds which annotation is bound data.
-    step = build() if graphs is None else graphs.get(
-        (config, weights, tuple(s.shape for s in stacks), matched, sum(counts)), build)
+    step = store.graphs.get(
+        ("loss", config, weights, tuple(s.shape for s in stacks), matched, sum(counts)), build)
     g = step.graph
+
+    def text_row(text: str) -> Array:
+        return encode_text(text, store, config).vector
+
     cat_texts = [concat_captions(ex.annotations.captions(), derive_seed(seed, "captions", i))
                  for i, ex in enumerate(batch)]
     ann_texts = [t for i in order for t in batch[i].annotations.captions()]
-    leaves = step.bind.values(store)
+    leaves = {}
     for tower, stack, s0 in zip(step.towers, stacks, slots0):
         leaves[tower["patches"]] = patchify(stack, config.patch_size)
         leaves[tower["slots0"]] = s0

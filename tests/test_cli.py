@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from slotnav import encoder, harness
+from slotnav import cli, encoder, harness
 from slotnav.autodiff import Graph, GraphCache
 from slotnav.cli import _load_run, main
 from slotnav.encoder import TEXT_PREFIX, write_ppm
@@ -214,10 +214,16 @@ def test_index_of_mixed_sizes_builds_one_graph_per_patch_count(bundle, tmp_path,
                         lambda g, bind, image, *rest: built.append(np.shape(image))
                         or build(g, bind, image, *rest))
     argv = ["index", "--run", str(bundle["run"]), "--data", str(data), "--out"]
-    monkeypatch.setattr(encoder, "_IMAGE_GRAPHS", GraphCache(maxsize=32))
     assert main(argv + [str(tmp_path / "shared.lze")]) == 0
     assert len(built) == 4
-    monkeypatch.setattr(encoder, "_IMAGE_GRAPHS", GraphCache(maxsize=1))
+    load_run = cli._load_run
+
+    def one_graph(run_dir):
+        store, config = load_run(run_dir)
+        store.graphs = GraphCache(maxsize=1)
+        return store, config
+
+    monkeypatch.setattr(cli, "_load_run", one_graph)
     assert main(argv + [str(tmp_path / "cold.lze")]) == 0
     assert len(built) == 4 + len(records)
     capsys.readouterr()
@@ -248,6 +254,20 @@ def test_retrieve_requires_exactly_one_query_source(bundle, capsys):
     fx = bundle["fx"]
     assert main(["retrieve", "--index", str(fx / "ortho_index.lze")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sources, message", [
+    ([], "pass exactly one of --queries or --query"),
+    (["--queries", "MISSING", "--query", "cup"], "pass exactly one of --queries or --query"),
+    (["--query", "cup"], "--query needs --run for the text encoder")])
+def test_retrieve_checks_its_query_flags_before_reading_any_file(tmp_path, capsys,
+                                                                  sources, message):
+    missing = str(tmp_path / "missing")
+    assert main(["retrieve", "--index", missing]
+                + [missing if a == "MISSING" else a for a in sources]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 # ----------------------------------------------------------------------
@@ -533,6 +553,17 @@ def test_nav_eval_rejects_a_bad_camera_or_cell_flag_before_loading(bundle, tmp_p
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {flag}: ")
         assert "episode" not in captured.out
+
+
+@pytest.mark.parametrize("both", [False, True])
+def test_nav_eval_checks_its_query_flags_before_reading_any_file(tmp_path, capsys, both):
+    missing = str(tmp_path / "missing")
+    argv = ["nav-eval", "--world", missing, "--memory", missing, "--poses", missing,
+            "--queries", missing] + (["--query-index", missing, "--run", missing] if both else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: pass exactly one of --query-index or --run\n"
+    assert captured.out == ""
 
 
 def test_nav_eval_max_range_inf_means_no_range_limit(bundle, capsys):

@@ -223,13 +223,13 @@ def test_image_embedding_builds_one_graph_and_evaluates_it_once(desk_store, monk
 
     monkeypatch.setattr(Graph, "__init__", counted_init)
     monkeypatch.setattr(Graph, "evaluate", counted_evaluate)
-    monkeypatch.setattr(encoder, "_IMAGE_GRAPHS", GraphCache(maxsize=2))
-    image_embedding(random_image(12), desk_store, DESK, seed=3)
+    store = desk_store.copy()
+    image_embedding(random_image(12), store, DESK, seed=3)
     assert calls == {"graphs": 1, "evaluate": 1}
     # The graph is built once per patch count; each call evaluates it once.
-    image_embedding(random_image(13), desk_store, DESK, seed=4)
+    image_embedding(random_image(13), store, DESK, seed=4)
     assert calls == {"graphs": 1, "evaluate": 2}
-    image_embedding(random_image(14)[:8], desk_store, DESK, seed=4)
+    image_embedding(random_image(14)[:8], store, DESK, seed=4)
     assert calls == {"graphs": 2, "evaluate": 3}
 
 
@@ -244,13 +244,13 @@ def test_images_with_one_patch_count_share_a_graph_exactly(desk_store, monkeypat
         return build(g, bind, image, config, initial_slots)
 
     monkeypatch.setattr(encoder, "build_image_embedding", counted)
-    monkeypatch.setattr(encoder, "_IMAGE_GRAPHS", GraphCache(maxsize=32))
-    shared = [image_embedding(image, desk_store, DESK, seed=7 + i)
+    store = desk_store.copy()
+    shared = [image_embedding(image, store, DESK, seed=7 + i)
               for i, image in enumerate(images)]
     assert built == [(16, 16, 3)]
     for i, (image, (emb, boxes, state)) in enumerate(zip(images, shared)):
-        monkeypatch.setattr(encoder, "_IMAGE_GRAPHS", GraphCache(maxsize=1))
-        cold_emb, cold_boxes, cold_state = image_embedding(image, desk_store, DESK, seed=7 + i)
+        cold_emb, cold_boxes, cold_state = image_embedding(image, desk_store.copy(), DESK,
+                                                           seed=7 + i)
         assert emb.vector.tobytes() == cold_emb.vector.tobytes()
         assert boxes.boxes.tobytes() == cold_boxes.boxes.tobytes()
         assert len(state.history) == len(cold_state.history) == DESK.slot_iters
@@ -468,7 +468,7 @@ def test_reference_config_is_consistent():
         EncoderConfig(slot_std=0.0)
 
 
-def test_cached_inference_sees_every_store_update(desk_store, monkeypatch):
+def test_cached_inference_sees_every_store_update(desk_store):
     store = desk_store.copy()
     image = random_image(70)
     before_text = encode_text("red sofa", store, DESK).vector
@@ -476,23 +476,23 @@ def test_cached_inference_sees_every_store_update(desk_store, monkeypatch):
     # A cached graph holds this store's views: an update in place reaches it.
     size = sum(store[name].size for name in store.trainable_names())
     store.descend(0.5, np.linspace(-1.0, 1.0, size))
-    after_image = image_embedding(image, store, DESK, seed=1)[0].vector
-    assert after_image.tobytes() != before_image.tobytes()
-    # Another store reaches it through the binding, frozen tensors included.
-    store = with_values(store, {name: store[name] * 1.5 + 0.01 for name in (
-        "txt.embed", "txt.blk0.mlp1.w", "img.patch.w", "slot.q.w", "agg.mlp2.b")})
-    text = encode_text("red sofa", store, DESK).vector
     emb, boxes, state = image_embedding(image, store, DESK, seed=1)
-    assert text.tobytes() != before_text.tobytes()
     assert emb.vector.tobytes() != before_image.tobytes()
+    # descend never writes the frozen text tower, so its kept row stays valid.
+    assert encode_text("red sofa", store, DESK).vector is before_text
     # A fresh build over the updated store gives the same bytes.
-    monkeypatch.setattr(encoder, "_TEXT_GRAPHS", GraphCache(maxsize=1))
-    monkeypatch.setattr(encoder, "_IMAGE_GRAPHS", GraphCache(maxsize=1))
-    assert encode_text("red sofa", store, DESK).vector.tobytes() == text.tobytes()
-    fresh_emb, fresh_boxes, fresh_state = image_embedding(image, store, DESK, seed=1)
+    fresh = store.copy()
+    assert encode_text("red sofa", fresh, DESK).vector.tobytes() == before_text.tobytes()
+    fresh_emb, fresh_boxes, fresh_state = image_embedding(image, fresh, DESK, seed=1)
     assert fresh_emb.vector.tobytes() == emb.vector.tobytes()
     assert fresh_boxes.boxes.tobytes() == boxes.boxes.tobytes()
     assert fresh_state.slots.tobytes() == state.slots.tobytes()
+    # Another store builds over its own values, frozen tensors included.
+    other = with_values(store, {name: store[name] * 1.5 + 0.01 for name in (
+        "txt.embed", "txt.blk0.mlp1.w", "img.patch.w", "slot.q.w", "agg.mlp2.b")})
+    assert encode_text("red sofa", other, DESK).vector.tobytes() != before_text.tobytes()
+    assert image_embedding(image, other, DESK, seed=1)[0].vector.tobytes() \
+        != emb.vector.tobytes()
 
 
 def test_text_graphs_are_kept_per_token_count(desk_store, monkeypatch):
@@ -504,10 +504,14 @@ def test_text_graphs_are_kept_per_token_count(desk_store, monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(encoder, "build_text_embedding", counted)
-    monkeypatch.setattr(encoder, "_TEXT_GRAPHS", GraphCache(maxsize=2))
-    for query in ("sofa", "lamp", "red sofa", "blue lamp", "sofa", "a red sofa"):
-        encode_text(query, desk_store, DESK)
+    store = desk_store.copy()
+    store.graphs = GraphCache(maxsize=2)
+    rows = {query: encode_text(query, store, DESK).vector
+            for query in ("sofa", "lamp", "red sofa", "blue lamp", "chair", "a red sofa")}
     # "a red sofa" pushes out the least recently used two-token graph, so
-    # "blue lamp" builds it anew.
-    encode_text("blue lamp", desk_store, DESK)
+    # "green lamp" builds it anew, and pushes out the one-token graph.
+    encode_text("green lamp", store, DESK)
+    assert built == [1, 2, 3, 2]
+    # A text already encoded is read from the store's rows: nothing is built.
+    assert encode_text("lamp", store, DESK).vector is rows["lamp"]
     assert built == [1, 2, 3, 2]

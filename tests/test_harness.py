@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slotnav import harness
-from slotnav.autodiff import EvaluationError, Graph, derive_seed, load_checkpoint
-from slotnav.encoder import EncoderConfig, init_params
+from slotnav import harness, objectives
+from slotnav.autodiff import EvaluationError, Graph, GraphCache, derive_seed, load_checkpoint
+from slotnav.encoder import EncoderConfig, init_params, tokenize
 from slotnav.fixtures import training_images, training_records, write_fixture_bundle
 from slotnav.harness import (AblationReport, ConvergenceReport, RunManifest,
                              TrainConfig, batches_for_epoch, canonical_caption,
@@ -17,7 +17,7 @@ from slotnav.harness import (AblationReport, ConvergenceReport, RunManifest,
                              loss_ablation, overfit_harness, parse_config_file,
                              prompt_template_report, train, train_on_examples,
                              train_step, training_set_ar1)
-from slotnav.objectives import LossWeights, total_loss_graph
+from slotnav.objectives import LossWeights, concat_captions, total_loss_graph
 
 
 def desk_config(**overrides):
@@ -172,13 +172,25 @@ def test_train_step_runs_each_forward_closure_at_most_once(monkeypatch):
     monkeypatch.setattr(Graph, "_register", counting)
     monkeypatch.setattr(harness, "total_loss_graph", keeping)
     cfg = TrainConfig.overfit_preset()
-    examples = fixture_examples()
-    train_step(fresh_store(cfg), examples[:cfg.batch_size], cfg, 0)
+    batch = fixture_examples()[:cfg.batch_size]
+    train_step(fresh_store(cfg), batch, cfg, 0)
     graph = built[0].graph
     ran = {i: n for (g, i), n in calls.items() if g is graph}
     assert sorted(ran) == [i for i, fn in enumerate(graph._forward) if fn is not None]
     assert set(ran.values()) == {1}
-    assert max(calls.values()) == 1
+    # The fresh store builds a text tower per token count, which runs once
+    # per distinct text of that count: the step's rows are kept.
+    seed = derive_seed(cfg.seed, "step", 0)
+    texts = {concat_captions(ex.annotations.captions(), derive_seed(seed, "captions", i))
+             for i, ex in enumerate(batch)}
+    texts |= {c for ex in batch for c in ex.annotations.captions()}
+    per_count = Counter(len(tokenize(t, cfg.encoder)) for t in texts)
+    towers = {}
+    for (g, i), n in calls.items():
+        if g is not graph:
+            count = g._shapes[g._names.index("txt.tokens")][0]
+            towers.setdefault(count, set()).add(n)
+    assert towers == {count: {n} for count, n in per_count.items()}
 
 
 def test_gradient_from_the_loss_frame_equals_a_fresh_gradient():
@@ -198,12 +210,28 @@ def test_cached_steps_equal_fresh_steps_byte_for_byte(monkeypatch):
     # shuffle moves the annotation counts between images.
     cfg = replace(TrainConfig.overfit_preset(), batch_size=3, total_steps=20)
     examples = fixture_examples()
+    builds = []
+    build = objectives._build_step_graph
+
+    def counted(stacks, slots0, matched, annotations, *rest):
+        builds.append((tuple(s.shape for s in stacks), matched, annotations))
+        return build(stacks, slots0, matched, annotations, *rest)
+
+    monkeypatch.setattr(objectives, "_build_step_graph", counted)
     cached_store, cached = train_on_examples(examples, cfg)
+    # One build per shape key: stack shapes, matched and annotation counts.
+    assert len(builds) == len(set(builds)) < 20
     step = harness.train_step
-    monkeypatch.setattr(harness, "train_step",
-                        lambda store, batch, config, n, text_cache=None, graphs=None:
-                        step(store, batch, config, n, text_cache))
+
+    def fresh_step(store, batch, config, n):
+        # An empty one-entry cache: the step builds its loss graph anew.
+        store.graphs = GraphCache(maxsize=1)
+        return step(store, batch, config, n)
+
+    monkeypatch.setattr(harness, "train_step", fresh_step)
+    keys = len(builds)
     fresh_store_, fresh = train_on_examples(examples, cfg)
+    assert len(builds) == keys + 20
     assert cached == fresh and len(fresh) == 20
     assert cached_store.names() == fresh_store_.names()
     for name in fresh_store_.names():

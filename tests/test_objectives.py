@@ -1,17 +1,19 @@
 """Objectives: box geometry, matching, contrastive losses, total loss."""
 
+import gc
 import itertools
 import time
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slotnav import objectives
-from slotnav.autodiff import Graph, GraphCache
-from slotnav.encoder import Binding, EncoderConfig, init_params
+from slotnav import encoder, objectives
+from slotnav.autodiff import Graph
+from slotnav.encoder import Binding, EncoderConfig, encode_text, image_embedding, init_params
 from slotnav.fixtures import training_images, training_records
 from slotnav.harness import TrainConfig, dataset_examples
 from slotnav.objectives import (
@@ -590,12 +592,13 @@ def test_two_steps_on_one_cached_graph_each_equal_a_fresh_build(tiny_setup):
     # annotations moved around, so every bound leaf differs.
     other = [replace(batch[1], annotations=batch[0].annotations),
              replace(batch[0], image=batch[1].image[::-1], annotations=batch[1].annotations)]
-    graphs = GraphCache(maxsize=2)
-    first = total_loss_graph(batch, store, LossWeights(), cfg, seed=1, graphs=graphs)
-    second = total_loss_graph(other, store, LossWeights(), cfg, seed=2, graphs=graphs)
+    first = total_loss_graph(batch, store, LossWeights(), cfg, seed=1)
+    second = total_loss_graph(other, store, LossWeights(), cfg, seed=2)
     assert second.graph is first.graph
     for built, examples, seed in ((first, batch, 1), (second, other, 2)):
-        fresh = total_loss_graph(examples, store, LossWeights(), cfg, seed=seed)
+        # A copy of the store starts with no graphs, so it builds its own.
+        fresh = total_loss_graph(examples, store.copy(), LossWeights(), cfg, seed=seed)
+        assert fresh.graph is not built.graph
         assert built.report == fresh.report
         assert [a.pairs for a in built.assignments] == [a.pairs for a in fresh.assignments]
         got = built.graph.gradient(built.total, frame=built.frame)
@@ -603,6 +606,41 @@ def test_two_steps_on_one_cached_graph_each_equal_a_fresh_build(tiny_setup):
         assert got.value == want.value
         for name, grad in want.gradients.items():
             assert got.gradients[name].tobytes() == grad.tobytes(), name
+
+
+def test_a_store_keeps_its_own_graphs_and_rows_and_frees_them_when_dropped(tiny_setup,
+                                                                           monkeypatch):
+    cfg, store, batch = tiny_setup
+    built_text = []
+    build = encoder.build_text_embedding
+    monkeypatch.setattr(encoder, "build_text_embedding",
+                        lambda g, bind, rows, config: built_text.append(rows.shape[0])
+                        or build(g, bind, rows, config))
+    first = store.copy()
+    row = encode_text("red sofa", first, cfg).vector
+    image_embedding(batch[0].image, first, cfg, seed=1)
+    loss = total_loss_graph(batch, first, LossWeights(), cfg, seed=1)
+    assert built_text and encode_text("red sofa", first, cfg).vector is row
+    # A kept row is read-only, so no caller can change what later calls read.
+    assert not row.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 0.0
+    # A second store of the same values builds its own graphs and rows.
+    second = first.copy()
+    count = len(built_text)
+    again = encode_text("red sofa", second, cfg).vector
+    assert len(built_text) == count + 1
+    assert again is not row and again.tobytes() == row.tobytes()
+    assert total_loss_graph(batch, second, LossWeights(), cfg, seed=1).graph is not loss.graph
+    # Nothing a store keeps refers back to it, so reference counting alone
+    # frees it, its flat array and its graphs once the caller drops them.
+    refs = [weakref.ref(first), weakref.ref(first._flat), weakref.ref(loss.graph)]
+    gc.disable()
+    try:
+        del first, loss
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_loss_line_roundtrip():
