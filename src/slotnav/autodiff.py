@@ -963,9 +963,9 @@ class Graph:
         )
 
 
-class GraphCache:
-    """Built graphs by shape key, each built once and given new data per
-    call; past maxsize the least recently used is dropped."""
+class LRUCache:
+    """Items by key, each built once; past maxsize the least recently used
+    is dropped."""
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize = maxsize
@@ -998,9 +998,10 @@ class ParamStore:
 
     It keeps what is derived from it for exactly its own life: graphs, the
     graphs built over its views, which see every descend, and text_rows,
-    the frozen text tower's read-only output rows, which no descend
-    changes.  A new store and a copy start with both empty.  Neither holds
-    the store itself, so a dropped store frees them at once."""
+    the frozen text tower's read-only rows of the 4,096 texts used last,
+    which no descend changes.  A new store and a copy start with both
+    empty.  Neither holds the store itself, so a dropped store frees them
+    at once."""
 
     def __init__(self, values: Mapping[str, object], frozen: Iterable[str] = ()) -> None:
         arrays = {n: np.asarray(v, dtype=np.float64) for n, v in values.items()}
@@ -1017,8 +1018,8 @@ class ParamStore:
                                   "parameter {} has non-finite entries")
         self._views = {n: self._flat[self._spans[n]].reshape(arrays[n].shape) for n in order}
         self._trainable_flat = self._flat[:bounds[len(self._trainable)]]
-        self.graphs = GraphCache(maxsize=64)
-        self.text_rows: dict = {}
+        self.graphs = LRUCache(maxsize=64)
+        self.text_rows = LRUCache(maxsize=4096)
 
     def _raise_if_non_finite(self, flat: Array, names: list[str], error, message: str) -> None:
         """Raise error naming the first of names whose span of flat is not finite."""

@@ -7,14 +7,15 @@ the pooled image token with a linear readout of the slots.  Text is
 hash-tokenized into a tiny frozen transformer.  Everything is expressed on
 the autodiff graph so the objectives module can differentiate end to end.
 Inference runs the same graphs with parameters as constants:
-image_embedding runs the whole image pathway training differentiates, and
-encode_text the text tower.  Both keep their graphs in the store's graphs,
-built over its views: the text tower once per token count, and the image
-pathway once per patch count, so images of different sizes with the same
-count share a graph.  Data enters only through input leaves, so a graph
-keeps no image of its own, only its latest call's binding.  Every call
-binds its data into a new frame, which it evaluates once.  The text tower
-reads only frozen tensors, so the store's text_rows keeps each text's row.
+image_embedding runs the whole image pathway training differentiates for
+an embedding and boxes, and encode_text the text tower.  Both keep their
+graphs in the store's graphs, built over its views: the text tower once
+per token count, and the image pathway once per patch count, so images of
+different sizes with the same count share a graph.  Data enters only
+through input leaves, so a graph keeps no image of its own, only its
+latest call's binding.  Every call binds its data into a new frame, which
+it evaluates once.  The text tower reads only frozen tensors, so the
+store's text_rows keeps the rows of the texts used last.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -38,7 +40,7 @@ TEXT_PREFIX = "txt."
 def check_field_types(config) -> None:
     """TypeError unless each int field of a config dataclass holds an integer
     and each float field, or item of a float tuple, a real number; a bool is
-    neither."""
+    neither.  ValueError unless each such real number is a finite float."""
     for f in fields(config):
         if f.type not in ("int", "float", "float | tuple[float, ...]"):
             continue
@@ -48,6 +50,8 @@ def check_field_types(config) -> None:
                       else (numbers.Real, "a number"))
         if not all(isinstance(v, kind) and not isinstance(v, bool) for v in items):
             raise TypeError(f"{f.name} must be {noun}, got {value!r}")
+        if f.type != "int" and not all(abs(v) <= sys.float_info.max for v in items):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -95,24 +99,6 @@ class EncoderConfig:
     def slot_sigma(self) -> Array:
         return np.broadcast_to(np.asarray(self.slot_std, dtype=np.float64),
                                (self.slot_dim,)).copy()
-
-
-@dataclass
-class SlotState:
-    """Slots with the attention and column-normalized weights that produced them."""
-
-    slots: Array
-    attention: Array
-    weights: Array
-    iteration: int
-    history: tuple["SlotState", ...] | None = None
-
-
-@dataclass
-class BoxSet:
-    """K normalized corner boxes (x1, y1, x2, y2), each with x1<=x2, y1<=y2."""
-
-    boxes: Array
 
 
 @dataclass
@@ -311,25 +297,22 @@ def _patch_tokens(g: Graph, bind: Binding, patches: Node,
     return tokens, pooled
 
 
-def build_slot_attention(g: Graph, bind: Binding, tokens: Node,
-                         initial_slots: Array | Node, iterations: int,
+def build_slot_attention(g: Graph, bind: Binding, tokens: Node, slots: Node,
                          config: EncoderConfig) -> tuple[Node, list[tuple[Node, Node, Node]]]:
-    """Iterated slot attention; returns final slots and per-iteration (A, W, S).
+    """config.slot_iters iterations of slot attention from the initial slots
+    node; returns final slots and per-iteration (A, W, S).
 
-    tokens N×D take initial slots K×ds; a B×N×D stack takes B×K×ds.  The
-    initial slots are an array, or a leaf already in the graph.
+    tokens N×D take initial slots K×ds; a B×N×D stack takes B×K×ds.
     """
     ds, k = config.slot_dim, config.num_slots
     keys = g.matmul(tokens, bind("slot.k.w"))
     values = g.matmul(tokens, bind("slot.v.w"))
-    slots = initial_slots if isinstance(initial_slots, Node) else \
-        g.constant(np.asarray(initial_slots, dtype=np.float64), name="slots0")
     expected = tokens.shape[:-2] + (k, ds)
     if slots.shape != expected:
         raise ValueError(f"initial slots must be {expected}, got {slots.shape}")
     column = tokens.shape[:-2] + (1, k)
     traces: list[tuple[Node, Node, Node]] = []
-    for _ in range(iterations):
+    for _ in range(config.slot_iters):
         queries = g.matmul(slots, bind("slot.q.w"))
         logits = g.affine(g.matmul(keys, g.transpose(queries)), 1.0 / np.sqrt(ds), 0.0)
         attention = g.softmax(logits, axis=-1)
@@ -387,7 +370,7 @@ def build_image_embedding(g: Graph, bind: Binding, image: Array,
     patches = g.input(patch_shape(np.shape(image), config), name="patches")
     slots0 = g.input(np.shape(initial_slots), name="slots0")
     tokens, pooled = _patch_tokens(g, bind, patches, config)
-    slots, traces = build_slot_attention(g, bind, tokens, slots0, config.slot_iters, config)
+    slots, traces = build_slot_attention(g, bind, tokens, slots0, config)
     boxes = build_box_head(g, bind, slots)
     embedding = build_aggregate(g, bind, pooled, slots, config)
     return {"patches": patches, "slots0": slots0, "tokens": tokens, "pooled": pooled,
@@ -437,17 +420,6 @@ def _seeded_slots(config: EncoderConfig, seed: int | None) -> Array:
     return sample_slots(config, derive_seed(config.seed if seed is None else seed, "slots"))
 
 
-def _slot_state(values: list[Array]) -> SlotState:
-    """Evaluated (A, W, S) trace values, in iteration order, as the final
-    state with every iteration in history."""
-    history = tuple(SlotState(slots=values[i + 2], attention=values[i],
-                              weights=values[i + 1], iteration=i // 3 + 1)
-                    for i in range(0, len(values), 3))
-    final = history[-1]
-    return SlotState(slots=final.slots, attention=final.attention, weights=final.weights,
-                     iteration=final.iteration, history=history)
-
-
 def _runner(g: Graph, leaves: Sequence[Node], outputs: list[Node]):
     """Run of a built inference graph: outputs evaluated with the call's
     data bound to leaves."""
@@ -458,9 +430,8 @@ def _runner(g: Graph, leaves: Sequence[Node], outputs: list[Node]):
 
 def encode_text(query: str, store: ParamStore, config: EncoderConfig) -> Embedding:
     """The text tower's unit row for query, read-only, computed once per
-    store and config."""
-    row = store.text_rows.get((config, query))
-    if row is None:
+    store and config while the store keeps it among its recent texts."""
+    def compute() -> Array:
         ids = tokenize(query, config)
 
         def build():
@@ -469,17 +440,20 @@ def encode_text(query: str, store: ParamStore, config: EncoderConfig) -> Embeddi
             rows = g.input((len(ids), config.dim), name=TEXT_PREFIX + "tokens")
             return _runner(g, [rows], [build_text_embedding(g, bind, rows, config)])
 
-        run = store.graphs.get(("text", config, len(ids)), build)
-        vec, = run(store[TEXT_PREFIX + "embed"][ids])
-        row = store.text_rows[(config, query)] = vec.reshape(-1)
+        vec, = store.graphs.get(("text", config, len(ids)), build)(
+            store[TEXT_PREFIX + "embed"][ids])
+        row = vec.reshape(-1)
         row.flags.writeable = False
-    return Embedding(vector=row)
+        return row
+
+    return Embedding(vector=store.text_rows.get((config, query), compute))
 
 
 def image_embedding(image: Array, store: ParamStore, config: EncoderConfig,
-                    seed: int | None = None) -> tuple[Embedding, BoxSet, SlotState]:
+                    seed: int | None = None) -> tuple[Embedding, Array]:
     """End-to-end inference for one image through the graph training
-    differentiates, evaluated once."""
+    differentiates, evaluated once: its embedding, and its K normalized
+    corner boxes (x1, y1, x2, y2), each with x1<=x2 and y1<=y2."""
     shape = patch_shape(np.shape(image), config)
     slots0 = _seeded_slots(config, seed)
 
@@ -488,12 +462,11 @@ def image_embedding(image: Array, store: ParamStore, config: EncoderConfig,
         bind = Binding(g, store, trainable=False)
         nodes = build_image_embedding(g, bind, image, config, slots0)
         return _runner(g, [nodes["patches"], nodes["slots0"]],
-                       [nodes["embedding"], nodes["boxes"]]
-                       + [n for trace in nodes["traces"] for n in trace])
+                       [nodes["embedding"], nodes["boxes"]])
 
     run = store.graphs.get(("image", config, shape), build)
-    embedding, boxes, *traces = run(patchify(image, config.patch_size), slots0)
-    return Embedding(vector=embedding.reshape(-1)), BoxSet(boxes=boxes), _slot_state(traces)
+    embedding, boxes = run(patchify(image, config.patch_size), slots0)
+    return Embedding(vector=embedding.reshape(-1)), boxes
 
 
 # ----------------------------------------------------------------------

@@ -130,9 +130,6 @@ class GridWorld:
         col, row = cell
         return ((col + 0.5) * self.cell_m, (row + 0.5) * self.cell_m)
 
-    def object_position(self, obj: WorldObject) -> tuple[float, float]:
-        return self.cell_center(obj.cell)
-
     def objects_named(self, noun: str) -> list[WorldObject]:
         return [o for o in self.objects if o.noun == noun]
 
@@ -376,26 +373,21 @@ def _ray_blocked(world: GridWorld, a: tuple[float, float],
     return False
 
 
-def in_fov(pose: Pose, target: tuple[float, float],
-           half_angle: float = DEFAULT_HALF_ANGLE,
-           max_range: float = DEFAULT_MAX_RANGE,
-           world: GridWorld | None = None,
-           occlusion: bool = True) -> bool:
-    """Range, bearing, and (optionally) line-of-sight visibility test."""
-    FovParams(half_angle=half_angle, max_range=max_range)
+def in_fov(pose: Pose, target: tuple[float, float], fov: FovParams,
+           world: GridWorld | None) -> bool:
+    """Range and bearing test, then line of sight through world, which is
+    read only when fov.occlusion is set."""
     dx = target[0] - pose.x
     dy = target[1] - pose.y
     distance = math.hypot(dx, dy)
-    if distance > max_range:
+    if distance > fov.max_range:
         return False
     if distance < 1e-12:
         return True
     bearing = math.atan2(dy, dx)
-    if abs(normalize_angle(bearing - pose.theta)) > half_angle:
+    if abs(normalize_angle(bearing - pose.theta)) > fov.half_angle:
         return False
-    if occlusion and world is not None:
-        return not _ray_blocked(world, (pose.x, pose.y), target)
-    return True
+    return not (fov.occlusion and _ray_blocked(world, (pose.x, pose.y), target))
 
 
 # ----------------------------------------------------------------------
@@ -404,8 +396,7 @@ def in_fov(pose: Pose, target: tuple[float, float],
 def _fov_hit(world: GridWorld, pose: Pose, instances: Sequence[WorldObject],
              fov: FovParams) -> WorldObject | None:
     for obj in instances:
-        if in_fov(pose, world.object_position(obj), half_angle=fov.half_angle,
-                  max_range=fov.max_range, world=world, occlusion=fov.occlusion):
+        if in_fov(pose, world.cell_center(obj.cell), fov, world):
             return obj
     return None
 
@@ -462,9 +453,9 @@ def execute_episode(query: str, noun: str, memory: Sequence[MemoryEntry],
         notes.append("all candidates unreachable")
     stop = visited[-1]
     if seen is not None:
-        target = world.object_position(seen)
+        target = world.cell_center(seen.cell)
     else:
-        target = min((world.object_position(o) for o in instances),
+        target = min((world.cell_center(o.cell) for o in instances),
                      key=lambda p: math.hypot(p[0] - stop.x, p[1] - stop.y))
     distance = math.hypot(target[0] - stop.x, target[1] - stop.y)
     return EpisodeResult(query=query, ranked_ids=ranked_ids, visited=visited,

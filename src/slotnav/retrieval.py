@@ -9,7 +9,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoder import Embedding
 from .promptgen import read_lines
 
 Array = np.ndarray
@@ -119,10 +118,9 @@ def top_rows(scores: Array, ids: Sequence[str], k: int) -> list[int]:
     return sorted(rows, key=lambda i: (-scores[i], ids[i]))[:k]
 
 
-def query_scores(query: Embedding | Array, index: EmbeddingIndex) -> Array:
+def query_scores(query: Array, index: EmbeddingIndex) -> Array:
     """Cosine similarity of one query to every index row."""
-    vec = np.asarray(query.vector if isinstance(query, Embedding) else query,
-                     dtype=np.float64).reshape(-1)
+    vec = np.asarray(query, dtype=np.float64).reshape(-1)
     if vec.shape[0] != index.dim:
         raise ValueError(f"query has dimension {vec.shape[0]}, index has {index.dim}")
     if not np.all(np.isfinite(vec)):
@@ -130,10 +128,9 @@ def query_scores(query: Embedding | Array, index: EmbeddingIndex) -> Array:
     return index.matrix @ vec
 
 
-def topk_images(query: Embedding | Array, index: EmbeddingIndex, k: int) -> list[str]:
+def topk_images(query: Array, index: EmbeddingIndex, k: int) -> list[str]:
     """Ids of the k most similar images, descending similarity."""
     return [index.ids[i] for i in top_rows(query_scores(query, index), index.ids, k)]
-
 
 
 def batch_topk(queries: EmbeddingIndex, items: EmbeddingIndex,

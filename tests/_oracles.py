@@ -3,13 +3,14 @@ and small store helpers, shared by unit and acceptance tests."""
 
 import itertools
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from slotnav.autodiff import Graph, ParamStore
-from slotnav.encoder import (Binding, _patch_tokens, _slot_state, build_slot_attention,
-                             patchify)
+from slotnav.encoder import (Binding, _patch_tokens, build_image_embedding,
+                             build_slot_attention, patchify)
 
 
 def brute_force_assignment(cost):
@@ -177,15 +178,52 @@ def image_tokens(image, store, config):
                                          config)))
 
 
+@dataclass
+class SlotState:
+    """Slots with the attention and column-normalized weights that produced them."""
+
+    slots: np.ndarray
+    attention: np.ndarray
+    weights: np.ndarray
+    iteration: int
+    history: tuple = ()
+
+
+def slot_state(values):
+    """Evaluated (A, W, S) trace values, in iteration order, as the final
+    state with every iteration in history."""
+    history = tuple(SlotState(slots=values[i + 2], attention=values[i],
+                              weights=values[i + 1], iteration=i // 3 + 1)
+                    for i in range(0, len(values), 3))
+    final = history[-1]
+    return SlotState(slots=final.slots, attention=final.attention, weights=final.weights,
+                     iteration=final.iteration, history=history)
+
+
 def slot_attention(tokens, store, config, initial_slots):
     """The encoder's slot attention alone over an N×D token matrix, for
     config.slot_iters iterations from initial_slots: the final SlotState
     with every iteration in its history."""
     g = Graph()
     _, traces = build_slot_attention(g, Binding(g, store, trainable=False),
-                                     g.constant(tokens, name="tokens"), initial_slots,
-                                     config.slot_iters, config)
-    return _slot_state(g.evaluate([node for trace in traces for node in trace]))
+                                     g.constant(tokens, name="tokens"),
+                                     g.constant(initial_slots, name="slots0"), config)
+    return slot_state(g.evaluate([node for trace in traces for node in trace]))
+
+
+def image_pathway(image, store, config, initial_slots):
+    """The encoder's whole image pathway over one image, built afresh with
+    parameters as constants and run from initial_slots: the embedding row,
+    the boxes, and the final SlotState with every iteration in its history."""
+    g = Graph()
+    nodes = build_image_embedding(g, Binding(g, store, trainable=False), image, config,
+                                  initial_slots)
+    frame = g.bind({nodes["patches"]: patchify(image, config.patch_size),
+                    nodes["slots0"]: initial_slots})
+    embedding, boxes, *traces = g.evaluate(
+        [nodes["embedding"], nodes["boxes"]]
+        + [node for trace in nodes["traces"] for node in trace], frame=frame)
+    return embedding.reshape(-1), boxes, slot_state(traces)
 
 
 def transformer_block(x, store, blk, heads):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import signal
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from slotnav import cli, encoder, harness
-from slotnav.autodiff import Graph, GraphCache
+from slotnav.autodiff import Graph, LRUCache
 from slotnav.cli import _load_run, main
 from slotnav.encoder import TEXT_PREFIX, write_ppm
 from slotnav.promptgen import load_dataset
@@ -220,7 +221,7 @@ def test_index_of_mixed_sizes_builds_one_graph_per_patch_count(bundle, tmp_path,
 
     def one_graph(run_dir):
         store, config = load_run(run_dir)
-        store.graphs = GraphCache(maxsize=1)
+        store.graphs = LRUCache(maxsize=1)
         return store, config
 
     monkeypatch.setattr(cli, "_load_run", one_graph)
@@ -760,7 +761,38 @@ def test_encoder_value_out_of_range_exits_one_and_names_the_file(bundle, tmp_pat
     _train_rejects_config_line(bundle, tmp_path, capsys, line)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("lr = NaN", "lr must be finite, got nan"),
+    ("lr = 1" + "0" * 400, f"lr must be finite, got {10 ** 400}"),  # past float's range
+    ("decay = -Infinity", "decay must be finite, got -inf"),
+    ("weights.tau = Infinity", "tau must be finite, got inf"),
+    ("encoder.slot_mean = Infinity", "slot_mean must be finite, got inf"),
+    ("encoder.slot_std = [1.0, NaN]", "slot_std must be finite, got (1.0, nan)")],
+    ids=["lr_nan", "lr_huge", "decay_minus_inf", "tau_inf", "slot_mean_inf", "slot_std_nan"])
+def test_config_number_that_is_not_finite_exits_one_and_names_the_file_and_key(
+        bundle, tmp_path, capsys, line, message):
+    err = _train_rejects_config_line(bundle, tmp_path, capsys, line)
+    assert err == f"error: {tmp_path / 'bad.cfg'}: {message}\n"
+
+
+def test_run_manifest_with_a_number_that_is_not_finite_exits_one_and_names_it(
+        bundle, tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "checkpoint.lzp").write_bytes((bundle["run"] / "checkpoint.lzp").read_bytes())
+    manifest = json.loads((bundle["run"] / "manifest.json").read_text(encoding="utf-8"))
+    manifest["config"]["lr"] = math.nan
+    path = run / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")  # writes NaN
+    assert main(["retrieve", "--index", str(bundle["fx"] / "ortho_index.lze"),
+                 "--run", str(run), "--query", "sofa"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: bad config (lr must be finite, got nan)\n"
+
+
 def _train_rejects_config_line(bundle, tmp_path, capsys, line):
+    """Train with a config of this one line exits 1 naming the config file
+    and writes nothing; returns the error output."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
     assert main(["--config", str(cfg), "train", "--data", str(bundle["fx"]),
@@ -769,6 +801,7 @@ def _train_rejects_config_line(bundle, tmp_path, capsys, line):
     assert err.startswith(f"error: {cfg}: "), err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+    return err
 
 
 def test_divergent_training_exits_one_and_names_the_step(bundle, tmp_path, capsys):

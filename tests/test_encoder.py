@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slotnav import encoder
-from slotnav.autodiff import Graph, GraphCache, ParamStore, derive_seed
+from slotnav.autodiff import Graph, LRUCache, ParamStore, derive_seed
 from slotnav.encoder import (
     Binding,
     EncoderConfig,
@@ -26,7 +26,7 @@ from slotnav.encoder import (
 )
 from slotnav.harness import TrainConfig
 
-from _oracles import image_tokens, slot_attention, transformer_block, with_values
+from _oracles import image_pathway, image_tokens, slot_attention, transformer_block, with_values
 
 DESK = EncoderConfig(max_tokens=4)
 
@@ -79,11 +79,10 @@ def test_encode_image_rejects_indivisible_size(desk_store):
 
 def test_encode_image_deterministic(desk_store):
     image = random_image(1)
-    a_emb, a_boxes, a_state = image_embedding(image, desk_store, DESK, seed=2)
-    b_emb, b_boxes, b_state = image_embedding(image, desk_store, DESK, seed=2)
+    a_emb, a_boxes = image_embedding(image, desk_store, DESK, seed=2)
+    b_emb, b_boxes = image_embedding(image, desk_store, DESK, seed=2)
     assert a_emb.vector.tobytes() == b_emb.vector.tobytes()
-    assert a_boxes.boxes.tobytes() == b_boxes.boxes.tobytes()
-    assert a_state.slots.tobytes() == b_state.slots.tobytes()
+    assert a_boxes.tobytes() == b_boxes.tobytes()
 
 
 def test_zero_image_with_zero_positions_gives_identical_tokens(desk_store):
@@ -133,7 +132,10 @@ def test_seed_draws_the_slots_derived_from_it(desk_store):
     tokens, _ = image_tokens(image, desk_store, DESK)
     seed = 21
     init = sample_slots(DESK, derive_seed(seed, "slots"))
-    _, _, seeded = image_embedding(image, desk_store, DESK, seed=seed)
+    emb, boxes = image_embedding(image, desk_store, DESK, seed=seed)
+    want_emb, want_boxes, seeded = image_pathway(image, desk_store, DESK, init)
+    assert emb.vector.tobytes() == want_emb.tobytes()
+    assert boxes.tobytes() == want_boxes.tobytes()
     given = slot_attention(tokens, desk_store, DESK, init)
     assert seeded.iteration == given.iteration == DESK.slot_iters
     for a, b in zip(seeded.history, given.history):
@@ -143,11 +145,13 @@ def test_seed_draws_the_slots_derived_from_it(desk_store):
 
 def test_image_embedding_same_seed_same_slots(desk_store):
     image = random_image(7)
-    _, _, a = image_embedding(image, desk_store, DESK, seed=3)
-    _, _, b = image_embedding(image, desk_store, DESK, seed=3)
-    assert a.slots.tobytes() == b.slots.tobytes()
-    _, _, c = image_embedding(image, desk_store, DESK, seed=4)
-    assert not np.array_equal(a.slots, c.slots)
+    a, a_boxes = image_embedding(image, desk_store, DESK, seed=3)
+    b, b_boxes = image_embedding(image, desk_store, DESK, seed=3)
+    assert a.vector.tobytes() == b.vector.tobytes()
+    assert a_boxes.tobytes() == b_boxes.tobytes()
+    c, c_boxes = image_embedding(image, desk_store, DESK, seed=4)
+    assert not np.array_equal(a.vector, c.vector)
+    assert not np.array_equal(a_boxes, c_boxes)
 
 
 def test_many_slots_many_iterations_stay_finite(desk_store):
@@ -180,10 +184,13 @@ def test_center_size_half_half_one_one_maps_to_full_image_box(desk_store):
 
 
 def test_aggregate_embedding_shape_and_norm(desk_store):
-    emb, boxes, state = image_embedding(random_image(9), desk_store, DESK, seed=1)
+    image = random_image(9)
+    emb, boxes = image_embedding(image, desk_store, DESK, seed=1)
     assert emb.vector.shape == (DESK.dim,)
     assert abs(np.linalg.norm(emb.vector) - 1.0) < 1e-9
-    assert boxes.boxes.shape == (DESK.num_slots, 4)
+    assert boxes.shape == (DESK.num_slots, 4)
+    _, _, state = image_pathway(image, desk_store, DESK,
+                                sample_slots(DESK, derive_seed(1, "slots")))
     assert state.slots.shape == (DESK.num_slots, DESK.slot_dim)
     assert len(state.history) == state.iteration == DESK.slot_iters
 
@@ -191,9 +198,10 @@ def test_aggregate_embedding_shape_and_norm(desk_store):
 def test_zeroed_slot_branch_ignores_slots(desk_store):
     store = with_values(desk_store, {"agg.slots.w": np.zeros_like(desk_store["agg.slots.w"]),
                                      "agg.slots.b": np.zeros_like(desk_store["agg.slots.b"])})
-    ea, _, a = image_embedding(random_image(10), store, DESK, seed=1)
-    eb, _, b = image_embedding(random_image(10), store, DESK, seed=2)
-    assert not np.array_equal(a.slots, b.slots)
+    ea, a_boxes = image_embedding(random_image(10), store, DESK, seed=1)
+    eb, b_boxes = image_embedding(random_image(10), store, DESK, seed=2)
+    # The boxes read the slots alone, so different boxes mean different slots.
+    assert not np.array_equal(a_boxes, b_boxes)
     assert np.allclose(ea.vector, eb.vector, atol=1e-12)
 
 
@@ -248,15 +256,10 @@ def test_images_with_one_patch_count_share_a_graph_exactly(desk_store, monkeypat
     shared = [image_embedding(image, store, DESK, seed=7 + i)
               for i, image in enumerate(images)]
     assert built == [(16, 16, 3)]
-    for i, (image, (emb, boxes, state)) in enumerate(zip(images, shared)):
-        cold_emb, cold_boxes, cold_state = image_embedding(image, desk_store.copy(), DESK,
-                                                           seed=7 + i)
+    for i, (image, (emb, boxes)) in enumerate(zip(images, shared)):
+        cold_emb, cold_boxes = image_embedding(image, desk_store.copy(), DESK, seed=7 + i)
         assert emb.vector.tobytes() == cold_emb.vector.tobytes()
-        assert boxes.boxes.tobytes() == cold_boxes.boxes.tobytes()
-        assert len(state.history) == len(cold_state.history) == DESK.slot_iters
-        for ours, cold in zip(state.history, cold_state.history):
-            for field in ("slots", "attention", "weights"):
-                assert getattr(ours, field).tobytes() == getattr(cold, field).tobytes()
+        assert boxes.tobytes() == cold_boxes.tobytes()
     assert len(built) == 1 + len(images)
 
 
@@ -278,8 +281,7 @@ def staged_image_embedding(image, store, config, seed):
     tokens, pooled = image_tokens(image, store, config)
     g, bind = stage()
     init = sample_slots(config, derive_seed(seed, "slots"))
-    _, traces = build_slot_attention(g, bind, g.constant(tokens), init,
-                                     config.slot_iters, config)
+    _, traces = build_slot_attention(g, bind, g.constant(tokens), g.constant(init), config)
     history = g.evaluate([node for trace in traces for node in trace])
     slots = history[-1]
     g, bind = stage()
@@ -295,11 +297,14 @@ def test_image_embedding_equals_the_staged_evaluation_bit_for_bit():
     store = init_params(config, seed=7)
     for size in (16, 32, 64):
         image = random_image(60 + size, size=size)
-        emb, boxes, state = image_embedding(image, store, config, seed=size)
+        emb, boxes = image_embedding(image, store, config, seed=size)
         want_emb, want_boxes, want_history = staged_image_embedding(image, store, config,
                                                                     seed=size)
         assert emb.vector.tobytes() == want_emb.tobytes(), size
-        assert boxes.boxes.tobytes() == want_boxes.tobytes(), size
+        assert boxes.tobytes() == want_boxes.tobytes(), size
+        # The slot history, from a fresh build of the same pathway.
+        _, _, state = image_pathway(image, store, config,
+                                    sample_slots(config, derive_seed(size, "slots")))
         assert state.slots.tobytes() == want_history[-1].tobytes(), size
         got_history = [a for past in state.history
                        for a in (past.attention, past.weights, past.slots)]
@@ -476,17 +481,16 @@ def test_cached_inference_sees_every_store_update(desk_store):
     # A cached graph holds this store's views: an update in place reaches it.
     size = sum(store[name].size for name in store.trainable_names())
     store.descend(0.5, np.linspace(-1.0, 1.0, size))
-    emb, boxes, state = image_embedding(image, store, DESK, seed=1)
+    emb, boxes = image_embedding(image, store, DESK, seed=1)
     assert emb.vector.tobytes() != before_image.tobytes()
     # descend never writes the frozen text tower, so its kept row stays valid.
     assert encode_text("red sofa", store, DESK).vector is before_text
     # A fresh build over the updated store gives the same bytes.
     fresh = store.copy()
     assert encode_text("red sofa", fresh, DESK).vector.tobytes() == before_text.tobytes()
-    fresh_emb, fresh_boxes, fresh_state = image_embedding(image, fresh, DESK, seed=1)
+    fresh_emb, fresh_boxes = image_embedding(image, fresh, DESK, seed=1)
     assert fresh_emb.vector.tobytes() == emb.vector.tobytes()
-    assert fresh_boxes.boxes.tobytes() == boxes.boxes.tobytes()
-    assert fresh_state.slots.tobytes() == state.slots.tobytes()
+    assert fresh_boxes.tobytes() == boxes.tobytes()
     # Another store builds over its own values, frozen tensors included.
     other = with_values(store, {name: store[name] * 1.5 + 0.01 for name in (
         "txt.embed", "txt.blk0.mlp1.w", "img.patch.w", "slot.q.w", "agg.mlp2.b")})
@@ -505,7 +509,7 @@ def test_text_graphs_are_kept_per_token_count(desk_store, monkeypatch):
 
     monkeypatch.setattr(encoder, "build_text_embedding", counted)
     store = desk_store.copy()
-    store.graphs = GraphCache(maxsize=2)
+    store.graphs = LRUCache(maxsize=2)
     rows = {query: encode_text(query, store, DESK).vector
             for query in ("sofa", "lamp", "red sofa", "blue lamp", "chair", "a red sofa")}
     # "a red sofa" pushes out the least recently used two-token graph, so
@@ -515,3 +519,18 @@ def test_text_graphs_are_kept_per_token_count(desk_store, monkeypatch):
     # A text already encoded is read from the store's rows: nothing is built.
     assert encode_text("lamp", store, DESK).vector is rows["lamp"]
     assert built == [1, 2, 3, 2]
+
+
+def test_text_rows_keep_the_recent_texts_only(desk_store):
+    store = desk_store.copy()
+    store.text_rows.maxsize = 3
+    texts = ["sofa", "lamp", "red chair", "blue cup", "tall plant"]
+    rows = [encode_text(text, store, DESK).vector for text in texts]
+    assert len(store.text_rows._items) == 3
+    # "sofa" was dropped: it is computed again, to the same bytes.
+    again = encode_text("sofa", store, DESK).vector
+    assert again is not rows[0] and again.tobytes() == rows[0].tobytes()
+    # "tall plant" was kept: the same read-only row.
+    kept = encode_text("tall plant", store, DESK).vector
+    assert kept is rows[-1] and not kept.flags.writeable
+    assert len(store.text_rows._items) == 3

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from slotnav import harness, objectives
-from slotnav.autodiff import EvaluationError, Graph, GraphCache, derive_seed, load_checkpoint
+from slotnav.autodiff import EvaluationError, Graph, LRUCache, derive_seed, load_checkpoint
 from slotnav.encoder import EncoderConfig, init_params, tokenize
 from slotnav.fixtures import training_images, training_records, write_fixture_bundle
 from slotnav.harness import (AblationReport, ConvergenceReport, RunManifest,
@@ -225,7 +225,7 @@ def test_cached_steps_equal_fresh_steps_byte_for_byte(monkeypatch):
 
     def fresh_step(store, batch, config, n):
         # An empty one-entry cache: the step builds its loss graph anew.
-        store.graphs = GraphCache(maxsize=1)
+        store.graphs = LRUCache(maxsize=1)
         return step(store, batch, config, n)
 
     monkeypatch.setattr(harness, "train_step", fresh_step)

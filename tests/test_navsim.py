@@ -405,61 +405,71 @@ def test_worlds_over_equal_grids_are_equal_and_hash_alike():
 # ----------------------------------------------------------------------
 # Field of view
 
+# No world to look through: occlusion off.
+OPEN = FovParams(occlusion=False)
+
+
 def test_in_fov_hand_bearing():
     pose = Pose(x=0.0, y=0.0, theta=0.0)
     # bearing atan2(0.5, 1.0) = 26.57 degrees, inside the 45 degree half-angle
-    assert in_fov(pose, (1.0, 0.5), half_angle=math.pi / 4.0, max_range=3.0)
+    fov = FovParams(half_angle=math.pi / 4.0, max_range=3.0, occlusion=False)
+    assert in_fov(pose, (1.0, 0.5), fov, None)
 
 
 def test_in_fov_target_behind():
     pose = Pose(x=0.0, y=0.0, theta=0.0)
-    assert not in_fov(pose, (-1.0, 0.0))
+    assert not in_fov(pose, (-1.0, 0.0), OPEN, None)
 
 
 def test_in_fov_range_cut():
     pose = Pose(x=0.0, y=0.0, theta=0.0)
-    assert not in_fov(pose, (3.5, 0.0), max_range=3.0)
-    assert in_fov(pose, (3.0, 0.0), max_range=3.0)
+    fov = FovParams(max_range=3.0, occlusion=False)
+    assert not in_fov(pose, (3.5, 0.0), fov, None)
+    assert in_fov(pose, (3.0, 0.0), fov, None)
 
 
 def test_in_fov_bearing_boundary():
     pose = Pose(x=0.0, y=0.0, theta=0.0)
-    assert in_fov(pose, (1.0, 1.0), half_angle=math.pi / 4.0, max_range=3.0)
+    fov = FovParams(half_angle=math.pi / 4.0, max_range=3.0, occlusion=False)
+    assert in_fov(pose, (1.0, 1.0), fov, None)
 
 
 def test_in_fov_zero_distance():
-    assert in_fov(Pose(x=1.0, y=1.0, theta=0.5), (1.0, 1.0))
+    assert in_fov(Pose(x=1.0, y=1.0, theta=0.5), (1.0, 1.0), OPEN, None)
 
 
 def test_in_fov_validates_params():
-    pose = Pose(x=0.0, y=0.0, theta=0.0)
     with pytest.raises(ValueError):
-        in_fov(pose, (1.0, 0.0), half_angle=0.0)
-    for bad in (0.0, math.nan):
+        FovParams(half_angle=0.0)
+    with pytest.raises(ValueError):
+        FovParams(half_angle=math.pi)
+    for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
-            in_fov(pose, (1.0, 0.0), max_range=bad)
-    assert in_fov(pose, (1e9, 0.0), max_range=math.inf)  # no range limit
+            FovParams(max_range=bad)
+    pose = Pose(x=0.0, y=0.0, theta=0.0)
+    no_limit = FovParams(max_range=math.inf, occlusion=False)
+    assert in_fov(pose, (1e9, 0.0), no_limit, None)
 
 
 def test_in_fov_occlusion_switchable():
     world = parse_world("..#..\n")
     pose = center_pose(world, (0, 0))
     target = world.cell_center((4, 0))
-    assert not in_fov(pose, target, world=world, occlusion=True)
-    assert in_fov(pose, target, world=world, occlusion=False)
+    assert not in_fov(pose, target, FovParams(), world)
+    assert in_fov(pose, target, FovParams(occlusion=False), world)
 
 
 def test_in_fov_endpoint_cells_never_block():
     world = parse_world(".#\n")
     pose = center_pose(world, (0, 0))
     target = world.cell_center((1, 0))
-    assert in_fov(pose, target, world=world, occlusion=True)
+    assert in_fov(pose, target, FovParams(), world)
 
 
 def test_in_fov_open_line_of_sight():
     world = parse_world(".....\n")
     pose = center_pose(world, (0, 0))
-    assert in_fov(pose, world.cell_center((4, 0)), world=world, occlusion=True)
+    assert in_fov(pose, world.cell_center((4, 0)), FovParams(), world)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from slotnav.encoder import Embedding
 from slotnav.retrieval import (EmbeddingIndex, GroundTruth, RecallReport,
                                average_recall, batch_topk, build_index,
                                load_ground_truth, load_index, save_ground_truth,
@@ -98,11 +97,6 @@ def test_topk_rejects_dimension_mismatch():
     idx = build_index(np.eye(3), ["a", "b", "c"])
     with pytest.raises(ValueError):
         topk_images(np.ones(4), idx, 1)
-
-
-def test_topk_accepts_embedding_dataclass():
-    idx = build_index(np.eye(3), ["a", "b", "c"])
-    assert topk_images(Embedding(vector=np.array([0.0, 1.0, 0.0])), idx, 1) == ["b"]
 
 
 def test_topk_matches_full_sort_oracle():
