@@ -982,6 +982,9 @@ class LRUCache:
             self._items.move_to_end(key)
         return item
 
+    def __contains__(self, key) -> bool:
+        return key in self._items
+
 
 # ----------------------------------------------------------------------
 # Named parameter collections and checkpoint serialization

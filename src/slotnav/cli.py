@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -18,11 +17,12 @@ from .fixtures import write_fixture_bundle
 from .harness import (RunManifest, TrainConfig, config_from_dict,
                       dataset_examples, embed_images, load_image_dir,
                       parse_config_file, train)
-from .navsim import (FovParams, MemoryEntry, Pose, execute_episode, load_world,
+from .navsim import (FovParams, MemoryEntry, execute_episode, load_world,
                      save_episode_log, success_rate)
 from .objectives import (Annotation, AnnotationSet, LossWeights, TrainExample,
                          total_loss_graph)
-from .promptgen import convert_detection_dataset, load_dataset, read_lines, save_dataset
+from .promptgen import (convert_detection_dataset, load_dataset, pose_from_json,
+                        read_jsonl, save_dataset)
 from .retrieval import (average_recall, batch_topk, load_ground_truth,
                         load_index, query_scores, save_index, top_rows)
 
@@ -136,34 +136,6 @@ def _load_run(run_dir: str) -> tuple[ParamStore, TrainConfig]:
             raise ValueError(f"{path}: tensor {name} is not in the run's config")
     return ParamStore({name: params[name] for name in names},
                       frozen=[name for name, _, frozen, _ in specs if frozen]), config
-
-
-def _load_records(path: str, parse: Callable[[dict], Any]) -> list:
-    """Each nonblank line of a JSONL file, a JSON object, passed through
-    parse; a bad line raises ValueError naming the file and the line."""
-    records = []
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError(f"expected a JSON object, got {type(record).__name__}")
-            records.append(parse(record))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {lineno}: bad JSON record ({exc.msg})")
-        except KeyError as exc:
-            raise ValueError(f"{path}: line {lineno}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    return records
-
-
-def _pose(data) -> Pose:
-    """A pose record: an object with exactly the numbers x, y and theta."""
-    if not isinstance(data, dict) or sorted(data) != ["theta", "x", "y"]:
-        raise ValueError(f"a pose has exactly the keys x, y and theta, got {data!r}")
-    return Pose(x=float(data["x"]), y=float(data["y"]), theta=float(data["theta"]))
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +272,7 @@ def cmd_nav_eval(args) -> int:
     fov = _fov_params(args)
     world = load_world(args.world, cell_m=args.cell_m)
     memory_index = load_index(args.memory)
-    poses = dict(_load_records(args.poses, lambda r: (r["image_id"], _pose(r["pose"]))))
+    poses = dict(read_jsonl(args.poses, lambda r: (r["image_id"], pose_from_json(r["pose"]))))
     entries = []
     for i, image_id in enumerate(memory_index.ids):
         if image_id not in poses:
@@ -312,9 +284,10 @@ def cmd_nav_eval(args) -> int:
         if not world.objects_named(r["noun"]):
             raise ValueError(f"{args.world} has no object named {r['noun']!r}")
         return (r["query_id"], r["noun"], r.get("sentence", ""),
-                args.k if args.k is not None else _k(r.get("k", 1)), _pose(r["start"]))
+                args.k if args.k is not None else _k(r.get("k", 1)),
+                pose_from_json(r["start"]))
 
-    queries = _load_records(args.queries, query)
+    queries = read_jsonl(args.queries, query)
     if not queries:
         raise ValueError(f"{args.queries}: no records")
     if args.query_index is not None:

@@ -7,7 +7,6 @@ orthonormal basis rows and query embeddings pick their ranking explicitly.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from typing import Sequence
@@ -16,7 +15,8 @@ import numpy as np
 
 from .encoder import write_ppm
 from .navsim import GridWorld, MemoryEntry, parse_world
-from .promptgen import CaptionedObject, CaptionRecord, Pose, save_dataset
+from .promptgen import (CaptionedObject, CaptionRecord, Pose, pose_to_json, record_to_json,
+                        save_dataset, write_jsonl)
 from .retrieval import GroundTruth, build_index, save_ground_truth, save_index
 
 Array = np.ndarray
@@ -222,22 +222,11 @@ def write_fixture_bundle(out_dir: str) -> dict[str, str]:
         write_ppm(os.path.join(out_dir, f"{image_id}.ppm"), image)
         paths[f"{image_id}.ppm"] = os.path.join(out_dir, f"{image_id}.ppm")
 
-    with open(at("detection.jsonl"), "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps({
-                "image_id": record.image_id,
-                "width": record.width, "height": record.height,
-                "pose": {"x": record.pose.x, "y": record.pose.y,
-                         "theta": record.pose.theta},
-                "objects": [{"noun": o.noun, "box": [float(v) for v in o.box]}
-                            for o in record.objects]}, sort_keys=True) + "\n")
-
-    with open(at("image_poses.jsonl"), "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps({"image_id": record.image_id,
-                                 "pose": {"x": record.pose.x, "y": record.pose.y,
-                                          "theta": record.pose.theta}},
-                                sort_keys=True) + "\n")
+    write_jsonl(at("detection.jsonl"), (
+        {**r, "objects": [{"noun": o["noun"], "box": o["box"]} for o in r["objects"]]}
+        for r in map(record_to_json, records)))
+    write_jsonl(at("image_poses.jsonl"),
+                ({"image_id": r.image_id, "pose": pose_to_json(r.pose)} for r in records))
 
     with open(at("world.txt"), "w", encoding="utf-8") as fh:
         fh.write(NAV_WORLD_TEXT)
@@ -246,18 +235,12 @@ def write_fixture_bundle(out_dir: str) -> dict[str, str]:
     save_index(build_index([e.embedding for e in entries],
                            [e.image_id for e in entries]),
                at("nav_memory.lze"))
-    with open(at("nav_memory_poses.jsonl"), "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(json.dumps({"image_id": entry.image_id,
-                                 "pose": {"x": entry.pose.x, "y": entry.pose.y,
-                                          "theta": entry.pose.theta}},
-                                sort_keys=True) + "\n")
+    write_jsonl(at("nav_memory_poses.jsonl"),
+                ({"image_id": e.image_id, "pose": pose_to_json(e.pose)} for e in entries))
 
     query_ids, rows = nav_query_rows()
     save_index(build_index(rows, query_ids), at("nav_queries.lze"))
-    with open(at("nav_queries.jsonl"), "w", encoding="utf-8") as fh:
-        for record in nav_query_records():
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(at("nav_queries.jsonl"), nav_query_records())
 
     items, queries, gt = ortho_indexes()
     save_index(items, at("ortho_index.lze"))

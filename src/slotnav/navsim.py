@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import json
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .promptgen import Pose, build_prompt, normalize_angle
+from .autodiff import LRUCache
+from .promptgen import Pose, build_prompt, normalize_angle, pose_to_json, write_jsonl
 from .retrieval import top_rows
 
 Array = np.ndarray
@@ -57,11 +56,10 @@ class GridWorld:
     """Rectangular occupancy grid plus object instances, in map meters.
 
     The world holds a read-only copy of the grid it is given, and compares
-    and hashes by value: the grid's shape and cells, cell_m and objects.
-    It keeps the FIELD_CACHE_SIZE most recently used breadth-first
-    distance fields, each a search from its goal paused once it has
-    reached what was asked of it, held as integer bit-planes over the
-    grid walled by one cell.
+    and hashes by identity.  It keeps the FIELD_CACHE_SIZE most recently
+    used breadth-first distance fields, each a search from its goal paused
+    once it has reached what was asked of it, held as integer bit-planes
+    over the grid walled by one cell.
     """
 
     grid: Array
@@ -77,7 +75,7 @@ class GridWorld:
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "objects", tuple(self.objects))
-        object.__setattr__(self, "_fields", OrderedDict())
+        object.__setattr__(self, "_fields", LRUCache(FIELD_CACHE_SIZE))
         free = np.packbits(np.pad(~grid, 1), bitorder="little")
         object.__setattr__(self, "_free", int.from_bytes(free.tobytes(), "little"))
         seen = set()
@@ -89,15 +87,6 @@ class GridWorld:
                 raise ValueError(f"object {obj.object_id!r} outside the grid")
             if not self._viewable(obj.cell):
                 raise ValueError(f"object {obj.object_id!r} has no adjacent free cell")
-
-    def _key(self) -> tuple:
-        return (self.grid.shape, self.grid.tobytes(), self.cell_m, self.objects)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GridWorld) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def _viewable(self, cell: Cell) -> bool:
         if not self.occupied(cell):
@@ -157,14 +146,10 @@ class GridWorld:
     def _field(self, goal: Cell) -> _Field:
         """goal's breadth-first field, kept in the least-recently-used cache;
         a new one has reached only goal itself."""
-        field = self._fields.pop(goal, None)
-        if field is None:
+        def start() -> _Field:
             front = self._free & 1 << self._bit(goal)
-            field = _Field(reached=front, front=front, unvisited=self._free ^ front)
-        self._fields[goal] = field
-        if len(self._fields) > FIELD_CACHE_SIZE:
-            self._fields.popitem(last=False)
-        return field
+            return _Field(reached=front, front=front, unvisited=self._free ^ front)
+        return self._fields.get(goal, start)
 
     def _grow(self, field: _Field, bit: int) -> None:
         """Resume field's search one wavefront layer at a time until it
@@ -482,8 +467,7 @@ def success_rate(episodes: Sequence[EpisodeResult], radius: float) -> SuccessRep
 def episode_to_json(result: EpisodeResult) -> dict:
     return {"query": result.query,
             "ranked_ids": list(result.ranked_ids),
-            "stop_pose": {"x": result.stop_pose.x, "y": result.stop_pose.y,
-                          "theta": result.stop_pose.theta},
+            "stop_pose": pose_to_json(result.stop_pose),
             "distance": result.distance,
             "object_in_fov": result.object_in_fov,
             "path_cells": result.path_cells,
@@ -492,6 +476,4 @@ def episode_to_json(result: EpisodeResult) -> dict:
 
 def save_episode_log(episodes: Sequence[EpisodeResult], path: str) -> None:
     """Write one JSON record per episode."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for episode in episodes:
-            fh.write(json.dumps(episode_to_json(episode), sort_keys=True) + "\n")
+    write_jsonl(path, map(episode_to_json, episodes))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,13 +78,17 @@ def normalize_angle(theta: float) -> float:
 
 @dataclass(frozen=True)
 class Pose:
-    """Camera pose in world meters: position and heading in radians."""
+    """Camera pose in world meters: position and heading in radians, all
+    finite."""
 
     x: float
     y: float
     theta: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.theta)):
+            raise ValueError(f"a pose must be finite, got x={self.x}, y={self.y}, "
+                             f"theta={self.theta}")
         object.__setattr__(self, "theta", normalize_angle(float(self.theta)))
 
 
@@ -124,12 +128,22 @@ class CaptionRecord:
                                  "has no captions")
 
 
+def pose_to_json(pose: Pose) -> dict:
+    return {"x": pose.x, "y": pose.y, "theta": pose.theta}
+
+
+def pose_from_json(data) -> Pose:
+    """A pose record: an object with exactly the numbers x, y and theta."""
+    if not isinstance(data, dict) or sorted(data) != ["theta", "x", "y"]:
+        raise ValueError(f"a pose has exactly the keys x, y and theta, got {data!r}")
+    return Pose(x=float(data["x"]), y=float(data["y"]), theta=float(data["theta"]))
+
+
 def record_to_json(record: CaptionRecord) -> dict:
     return {"image_id": record.image_id,
             "width": record.width,
             "height": record.height,
-            "pose": {"x": record.pose.x, "y": record.pose.y,
-                     "theta": record.pose.theta},
+            "pose": pose_to_json(record.pose),
             "objects": [{"noun": o.noun,
                          "box": [float(v) for v in o.box],
                          "captions": list(o.captions)}
@@ -137,24 +151,15 @@ def record_to_json(record: CaptionRecord) -> dict:
 
 
 def record_from_json(data: dict) -> CaptionRecord:
-    pose = data["pose"]
     return CaptionRecord(
         image_id=str(data["image_id"]),
         width=int(data["width"]),
         height=int(data["height"]),
-        pose=Pose(x=float(pose["x"]), y=float(pose["y"]),
-                  theta=float(pose["theta"])),
+        pose=pose_from_json(data["pose"]),
         objects=[CaptionedObject(noun=o["noun"],
                                  box=o["box"],
                                  captions=list(o["captions"]))
                  for o in data["objects"]])
-
-
-def save_dataset(records: Sequence[CaptionRecord], path: str) -> None:
-    """Write records as line-delimited JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_json(record), sort_keys=True) + "\n")
 
 
 def read_lines(path: str) -> Iterator[str]:
@@ -176,17 +181,42 @@ def read_lines(path: str) -> Iterator[str]:
         raise
 
 
-def load_dataset(path: str) -> list[CaptionRecord]:
-    """Read a line-delimited JSON dataset, validating every record."""
+def read_jsonl(path: str, parse: Callable[[dict], Any]) -> list:
+    """Each nonblank line of a JSONL file, a JSON object, passed through
+    parse; a bad line raises ValueError naming the file and the line."""
     records = []
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         try:
-            records.append(record_from_json(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as exc:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+            records.append(parse(record))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {lineno}: bad JSON record ({exc.msg})")
+        except KeyError as exc:
+            raise ValueError(f"{path}: line {lineno}: missing key {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return records
+
+
+def write_jsonl(path: str, records: Iterable[dict]) -> None:
+    """Write each record as one line of JSON with sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def save_dataset(records: Sequence[CaptionRecord], path: str) -> None:
+    """Write records as line-delimited JSON."""
+    write_jsonl(path, map(record_to_json, records))
+
+
+def load_dataset(path: str) -> list[CaptionRecord]:
+    """Read a line-delimited JSON dataset, validating every record."""
+    return read_jsonl(path, record_from_json)
 
 
 # ----------------------------------------------------------------------
@@ -213,8 +243,8 @@ def convert_detection_lines(lines: Iterable[str], count: int,
     noun_to_sentences.  A run of consecutive objects with one noun, in file
     order and across lines, continues one numbering, so its captions never
     repeat; any other noun starts again at sentence 0.  The objects of a line
-    that is then skipped count too.  Malformed lines are skipped and
-    reported.
+    that is then skipped count too.  A line with no pose gets the zero pose.
+    Malformed lines are skipped and reported.
     """
     if count < 1:
         raise ValueError("caption count must be >= 1")
@@ -226,22 +256,16 @@ def convert_detection_lines(lines: Iterable[str], count: int,
             continue
         try:
             data = json.loads(line)
-            pose = data.get("pose", {"x": 0.0, "y": 0.0, "theta": 0.0})
             objects = []
             for entry in data["objects"]:
                 noun = entry["noun"]
                 start = run_length if noun == run_noun else 0
                 captions = [noun] + noun_to_sentences(noun, count, seed, start)
                 run_noun, run_length = noun, start + count
-                objects.append(CaptionedObject(noun=noun, box=entry["box"],
-                                               captions=captions))
-            records.append(CaptionRecord(
-                image_id=str(data["image_id"]),
-                width=int(data["width"]), height=int(data["height"]),
-                pose=Pose(x=float(pose["x"]), y=float(pose["y"]),
-                          theta=float(pose["theta"])),
-                objects=objects))
-        except (ValueError, KeyError, TypeError) as exc:
+                objects.append({**entry, "captions": captions})
+            records.append(record_from_json({"pose": pose_to_json(Pose(0.0, 0.0, 0.0)),
+                                             **data, "objects": objects}))
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             errors.append((lineno, str(exc) or type(exc).__name__))
     return ConversionReport(records=records, errors=errors)
 

@@ -941,3 +941,84 @@ def test_eval_retrieval_gt_naming_an_unknown_id_names_its_file_and_line(bundle, 
     assert main(["eval-retrieval", "--index", str(fx / "ortho_index.lze"),
                  "--queries", str(fx / "ortho_queries.lze"), "--gt", str(gt)]) == 1
     _assert_names(capsys, gt, line)
+
+
+# ----------------------------------------------------------------------
+# Pose records
+#
+# README: a pose in the dataset, detection, poses or queries file has
+# exactly x, y and theta, all finite.  Any other names its file and line
+# and exits with code 1; augment skips and reports its line.
+
+def _edit_record(path, line, edit):
+    """Rewrite the JSONL record on line (from 1) of path with edit."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[line - 1])
+    edit(record)
+    lines[line - 1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+BAD_POSES = {"x-inf": lambda pose: pose.update(x=math.inf),
+             "y-nan": lambda pose: pose.update(y=math.nan),
+             "extra-key": lambda pose: pose.update(z=0.0),
+             "missing-key": lambda pose: pose.pop("y")}
+
+
+@pytest.mark.parametrize("name, key", [("nav_queries.jsonl", "start"),
+                                       ("nav_memory_poses.jsonl", "pose")])
+@pytest.mark.parametrize("bad", ["x-inf", "y-nan"])
+def test_nav_eval_pose_that_is_not_finite_exits_one_and_names_its_line(
+        bundle, tmp_path, capsys, name, key, bad):
+    # An infinite pose would overflow in GridWorld.cell_of, and a NaN one
+    # would run to "distance nan".  A pose with other keys is
+    # test_nav_eval_bad_record_exits_one_and_names_its_line's.
+    fx = bundle["fx"]
+    paths = {n: fx / n for n in ("nav_memory_poses.jsonl", "nav_queries.jsonl")}
+    paths[name] = tmp_path / name
+    paths[name].write_bytes((fx / name).read_bytes())
+    _edit_record(paths[name], 2, lambda record: BAD_POSES[bad](record[key]))
+    assert main(["nav-eval", "--world", str(fx / "world.txt"),
+                 "--memory", str(fx / "nav_memory.lze"),
+                 "--poses", str(paths["nav_memory_poses.jsonl"]),
+                 "--queries", str(paths["nav_queries.jsonl"]),
+                 "--query-index", str(fx / "nav_queries.lze")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {paths[name]}: line 2: a pose ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["train", "index"])
+@pytest.mark.parametrize("bad", sorted(BAD_POSES))
+def test_dataset_pose_that_is_not_finite_x_y_theta_exits_one_and_names_its_line(
+        bundle, tmp_path, capsys, command, bad):
+    data, _ = _bundle_copy(bundle, tmp_path)
+    _edit_record(data / "dataset.jsonl", 3, lambda record: BAD_POSES[bad](record["pose"]))
+    out = tmp_path / "out"
+    argv = {"train": ["--config", str(bundle["cfg"]), "train", "--data", str(data),
+                      "--out", str(out)],
+            "index": ["index", "--run", str(bundle["run"]), "--data", str(data),
+                      "--out", str(out)]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {data / 'dataset.jsonl'}: line 3: a pose ")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_POSES))
+def test_augment_skips_and_reports_a_detection_pose_that_is_not_finite_x_y_theta(
+        bundle, tmp_path, capsys, bad):
+    # A NaN pose would reach the output as NaN, which is not JSON.
+    detections = tmp_path / "det.jsonl"
+    detections.write_bytes((bundle["fx"] / "detection.jsonl").read_bytes())
+    _edit_record(detections, 3, lambda record: BAD_POSES[bad](record["pose"]))
+    out = tmp_path / "aug.jsonl"
+    assert main(["augment", "--detections", str(detections), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert re.fullmatch(f"skipped {re.escape(str(detections))}: line 3: a pose [^\n]*\n",
+                        captured.err)
+    assert captured.out.splitlines()[::2] == ["records 7", "errors 1"]
+    assert [r.image_id for r in load_dataset(str(out))] == [
+        f"img{i:03d}" for i in range(8) if i != 2]

@@ -1,13 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from slotnav.promptgen import (STUB_SENTENCE_BANK, CaptionedObject,
                                CaptionRecord, Pose, build_prompt,
                                convert_detection_dataset, convert_detection_lines,
-                               load_dataset, noun_to_sentences, read_lines,
-                               save_dataset)
+                               load_dataset, noun_to_sentences, pose_from_json,
+                               pose_to_json, read_lines, save_dataset)
 
 
 # ----------------------------------------------------------------------
@@ -136,6 +138,42 @@ def test_load_dataset_reports_line(tmp_path):
         load_dataset(path)
 
 
+def test_a_width_past_an_integer_names_its_dataset_line_and_skips_its_detection_line(
+        tmp_path):
+    # int(inf) raises OverflowError, which is not a ValueError.
+    line = json.dumps({**json.loads(detection_line("img000", ["sofa"])), "width": math.inf})
+    path = tmp_path / "data.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}: line 1: cannot convert float infinity"):
+        load_dataset(str(path))
+    assert [n for n, _ in convert_detection_lines([line], 1).errors] == [1]
+
+
+# ----------------------------------------------------------------------
+# Pose records: exactly x, y and theta, all finite (README, robustness)
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(x=FINITE, y=FINITE, theta=FINITE)
+def test_pose_from_json_inverts_pose_to_json_through_json_text(x, y, theta):
+    pose = Pose(x=x, y=y, theta=theta)
+    assert pose_from_json(json.loads(json.dumps(pose_to_json(pose)))) == pose
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("key", ["x", "y", "theta"])
+def test_pose_rejects_a_value_that_is_not_finite(key, value):
+    with pytest.raises(ValueError, match="a pose must be finite"):
+        Pose(**{"x": 0.0, "y": 0.0, "theta": 0.0, key: value})
+
+
+@pytest.mark.parametrize("data", [[0, 0, 0], None, "x y theta"])
+def test_pose_from_json_takes_an_object(data):
+    with pytest.raises(ValueError, match="a pose has exactly the keys x, y and theta"):
+        pose_from_json(data)
+
+
 # ----------------------------------------------------------------------
 # Detection conversion
 
@@ -169,6 +207,13 @@ def test_convert_skips_malformed_lines():
     report = convert_detection_lines(lines, 1)
     assert [r.image_id for r in report.records] == ["img000"]
     assert [lineno for lineno, _ in report.errors] == [2, 3]
+
+
+def test_convert_gives_a_line_with_no_pose_the_zero_pose():
+    record = json.loads(detection_line("img000", ["sofa"]))
+    del record["pose"]
+    report = convert_detection_lines([json.dumps(record)], 1)
+    assert [r.pose for r in report.records] == [Pose(x=0.0, y=0.0, theta=0.0)]
 
 
 def test_convert_reference_scale_counts():
