@@ -342,7 +342,7 @@ def cmd_gradcheck(args) -> int:
                              seed=derive_seed(seed, "step", 0))
     report = built.graph.finite_difference_check(
         built.total, parameters=store.trainable_names(),
-        tolerance=args.tolerance)
+        tolerance=args.tolerance, frame=built.frame)
     print(f"max_relative_error {report.max_relative_error:.6e}")
     print(f"checked {report.checked_coordinates}")
     print(f"skipped {report.skipped_coordinates}")

@@ -9,7 +9,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .autodiff import LRUCache
-from .promptgen import Pose, build_prompt, normalize_angle, pose_to_json, write_jsonl
+from .promptgen import (Pose, build_prompt, normalize_angle, pose_to_json, read_lines,
+                        write_jsonl)
 from .retrieval import top_rows
 
 Array = np.ndarray
@@ -290,11 +291,11 @@ def parse_world(text: str, cell_m: float = DEFAULT_CELL_M) -> GridWorld:
 
 
 def load_world(path: str, cell_m: float = DEFAULT_CELL_M) -> GridWorld:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return parse_world(fh.read(), cell_m=cell_m)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    text = "".join(read_lines(path))
+    try:
+        return parse_world(text, cell_m=cell_m)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Release gates: one test per promised property, at its stated tolerance."""
 
+import os
 import time
 
 import numpy as np
@@ -29,7 +30,9 @@ from _oracles import (breadth_first_path, brute_force_assignment, giou, iou,
 # Gradient fidelity
 
 
-def test_gradient_fidelity_full_loss_desk_batch():
+def _desk_batch_loss():
+    """The store and full objective of the desk batch the gradient gate
+    checks."""
     # Desk widths; patch 4 on 8x8 images keeps the coordinate sweep inside
     # the minute budget without shrinking dim, slots, or iterations.
     cfg = EncoderConfig(patch_size=4, max_tokens=4)
@@ -45,7 +48,11 @@ def test_gradient_fidelity_full_loss_desk_batch():
 
     batch = [example(10, ["red sofa", "green lamp"]),
              example(11, ["wooden table", "white mirror"])]
-    out = total_loss_graph(batch, store, LossWeights(tau=0.5), cfg, seed=3)
+    return store, total_loss_graph(batch, store, LossWeights(tau=0.5), cfg, seed=3)
+
+
+def test_gradient_fidelity_full_loss_desk_batch():
+    store, out = _desk_batch_loss()
     start = time.perf_counter()
     report = out.graph.finite_difference_check(out.total, step=1e-5,
                                                tolerance=1e-4)
@@ -60,6 +67,15 @@ def test_gradient_fidelity_full_loss_desk_batch():
     assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
     print(f"gradient fidelity: max rel {report.max_relative_error:.3e} over "
           f"{report.checked_coordinates} coordinates in {elapsed:.1f}s")
+
+
+def test_gradient_sweep_on_every_cpu_equals_a_one_cpu_sweep_bit_for_bit(monkeypatch):
+    _, out = _desk_batch_loss()
+    every = out.graph.finite_difference_check(out.total, step=1e-5, tolerance=1e-4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = out.graph.finite_difference_check(out.total, step=1e-5, tolerance=1e-4)
+    assert every == one
+    assert (one.checked_coordinates, one.skipped_coordinates) == (35460, 0)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Expression graph: forward semantics, gradients, finite differences, checkpoints."""
 
 import inspect
+import os
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -211,6 +215,101 @@ def test_finite_difference_drops_probed_values_without_changing_the_report(monke
                                                    plan(self, order, keep)])
     assert dropped == g.finite_difference_check(loss, step=1e-6)
     assert dropped.passed and min(drops) > 0
+
+
+def _sweep_graph():
+    """A loss with a coordinate that straddles a kink, coordinates whose
+    difference at step 1e-2 needs the Richardson retries, two parameters
+    with equal errors, and a parameter that does not feed the output."""
+    rng = np.random.default_rng(4)
+    g = Graph()
+    kink = g.parameter("kink", [0.0, 1.0])
+    steep = rng.normal(scale=0.1, size=(3, 5))
+    a = g.parameter("a", steep)
+    b = g.parameter("b", steep)
+    w = g.parameter("w", rng.normal(size=(5, 70)))
+    g.parameter("unused", rng.normal(size=4))
+    loss = g.add(g.sum(g.absolute(kink)),
+                 g.add(g.sum(g.tanh(g.affine(a, 10.0, 0.0))),
+                       g.sum(g.tanh(g.affine(b, 10.0, 0.0)))))
+    return g, g.add(loss, g.sum(g.tanh(g.matmul(g.tanh(a), w))))
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def test_a_sweep_on_several_threads_equals_a_one_thread_sweep(monkeypatch):
+    g, loss = _sweep_graph()
+    # More threads than this host's CPUs, switching as often as they can.
+    _cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = g.finite_difference_check(loss, step=1e-2)
+    finally:
+        sys.setswitchinterval(interval)
+    _cpus(monkeypatch, 1)
+    serial = g.finite_difference_check(loss, step=1e-2)
+    assert parallel == serial
+    assert serial.passed and serial.skipped_coordinates == 1
+    assert serial.checked_coordinates == 1 + 2 * 15 + 350
+    assert serial.per_parameter["unused"] == 0.0
+    assert serial.per_parameter["a"] > 0.0
+    # Only the retries bring tanh(10 x) within tolerance at a width of 1e-2.
+    one_width = g.finite_difference_check(loss, step=1e-2, tolerance=1.0)
+    assert one_width.max_relative_error > 1e-4 > serial.max_relative_error
+
+
+def test_a_failed_probe_raises_the_earliest_parameters_error_after_joining_helpers(
+        monkeypatch):
+    # The queue runs from the largest parameter to the smallest: the calling
+    # thread takes p4 and the helper p0.  p4 fails first, and p0 after it.
+    g = Graph()
+    params = [g.parameter(f"p{k}", np.linspace(0.1, 0.5, k + 1)) for k in range(5)]
+    loss = g.sum(g.concat([g.tanh(p) for p in params], axis=0))
+    probe, taken = Graph._probe_parameter, []
+
+    def failing(self, name, *args):
+        taken.append(name)
+        if name in ("p0", "p4"):
+            time.sleep(0.3 if name == "p0" else 0.1)
+            raise RuntimeError(f"probe of {name} failed")
+        return probe(self, name, *args)
+
+    monkeypatch.setattr(Graph, "_probe_parameter", failing)
+    _cpus(monkeypatch, 2)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="^probe of p0 failed$"):
+        g.finite_difference_check(loss)
+    assert threading.active_count() == threads
+    # Each thread stopped at its failure, so no other parameter was taken.
+    assert sorted(taken) == ["p0", "p4"]
+    monkeypatch.setattr(Graph, "_probe_parameter", probe)
+    assert g.finite_difference_check(loss).passed
+    assert threading.active_count() == threads
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_probe_that_overflows_on_a_helper_thread_warns_nothing(monkeypatch):
+    # exp overflows at the +step probe of every coordinate: 709.782705 is
+    # just below the log of the largest float.
+    g = Graph()
+    params = [g.parameter(f"x{k}", [709.782705]) for k in range(8)]
+    loss = g.sum(g.affine(g.concat([g.exp(p) for p in params], axis=0), 1e-300, 0.0))
+    probe, threads = Graph._probe_parameter, set()
+
+    def recording(self, *args):
+        threads.add(threading.get_ident())
+        time.sleep(0.02)
+        return probe(self, *args)
+
+    monkeypatch.setattr(Graph, "_probe_parameter", recording)
+    _cpus(monkeypatch, 4)
+    report = g.finite_difference_check(loss)
+    assert len(threads) > 1
+    assert not report.passed and report.max_relative_error == float("inf")
+    assert report.checked_coordinates == 8
 
 
 def _unary_cases():

@@ -887,17 +887,18 @@ def _append_bad_line(src, dst):
 def _assert_names(capsys, path, line):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: line {line}: "), err
+    assert err.count(str(path)) == 1, err
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("name", ["nav_memory_poses.jsonl", "nav_queries.jsonl"])
+@pytest.mark.parametrize("name", ["world.txt", "nav_memory_poses.jsonl", "nav_queries.jsonl"])
 def test_nav_eval_input_that_is_not_utf8_names_its_file_and_line(bundle, tmp_path, capsys,
                                                                   name):
     fx = bundle["fx"]
-    paths = {n: fx / n for n in ("nav_memory_poses.jsonl", "nav_queries.jsonl")}
+    paths = {n: fx / n for n in ("world.txt", "nav_memory_poses.jsonl", "nav_queries.jsonl")}
     paths[name] = tmp_path / name
     line = _append_bad_line(fx / name, paths[name])
-    assert main(["nav-eval", "--world", str(fx / "world.txt"),
+    assert main(["nav-eval", "--world", str(paths["world.txt"]),
                  "--memory", str(fx / "nav_memory.lze"),
                  "--poses", str(paths["nav_memory_poses.jsonl"]),
                  "--queries", str(paths["nav_queries.jsonl"]),

@@ -608,6 +608,21 @@ def test_two_steps_on_one_cached_graph_each_equal_a_fresh_build(tiny_setup):
             assert got.gradients[name].tobytes() == grad.tobytes(), name
 
 
+def test_an_earlier_steps_check_at_its_frame_ignores_a_later_step(tiny_setup):
+    cfg, store, batch = tiny_setup
+    other = [replace(batch[1], annotations=batch[0].annotations),
+             replace(batch[0], image=batch[1].image[::-1], annotations=batch[1].annotations)]
+    alone = store.copy()
+    first = total_loss_graph(batch, store, LossWeights(), cfg, seed=1)
+    second = total_loss_graph(other, store, LossWeights(), cfg, seed=2)
+    assert second.graph is first.graph
+    only = total_loss_graph(batch, alone, LossWeights(), cfg, seed=1)
+    want = only.graph.finite_difference_check(only.total)
+    assert first.graph.finite_difference_check(first.total, frame=first.frame) == want
+    # With no frame the check reads the graph's current binding, the later step's.
+    assert first.graph.finite_difference_check(first.total) != want
+
+
 def test_a_store_keeps_its_own_graphs_and_rows_and_frees_them_when_dropped(tiny_setup,
                                                                            monkeypatch):
     cfg, store, batch = tiny_setup
