@@ -20,7 +20,7 @@ probe axis, so the part of the graph a parameter reaches runs once per block
 rather than twice per coordinate.  Its rare wider-step retries run through
 the same path with a block of one coordinate.  The sweep probes its
 parameters on one thread per CPU the process may use, the calling thread
-among them; each helper thread costs about 2.5 MB of RSS, and the report
+among them; each helper thread costs about 2 MB of RSS, and the report
 equals a one-thread sweep's bit for bit.
 
 Leaf values are bound per call, so a graph built once serves every call
@@ -853,7 +853,7 @@ class Graph:
         nodes a probe runs), largest first.  The calling thread takes them
         from the front and one helper per other CPU from the back, so a
         large parameter's probe stack is only ever live beside small ones;
-        each helper costs about 2.5 MB of RSS at the acceptance gate's
+        each helper costs about 2 MB of RSS at the acceptance gate's
         widths.  The per-parameter reports merge in parameter order, so the
         report equals a one-thread sweep's bit for bit, worst coordinate
         included.
@@ -866,6 +866,8 @@ class Graph:
         probes, keys = [], []
         for name, gradient in report.gradients.items():
             if self._params[name] not in active:
+                # Parameter does not feed the output; the analytic gradient
+                # is exactly zero and there is nothing to probe.
                 continue
             sub_order = self._descendants_of(self._params[name], active)
             kinks = [(self._parents[i], len(self._shapes[i]))
@@ -874,20 +876,13 @@ class Graph:
             probes.append(partial(self._probe_parameter, name, base, gradient, plan, kinks,
                                   out_idx, step, tolerance))
             keys.append((gradient.size, gradient.size * len(plan)))
-        checks = iter(_run_on_every_cpu(probes, sorted(range(len(probes)),
-                                                       key=keys.__getitem__, reverse=True)))
+        order = sorted(range(len(probes)), key=keys.__getitem__, reverse=True)
 
         max_rel = 0.0
         worst: CoordinateError | None = None
-        per_param: dict[str, float] = {}
+        per_param = dict.fromkeys(report.gradients, 0.0)
         checked = skipped = 0
-        for name in report.gradients:
-            if self._params[name] not in active:
-                # Parameter does not feed the output; the analytic gradient
-                # is exactly zero and there is nothing to probe.
-                per_param[name] = 0.0
-                continue
-            check = next(checks)
+        for check in _run_on_every_cpu(probes, order):
             per_param.update(check.per_parameter)
             checked += check.checked_coordinates
             skipped += check.skipped_coordinates

@@ -219,7 +219,7 @@ def test_finite_difference_drops_probed_values_without_changing_the_report(monke
 
 def _sweep_graph():
     """A loss with a coordinate that straddles a kink, coordinates whose
-    difference at step 1e-2 needs the Richardson retries, two parameters
+    difference at width 1e-2 needs the Richardson retries, two parameters
     with equal errors, and a parameter that does not feed the output."""
     rng = np.random.default_rng(4)
     g = Graph()
@@ -227,12 +227,13 @@ def _sweep_graph():
     steep = rng.normal(scale=0.1, size=(3, 5))
     a = g.parameter("a", steep)
     b = g.parameter("b", steep)
-    w = g.parameter("w", rng.normal(size=(5, 70)))
+    x = g.parameter("x", rng.normal(scale=0.2, size=(3, 5)))
+    w = g.parameter("w", rng.normal(scale=0.2, size=(5, 70)))
     g.parameter("unused", rng.normal(size=4))
     loss = g.add(g.sum(g.absolute(kink)),
                  g.add(g.sum(g.tanh(g.affine(a, 10.0, 0.0))),
                        g.sum(g.tanh(g.affine(b, 10.0, 0.0)))))
-    return g, g.add(loss, g.sum(g.tanh(g.matmul(g.tanh(a), w))))
+    return g, g.add(loss, g.sum(g.tanh(g.matmul(g.tanh(x), w))))
 
 
 def _cpus(monkeypatch, count):
@@ -241,24 +242,29 @@ def _cpus(monkeypatch, count):
 
 def test_a_sweep_on_several_threads_equals_a_one_thread_sweep(monkeypatch):
     g, loss = _sweep_graph()
+
+    def sweep(cpus, tolerance):
+        _cpus(monkeypatch, cpus)
+        return g.finite_difference_check(loss, step=1e-2, tolerance=tolerance)
+
     # More threads than this host's CPUs, switching as often as they can.
-    _cpus(monkeypatch, 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        parallel = g.finite_difference_check(loss, step=1e-2)
+        parallel = [sweep(8, tolerance) for tolerance in (1e-4, 1.0)]
     finally:
         sys.setswitchinterval(interval)
-    _cpus(monkeypatch, 1)
-    serial = g.finite_difference_check(loss, step=1e-2)
-    assert parallel == serial
-    assert serial.passed and serial.skipped_coordinates == 1
-    assert serial.checked_coordinates == 1 + 2 * 15 + 350
-    assert serial.per_parameter["unused"] == 0.0
-    assert serial.per_parameter["a"] > 0.0
-    # Only the retries bring tanh(10 x) within tolerance at a width of 1e-2.
-    one_width = g.finite_difference_check(loss, step=1e-2, tolerance=1.0)
-    assert one_width.max_relative_error > 1e-4 > serial.max_relative_error
+    retried, one_width = [sweep(1, tolerance) for tolerance in (1e-4, 1.0)]
+    assert parallel == [retried, one_width]
+    assert retried.passed and retried.skipped_coordinates == 1
+    assert retried.checked_coordinates == 1 + 3 * 15 + 350
+    assert retried.per_parameter["unused"] == 0.0
+    # Only the retries bring tanh(10 x) within tolerance at a width of 1e-2;
+    # a tolerance of 1 retries nothing.
+    assert one_width.max_relative_error > 1e-4 > retried.max_relative_error
+    # a and b tie, and the first parameter to reach the largest error names it.
+    assert one_width.per_parameter["a"] == one_width.per_parameter["b"]
+    assert one_width.worst.parameter == "a"
 
 
 def test_a_failed_probe_raises_the_earliest_parameters_error_after_joining_helpers(
