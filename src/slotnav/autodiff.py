@@ -23,13 +23,13 @@ parameters on one thread per CPU the process may use, the calling thread
 among them; each helper thread costs about 2 MB of RSS, and the report
 equals a one-thread sweep's bit for bit.
 
-Leaf values are bound per call, so a graph built once serves every call
-of its shapes.  A leaf is built with a value (parameter, constant) or
-without one (input).  Graph.bind makes a binding, the build-time values
-overridden by the values given, each checked for its leaf's shape and,
-unless it is the leaf's build-time array, for finite entries, and returns
-a Frame holding it; it becomes the graph's current binding, which
-evaluate, gradient and finite_difference_check read when given no frame.
+Input values are bound per call, so a graph built once serves every call
+of its shapes.  Parameters and constants are built with a value, which
+every call reads; an input is built without one.  Graph.bind gives values
+to inputs only, each checked for its leaf's shape and for finite entries,
+and returns a Frame holding them beside the build-time values; it becomes
+the graph's current binding, which evaluate, gradient and
+finite_difference_check read when given no frame.
 evaluate and gradient keep node values in the frame: given one, they run
 only the nodes without a value yet.  Inputs a frame has not bound can be
 bound into it before a node reads them, so a caller that evaluates part of
@@ -67,13 +67,12 @@ _KINK_OPS = ("minimum", "maximum", "absolute")
 
 # Operand positions at which an op can map a non-finite entry to a finite
 # output: the minimum or maximum of inf and a finite value, a dropped
-# entry, a saturated exp, tanh or sigmoid, the zero weight of a -inf logit,
+# entry, a saturated tanh or sigmoid, the zero weight of a -inf logit,
 # division by inf, and layer_norm's standard deviation, a denominator.
 # Every other op carries a non-finite operand entry into its output, since
 # inf * 0 and inf - inf are nan.  _run checks the operands at these places.
-_HIDING_OPS = {"minimum": (0, 1), "maximum": (0, 1), "slice": (0,), "exp": (0,),
-               "tanh": (0,), "sigmoid": (0,), "softmax": (0,), "divide": (1,),
-               "layer_norm": (1,)}
+_HIDING_OPS = {"minimum": (0, 1), "maximum": (0, 1), "slice": (0,), "tanh": (0,),
+               "sigmoid": (0,), "softmax": (0,), "divide": (1,), "layer_norm": (1,)}
 
 _LN_EPS = 1e-8
 
@@ -152,7 +151,6 @@ class Node:
 
     graph: "Graph" = field(repr=False)
     index: int
-    op: str
     shape: tuple[int, ...]
     name: str
 
@@ -168,10 +166,9 @@ class Frame:
     """Node values under one binding of a graph's leaves.
 
     values[i] is node i's array, or None where it has not run or, for an
-    input, is not bound yet; bound maps leaf index to each value the binding
-    gave beyond the build-time ones, and is the graph's current binding
-    while the frame is its latest, so inputs bound into the frame later join
-    that binding too.
+    input, is not bound yet; bound maps input index to each value the
+    binding gave, and is the graph's current binding while the frame is its
+    latest, so inputs bound into the frame later join that binding too.
     """
 
     values: list
@@ -180,10 +177,9 @@ class Frame:
 
 @dataclass
 class GradientReport:
-    """Loss value plus gradients for every requested parameter: views of
-    flat, which holds them raveled end to end in the order requested."""
+    """Gradients for every requested parameter: views of flat, which holds
+    them raveled end to end in the order requested."""
 
-    value: float
     gradients: dict[str, Array]
     flat: Array
 
@@ -196,7 +192,6 @@ class CoordinateError:
     coordinate: tuple[int, ...]
     analytic: float
     numeric: float
-    relative_error: float
 
 
 @dataclass
@@ -253,7 +248,7 @@ class Graph:
         self._forward.append(forward)
         self._backward.append(backward)
         self._needs.append(op == "parameter" or any(self._needs[p.index] for p in parents))
-        return Node(self, index, op, shape, label)
+        return Node(self, index, shape, label)
 
     def parameter(self, name: str, value) -> Node:
         """Trainable leaf; gradient() reports a gradient for it."""
@@ -266,8 +261,7 @@ class Graph:
         return node
 
     def constant(self, value, name: str | None = None) -> Node:
-        """Leaf whose build-time value serves until a binding gives another;
-        never differentiated."""
+        """Leaf whose build-time value every call reads; never differentiated."""
         arr = _as_array(value)
         node = self._register("constant", (), arr.shape, None, None, name=name)
         self._leaf_values[node.index] = arr
@@ -280,27 +274,26 @@ class Graph:
 
     def bind(self, values: Mapping[Node, object] | None = None,
              frame: Frame | None = None) -> Frame:
-        """Bind leaf values for one call; returns the frame that holds them.
+        """Bind input values for one call; returns the frame that holds them.
 
-        Without frame, a new binding: the build-time leaf values overridden
-        by values, in a new frame, which becomes the graph's current binding.
-        With frame, values bind inputs that frame has not bound yet, in place.
-        Each value must have its leaf's shape and finite entries; a value
-        that does not raises an error naming the leaf.  A leaf's build-time
-        array passed that test then and is read-only, or a ParamStore's view,
-        which its store changes only to finite values, so it is not tested again.
+        Without frame, a new binding: the build-time values of the parameters
+        and constants and the input values given, in a new frame, which
+        becomes the graph's current binding.  With frame, values bind inputs
+        that frame has not bound yet, in place.  Each value must be for an
+        input of this graph, with its shape and finite entries; a value that
+        is not raises an error naming the leaf.
         """
         checked = {}
         with np.errstate(over="ignore", invalid="ignore"):
             for node, value in (values or {}).items():
                 i = node.index
-                if node.graph is not self or self._forward[i] is not None:
-                    raise ValueError(f"bind: {node.name} is not a leaf of this graph")
+                if node.graph is not self or self._ops[i] != "input":
+                    raise ValueError(f"bind: {node.name} is not an input of this graph")
                 arr = np.asarray(value, dtype=np.float64)
                 if arr.shape != node.shape:
                     raise ShapeError(f"bind: leaf {node.name} has shape {node.shape}, "
                                      f"got {arr.shape}")
-                if arr is not self._leaf_values.get(i) and not _finite(arr):
+                if not _finite(arr):
                     raise ValueError(f"bind: leaf {node.name} got non-finite entries")
                 checked[i] = arr
         if frame is None:
@@ -433,12 +426,6 @@ class Graph:
         # resolved toward the first branch.
         return self._unary("absolute", a, np.abs,
                            lambda x, y, g: g * np.where(x >= 0.0, 1.0, -1.0))
-
-    def exp(self, a: Node) -> Node:
-        return self._unary("exp", a, np.exp, lambda x, y, g: g * y)
-
-    def log(self, a: Node) -> Node:
-        return self._unary("log", a, np.log, lambda x, y, g: g / x)
 
     def sqrt(self, a: Node) -> Node:
         return self._unary("sqrt", a, np.sqrt, lambda x, y, g: g / (2.0 * y))
@@ -782,7 +769,7 @@ class Graph:
         for name, i in zip(names, leaves):
             if adjoint[i] is not None:
                 grads[name][...] = adjoint[i]
-        return GradientReport(value=float(values[output.index]), gradients=grads, flat=flat)
+        return GradientReport(gradients=grads, flat=flat)
 
     # ------------------------------------------------------------------
     # Finite differences
@@ -995,7 +982,6 @@ class Graph:
                         if theta.shape else (),
                         analytic=float(analytic[j]),
                         numeric=float(numeric[j]),
-                        relative_error=max_rel,
                     )
         return FiniteDifferenceReport(
             max_relative_error=max_rel,
@@ -1030,8 +1016,10 @@ def _run_on_every_cpu(jobs: Sequence[Callable[[], object]], order: Sequence[int]
                 failures[k] = exc
                 stop.set()
 
+    # The affinity set where the platform has one (not macOS or Windows).
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     helpers = [threading.Thread(target=work, args=(pending.pop,), daemon=True)
-               for _ in range(1, min(len(os.sched_getaffinity(0)), len(jobs)))]
+               for _ in range(1, min(cpus or 1, len(jobs)))]
     for helper in helpers:
         helper.start()
     try:

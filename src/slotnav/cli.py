@@ -23,7 +23,7 @@ from .objectives import (Annotation, AnnotationSet, LossWeights, TrainExample,
                          total_loss_graph)
 from .promptgen import (convert_detection_dataset, load_dataset, pose_from_json,
                         read_jsonl, save_dataset)
-from .retrieval import (average_recall, batch_topk, load_ground_truth,
+from .retrieval import (EmbeddingIndex, average_recall, batch_topk, load_ground_truth,
                         load_index, query_scores, save_index, top_rows)
 
 
@@ -138,6 +138,12 @@ def _load_run(run_dir: str) -> tuple[ParamStore, TrainConfig]:
                       frozen=[name for name, _, frozen, _ in specs if frozen]), config
 
 
+def _same_width(dim: int, source: str, index: EmbeddingIndex, path: str) -> None:
+    """ValueError naming source and path unless index's rows have dim entries."""
+    if dim != index.dim:
+        raise ValueError(f"{source} has dimension {dim}, but {path} has {index.dim}")
+
+
 # ----------------------------------------------------------------------
 # Subcommands
 
@@ -178,9 +184,11 @@ def cmd_retrieve(args) -> int:
     index = load_index(args.index)
     if args.query is not None:
         store, config = _load_run(args.run)
+        _same_width(config.encoder.dim, f"the text encoder of run {args.run}", index, args.index)
         rows = {"query": encode_text(args.query, store, config.encoder).vector}
     else:
         queries = load_index(args.queries)
+        _same_width(queries.dim, args.queries, index, args.index)
         rows = dict(zip(queries.ids, queries.matrix))
     for qid, vector in rows.items():
         scores = query_scores(vector, index)
@@ -196,6 +204,7 @@ def cmd_eval_retrieval(args) -> int:
     if ks[-1] > len(index):
         raise ValueError(f"--ks: {ks[-1]} exceeds the index's {len(index)} items")
     queries = load_index(args.queries)
+    _same_width(queries.dim, args.queries, index, args.index)
     gt = load_ground_truth(args.gt, index=index)
     results = batch_topk(queries, index, ks[-1])
     report = average_recall(results, gt, ks)
@@ -292,6 +301,7 @@ def cmd_nav_eval(args) -> int:
         raise ValueError(f"{args.queries}: no records")
     if args.query_index is not None:
         query_index = load_index(args.query_index)
+        _same_width(query_index.dim, args.query_index, memory_index, args.memory)
         rows = {qid: query_index.matrix[i]
                 for i, qid in enumerate(query_index.ids)}
 
@@ -301,6 +311,8 @@ def cmd_nav_eval(args) -> int:
             return lambda _prompt: rows[query_id]
     else:
         store, config = _load_run(args.run)
+        _same_width(config.encoder.dim, f"the text encoder of run {args.run}",
+                    memory_index, args.memory)
 
         def encode_for(_query_id):
             return lambda prompt: encode_text(prompt, store, config.encoder).vector

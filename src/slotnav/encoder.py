@@ -6,7 +6,7 @@ vectors which feed a box-regression head; the final embedding aggregates
 the pooled image token with a linear readout of the slots.  Text is
 hash-tokenized into a tiny frozen transformer.  Everything is expressed on
 the autodiff graph so the objectives module can differentiate end to end.
-Inference runs the same graphs with parameters as constants:
+Inference builds the same graphs with the binding training uses:
 image_embedding runs the whole image pathway training differentiates for
 an embedding and boxes, and encode_text the text tower.  Both keep their
 graphs in the store's graphs, built over its views: the text tower once
@@ -188,22 +188,21 @@ def init_params(config: EncoderConfig, seed: int | None = None) -> ParamStore:
 class Binding:
     """Binds store tensors into a graph, memoized by name.
 
-    Trainable parameters become graph parameters; frozen ones (and every
-    tensor when trainable=False) become constants so inference and frozen
-    branches never enter the gradient.
+    Trainable tensors become graph parameters and frozen ones constants, so
+    frozen branches never enter the gradient.  Inference binds the same way
+    and never differentiates.
     """
 
-    def __init__(self, graph: Graph, store: ParamStore, trainable: bool = True) -> None:
+    def __init__(self, graph: Graph, store: ParamStore) -> None:
         self.graph = graph
         self.store = store
-        self.trainable = trainable
         self._nodes: dict[str, Node] = {}
 
     def __call__(self, name: str) -> Node:
         node = self._nodes.get(name)
         if node is None:
             value = self.store[name]
-            if self.trainable and name not in self.store.frozen:
+            if name not in self.store.frozen:
                 node = self.graph.parameter(name, value)
             else:
                 node = self.graph.constant(value, name=name)
@@ -405,8 +404,8 @@ def build_text_embedding(g: Graph, bind: Binding, rows: Node,
 
 
 # ----------------------------------------------------------------------
-# Inference: the training builders, parameters as constants, built once per
-# store and shape
+# Inference: the training builders and binding, built once per store and
+# shape
 
 
 def sample_slots(config: EncoderConfig, seed: int) -> Array:
@@ -436,7 +435,7 @@ def encode_text(query: str, store: ParamStore, config: EncoderConfig) -> Embeddi
 
         def build():
             g = Graph()
-            bind = Binding(g, store, trainable=False)
+            bind = Binding(g, store)
             rows = g.input((len(ids), config.dim), name=TEXT_PREFIX + "tokens")
             return _runner(g, [rows], [build_text_embedding(g, bind, rows, config)])
 
@@ -459,7 +458,7 @@ def image_embedding(image: Array, store: ParamStore, config: EncoderConfig,
 
     def build():
         g = Graph()
-        bind = Binding(g, store, trainable=False)
+        bind = Binding(g, store)
         nodes = build_image_embedding(g, bind, image, config, slots0)
         return _runner(g, [nodes["patches"], nodes["slots0"]],
                        [nodes["embedding"], nodes["boxes"]])

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .encoder import write_ppm
-from .navsim import GridWorld, MemoryEntry, parse_world
+from .navsim import MemoryEntry
 from .promptgen import (CaptionedObject, CaptionRecord, Pose, pose_to_json, record_to_json,
                         save_dataset, write_jsonl)
 from .retrieval import GroundTruth, build_index, save_ground_truth, save_index
@@ -146,10 +146,6 @@ _NAV_QUERIES = (
 )
 
 NAV_START = {"x": 0.125, "y": 0.125, "theta": 0.0}
-
-
-def nav_world() -> GridWorld:
-    return parse_world(NAV_WORLD_TEXT, cell_m=NAV_CELL_M)
 
 
 def _cell_center(cell: tuple[int, int]) -> tuple[float, float]:

@@ -44,6 +44,8 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.total_steps < 1:
+            raise ValueError("total_steps must be >= 1")
         if not 0 <= self.warmup_steps <= self.total_steps:
             raise ValueError("warmup must lie within the step budget")
 
@@ -276,7 +278,7 @@ def train(data_dir: str, config: TrainConfig, out_dir: str) -> RunManifest:
     manifest = RunManifest(config=config_to_dict(config),
                            input_hash=hash_inputs(inputs),
                            steps=len(reports),
-                           final_loss=reports[-1].total if reports else math.nan,
+                           final_loss=reports[-1].total,
                            checkpoint="checkpoint.lzp",
                            losses="losses.log")
     manifest.save(os.path.join(out_dir, "manifest.json"))

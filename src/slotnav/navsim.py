@@ -248,10 +248,8 @@ class EpisodeResult:
 class SuccessReport:
     """Success rate at a radius plus the FOV-only rate."""
 
-    radius: float
     success_rate: float
     fov_rate: float
-    episodes: int
 
 
 # ----------------------------------------------------------------------
@@ -461,8 +459,7 @@ def success_rate(episodes: Sequence[EpisodeResult], radius: float) -> SuccessRep
         raise ValueError("no episodes to score")
     wins = sum(1 for e in episodes if e.distance <= radius and e.object_in_fov)
     fov = sum(1 for e in episodes if e.object_in_fov)
-    return SuccessReport(radius=radius, success_rate=wins / len(episodes),
-                         fov_rate=fov / len(episodes), episodes=len(episodes))
+    return SuccessReport(success_rate=wins / len(episodes), fov_rate=fov / len(episodes))
 
 
 def episode_to_json(result: EpisodeResult) -> dict:

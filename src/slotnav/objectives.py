@@ -402,7 +402,7 @@ def _build_step_graph(stacks: Sequence[Array], slots0: Sequence[Array], matched:
     """The loss graph over one image tower per stack, in tower order, with
     matched slot-annotation pairs among all the batch's annotations."""
     g = Graph()
-    bind = Binding(g, store, trainable=True)
+    bind = Binding(g, store)
     towers = [build_image_embedding(g, bind, stack, config, s0)
               for stack, s0 in zip(stacks, slots0)]
 

@@ -61,10 +61,9 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class RecallReport:
-    """Average recall per cutoff plus the per-query hit flags behind it."""
+    """Average recall per cutoff."""
 
     values: dict[int, float]
-    hits: dict[int, dict[str, bool]]
 
     def __post_init__(self) -> None:
         last = 0.0
@@ -159,14 +158,11 @@ def average_recall(results: Mapping[str, Sequence[str]], gt: GroundTruth,
     if missing:
         warnings.warn(f"queries without ground truth counted as misses: {missing}",
                       stacklevel=2)
-    values: dict[int, float] = {}
-    hits: dict[int, dict[str, bool]] = {}
+    values = {}
     for k in cutoffs:
-        flags = {qid: bool(gt.for_query(qid) & set(ranked[:k]))
-                 for qid, ranked in results.items()}
-        hits[k] = flags
-        values[k] = sum(flags.values()) / len(flags)
-    return RecallReport(values=values, hits=hits)
+        hits = sum(bool(gt.for_query(qid) & set(ranked[:k])) for qid, ranked in results.items())
+        values[k] = hits / len(results)
+    return RecallReport(values=values)
 
 
 # ----------------------------------------------------------------------

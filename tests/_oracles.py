@@ -174,7 +174,7 @@ def image_tokens(image, store, config):
     over one image or a stack, its patches a constant."""
     g = Graph()
     patches = g.constant(patchify(image, config.patch_size), name="patches")
-    return g.evaluate(list(_patch_tokens(g, Binding(g, store, trainable=False), patches,
+    return g.evaluate(list(_patch_tokens(g, Binding(g, store), patches,
                                          config)))
 
 
@@ -205,7 +205,7 @@ def slot_attention(tokens, store, config, initial_slots):
     config.slot_iters iterations from initial_slots: the final SlotState
     with every iteration in its history."""
     g = Graph()
-    _, traces = build_slot_attention(g, Binding(g, store, trainable=False),
+    _, traces = build_slot_attention(g, Binding(g, store),
                                      g.constant(tokens, name="tokens"),
                                      g.constant(initial_slots, name="slots0"), config)
     return slot_state(g.evaluate([node for trace in traces for node in trace]))
@@ -216,7 +216,7 @@ def image_pathway(image, store, config, initial_slots):
     parameters as constants and run from initial_slots: the embedding row,
     the boxes, and the final SlotState with every iteration in its history."""
     g = Graph()
-    nodes = build_image_embedding(g, Binding(g, store, trainable=False), image, config,
+    nodes = build_image_embedding(g, Binding(g, store), image, config,
                                   initial_slots)
     frame = g.bind({nodes["patches"]: patchify(image, config.patch_size),
                     nodes["slots0"]: initial_slots})

@@ -9,12 +9,12 @@ import pytest
 from slotnav.autodiff import derive_seed
 from slotnav.cli import main
 from slotnav.encoder import EncoderConfig, init_params, sample_slots
-from slotnav.fixtures import (NAV_START, nav_memory_entries, nav_query_records,
-                              nav_query_rows, nav_world, ortho_indexes,
+from slotnav.fixtures import (NAV_CELL_M, NAV_START, NAV_WORLD_TEXT, nav_memory_entries,
+                              nav_query_records, nav_query_rows, ortho_indexes,
                               training_images, training_records)
 from slotnav.harness import (TrainConfig, dataset_examples, loss_ablation,
                              prompt_template_report)
-from slotnav.navsim import (FovParams, GridWorld, Pose, execute_episode,
+from slotnav.navsim import (FovParams, GridWorld, Pose, execute_episode, parse_world,
                             plan_path, success_rate)
 from slotnav.objectives import (Annotation, AnnotationSet, LossWeights,
                                 TrainExample, hungarian, pairwise_cost,
@@ -75,6 +75,9 @@ def test_gradient_sweep_on_every_cpu_equals_a_one_cpu_sweep_bit_for_bit(monkeypa
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     one = out.graph.finite_difference_check(out.total, step=1e-5, tolerance=1e-4)
     assert every == one
+    # Where the platform has no affinity set, the sweep counts the CPUs.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert out.graph.finite_difference_check(out.total, step=1e-5, tolerance=1e-4) == one
     assert (one.checked_coordinates, one.skipped_coordinates) == (35460, 0)
 
 
@@ -235,7 +238,7 @@ def _center_pose(world, cell, theta=0.0):
 
 
 def _fixture_episodes(fov=FovParams()):
-    world = nav_world()
+    world = parse_world(NAV_WORLD_TEXT, cell_m=NAV_CELL_M)
     memory = nav_memory_entries()
     _, rows = nav_query_rows()
     start = Pose(**NAV_START)

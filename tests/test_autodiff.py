@@ -58,10 +58,10 @@ def test_shape_error_names_node():
 
 def test_non_finite_intermediate_is_reported():
     g = Graph()
-    x = g.parameter("x", [0.0])
+    x = g.parameter("x", [-1.0])
     with pytest.raises(EvaluationError) as err:
-        g.evaluate(g.log(x))
-    assert "log" in str(err.value)
+        g.evaluate(g.sqrt(x))
+    assert "sqrt" in str(err.value)
 
 
 def test_frame_extension_runs_only_the_new_nodes():
@@ -69,7 +69,7 @@ def test_frame_extension_runs_only_the_new_nodes():
     # the next call runs only the nodes without a value.
     g = Graph()
     x = g.parameter("x", [0.5, -1.5])
-    tower = g.tanh(g.exp(x))
+    tower = g.tanh(g.gelu(x))
     k = g.input((2,), "k")
     head = g.sum(g.softmax(g.multiply(tower, k), axis=0))
     frame = g.bind()
@@ -91,7 +91,7 @@ def test_gradient_of_square():
     x = g.parameter("x", 3.0)
     y = g.multiply(x, x)
     report = g.gradient(y)
-    assert report.value == pytest.approx(9.0)
+    assert g.evaluate(y) == pytest.approx(9.0)
     assert report.gradients["x"] == pytest.approx(6.0)
 
 
@@ -163,8 +163,7 @@ def test_finite_difference_report_holds_python_floats():
     assert report.passed and report.worst is not None
     assert type(report.max_relative_error) is float
     assert all(type(v) is float for v in report.per_parameter.values())
-    assert all(type(v) is float for v in (report.worst.analytic, report.worst.numeric,
-                                          report.worst.relative_error))
+    assert all(type(v) is float for v in (report.worst.analytic, report.worst.numeric))
 
 
 def test_finite_difference_fails_on_a_non_finite_difference():
@@ -298,11 +297,12 @@ def test_a_failed_probe_raises_the_earliest_parameters_error_after_joining_helpe
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_probe_that_overflows_on_a_helper_thread_warns_nothing(monkeypatch):
-    # exp overflows at the +step probe of every coordinate: 709.782705 is
-    # just below the log of the largest float.
+    # affine overflows at the +step probe of every coordinate: 1.797693e308
+    # is just below the largest float.
     g = Graph()
-    params = [g.parameter(f"x{k}", [709.782705]) for k in range(8)]
-    loss = g.sum(g.affine(g.concat([g.exp(p) for p in params], axis=0), 1e-300, 0.0))
+    params = [g.parameter(f"x{k}", [1.797693]) for k in range(8)]
+    loss = g.sum(g.affine(g.concat([g.affine(p, 1e308, 0.0) for p in params], axis=0),
+                          1e-300, 0.0))
     probe, threads = Graph._probe_parameter, set()
 
     def recording(self, *args):
@@ -323,8 +323,6 @@ def _unary_cases():
         ("sigmoid", lambda g, x: g.sigmoid(x), None),
         ("tanh", lambda g, x: g.tanh(x), None),
         ("gelu", lambda g, x: g.gelu(x), None),
-        ("exp", lambda g, x: g.exp(x), None),
-        ("log", lambda g, x: g.log(x), "positive"),
         ("sqrt", lambda g, x: g.sqrt(x), "positive"),
         ("absolute", lambda g, x: g.absolute(x), "nonzero"),
         ("softmax", lambda g, x: g.softmax(x, axis=1), None),
@@ -598,7 +596,7 @@ def test_descend_is_the_per_tensor_update_and_leaves_a_diverging_store_as_it_was
     # order, so the flat gradient is what descend takes.
     g = Graph()
     a, b = g.parameter("a", store["a"]), g.parameter("b", store["b"])
-    loss = g.sum(g.multiply(g.sum(g.exp(a), axis=-1), g.constant(store["txt.c"][:1])))
+    loss = g.sum(g.multiply(g.sum(g.sigmoid(a), axis=-1), g.constant(store["txt.c"][:1])))
     report = g.gradient(g.add(loss, g.sum(g.tanh(b))), store.trainable_names())
     assert report.flat.tobytes() == np.concatenate(
         [report.gradients[n].ravel() for n in ("a", "b")]).tobytes()
@@ -767,17 +765,18 @@ def test_finite_entries_whose_sum_overflows_pass_every_check():
 
 
 def test_a_checked_array_cannot_be_written_after_its_check():
-    # bind trusts a leaf's build-time array, so no write may reach one.
+    # Every call reads a leaf's build-time array untested, so no write may
+    # reach one.
     w = np.zeros(2)
     store = ParamStore({"w": w})
     g = Graph()
     c = g.constant(store["w"])
-    out = g.sum(g.exp(c))
+    out = g.sum(g.affine(c, 1.0, 1.0))
     w[0] = -np.inf
     for held in (store["w"], g.evaluate(c)):
         with pytest.raises(ValueError, match="read-only"):
             held[0] = -np.inf
-    assert g.evaluate(out, frame=g.bind({c: store["w"]})) == 2.0
+    assert g.evaluate(out) == 2.0
     x = np.ones(2)
     d = g.constant(x)
     x[1] = np.nan
@@ -821,7 +820,7 @@ def test_divergence_names_the_first_bad_node_after_an_overflowing_sum():
     big = g.parameter("big", [1e308, 1e308])
     wide = g.affine(big, 1.0, 0.0)
     over = g.add(wide, wide)
-    worse = g.sum(g.exp(over))
+    worse = g.sum(g.sqrt(over))
     for run in (lambda: g.evaluate(worse), lambda: g.gradient(worse)):
         with pytest.raises(EvaluationError) as err:
             run()
@@ -833,12 +832,14 @@ def test_bind_checks_each_value_and_names_its_leaf():
     w = g.parameter("w", np.ones((2, 3)))
     x = g.input((3,), "x")
     out = g.sum(g.multiply(w, x))
-    with pytest.raises(ShapeError, match="leaf w has shape \\(2, 3\\), got \\(3, 2\\)"):
-        g.bind({w: np.ones((3, 2))})
+    with pytest.raises(ShapeError, match="leaf x has shape \\(3,\\), got \\(2, 3\\)"):
+        g.bind({x: np.ones((2, 3))})
     with pytest.raises(ValueError, match="leaf x got non-finite entries"):
         g.bind({x: [0.0, np.nan, 1.0]})
-    with pytest.raises(ValueError, match="is not a leaf"):
-        g.bind({out: 1.0})
+    # A parameter or constant keeps its build-time value.
+    for leaf in (w, out, g.constant(1.0)):
+        with pytest.raises(ValueError, match=f"bind: {leaf.name} is not an input of this graph"):
+            g.bind({leaf: np.ones(leaf.shape)})
     with pytest.raises(ValueError, match="input x is not bound"):
         g.evaluate(out)
     frame = g.bind({x: [1.0, 2.0, 3.0]})
@@ -851,28 +852,28 @@ def test_bind_checks_each_value_and_names_its_leaf():
 
 
 def test_frames_of_two_bindings_never_read_each_other():
-    def build(w0, x0=None):
+    def build(x0=None):
         g = Graph()
-        w = g.parameter("w", w0)
+        w = g.parameter("w", [0.5, -1.0, 2.0])
         x = g.input((3,), "x") if x0 is None else g.constant(x0)
         hidden = g.tanh(g.multiply(w, x))
-        return g, w, x, hidden, g.sum(g.exp(hidden))
+        return g, x, hidden, g.sum(g.sigmoid(hidden))
 
-    a = ([0.5, -1.0, 2.0], [1.0, 2.0, 3.0])
-    b = ([1.5, 0.25, -0.5], [-2.0, 0.5, 1.0])
-    g, w, x, hidden, total = build([0.0, 0.0, 0.0])
-    frame_a = g.bind({w: a[0], x: a[1]})
+    a, b = [1.0, 2.0, 3.0], [-2.0, 0.5, 1.0]
+    g, x, hidden, total = build()
+    frame_a = g.bind({x: a})
     g.evaluate(hidden, frame=frame_a)
-    frame_b = g.bind({w: b[0], x: b[1]})
+    frame_b = g.bind({x: b})
     got_b = g.gradient(total, frame=frame_b)
     got_a = g.gradient(total, frame=frame_a)
-    for (w0, x0), got in ((a, got_a), (b, got_b)):
-        fresh, *_, fresh_total = build(w0, x0)
+    for x0, frame, got in ((a, frame_a, got_a), (b, frame_b, got_b)):
+        fresh, *_, fresh_total = build(x0)
         want = fresh.gradient(fresh_total)
-        assert got.value == want.value
+        assert frame.values[total.index] == fresh.evaluate(fresh_total)
         assert got.gradients["w"].tobytes() == want.gradients["w"].tobytes()
     # The latest binding is the graph's current one.
-    assert g.gradient(total).value == got_b.value
+    assert g.evaluate(total) == frame_b.values[total.index]
+    assert g.gradient(total).gradients["w"].tobytes() == got_b.gradients["w"].tobytes()
 
 
 def test_a_bound_selection_matrix_picks_rows_as_gather_does():
@@ -893,7 +894,7 @@ def test_a_bound_selection_matrix_picks_rows_as_gather_does():
     got, want = g.gradient(by_matrix), h.gradient(by_index)
     scattered = np.zeros_like(table)
     scattered[rows] = want.gradients["u"]
-    assert got.value == want.value
+    assert g.evaluate(by_matrix) == h.evaluate(by_index)
     assert got.gradients["t"].tobytes() == scattered.tobytes()
     assert g.finite_difference_check(by_matrix).passed
 
@@ -901,7 +902,7 @@ def test_a_bound_selection_matrix_picks_rows_as_gather_does():
 def test_ancestor_orders_are_remembered_until_a_node_is_added():
     g = Graph()
     x = g.parameter("x", [1.0, 2.0])
-    y = g.exp(x)
+    y = g.tanh(x)
     first = g._ancestors([y.index])
     assert g._ancestors([y.index]) is first
     z = g.sum(y)
@@ -932,7 +933,6 @@ _HIDDEN = [
     ("maximum", 0, -np.inf, lambda g, b: g.maximum(b, _ok(g))),
     ("maximum", 1, -np.inf, lambda g, b: g.maximum(_ok(g), b)),
     ("slice", 0, np.nan, lambda g, b: g.slice(b, 1, 3)),
-    ("exp", 0, -np.inf, lambda g, b: g.exp(b)),
     ("tanh", 0, np.inf, lambda g, b: g.tanh(b)),
     ("sigmoid", 0, -np.inf, lambda g, b: g.sigmoid(b)),
     ("softmax", 0, -np.inf, lambda g, b: g.softmax(b, axis=0)),
@@ -946,7 +946,7 @@ def test_a_value_an_op_hides_still_names_the_node_that_made_it(op, operand, valu
     g = Graph()
     bad = _bad(g, value)
     hiding = build(g, bad)
-    assert hiding.op == op and operand in _HIDING_OPS[op]
+    assert g._ops[hiding.index] == op and operand in _HIDING_OPS[op]
     total = g.sum(g.multiply(hiding, g.parameter("w", [2.0] * hiding.shape[0])))
     first, values = run_every_node(g, [total], g.bind())
     assert first == bad.name and np.isfinite(values[hiding.index]).all()
@@ -1001,8 +1001,6 @@ _OP_CASES = {
     "maximum": [lambda g: g.maximum(g.constant(_x(2, 3)), g.constant(_x(3)))],
     "affine": [lambda g: g.affine(g.constant(_x(2, 3)), 0.0, 1.0)],
     "absolute": [lambda g: g.absolute(g.constant(_x(2, 3)))],
-    "exp": [lambda g: g.exp(g.constant(_x(2, 3)))],
-    "log": [lambda g: g.log(g.constant(_x(2, 3, low=0.5)))],
     "sqrt": [lambda g: g.sqrt(g.constant(_x(2, 3, low=0.5)))],
     "sigmoid": [lambda g: g.sigmoid(g.constant(_x(2, 3)))],
     "tanh": [lambda g: g.tanh(g.constant(_x(2, 3)))],
@@ -1048,7 +1046,7 @@ def test_every_op_hides_a_non_finite_operand_only_where_the_hiding_set_says(meth
                     assert not np.isfinite(got).all(), (g._names[i], k, entry, bad)
 
 
-_UNARY = ("absolute", "exp", "log", "sqrt", "sigmoid", "tanh", "gelu")
+_UNARY = ("absolute", "sqrt", "sigmoid", "tanh", "gelu")
 _BINARY = ("add", "subtract", "multiply", "divide", "minimum", "maximum")
 
 

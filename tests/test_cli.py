@@ -271,6 +271,32 @@ def test_retrieve_checks_its_query_flags_before_reading_any_file(tmp_path, capsy
     assert captured.out == ""
 
 
+def _assert_width_error(capsys, source, source_dim, path, path_dim):
+    """The command exited on a width mismatch naming both inputs, before
+    any result line."""
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {source} has dimension {source_dim}, "
+                            f"but {path} has {path_dim}\n")
+    assert captured.out == ""
+
+
+def test_retrieve_queries_of_another_width_exit_one_naming_both_files(bundle, capsys):
+    index, queries = bundle["fx"] / "nav_memory.lze", bundle["fx"] / "ortho_queries.lze"
+    assert main(["retrieve", "--index", str(index), "--queries", str(queries)]) == 1
+    _assert_width_error(capsys, queries, load_index(str(queries)).dim,
+                        index, load_index(str(index)).dim)
+
+
+def test_retrieve_query_against_an_index_of_another_width_names_the_run_and_file(
+        bundle, capsys):
+    index = bundle["fx"] / "nav_memory.lze"
+    assert main(["retrieve", "--index", str(index), "--run", str(bundle["run"]),
+                 "--query", "sofa"]) == 1
+    _assert_width_error(capsys, f"the text encoder of run {bundle['run']}",
+                        _load_run(str(bundle["run"]))[1].encoder.dim,
+                        index, load_index(str(index)).dim)
+
+
 # ----------------------------------------------------------------------
 # eval-retrieval
 
@@ -319,6 +345,15 @@ def test_eval_retrieval_rejects_bad_gt(bundle, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "bad_gt.tsv: line 1" in err
+
+
+def test_eval_retrieval_queries_of_another_width_exit_one_naming_both_files(bundle, capsys):
+    fx = bundle["fx"]
+    index, queries = fx / "ortho_index.lze", fx / "nav_queries.lze"
+    assert main(["eval-retrieval", "--index", str(index), "--queries", str(queries),
+                 "--gt", str(fx / "ortho_gt.tsv")]) == 1
+    _assert_width_error(capsys, queries, load_index(str(queries)).dim,
+                        index, load_index(str(index)).dim)
 
 
 # ----------------------------------------------------------------------
@@ -458,14 +493,30 @@ def test_nav_eval_through_trained_model(bundle, tmp_path, capsys):
 
 def test_nav_eval_rejects_mismatched_embeddings(bundle, capsys):
     fx = bundle["fx"]
+    memory = fx / "nav_memory.lze"
     assert main(["nav-eval", "--world", str(fx / "world.txt"),
-                 "--memory", str(fx / "nav_memory.lze"),
+                 "--memory", str(memory),
                  "--poses", str(fx / "nav_memory_poses.jsonl"),
                  "--queries", str(fx / "nav_queries.jsonl"),
                  "--run", str(bundle["run"])]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "dimension" in err
+    _assert_width_error(capsys, f"the text encoder of run {bundle['run']}",
+                        _load_run(str(bundle["run"]))[1].encoder.dim,
+                        memory, load_index(str(memory)).dim)
+
+
+def test_nav_eval_query_index_of_another_width_exits_one_naming_both_files(
+        bundle, tmp_path, capsys):
+    fx = bundle["fx"]
+    memory, queries = tmp_path / "imgs.lze", fx / "nav_queries.lze"
+    assert main(["index", "--run", str(bundle["run"]), "--data", str(fx),
+                 "--out", str(memory)]) == 0
+    capsys.readouterr()
+    assert main(["nav-eval", "--world", str(fx / "world.txt"), "--memory", str(memory),
+                 "--poses", str(fx / "image_poses.jsonl"),
+                 "--queries", str(fx / "nav_queries.jsonl"),
+                 "--query-index", str(queries)]) == 1
+    _assert_width_error(capsys, queries, load_index(str(queries)).dim,
+                        memory, load_index(str(memory)).dim)
 
 
 def _drop_start_of_second_query(text):
@@ -788,6 +839,11 @@ def test_run_manifest_with_a_number_that_is_not_finite_exits_one_and_names_it(
                  "--run", str(run), "--query", "sofa"]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {path}: bad config (lr must be finite, got nan)\n"
+
+
+def test_config_with_no_training_steps_exits_one_and_names_the_file(bundle, tmp_path, capsys):
+    err = _train_rejects_config_line(bundle, tmp_path, capsys, "total_steps = 0")
+    assert err == f"error: {tmp_path / 'bad.cfg'}: total_steps must be >= 1\n"
 
 
 def _train_rejects_config_line(bundle, tmp_path, capsys, line):

@@ -58,7 +58,7 @@ def test_patchify_layout_is_row_major_tiles():
 
 def boxes_of(slots, store):
     g = Graph()
-    return g.evaluate(build_box_head(g, Binding(g, store, trainable=False), g.constant(slots)))
+    return g.evaluate(build_box_head(g, Binding(g, store), g.constant(slots)))
 
 
 def one_step(tokens, slots0, store):
@@ -265,7 +265,7 @@ def test_images_with_one_patch_count_share_a_graph_exactly(desk_store, monkeypat
 
 def test_a_built_image_graph_holds_no_image_data(desk_store):
     g = Graph()
-    nodes = build_image_embedding(g, Binding(g, desk_store, trainable=False),
+    nodes = build_image_embedding(g, Binding(g, desk_store),
                                   random_image(1), DESK, sample_slots(DESK, 2))
     with pytest.raises(ValueError, match="input patches is not bound"):
         g.evaluate(nodes["embedding"])
@@ -276,7 +276,7 @@ def staged_image_embedding(image, store, config, seed):
     as a constant."""
     def stage():
         g = Graph()
-        return g, Binding(g, store, trainable=False)
+        return g, Binding(g, store)
 
     tokens, pooled = image_tokens(image, store, config)
     g, bind = stage()
@@ -364,7 +364,7 @@ def test_embedding_path_gradients_match_finite_differences():
     store = init_params(cfg, seed=17)
     rng = np.random.default_rng(23)
     g = Graph()
-    bind = Binding(g, store, trainable=True)
+    bind = Binding(g, store)
     image, slots0 = rng.random((16, 16, 3)), sample_slots(cfg, 29)
     nodes = build_image_embedding(g, bind, image, cfg, slots0)
     bind_image(g, nodes, image, slots0, cfg)
@@ -383,7 +383,7 @@ def test_attention_over_a_head_axis_equals_a_per_head_oracle(heads):
     for shape in ((5, 8), (3, 5, 8)):
         x = rng.normal(size=shape)
         g = Graph()
-        out = encoder._transformer_block(g, Binding(g, store, trainable=False), g.constant(x),
+        out = encoder._transformer_block(g, Binding(g, store), g.constant(x),
                                          "img.blk0", heads)
         got, want = g.evaluate(out), transformer_block(x, store, "img.blk0", heads)
         assert got.shape == want.shape
@@ -414,7 +414,7 @@ def test_positional_slices_pass_no_gradient_beyond_their_rows():
     cfg = EncoderConfig(max_tokens=6)
     store = ParamStore(dict(init_params(cfg, seed=5).items()))
     g = Graph()
-    bind = Binding(g, store, trainable=True)
+    bind = Binding(g, store)
     images = np.stack([random_image(1), random_image(2)])
     slots0 = np.stack([sample_slots(cfg, 3), sample_slots(cfg, 4)])
     nodes = build_image_embedding(g, bind, images, cfg, slots0)

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from slotnav.encoder import read_ppm
-from slotnav.fixtures import (IMAGE_NOUNS, NAV_START, NOUN_COLORS,
+from slotnav.fixtures import (IMAGE_NOUNS, NAV_CELL_M, NAV_START, NAV_WORLD_TEXT, NOUN_COLORS,
                               QUERY_SENTENCES, SCENE_BACKGROUNDS,
                               nav_memory_entries, nav_query_records,
-                              nav_query_rows, nav_world, ortho_indexes,
+                              nav_query_rows, ortho_indexes,
                               render_image, training_images, training_records,
                               write_fixture_bundle)
-from slotnav.navsim import FovParams, Pose, execute_episode, success_rate
+from slotnav.navsim import FovParams, Pose, execute_episode, parse_world, success_rate
 from slotnav.promptgen import load_dataset, record_to_json
 from slotnav.retrieval import average_recall, batch_topk, load_ground_truth, load_index
 from slotnav.navsim import load_world
@@ -79,7 +79,7 @@ def test_training_images_match_records():
 # Navigation fixture
 
 def fixture_episodes(fov=FovParams()):
-    world = nav_world()
+    world = parse_world(NAV_WORLD_TEXT, cell_m=NAV_CELL_M)
     memory = nav_memory_entries()
     _, rows = nav_query_rows()
     start = Pose(**NAV_START)
@@ -92,7 +92,7 @@ def fixture_episodes(fov=FovParams()):
 
 
 def test_nav_world_layout():
-    world = nav_world()
+    world = parse_world(NAV_WORLD_TEXT, cell_m=NAV_CELL_M)
     assert world.grid.shape == (15, 15)
     assert int(world.grid.sum()) == 3
     assert all(world.grid[4, c] for c in (6, 7, 8))

@@ -189,7 +189,9 @@ def test_average_recall_hand_counted():
     report = average_recall(results, gt, (1, 5))
     assert report.values[1] == 0.5
     assert report.values[5] == 1.0
-    assert report.hits[1] == {"q0": True, "q1": False}
+    # q0 finds its item at rank 1 and q1 does not.
+    assert [average_recall({q: results[q]}, gt, 1).values[1] for q in ("q0", "q1")] == \
+        [1.0, 0.0]
 
 
 def test_average_recall_monotone_in_k():
@@ -208,7 +210,8 @@ def test_average_recall_missing_query_warns_and_misses():
     with pytest.warns(UserWarning):
         report = average_recall({"q0": ["a"], "q1": ["a"]}, gt, 1)
     assert report.values[1] == 0.5
-    assert report.hits[1]["q1"] is False
+    with pytest.warns(UserWarning):
+        assert average_recall({"q1": ["a"]}, gt, 1).values[1] == 0.0
 
 
 def test_average_recall_requires_enough_results():
@@ -219,9 +222,9 @@ def test_average_recall_requires_enough_results():
 
 def test_recall_report_rejects_decreasing_values():
     with pytest.raises(ValueError):
-        RecallReport(values={1: 0.8, 5: 0.4}, hits={1: {}, 5: {}})
+        RecallReport(values={1: 0.8, 5: 0.4})
     with pytest.raises(ValueError):
-        RecallReport(values={1: 1.5}, hits={1: {}})
+        RecallReport(values={1: 1.5})
 
 
 # ----------------------------------------------------------------------
