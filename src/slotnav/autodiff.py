@@ -12,6 +12,11 @@ the axis of sum, softmax, concat or slice is counted from the end of the
 operand's own shape, and a second operand may broadcast over leading axes
 and from size-1 axes.  So one graph serves a stack of B images as well as one.
 
+Two ops fuse the commonest pairs of a training step into one node each,
+with the bits of the ops they replace: linear(x, w, b) is x @ w + b, and
+layer_norm(x, gain, bias) scales the normalized rows by gain and adds bias.
+gelu keeps its tanh as a node of its own, which its backward reads.
+
 Every forward closure also accepts values that carry extra leading axes in
 front of a node's own shape, and broadcasts them through; without them it
 gives exactly the result it always did.  finite_difference_check uses this to
@@ -67,12 +72,14 @@ _KINK_OPS = ("minimum", "maximum", "absolute")
 
 # Operand positions at which an op can map a non-finite entry to a finite
 # output: the minimum or maximum of inf and a finite value, a dropped
-# entry, a saturated tanh or sigmoid, the zero weight of a -inf logit,
-# division by inf, and layer_norm's standard deviation, a denominator.
-# Every other op carries a non-finite operand entry into its output, since
-# inf * 0 and inf - inf are nan.  _run checks the operands at these places.
+# entry, a saturated tanh (gelu's own among them) or sigmoid, the zero
+# weight of a -inf logit, division by inf, and layer_norm's standard
+# deviation, a denominator.  Every other op carries a non-finite operand
+# entry into its output, since inf * 0 and inf - inf are nan.  _run checks
+# the operands at these places.
 _HIDING_OPS = {"minimum": (0, 1), "maximum": (0, 1), "slice": (0,), "tanh": (0,),
-               "sigmoid": (0,), "softmax": (0,), "divide": (1,), "layer_norm": (1,)}
+               "gelu_tanh": (0,), "sigmoid": (0,), "softmax": (0,), "divide": (1,),
+               "layer_norm": (1,)}
 
 _LN_EPS = 1e-8
 
@@ -346,6 +353,32 @@ class Graph:
 
         return self._register("matmul", (a, b), a.shape[:-1] + b.shape[-1:], forward, backward)
 
+    def linear(self, x: Node, w: Node, b: Node) -> Node:
+        """x @ w + b as one node: (..., n, d) @ (d, e) plus a bias of shape
+        (e,), with the bits of matmul followed by add."""
+        if len(x.shape) < 2 or len(w.shape) != 2 or x.shape[-1] != w.shape[0] \
+                or b.shape != w.shape[1:]:
+            raise ShapeError(f"linear: cannot apply weight {w.shape} and bias {b.shape} "
+                             f"to {x.shape}")
+        ix, iw, ib = x.index, w.index, b.index
+        rank = len(x.shape)
+        need_x, need_w, need_b = self._needs[ix], self._needs[iw], self._needs[ib]
+
+        def forward(v):
+            return v[ix] @ _align(v[iw], 2, rank) + _align(v[ib], 1, rank)
+
+        def backward(v, g):
+            # One product over all rows per gradient; the bias sums every
+            # leading axis at once, as add's _reduce_to does.
+            xv = v[ix]
+            rows = g.reshape(-1, g.shape[-1])
+            return ((ix, (rows @ v[iw].T).reshape(xv.shape) if need_x else None),
+                    (iw, xv.reshape(-1, xv.shape[-1]).T @ rows if need_w else None),
+                    (ib, g.sum(axis=tuple(range(g.ndim - 1))) if need_b else None))
+
+        return self._register("linear", (x, w, b), x.shape[:-1] + w.shape[1:], forward,
+                              backward)
+
     def transpose(self, a: Node, axes: Sequence[int] | None = None) -> Node:
         """Permute a's own axes as np.transpose does, by default swapping the
         last two; a value's extra leading axes stay in front."""
@@ -442,20 +475,27 @@ class Graph:
         return self._unary("tanh", a, np.tanh, lambda x, y, g: g * (1.0 - y * y))
 
     def gelu(self, a: Node) -> Node:
-        # tanh approximation; smooth, so finite differences track it exactly.
+        """tanh approximation; smooth, so finite differences track it
+        exactly.  Its tanh is a gelu_tanh node of its own, which forward and
+        backward both read."""
         c = np.sqrt(2.0 / np.pi)
+        ia = a.index
 
-        # Powers by multiplication: np.power has no fast path for a cube.
-        def fwd(x):
-            return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x * x))))
+        def inner_tanh(v):
+            # Powers by multiplication: np.power has no fast path for a cube.
+            x = v[ia]
+            return np.tanh(c * (x + 0.044715 * (x * x * x)))
 
-        def grad(x, y, g):
-            x2 = x * x
-            t = np.tanh(c * (x + 0.044715 * (x2 * x)))
-            d_inner = c * (1.0 + 3 * 0.044715 * x2)
-            return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
+        t = self._register("gelu_tanh", (a,), a.shape, inner_tanh, None)
+        it = t.index
 
-        return self._unary("gelu", a, fwd, grad)
+        def backward(v, g):
+            x, t = v[ia], v[it]
+            d_inner = c * (1.0 + 3 * 0.044715 * (x * x))
+            return ((ia, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)),)
+
+        return self._register("gelu", (a, t), a.shape, lambda v: 0.5 * v[ia] * (1.0 + v[it]),
+                              backward)
 
     # ------------------------------------------------------------------
     # Reductions and normalizations
@@ -467,11 +507,17 @@ class Graph:
             raise ShapeError(f"sum: axis {axis} out of range for shape {in_shape}")
         axes = tuple(range(rank)) if axis is None else (axis % rank,)
         own_axes = tuple(i - rank for i in axes)
+        # The gradient's shape with the summed axes kept, as size 1.
+        kept = tuple(1 if i in axes else n for i, n in enumerate(in_shape))
+
+        def backward(v, g):
+            out = np.empty(in_shape)
+            out[...] = g.reshape(kept)
+            return ((ia, out),)
 
         return self._register(
             "sum", (a,), tuple(n for i, n in enumerate(in_shape) if i not in axes),
-            lambda v: np.asarray(v[ia].sum(axis=own_axes)),
-            lambda v, g: ((ia, np.broadcast_to(np.expand_dims(g, axes), in_shape)),))
+            lambda v: np.asarray(v[ia].sum(axis=own_axes)), backward)
 
     def mean(self, a: Node, axis: int | None = None) -> Node:
         count = math.prod(a.shape) if axis is None else a.shape[axis]
@@ -517,16 +563,23 @@ class Graph:
 
         return self._register("log_softmax", (a,), a.shape, forward, backward)
 
-    def layer_norm(self, a: Node) -> Node:
-        """Normalize the last axis to zero mean, unit variance (no affine).
+    def layer_norm(self, a: Node, gain: Node | None = None, bias: Node | None = None) -> Node:
+        """Normalize the last axis to zero mean, unit variance; given a gain
+        and a bias of the last axis's width, then scale by the gain and add
+        the bias, with the bits of multiply followed by add.
 
         Each row's mean and standard deviation are a statistics parent of
         their own, side by side on its last axis, so each is computed once,
-        the frame keeps them and backward reads them with the cached output.
+        and the frame keeps them.  Backward reads them with the cached
+        output, or, given a gain, with the normalized value recomputed from
+        them by the forward's own expression.
         """
         if len(a.shape) == 0 or a.shape[-1] < 1:
             raise ShapeError(f"layer_norm: operand needs a non-empty last axis, got {a.shape}")
-        ia, width = a.index, a.shape[-1]
+        ia, width, rank = a.index, a.shape[-1], len(a.shape)
+        affine = () if gain is None and bias is None else (gain, bias)
+        if affine and not all(p is not None and p.shape == (width,) for p in affine):
+            raise ShapeError(f"layer_norm: gain and bias must both have shape ({width},)")
 
         def mean(x):
             # x.mean's own arithmetic, without its Python-level wrapper.
@@ -541,15 +594,30 @@ class Graph:
         s = self._register("layer_norm_stats", (a,), a.shape[:-1] + (2,), stats, None)
         i_stats, io = s.index, s.index + 1
 
-        def forward(v):
+        def normalized(v):
             st = v[i_stats]
             return (v[ia] - st[..., :1]) / st[..., 1:]
 
-        def backward(v, g):
-            y = v[io]
-            return ((ia, (g - mean(g) - y * mean(g * y)) / v[i_stats][..., 1:]),)
+        def grad_a(v, g, y):
+            return (g - mean(g) - y * mean(g * y)) / v[i_stats][..., 1:]
 
-        return self._register("layer_norm", (a, s), a.shape, forward, backward)
+        if not affine:
+            return self._register("layer_norm", (a, s), a.shape, normalized,
+                                  lambda v, g: ((ia, grad_a(v, g, v[io])),))
+        ig, ib = gain.index, bias.index
+        need_a, need_g, need_b = self._needs[ia], self._needs[ig], self._needs[ib]
+
+        def forward(v):
+            return normalized(v) * _align(v[ig], 1, rank) + _align(v[ib], 1, rank)
+
+        def backward(v, g):
+            y = normalized(v)
+            lead = tuple(range(g.ndim - 1))
+            return ((ia, grad_a(v, g * v[ig], y) if need_a else None),
+                    (ig, (g * y).sum(axis=lead) if need_g else None),
+                    (ib, g.sum(axis=lead) if need_b else None))
+
+        return self._register("layer_norm", (a, s, gain, bias), a.shape, forward, backward)
 
     # ------------------------------------------------------------------
     # Structural ops
@@ -741,9 +809,9 @@ class Graph:
 
         # Every parent of a node of order is in order, so each contribution
         # lands on a node still to be visited.  A node no parameter reaches
-        # gets none: no op's contribution to it is kept, and matmul and the
-        # binary ops do not compute one.  An overflow is left for the caller
-        # to find in the gradients.
+        # gets none: no op's contribution to it is kept, and matmul, linear,
+        # the affine layer_norm and the binary ops do not compute one.  An
+        # overflow is left for the caller to find in the gradients.
         adjoint: list = [None] * len(self._ops)
         adjoint[output.index] = np.asarray(1.0)
         backward, needs = self._backward, self._needs

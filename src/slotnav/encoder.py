@@ -246,11 +246,11 @@ def patchify(image: Array, patch_size: int) -> Array:
 
 
 def _layer_norm(g: Graph, bind: Binding, x: Node, prefix: str) -> Node:
-    return g.add(g.multiply(g.layer_norm(x), bind(prefix + ".g")), bind(prefix + ".b"))
+    return g.layer_norm(x, bind(prefix + ".g"), bind(prefix + ".b"))
 
 
 def _linear(g: Graph, bind: Binding, x: Node, prefix: str) -> Node:
-    return g.add(g.matmul(x, bind(prefix + ".w")), bind(prefix + ".b"))
+    return g.linear(x, bind(prefix + ".w"), bind(prefix + ".b"))
 
 
 def _transformer_block(g: Graph, bind: Binding, x: Node, blk: str, heads: int) -> Node:
@@ -408,11 +408,15 @@ def build_text_embedding(g: Graph, bind: Binding, rows: Node,
 # shape
 
 
-def sample_slots(config: EncoderConfig, seed: int) -> Array:
-    """Draw initial slots from N(mean, diag sigma^2) with an explicit seed."""
+def sample_slots(config: EncoderConfig, seed: int | np.random.Generator,
+                 lead: tuple[int, ...] = ()) -> Array:
+    """Draw initial slots from N(mean, diag sigma^2): one K×ds set, or one
+    per index of the leading shape lead, in one draw from a generator or
+    from a new one seeded with seed."""
     rng = np.random.default_rng(seed)
     sigma = config.slot_sigma()
-    return config.slot_mean + sigma * rng.standard_normal((config.num_slots, config.slot_dim))
+    return config.slot_mean + sigma * rng.standard_normal(
+        (*lead, config.num_slots, config.slot_dim))
 
 
 def _seeded_slots(config: EncoderConfig, seed: int | None) -> Array:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Frame, Graph, Node, ParamStore, derive_seed
+from .autodiff import Frame, Graph, Node, ParamStore
 from .encoder import (Binding, EncoderConfig, _normalize_rows, build_image_embedding,
                       check_field_types, encode_text, patchify, sample_slots)
 
@@ -296,11 +296,11 @@ def _exact_sum_pairs(cost: Array) -> list[tuple[int, int]]:
 # Caption handling
 
 
-def concat_captions(captions: Sequence[str], seed: int) -> str:
-    """Seeded random permutation of the captions joined with '. '."""
+def concat_captions(captions: Sequence[str], rng: np.random.Generator) -> str:
+    """The captions in an order rng draws, joined with '. '."""
     if not captions:
         raise ValueError("cannot concatenate an empty caption list")
-    order = np.random.default_rng(seed).permutation(len(captions))
+    order = rng.permutation(len(captions))
     return ". ".join(captions[i] for i in order)
 
 
@@ -348,8 +348,7 @@ def _multilabel_node(g: Graph, bind: Binding, matched: Node, all_texts: Node,
                      targets: Node, tau: float) -> Node:
     """Multi-label term: project matched slot rows, normalize, CE against
     all texts, row r's target being the text where one-hot row r holds 1."""
-    projected = g.add(g.matmul(matched, bind("mc.proj.w")), bind("mc.proj.b"))
-    unit = _normalize_rows(g, projected)
+    unit = _normalize_rows(g, g.linear(matched, bind("mc.proj.w"), bind("mc.proj.b")))
     logits = g.affine(g.matmul(unit, g.transpose(all_texts)), 1.0 / tau, 0.0)
     return _ce_rows(g, logits, targets)
 
@@ -447,8 +446,10 @@ def total_loss_graph(batch: Sequence[TrainExample], store: ParamStore,
                      seed: int) -> TotalLossGraph:
     """Bind and evaluate the full objective for one batch.
 
-    Caption and slot randomness derive from the given seed; pass the training
-    step there so each step resamples both.  The loss graph of each batch
+    Slots and caption orders come from one generator seeded with seed: every
+    example's initial slots first, as one (B, K, ds) draw in batch order,
+    then each example's caption order.  Pass the training step's sub-seed
+    there so each step resamples both.  The loss graph of each batch
     shape key is kept in the store's graphs, so later calls of its key
     rebind it, and the caption rows come from encode_text, which keeps them.
     """
@@ -463,8 +464,10 @@ def total_loss_graph(batch: Sequence[TrainExample], store: ParamStore,
         groups.setdefault(np.shape(example.image), []).append(i)
     order = [i for members in groups.values() for i in members]
     stacks = [np.stack([batch[i].image for i in members]) for members in groups.values()]
-    slots0 = [np.stack([sample_slots(config, derive_seed(seed, "slots", i)) for i in members])
-              for members in groups.values()]
+    rng = np.random.default_rng(seed)
+    slots = sample_slots(config, rng, (len(batch),))
+    slots0 = [slots[members] for members in groups.values()]
+    cat_texts = [concat_captions(ex.annotations.captions(), rng) for ex in batch]
     counts = [len(ex.annotations) for ex in batch]
     matched = sum(min(config.num_slots, n) for n in counts)
 
@@ -481,8 +484,6 @@ def total_loss_graph(batch: Sequence[TrainExample], store: ParamStore,
     def text_row(text: str) -> Array:
         return encode_text(text, store, config).vector
 
-    cat_texts = [concat_captions(ex.annotations.captions(), derive_seed(seed, "captions", i))
-                 for i, ex in enumerate(batch)]
     ann_texts = [t for i in order for t in batch[i].annotations.captions()]
     leaves = {}
     for tower, stack, s0 in zip(step.towers, stacks, slots0):

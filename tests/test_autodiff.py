@@ -16,6 +16,7 @@ from slotnav.autodiff import (
     _HIDING_OPS,
     EvaluationError,
     Graph,
+    Node,
     ParamStore,
     ShapeError,
     derive_seed,
@@ -553,6 +554,59 @@ def test_elementwise_kernels_give_the_same_bits_with_a_leading_probe_axis():
             assert got[p].tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["linear", "layer_norm"])
+@pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3)])
+def test_a_fused_op_gives_the_bits_of_the_ops_it_replaces(kind, shape):
+    # linear is matmul then add; the affine layer_norm is layer_norm, then
+    # multiply by the gain, then add the bias.
+    rng = np.random.default_rng(len(shape))
+    g = Graph()
+    x = g.parameter("x", rng.normal(size=shape) * 3.0 + 1.0)
+    if kind == "linear":
+        w, b = g.parameter("w", rng.normal(size=(3, 4))), g.parameter("b", rng.normal(size=4))
+        fused, composed = g.linear(x, w, b), g.add(g.matmul(x, w), b)
+    else:
+        w, b = g.parameter("w", rng.normal(size=3)), g.parameter("b", rng.normal(size=3))
+        fused, composed = g.layer_norm(x, w, b), g.add(g.multiply(g.layer_norm(x), w), b)
+
+    def run(leaf, value):
+        values = list(g.bind().values)
+        values[leaf.index] = value
+        for i, fn in enumerate(g._forward):
+            if fn is not None:
+                values[i] = fn(values)
+        return values[fused.index], values[composed.index]
+
+    got, want = run(x, g.evaluate(x))
+    assert got.shape == fused.shape and got.tobytes() == want.tobytes()
+    # A leading probe axis on each operand in turn.
+    for leaf in (x, w, b):
+        probes = g.evaluate(leaf) + 0.1 * rng.normal(size=(6,) + leaf.shape)
+        got, want = run(leaf, probes)
+        assert got.shape == (6,) + fused.shape and got.tobytes() == want.tobytes()
+        for p, probe in enumerate(probes):
+            assert got[p].tobytes() == run(leaf, probe)[0].tobytes()
+
+    weights = g.constant(rng.normal(size=fused.shape))
+    got = g.gradient(g.sum(g.multiply(fused, weights))).gradients
+    want = g.gradient(g.sum(g.multiply(composed, weights))).gradients
+    for name in ("x", "w", "b"):
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_fused_ops_check_their_operand_shapes():
+    g = Graph()
+    x, w = g.constant(np.zeros((2, 3))), g.constant(np.zeros((3, 4)))
+    for args in ((x, w, g.constant(np.zeros(3))), (x, g.constant(np.zeros((2, 4))), x),
+                 (g.constant(np.zeros(3)), w, g.constant(np.zeros(4)))):
+        with pytest.raises(ShapeError, match="^linear: "):
+            g.linear(*args)
+    for gain, bias in ((g.constant(np.ones(3)), None), (None, g.constant(np.zeros(3))),
+                       (g.constant(np.ones(4)), g.constant(np.zeros(4)))):
+        with pytest.raises(ShapeError, match="^layer_norm: "):
+            g.layer_norm(x, gain, bias)
+
+
 def test_gradient_for_unused_parameter_is_zero():
     g = Graph()
     x = g.parameter("x", np.ones(3))
@@ -925,6 +979,13 @@ def _ok(g):
     return g.constant([0.5, -2.0, 3.0])
 
 
+def _operand(node, k):
+    """A handle to node's operand k, for a node no Graph method returns."""
+    g = node.graph
+    i = g._parents[node.index][k]
+    return Node(g, i, g._shapes[i], g._names[i])
+
+
 # (op, operand, bad value, builder): the builder returns the node that
 # makes the bad value and the node that hides it.
 _HIDDEN = [
@@ -934,6 +995,7 @@ _HIDDEN = [
     ("maximum", 1, -np.inf, lambda g, b: g.maximum(_ok(g), b)),
     ("slice", 0, np.nan, lambda g, b: g.slice(b, 1, 3)),
     ("tanh", 0, np.inf, lambda g, b: g.tanh(b)),
+    ("gelu_tanh", 0, np.inf, lambda g, b: _operand(g.gelu(b), 1)),
     ("sigmoid", 0, -np.inf, lambda g, b: g.sigmoid(b)),
     ("softmax", 0, -np.inf, lambda g, b: g.softmax(b, axis=0)),
     ("divide", 1, np.inf, lambda g, b: g.divide(_ok(g), b)),
@@ -988,6 +1050,10 @@ def _x(*shape, low=-2.0, high=2.0):
 # non-finite entry hardest to carry: all-zero partners, where only
 # inf * 0 = nan carries it, and affine's scale 0.
 _OP_CASES = {
+    "linear": [lambda g: g.linear(g.constant(_x(2, 3)), g.constant(np.zeros((3, 4))),
+                                  g.constant(np.zeros(4))),
+               lambda g: g.linear(g.constant(np.zeros((2, 2, 3))), g.constant(_x(3, 4)),
+                                  g.constant(_x(4)))],
     "matmul": [lambda g: g.matmul(g.constant(_x(2, 3)), g.constant(np.zeros((3, 4)))),
                lambda g: g.matmul(g.constant(np.zeros((2, 3))), g.constant(_x(3, 4))),
                lambda g: g.matmul(g.constant(_x(2, 2, 3)), g.constant(np.zeros((2, 3, 2))))],
@@ -1010,7 +1076,9 @@ _OP_CASES = {
     "mean": [lambda g: g.mean(g.constant(_x(2, 3)), axis=-1)],
     "softmax": [lambda g: g.softmax(g.constant(_x(2, 3)), axis=-1)],
     "log_softmax": [lambda g: g.log_softmax(g.constant(_x(2, 3)), axis=-1)],
-    "layer_norm": [lambda g: g.layer_norm(g.constant(_x(2, 3)))],
+    "layer_norm": [lambda g: g.layer_norm(g.constant(_x(2, 3))),
+                   lambda g: g.layer_norm(g.constant(_x(2, 3)), g.constant(np.zeros(3)),
+                                          g.constant(np.zeros(3)))],
     "reshape": [lambda g: g.reshape(g.constant(_x(2, 3)), (3, 2))],
     "concat": [lambda g: g.concat([g.constant(_x(2, 3)), g.constant(_x(1, 3))], axis=0)],
     "slice": [lambda g: g.slice(g.constant(_x(2, 3)), 0, 1, axis=0)],
@@ -1063,6 +1131,10 @@ def _grow(g, pool, kind, a, b):
         return getattr(g, kind)(x, axis=b % 2)
     if kind == "layer_norm":
         return g.layer_norm(x)
+    if kind == "affine_layer_norm":
+        return g.layer_norm(x, g.sum(y, axis=0), g.mean(y, axis=0))
+    if kind == "linear":
+        return g.linear(x, g.constant(np.eye(3) * (b % 3 - 1)), g.sum(y, axis=0))
     if kind == "rows":
         return g.concat([g.slice(x, 0, 1, axis=0), g.slice(y, 1, 2, axis=0)], axis=0)
     if kind == "transpose":
@@ -1077,8 +1149,9 @@ def _grow(g, pool, kind, a, b):
 @settings(max_examples=300, deadline=None)
 @given(leaves=st.lists(st.floats(-4.0, 4.0), min_size=12, max_size=12),
        steps=st.lists(st.tuples(st.sampled_from(_UNARY + _BINARY + (
-           "affine", "softmax", "log_softmax", "layer_norm", "rows", "transpose",
-           "matmul", "sum", "mean")), st.integers(0, 99), st.integers(0, 99)),
+           "affine", "softmax", "log_softmax", "layer_norm", "affine_layer_norm", "rows",
+           "transpose", "matmul", "linear", "sum", "mean")), st.integers(0, 99),
+           st.integers(0, 99)),
            min_size=1, max_size=10),
        inject=st.integers(0, 10), zero=st.integers(0, 6), early=st.integers(0, 99))
 def test_random_graphs_name_the_node_a_check_after_every_node_names(leaves, steps, inject,

@@ -17,7 +17,7 @@ from slotnav.harness import (AblationReport, ConvergenceReport, RunManifest,
                              loss_ablation, overfit_harness, parse_config_file,
                              prompt_template_report, train, train_on_examples,
                              train_step, training_set_ar1)
-from slotnav.objectives import LossWeights, concat_captions, total_loss_graph
+from slotnav.objectives import LossWeights, total_loss_graph
 
 
 def desk_config(**overrides):
@@ -169,8 +169,16 @@ def test_train_step_runs_each_forward_closure_at_most_once(monkeypatch):
         built.append(build(*args, **kwargs))
         return built[-1]
 
+    joined = []
+    concat = objectives.concat_captions
+
+    def recording(captions, rng):
+        joined.append(concat(captions, rng))
+        return joined[-1]
+
     monkeypatch.setattr(Graph, "_register", counting)
     monkeypatch.setattr(harness, "total_loss_graph", keeping)
+    monkeypatch.setattr(objectives, "concat_captions", recording)
     cfg = TrainConfig.overfit_preset()
     batch = fixture_examples()[:cfg.batch_size]
     train_step(fresh_store(cfg), batch, cfg, 0)
@@ -180,10 +188,8 @@ def test_train_step_runs_each_forward_closure_at_most_once(monkeypatch):
     assert set(ran.values()) == {1}
     # The fresh store builds a text tower per token count, which runs once
     # per distinct text of that count: the step's rows are kept.
-    seed = derive_seed(cfg.seed, "step", 0)
-    texts = {concat_captions(ex.annotations.captions(), derive_seed(seed, "captions", i))
-             for i, ex in enumerate(batch)}
-    texts |= {c for ex in batch for c in ex.annotations.captions()}
+    assert len(joined) == len(batch)
+    texts = set(joined) | {c for ex in batch for c in ex.annotations.captions()}
     per_count = Counter(len(tokenize(t, cfg.encoder)) for t in texts)
     towers = {}
     for (g, i), n in calls.items():

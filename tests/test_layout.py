@@ -74,15 +74,22 @@ def _imports(tree, stems):
     return modules, ours, names
 
 
+# The name of the argparse namespace in src/ and bench/: its attributes are
+# command-line options, never a member of a class in src/.
+NAMESPACE = "args"
+
+
 def _reads(tree, modules):
     """Names tree reads as a bare name, and attributes it reads on anything
-    but an imported module; docstrings, imports and assignments are not reads."""
+    but an imported module or the argparse namespace; docstrings, imports
+    and assignments are not reads."""
     names, attributes = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names[node.id] += 1
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
-                and not (isinstance(node.value, ast.Name) and node.value.id in modules):
+                and not (isinstance(node.value, ast.Name)
+                         and (node.value.id in modules or node.value.id == NAMESPACE)):
             attributes[node.attr] += 1
     return names, attributes
 
@@ -92,7 +99,8 @@ def unreferenced_definitions(src, readers):
     reads outside their own body.  A top-level function or class is read by
     a name that resolves to it: in its own module, imported from it, or as
     module.name.  A method, property or dataclass field is read by an
-    attribute of its name on anything but an imported module."""
+    attribute of its name on anything but an imported module or the
+    argparse namespace."""
     stems = {path.stem for path in src}
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in [*src, *readers]}
@@ -176,6 +184,15 @@ def test_a_read_counts_only_where_it_resolves_to_the_definition(tmp_path):
     assert unreferenced_definitions([module], [reader]) == [
         "module.py:5 shadowed", "module.py:16 Report.checked", "module.py:21 Report.exp",
         "module.py:28 Plain"]
+
+
+def test_an_option_of_the_argparse_namespace_does_not_read_a_member(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("class Graph:\n    def log(self):\n        return 0\n\n\n"
+                      "def main(args):\n    return Graph(), args.log\n", encoding="utf-8")
+    reader = tmp_path / "reader.py"
+    reader.write_text("import module\n\nmodule.main(None)\n", encoding="utf-8")
+    assert unreferenced_definitions([module], [reader]) == ["module.py:2 Graph.log"]
 
 
 def _parameters(fn):

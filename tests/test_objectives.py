@@ -400,11 +400,17 @@ def test_contrastive_loss_rewards_alignment():
 
 
 def test_concat_captions():
-    assert concat_captions(["sofa"], seed=0) == "sofa"
-    assert concat_captions(["a", "b", "c"], seed=9) == concat_captions(["a", "b", "c"], seed=9)
-    assert concat_captions(["sofa", "lamp"], seed=3) == "lamp. sofa"
+    assert concat_captions(["sofa"], np.random.default_rng(0)) == "sofa"
+    assert concat_captions(["sofa", "lamp"], np.random.default_rng(3)) == "lamp. sofa"
+    # Each call draws its order from the generator it is given, so calls on
+    # one generator continue its stream.
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+    for n in (3, 2, 4, 3):
+        captions = [f"c{i}" for i in range(n)]
+        assert concat_captions(captions, rng) == ". ".join(
+            captions[i] for i in twin.permutation(n))
     with pytest.raises(ValueError):
-        concat_captions([], seed=0)
+        concat_captions([], np.random.default_rng(0))
 
 
 def _identity_projection_store():
@@ -547,6 +553,28 @@ def test_step_graph_size_does_not_grow_with_the_batch():
     assert sizes[0] == sizes[1]
 
 
+def test_the_step_graph_keeps_its_biases_and_gains_fused():
+    # A matmul read only by the add of a parameter is a linear undone, and
+    # a layer_norm read only by a multiply by a parameter an affine
+    # layer_norm undone.
+    cfg = TrainConfig.overfit_preset()
+    examples = dataset_examples(training_records(), training_images())[:cfg.batch_size]
+    g = total_loss_graph(examples, init_params(cfg.encoder, seed=1), cfg.weights,
+                         cfg.encoder, seed=3).graph
+    readers = {}
+    for i, parents in enumerate(g._parents):
+        for p in parents:
+            readers.setdefault(p, []).append(i)
+    undone = {"matmul": "add", "layer_norm": "multiply"}
+    unfused = [g._names[i] for i, op in enumerate(g._ops)
+               if op in undone and len(readers.get(i, ())) == 1
+               and g._ops[readers[i][0]] == undone[op]
+               and any(g._ops[p] == "parameter" for p in g._parents[readers[i][0]])]
+    assert unfused == []
+    assert g._ops.count("linear") == 18
+    assert [len(g._parents[i]) for i, op in enumerate(g._ops) if op == "layer_norm"] == [4] * 6
+
+
 def _mixed_size_batch():
     def example(seed, size, captions):
         rng = np.random.default_rng(seed)
@@ -572,15 +600,18 @@ def test_mixed_image_sizes_build_one_tower_each(monkeypatch):
     out = total_loss_graph(_mixed_size_batch(), init_params(cfg, seed=2), LossWeights(),
                            cfg, seed=6)
     assert shapes == [(2, 8, 8, 3), (1, 16, 16, 3)]
-    # Reference values from a build with one encoder graph per image.
-    expected = LossReport(L_C=1.9760398133980872, L_L1=0.6541904214718146,
-                          L_GIoU=0.9372004035043331, L_MC=4.293992687759658,
-                          total=7.8614233261338935)
+    # Reference values from a build with one encoder graph per image
+    # (_oracles.image_pathway), fed the rows of one generator seeded with 6:
+    # the three slot sets as one draw, then each caption order.  Its loss
+    # terms are numpy over the brute-force matcher and the scalar box oracles.
+    expected = LossReport(L_C=2.7805937971220285, L_L1=0.7317225446549114,
+                          L_GIoU=0.9786051259157099, L_MC=2.4297412812780506,
+                          total=6.920662748970701)
     for name in ("L_C", "L_L1", "L_GIoU", "L_MC", "total"):
         assert getattr(out.report, name) == pytest.approx(getattr(expected, name),
                                                           rel=1e-12, abs=0), name
-    assert [a.pairs for a in out.assignments] == [((0, 1), (1, 0)), ((0, 0), (1, 1)),
-                                                  ((0, 0),)]
+    assert [a.pairs for a in out.assignments] == [((0, 0), (1, 1)), ((0, 0), (1, 1)),
+                                                  ((1, 0),)]
     report = out.graph.finite_difference_check(out.total, step=1e-5, tolerance=1e-4)
     assert report.passed, f"max rel error {report.max_relative_error:.3e}"
     assert (report.checked_coordinates, report.skipped_coordinates) == (2692, 0)
