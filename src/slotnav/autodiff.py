@@ -44,10 +44,10 @@ each of its leaves is bound once, and it serves only the graph it was made
 from, as it was then.
 
 A run names the first node, in ascending order, whose value has a
-non-finite entry.  It tests only the nodes no other node of the run reads
-and the operands an op can hide (_HIDING_OPS), since every other op
-carries a non-finite entry into its output; only after a test fails does
-it scan the run's nodes for the first bad one.
+non-finite entry.  It tests only the nodes that no node of the run
+carries: an op carries a non-finite operand entry into its output, except
+at the operand places _HIDING_OPS names or when its output has no entries.
+Only after a test fails does it scan the run's nodes for the first bad one.
 """
 
 from __future__ import annotations
@@ -75,8 +75,9 @@ _KINK_OPS = ("minimum", "maximum", "absolute")
 # entry, a saturated tanh (gelu's own among them) or sigmoid, the zero
 # weight of a -inf logit, division by inf, and layer_norm's standard
 # deviation, a denominator.  Every other op carries a non-finite operand
-# entry into its output, since inf * 0 and inf - inf are nan.  _run checks
-# the operands at these places.
+# entry into its output, since inf * 0 and inf - inf are nan.  _checked
+# picks the nodes no op reads outside these places, save an op whose
+# output has no entries.
 _HIDING_OPS = {"minimum": (0, 1), "maximum": (0, 1), "slice": (0,), "tanh": (0,),
                "gelu_tanh": (0,), "sigmoid": (0,), "softmax": (0,), "divide": (1,),
                "layer_norm": (1,)}
@@ -154,18 +155,13 @@ def _broadcast_shape(op: str, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[i
 
 @dataclass(frozen=True)
 class Node:
-    """Handle to one graph operation; cheap to copy, compares by identity."""
+    """Handle to one graph operation; cheap to copy, equal to every handle to
+    the same node of the same graph."""
 
     graph: "Graph" = field(repr=False)
     index: int
     shape: tuple[int, ...]
     name: str
-
-    def __hash__(self) -> int:
-        return hash((id(self.graph), self.index))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Node) and other.graph is self.graph and other.index == self.index
 
 
 @dataclass
@@ -229,10 +225,9 @@ class Graph:
         self._leaf_values: dict[int, Array] = {}
         self._bound: dict[int, Array] = {}
         self._params: dict[str, int] = {}
-        # _ancestors' orders by target tuple, and the nodes _run checks in
-        # each; cleared when a node is added.
-        self._orders: dict[tuple[int, ...], list[int]] = {}
-        self._checks: dict[tuple[int, ...], frozenset[int]] = {}
+        # _order's (order, checked) pairs by target tuple; cleared when a
+        # node is added.
+        self._orders: dict[tuple[int, ...], tuple[list[int], frozenset[int]]] = {}
 
     # ------------------------------------------------------------------
     # Node construction
@@ -247,7 +242,6 @@ class Graph:
         label = name if name is not None else f"{op}#{index}"
         if self._orders:
             self._orders.clear()
-            self._checks.clear()
         self._ops.append(op)
         self._parents.append(tuple(p.index for p in parents))
         self._shapes.append(shape)
@@ -687,12 +681,13 @@ class Graph:
     # ------------------------------------------------------------------
     # Execution
 
-    def _ancestors(self, targets: Iterable[int]) -> list[int]:
-        """Indices of targets plus everything they depend on, ascending;
-        memoized per target tuple, so callers must not change it."""
+    def _order(self, targets: Iterable[int]) -> tuple[list[int], frozenset[int]]:
+        """Indices of targets plus everything they depend on, ascending, and
+        the ones _checked picks; memoized per target tuple, so callers must
+        not change them."""
         key = tuple(targets)
-        order = self._orders.get(key)
-        if order is None:
+        memo = self._orders.get(key)
+        if memo is None:
             seen: set[int] = set()
             stack = list(key)
             while stack:
@@ -701,24 +696,21 @@ class Graph:
                     continue
                 seen.add(i)
                 stack.extend(self._parents[i])
-            order = self._orders[key] = sorted(seen)
-            self._checks[key] = self._checked(order)
-        return order
+            order = sorted(seen)
+            memo = self._orders[key] = (order, self._checked(order))
+        return memo
 
     def _checked(self, order: list[int]) -> frozenset[int]:
         """The nodes of order whose values _run tests: those no node of order
-        reads, and the operands that a node of order can hide, at a place
-        _HIDING_OPS names or because its output has no entries."""
-        read: set[int] = set()
-        hidden: set[int] = set()
+        carries.  A node carries each operand it reads at a place _HIDING_OPS
+        does not name, if its output has entries: a non-finite operand entry
+        then makes a non-finite output entry, so it reaches a tested node."""
+        carried: set[int] = set()
         for i in order:
-            parents = self._parents[i]
-            read.update(parents)
-            if math.prod(self._shapes[i]) == 0:
-                hidden.update(parents)
-            else:
-                hidden.update(parents[k] for k in _HIDING_OPS.get(self._ops[i], ()))
-        return frozenset(hidden.union(i for i in order if i not in read))
+            if math.prod(self._shapes[i]):
+                hides = _HIDING_OPS.get(self._ops[i], ())
+                carried.update(p for k, p in enumerate(self._parents[i]) if k not in hides)
+        return frozenset(i for i in order if i not in carried)
 
     def _run(self, targets: tuple[int, ...], frame: Frame) -> list[int]:
         """Run the nodes that targets depend on and that have no value in
@@ -733,8 +725,7 @@ class Graph:
         frame.  An input the frame has not bound raises ValueError naming
         it, unless a node computed before it is non-finite.
         """
-        order = self._ancestors(targets)
-        checks = self._checks[targets]
+        order, checks = self._order(targets)
         forward = self._forward
         values = frame.values
         pending = [i for i in order if values[i] is None]
@@ -824,8 +815,7 @@ class Graph:
                     if not needs[parent]:
                         continue
                     if adjoint[parent] is None:
-                        adjoint[parent] = contribution if isinstance(contribution, np.ndarray) \
-                            else np.asarray(contribution)
+                        adjoint[parent] = contribution
                     else:
                         adjoint[parent] = adjoint[parent] + contribution
 
@@ -915,7 +905,7 @@ class Graph:
         """
         base = self._frame_for(frame)
         report = self.gradient(output, parameters, frame=base)
-        active = set(self._ancestors([output.index]))
+        active = set(self._order((output.index,))[0])
         out_idx = output.index
 
         probes, keys = [], []
@@ -1133,16 +1123,14 @@ _CHECKPOINT_MAGIC = b"LZP1"
 class ParamStore:
     """Named float64 tensors end to end in one flat array, the trainable ones
     first and the frozen (non-trainable) ones last, each in the order given.
-    store[name] is a read-only view, so it shows every later update; copy()
-    gives a snapshot.  Every value is finite, so a graph need not test a view
-    it holds again.
+    store[name] is a read-only view, so it shows every later update.  Every
+    value is finite, so a graph need not test a view it holds again.
 
     It keeps what is derived from it for exactly its own life: graphs, the
     graphs built over its views, which see every descend, and text_rows,
     the frozen text tower's read-only rows of the 4,096 texts used last,
-    which no descend changes.  A new store and a copy start with both
-    empty.  Neither holds the store itself, so a dropped store frees them
-    at once."""
+    which no descend changes.  A new store starts with both empty.
+    Neither holds the store itself, so a dropped store frees them at once."""
 
     def __init__(self, values: Mapping[str, object], frozen: Iterable[str] = ()) -> None:
         arrays = {n: np.asarray(v, dtype=np.float64) for n, v in values.items()}
@@ -1194,9 +1182,6 @@ class ParamStore:
         self._flat.flags.writeable = True
         self._flat[:gradient.size] = gradient
         self._flat.flags.writeable = False
-
-    def copy(self) -> "ParamStore":
-        return ParamStore(self._views, frozen=self.frozen)
 
 
 def save_checkpoint(store: ParamStore | Mapping[str, Array], path) -> None:

@@ -14,9 +14,8 @@ import numpy as np
 from .autodiff import EvaluationError, ParamStore, derive_seed, load_checkpoint
 from .encoder import EncoderConfig, encode_text, init_params, param_specs
 from .fixtures import write_fixture_bundle
-from .harness import (RunManifest, TrainConfig, config_from_dict,
-                      dataset_examples, embed_images, load_image_dir,
-                      parse_config_file, train)
+from .harness import (RunManifest, TrainConfig, config_from_dict, embed_images,
+                      load_image_dir, parse_config_file, train)
 from .navsim import (FovParams, MemoryEntry, execute_episode, load_world,
                      save_episode_log, success_rate)
 from .objectives import (Annotation, AnnotationSet, LossWeights, TrainExample,
@@ -165,9 +164,9 @@ def cmd_index(args) -> int:
     if not records:
         raise ValueError(f"{dataset_path}: no records")
     # One image in memory at a time, so memory does not grow with the corpus.
-    examples = (dataset_examples([r], load_image_dir([r], args.data, config.encoder))[0]
-                for r in records)
-    index = embed_images(examples, [r.image_id for r in records], store, config)
+    # Indexing reads no annotation, so a record with no objects is embedded too.
+    images = (load_image_dir([r], args.data, config.encoder)[r.image_id] for r in records)
+    index = embed_images(images, [r.image_id for r in records], store, config)
     save_index(index, args.out)
     print(f"indexed {len(records)}")
     print(f"index {args.out}")

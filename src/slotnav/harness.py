@@ -128,8 +128,11 @@ def dataset_examples(records: Sequence[CaptionRecord],
             raise ValueError(f"no image array for {record.image_id!r}")
         annotations = tuple(Annotation(caption=o.captions[0], box=o.box)
                             for o in record.objects)
-        examples.append(TrainExample(image=images[record.image_id],
-                                     annotations=AnnotationSet(annotations)))
+        try:
+            examples.append(TrainExample(image=images[record.image_id],
+                                         annotations=AnnotationSet(annotations)))
+        except ValueError as exc:
+            raise ValueError(f"image {record.image_id!r}: {exc}") from exc
     return examples
 
 
@@ -263,7 +266,10 @@ def train(data_dir: str, config: TrainConfig, out_dir: str) -> RunManifest:
     if not records:
         raise ValueError(f"{dataset_path}: no records")
     images = load_image_dir(records, data_dir, config.encoder)
-    examples = dataset_examples(records, images)
+    try:
+        examples = dataset_examples(records, images)
+    except ValueError as exc:
+        raise ValueError(f"{dataset_path}: {exc}") from exc
     store, reports = train_on_examples(examples, config)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -292,12 +298,12 @@ def eval_seed(config: TrainConfig) -> int:
     return derive_seed(config.seed, "eval", 0)
 
 
-def embed_images(examples: Iterable[TrainExample], ids: Sequence[str],
+def embed_images(images: Iterable[Array], ids: Sequence[str],
                  store: ParamStore, config: TrainConfig):
     """Deterministic image embeddings for evaluation (fixed slot seed)."""
     seed = eval_seed(config)
-    rows = [image_embedding(e.image, store, config.encoder, seed=seed)[0].vector
-            for e in examples]
+    rows = [image_embedding(image, store, config.encoder, seed=seed)[0].vector
+            for image in images]
     return build_index(rows, ids)
 
 
@@ -310,7 +316,7 @@ def training_set_ar1(examples: Sequence[TrainExample], store: ParamStore,
                      config: TrainConfig) -> float:
     """Top-1 self-retrieval through each image's canonical caption."""
     ids = [f"img{i:03d}" for i in range(len(examples))]
-    index = embed_images(examples, ids, store, config)
+    index = embed_images((e.image for e in examples), ids, store, config)
     queries = build_index([encode_text(canonical_caption(e), store,
                                        config.encoder).vector
                            for e in examples],

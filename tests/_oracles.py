@@ -253,6 +253,11 @@ def transformer_block(x, store, blk, heads):
     return x + linear(m, blk + ".mlp2")
 
 
+def snapshot(store):
+    """A new store of store's current values, in a flat array of its own."""
+    return ParamStore(dict(store.items()), frozen=store.frozen)
+
+
 def with_values(store, values):
     """A new store: store's tensors, those named in values replaced."""
     return ParamStore({**dict(store.items()), **values}, frozen=store.frozen)

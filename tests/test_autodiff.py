@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import run_every_node
+from _oracles import run_every_node, snapshot
 from slotnav.autodiff import (
     _HIDING_OPS,
     EvaluationError,
@@ -768,12 +768,12 @@ def test_a_store_holds_read_only_views_of_one_flat_array(tmp_path):
         assert store[name].base is flat and np.array_equal(store[name], values[name])
         with pytest.raises(ValueError, match="read-only"):
             store[name][...] = 0.0
-    snapshot = store.copy()
-    assert snapshot.names() == store.names() and snapshot.frozen == store.frozen
-    assert not any(np.shares_memory(snapshot[n], flat) for n in store.names())
+    copied = snapshot(store)
+    assert copied.names() == store.names() and copied.frozen == store.frozen
+    assert not any(np.shares_memory(copied[n], flat) for n in store.names())
     view = store["b"]
     store.descend(1.0, np.full(9, 2.0))
-    assert np.array_equal(view, values["b"] - 2.0) and np.array_equal(snapshot["b"], values["b"])
+    assert np.array_equal(view, values["b"] - 2.0) and np.array_equal(copied["b"], values["b"])
 
     # The layout leaves checkpoint bytes as the tensors alone give them, for
     # a fresh store and for one loaded from a checkpoint.
@@ -790,7 +790,7 @@ def test_param_store_freezing():
     store = ParamStore({"w": np.ones(2), "txt.w": np.ones(2)}, frozen=["txt.w"])
     assert store.trainable_names() == ["w"]
     assert store.frozen == {"txt.w"}
-    dup = store.copy()
+    dup = snapshot(store)
     dup.descend(1.0, np.ones(1 * 2))
     assert np.array_equal(dup["w"], np.zeros(2)) and np.array_equal(store["w"], np.ones(2))
 
@@ -957,16 +957,17 @@ def test_ancestor_orders_are_remembered_until_a_node_is_added():
     g = Graph()
     x = g.parameter("x", [1.0, 2.0])
     y = g.tanh(x)
-    first = g._ancestors([y.index])
-    assert g._ancestors([y.index]) is first
+    first = g._order((y.index,))
+    assert g._order((y.index,)) is first
     z = g.sum(y)
-    assert g._ancestors([y.index]) is not first
-    assert g._ancestors([z.index]) == [x.index, y.index, z.index]
+    assert g._order((y.index,)) is not first
+    # tanh can hide x, so x is tested as well as the output.
+    assert g._order((z.index,)) == ([x.index, y.index, z.index], {x.index, z.index})
 
 
 # ----------------------------------------------------------------------
-# Where finiteness is checked: the nodes no node of the order reads, and
-# the operands an op can hide.
+# Where finiteness is checked: the nodes no node of the order carries, that
+# is, reads outside the places an op can hide and has output entries.
 
 def _bad(g, value):
     """A node whose first entry is value (inf, -inf or nan) and whose
@@ -1031,6 +1032,26 @@ def test_a_standard_deviation_layer_norm_hides_names_its_statistics_node():
     for run in (lambda: g.evaluate(total), lambda: g.gradient(total)):
         with pytest.raises(EvaluationError, match=f"node layer_norm_stats#{stats}$"):
             run()
+
+
+def test_a_value_a_hiding_op_and_a_carrying_op_both_read_is_not_tested():
+    # gelu_tanh can hide its operand, but gelu reads the same value and
+    # carries it: gelu(inf) is inf and gelu(-inf) is nan.
+    for value in (np.inf, -np.inf, np.nan):
+        g = Graph()
+        bad = _bad(g, value)
+        gelu = g.gelu(bad)
+        total = g.sum(g.multiply(gelu, g.parameter("w", [2.0, 2.0, 2.0])))
+        order, checked = g._order((total.index,))
+        assert gelu.index - 1 in order and g._ops[gelu.index - 1] == "gelu_tanh"
+        assert total.index in checked
+        assert checked.isdisjoint((bad.index, gelu.index - 1, gelu.index))
+        first, values = run_every_node(g, [total], g.bind())
+        assert first == bad.name and not np.isfinite(values[gelu.index]).all()
+        for run in (lambda: g.evaluate(total), lambda: g.gradient(total)):
+            with pytest.raises(EvaluationError) as err:
+                run()
+            assert str(err.value) == f"non-finite value in node {bad.name}"
 
 
 def test_an_op_with_an_empty_output_hides_every_operand_entry():

@@ -174,9 +174,10 @@ def test_index_reads_one_image_at_a_time(bundle, tmp_path, monkeypatch, capsys):
     records = load_dataset(str(fx / "dataset.jsonl"))
     store, config = _load_run(str(run))
     expected = tmp_path / "expected.lze"
-    save_index(harness.embed_images(
-        harness.dataset_examples(records, harness.load_image_dir(records, str(fx))),
-        [r.image_id for r in records], store, config), str(expected))
+    images = harness.load_image_dir(records, str(fx))
+    save_index(harness.embed_images([images[r.image_id] for r in records],
+                                    [r.image_id for r in records], store, config),
+               str(expected))
 
     events = []
     read, embed = harness.read_ppm, harness.image_embedding
@@ -895,6 +896,37 @@ def test_index_over_a_dataset_with_no_records_exits_one_and_names_it(bundle, tmp
                  "--out", str(tmp_path / "imgs.lze")]) == 1
     assert capsys.readouterr().err == f"error: {dataset}: no records\n"
     assert not (tmp_path / "imgs.lze").exists()
+
+
+def _emptied_bundle(bundle, tmp_path):
+    """A copy of the fixture bundle whose second record has no objects, as
+    augment writes for a detection line with none, and that image's id."""
+    data, _ = _bundle_copy(bundle, tmp_path)
+    dataset = data / "dataset.jsonl"
+    lines = dataset.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    lines[1] = json.dumps({**record, "objects": []})
+    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return data, record["image_id"]
+
+
+def test_index_embeds_an_image_whose_record_has_no_objects(bundle, tmp_path, capsys):
+    data, _ = _emptied_bundle(bundle, tmp_path)
+    plain, emptied = tmp_path / "plain.lze", tmp_path / "emptied.lze"
+    for source, out in ((bundle["fx"], plain), (data, emptied)):
+        assert main(["index", "--run", str(bundle["run"]), "--data", str(source),
+                     "--out", str(out)]) == 0
+    assert emptied.read_bytes() == plain.read_bytes()
+
+
+def test_train_on_a_record_with_no_objects_names_the_dataset_and_image(bundle, tmp_path,
+                                                                      capsys):
+    data, image_id = _emptied_bundle(bundle, tmp_path)
+    assert main(["--config", str(bundle["cfg"]), "train", "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == (f"error: {data / 'dataset.jsonl'}: image {image_id!r}: "
+                                       "an image needs at least one annotation\n")
+    assert not (tmp_path / "run").exists()
 
 
 def _set_second_noun(text, noun):

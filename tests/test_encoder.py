@@ -26,7 +26,8 @@ from slotnav.encoder import (
 )
 from slotnav.harness import TrainConfig
 
-from _oracles import image_pathway, image_tokens, slot_attention, transformer_block, with_values
+from _oracles import (image_pathway, image_tokens, slot_attention, snapshot, transformer_block,
+                      with_values)
 
 DESK = EncoderConfig(max_tokens=4)
 
@@ -231,7 +232,7 @@ def test_image_embedding_builds_one_graph_and_evaluates_it_once(desk_store, monk
 
     monkeypatch.setattr(Graph, "__init__", counted_init)
     monkeypatch.setattr(Graph, "evaluate", counted_evaluate)
-    store = desk_store.copy()
+    store = snapshot(desk_store)
     image_embedding(random_image(12), store, DESK, seed=3)
     assert calls == {"graphs": 1, "evaluate": 1}
     # The graph is built once per patch count; each call evaluates it once.
@@ -252,12 +253,12 @@ def test_images_with_one_patch_count_share_a_graph_exactly(desk_store, monkeypat
         return build(g, bind, image, config, initial_slots)
 
     monkeypatch.setattr(encoder, "build_image_embedding", counted)
-    store = desk_store.copy()
+    store = snapshot(desk_store)
     shared = [image_embedding(image, store, DESK, seed=7 + i)
               for i, image in enumerate(images)]
     assert built == [(16, 16, 3)]
     for i, (image, (emb, boxes)) in enumerate(zip(images, shared)):
-        cold_emb, cold_boxes = image_embedding(image, desk_store.copy(), DESK, seed=7 + i)
+        cold_emb, cold_boxes = image_embedding(image, snapshot(desk_store), DESK, seed=7 + i)
         assert emb.vector.tobytes() == cold_emb.vector.tobytes()
         assert boxes.tobytes() == cold_boxes.tobytes()
     assert len(built) == 1 + len(images)
@@ -474,7 +475,7 @@ def test_reference_config_is_consistent():
 
 
 def test_cached_inference_sees_every_store_update(desk_store):
-    store = desk_store.copy()
+    store = snapshot(desk_store)
     image = random_image(70)
     before_text = encode_text("red sofa", store, DESK).vector
     before_image = image_embedding(image, store, DESK, seed=1)[0].vector
@@ -486,7 +487,7 @@ def test_cached_inference_sees_every_store_update(desk_store):
     # descend never writes the frozen text tower, so its kept row stays valid.
     assert encode_text("red sofa", store, DESK).vector is before_text
     # A fresh build over the updated store gives the same bytes.
-    fresh = store.copy()
+    fresh = snapshot(store)
     assert encode_text("red sofa", fresh, DESK).vector.tobytes() == before_text.tobytes()
     fresh_emb, fresh_boxes = image_embedding(image, fresh, DESK, seed=1)
     assert fresh_emb.vector.tobytes() == emb.vector.tobytes()
@@ -508,7 +509,7 @@ def test_text_graphs_are_kept_per_token_count(desk_store, monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(encoder, "build_text_embedding", counted)
-    store = desk_store.copy()
+    store = snapshot(desk_store)
     store.graphs = LRUCache(maxsize=2)
     rows = {query: encode_text(query, store, DESK).vector
             for query in ("sofa", "lamp", "red sofa", "blue lamp", "chair", "a red sofa")}
@@ -522,7 +523,7 @@ def test_text_graphs_are_kept_per_token_count(desk_store, monkeypatch):
 
 
 def test_text_rows_keep_the_recent_texts_only(desk_store):
-    store = desk_store.copy()
+    store = snapshot(desk_store)
     store.text_rows.maxsize = 3
     texts = ["sofa", "lamp", "red chair", "blue cup", "tall plant"]
     rows = [encode_text(text, store, DESK).vector for text in texts]

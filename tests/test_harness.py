@@ -199,6 +199,21 @@ def test_train_step_runs_each_forward_closure_at_most_once(monkeypatch):
     assert towers == {count: {n} for count, n in per_count.items()}
 
 
+def test_a_training_step_tests_at_most_38_nodes_per_run(monkeypatch):
+    # A value that a hiding op and a carrying op both read, as each gelu
+    # input is, is not tested.
+    built = []
+    build = harness.total_loss_graph
+    monkeypatch.setattr(harness, "total_loss_graph",
+                        lambda *a, **k: built.append(build(*a, **k)) or built[-1])
+    cfg = TrainConfig.overfit_preset()
+    train_step(fresh_store(cfg), fixture_examples()[:cfg.batch_size], cfg, 0)
+    graph = built[0].graph
+    runs = graph._orders.values()
+    assert (built[0].total.index,) in graph._orders
+    assert 0 < max(len(checked) for _, checked in runs) <= 38
+
+
 def test_gradient_from_the_loss_frame_equals_a_fresh_gradient():
     cfg = TrainConfig.overfit_preset()
     store = fresh_store(cfg)
@@ -379,7 +394,7 @@ def test_embed_images_yields_unit_rows():
     cfg = desk_config()
     store = fresh_store(cfg)
     examples = fixture_examples()[:3]
-    index = embed_images(examples, ["a", "b", "c"], store, cfg)
+    index = embed_images([e.image for e in examples], ["a", "b", "c"], store, cfg)
     assert index.matrix.shape[0] == 3
     assert np.allclose(np.linalg.norm(index.matrix, axis=1), 1.0)
 

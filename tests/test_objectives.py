@@ -35,7 +35,7 @@ from slotnav.objectives import (
 )
 
 from _oracles import (brute_force_assignment, exact_sum_assignment, giou, iou, l1_box,
-                      random_box, with_values)
+                      random_box, snapshot, with_values)
 
 
 # ----------------------------------------------------------------------
@@ -628,7 +628,7 @@ def test_two_steps_on_one_cached_graph_each_equal_a_fresh_build(tiny_setup):
     assert second.graph is first.graph
     for built, examples, seed in ((first, batch, 1), (second, other, 2)):
         # A copy of the store starts with no graphs, so it builds its own.
-        fresh = total_loss_graph(examples, store.copy(), LossWeights(), cfg, seed=seed)
+        fresh = total_loss_graph(examples, snapshot(store), LossWeights(), cfg, seed=seed)
         assert fresh.graph is not built.graph
         assert built.report == fresh.report
         assert [a.pairs for a in built.assignments] == [a.pairs for a in fresh.assignments]
@@ -643,7 +643,7 @@ def test_an_earlier_steps_check_at_its_frame_ignores_a_later_step(tiny_setup):
     cfg, store, batch = tiny_setup
     other = [replace(batch[1], annotations=batch[0].annotations),
              replace(batch[0], image=batch[1].image[::-1], annotations=batch[1].annotations)]
-    alone = store.copy()
+    alone = snapshot(store)
     first = total_loss_graph(batch, store, LossWeights(), cfg, seed=1)
     second = total_loss_graph(other, store, LossWeights(), cfg, seed=2)
     assert second.graph is first.graph
@@ -662,7 +662,7 @@ def test_a_store_keeps_its_own_graphs_and_rows_and_frees_them_when_dropped(tiny_
     monkeypatch.setattr(encoder, "build_text_embedding",
                         lambda g, bind, rows, config: built_text.append(rows.shape[0])
                         or build(g, bind, rows, config))
-    first = store.copy()
+    first = snapshot(store)
     row = encode_text("red sofa", first, cfg).vector
     image_embedding(batch[0].image, first, cfg, seed=1)
     loss = total_loss_graph(batch, first, LossWeights(), cfg, seed=1)
@@ -672,7 +672,7 @@ def test_a_store_keeps_its_own_graphs_and_rows_and_frees_them_when_dropped(tiny_
     with pytest.raises(ValueError, match="read-only"):
         row[0] = 0.0
     # A second store of the same values builds its own graphs and rows.
-    second = first.copy()
+    second = snapshot(first)
     count = len(built_text)
     again = encode_text("red sofa", second, cfg).vector
     assert len(built_text) == count + 1
