@@ -557,22 +557,20 @@ class Graph:
 
         return self._register("log_softmax", (a,), a.shape, forward, backward)
 
-    def layer_norm(self, a: Node, gain: Node | None = None, bias: Node | None = None) -> Node:
-        """Normalize the last axis to zero mean, unit variance; given a gain
-        and a bias of the last axis's width, then scale by the gain and add
-        the bias, with the bits of multiply followed by add.
+    def layer_norm(self, a: Node, gain: Node, bias: Node) -> Node:
+        """Normalize the last axis to zero mean, unit variance, then scale by
+        gain and add bias, both of the last axis's width, with the bits of
+        multiply followed by add.
 
         Each row's mean and standard deviation are a statistics parent of
         their own, side by side on its last axis, so each is computed once,
-        and the frame keeps them.  Backward reads them with the cached
-        output, or, given a gain, with the normalized value recomputed from
-        them by the forward's own expression.
+        and the frame keeps them.  Backward reads them with the normalized
+        value recomputed from them by the forward's own expression.
         """
         if len(a.shape) == 0 or a.shape[-1] < 1:
             raise ShapeError(f"layer_norm: operand needs a non-empty last axis, got {a.shape}")
         ia, width, rank = a.index, a.shape[-1], len(a.shape)
-        affine = () if gain is None and bias is None else (gain, bias)
-        if affine and not all(p is not None and p.shape == (width,) for p in affine):
+        if gain.shape != (width,) or bias.shape != (width,):
             raise ShapeError(f"layer_norm: gain and bias must both have shape ({width},)")
 
         def mean(x):
@@ -586,7 +584,8 @@ class Graph:
             return np.concatenate((mu, np.sqrt(mean(xc * xc) + _LN_EPS)), axis=-1)
 
         s = self._register("layer_norm_stats", (a,), a.shape[:-1] + (2,), stats, None)
-        i_stats, io = s.index, s.index + 1
+        i_stats, ig, ib = s.index, gain.index, bias.index
+        need_a, need_g, need_b = self._needs[ia], self._needs[ig], self._needs[ib]
 
         def normalized(v):
             st = v[i_stats]
@@ -594,12 +593,6 @@ class Graph:
 
         def grad_a(v, g, y):
             return (g - mean(g) - y * mean(g * y)) / v[i_stats][..., 1:]
-
-        if not affine:
-            return self._register("layer_norm", (a, s), a.shape, normalized,
-                                  lambda v, g: ((ia, grad_a(v, g, v[io])),))
-        ig, ib = gain.index, bias.index
-        need_a, need_g, need_b = self._needs[ia], self._needs[ig], self._needs[ib]
 
         def forward(v):
             return normalized(v) * _align(v[ig], 1, rank) + _align(v[ib], 1, rank)
@@ -801,7 +794,7 @@ class Graph:
         # Every parent of a node of order is in order, so each contribution
         # lands on a node still to be visited.  A node no parameter reaches
         # gets none: no op's contribution to it is kept, and matmul, linear,
-        # the affine layer_norm and the binary ops do not compute one.  An
+        # layer_norm and the binary ops do not compute one.  An
         # overflow is left for the caller to find in the gradients.
         adjoint: list = [None] * len(self._ops)
         adjoint[output.index] = np.asarray(1.0)

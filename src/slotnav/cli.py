@@ -16,12 +16,12 @@ from .encoder import EncoderConfig, encode_text, init_params, param_specs
 from .fixtures import write_fixture_bundle
 from .harness import (RunManifest, TrainConfig, config_from_dict, embed_images,
                       load_image_dir, parse_config_file, train)
-from .navsim import (FovParams, MemoryEntry, execute_episode, load_world,
-                     save_episode_log, success_rate)
+from .navsim import (DEFAULT_CELL_M, FovParams, MemoryEntry, execute_episode,
+                     load_world, save_episode_log, success_rate)
 from .objectives import (Annotation, AnnotationSet, LossWeights, TrainExample,
                          total_loss_graph)
-from .promptgen import (convert_detection_dataset, load_dataset, pose_from_json,
-                        read_jsonl, save_dataset)
+from .promptgen import (convert_detection_lines, load_dataset, pose_from_json,
+                        read_jsonl, read_lines, save_dataset)
 from .retrieval import (EmbeddingIndex, average_recall, batch_topk, load_ground_truth,
                         load_index, query_scores, save_index, top_rows)
 
@@ -31,9 +31,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="slotnav",
         description="Object-centric retrieval training and navigation evaluation.")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the configured random seed")
+                        help="random seed of train, augment or gradcheck")
     parser.add_argument("--config", default=None,
-                        help="key = value training configuration file")
+                        help="key = value training configuration file for train")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train from a dataset directory")
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="precomputed query embeddings")
     p.add_argument("--run", default=None,
                    help="training output directory for text-encoder queries")
-    p.add_argument("--cell-m", type=float, default=0.25)
+    p.add_argument("--cell-m", type=float, default=DEFAULT_CELL_M)
     p.add_argument("--k", type=int, default=None, help="override per-query k")
     p.add_argument("--radii", default="1.0,2.0")
     p.add_argument("--half-angle", type=float, default=None)
@@ -97,12 +97,18 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 # Shared plumbing
 
+# The subcommands that read each flag given before the subcommand name.
+_READERS = {"seed": ("train", "augment", "gradcheck"), "config": ("train",)}
+
+
 def _train_config(args) -> TrainConfig:
     if args.config is not None:
+        if args.preset is not None:
+            raise ValueError("pass at most one of --config or --preset")
         config = parse_config_file(args.config)
-    elif getattr(args, "preset", None) == "overfit":
+    elif args.preset == "overfit":
         config = TrainConfig.overfit_preset()
-    elif getattr(args, "preset", None) == "reference":
+    elif args.preset == "reference":
         config = TrainConfig.reference_preset()
     else:
         config = TrainConfig()
@@ -118,7 +124,12 @@ def _load_run(run_dir: str) -> tuple[ParamStore, TrainConfig]:
     manifest_path = os.path.join(run_dir, "manifest.json")
     manifest = RunManifest.load(manifest_path)
     try:
-        config = config_from_dict(manifest.config)
+        data = dict(manifest.config)
+        # A run made while the encoder config had a seed records it, though
+        # nothing read it.
+        if isinstance(data.get("encoder"), dict):
+            data["encoder"] = {k: v for k, v in data["encoder"].items() if k != "seed"}
+        config = config_from_dict(data)
         specs = param_specs(config.encoder)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path}: bad config ({exc})") from exc
@@ -214,7 +225,8 @@ def cmd_eval_retrieval(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    report = convert_detection_dataset(args.detections, args.count, seed=args.seed or 0)
+    report = convert_detection_lines(read_lines(args.detections), args.count,
+                                     seed=args.seed or 0)
     save_dataset(report.records, args.out)
     for lineno, message in report.errors:
         print(f"skipped {args.detections}: line {lineno}: {message}", file=sys.stderr)
@@ -387,6 +399,10 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag, readers in _READERS.items():
+            if getattr(args, flag) is not None and args.command not in readers:
+                raise ValueError(f"--{flag} is read only by {', '.join(readers)}, "
+                                 f"not by {args.command}")
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

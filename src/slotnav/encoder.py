@@ -71,7 +71,6 @@ class EncoderConfig:
     text_len: int = 16
     slot_mean: float = 0.0
     slot_std: float | tuple[float, ...] = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -174,9 +173,9 @@ def param_specs(config: EncoderConfig) -> list[tuple[str, tuple[int, ...], bool,
     return specs
 
 
-def init_params(config: EncoderConfig, seed: int | None = None) -> ParamStore:
+def init_params(config: EncoderConfig, seed: int) -> ParamStore:
     """Seeded parameter store; text-encoder tensors are registered frozen."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     draw = {"normal": lambda shape: rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape),
             "small": lambda shape: 0.02 * rng.normal(size=shape),
             "zeros": np.zeros, "ones": np.ones}
@@ -419,10 +418,6 @@ def sample_slots(config: EncoderConfig, seed: int | np.random.Generator,
         (*lead, config.num_slots, config.slot_dim))
 
 
-def _seeded_slots(config: EncoderConfig, seed: int | None) -> Array:
-    return sample_slots(config, derive_seed(config.seed if seed is None else seed, "slots"))
-
-
 def _runner(g: Graph, leaves: Sequence[Node], outputs: list[Node]):
     """Run of a built inference graph: outputs evaluated with the call's
     data bound to leaves."""
@@ -453,12 +448,13 @@ def encode_text(query: str, store: ParamStore, config: EncoderConfig) -> Embeddi
 
 
 def image_embedding(image: Array, store: ParamStore, config: EncoderConfig,
-                    seed: int | None = None) -> tuple[Embedding, Array]:
+                    seed: int) -> tuple[Embedding, Array]:
     """End-to-end inference for one image through the graph training
-    differentiates, evaluated once: its embedding, and its K normalized
-    corner boxes (x1, y1, x2, y2), each with x1<=x2 and y1<=y2."""
+    differentiates, evaluated once, from the initial slots seed derives:
+    its embedding, and its K normalized corner boxes (x1, y1, x2, y2),
+    each with x1<=x2 and y1<=y2."""
     shape = patch_shape(np.shape(image), config)
-    slots0 = _seeded_slots(config, seed)
+    slots0 = sample_slots(config, derive_seed(seed, "slots"))
 
     def build():
         g = Graph()

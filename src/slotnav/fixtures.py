@@ -32,8 +32,6 @@ NOUN_COLORS = {
     "chair": (0.90, 0.45, 0.10),
 }
 
-BACKGROUND = (0.92, 0.92, 0.92)
-
 # One background per image; distinct scenes keep the pooled embeddings from
 # collapsing onto the shared-background direction before training starts.
 SCENE_BACKGROUNDS = (
@@ -79,8 +77,7 @@ def _slot_box(slot: tuple[int, int, int, int]) -> list[float]:
             (col_hi + 1) / IMAGE_SIDE, (row_hi + 1) / IMAGE_SIDE]
 
 
-def render_image(nouns: Sequence[str],
-                 background: tuple[float, float, float] = BACKGROUND) -> Array:
+def render_image(nouns: Sequence[str], background: tuple[float, float, float]) -> Array:
     """Colored rectangles on a solid background, one slot per noun."""
     if not 1 <= len(nouns) <= len(_SLOTS):
         raise ValueError(f"supports 1..{len(_SLOTS)} objects, got {len(nouns)}")

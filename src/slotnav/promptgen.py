@@ -20,14 +20,12 @@ Array = np.ndarray
 PROMPT_SEPARATOR = ". "
 
 
-def build_prompt(noun: str, sentence: str | None = None) -> str:
-    """Format the object noun, then the sentence when one is present."""
+def build_prompt(noun: str, sentence: str) -> str:
+    """Format the object noun, then the sentence."""
     if not noun:
         raise ValueError("noun must be nonempty")
     if PROMPT_SEPARATOR in noun:
         raise ValueError("noun may not contain the prompt separator")
-    if sentence is None:
-        return noun
     return noun + PROMPT_SEPARATOR + sentence
 
 
@@ -268,9 +266,3 @@ def convert_detection_lines(lines: Iterable[str], count: int,
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             errors.append((lineno, str(exc) or type(exc).__name__))
     return ConversionReport(records=records, errors=errors)
-
-
-def convert_detection_dataset(path: str, count: int, seed: int = 0) -> ConversionReport:
-    """File-path form of convert_detection_lines; a file that is not UTF-8
-    text is an error, not a skipped line."""
-    return convert_detection_lines(read_lines(path), count, seed)

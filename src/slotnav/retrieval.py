@@ -82,8 +82,6 @@ def build_index(embeddings: Sequence[Array] | Array,
                 ids: Sequence[str]) -> EmbeddingIndex:
     """Stack embeddings into an immutable index, renormalizing each row."""
     rows = np.asarray(embeddings, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows.reshape(1, -1)
     if rows.ndim != 2:
         raise ValueError("embeddings must stack into a 2-d matrix")
     if rows.shape[0] != len(ids):
@@ -97,13 +95,6 @@ def build_index(embeddings: Sequence[Array] | Array,
 
 # ----------------------------------------------------------------------
 # Search
-
-def similarity_matrix(queries: EmbeddingIndex, items: EmbeddingIndex) -> Array:
-    """Dense cosine similarities, queries along rows and items along columns."""
-    if queries.dim != items.dim:
-        raise ValueError("query and item dimensions differ")
-    return queries.matrix @ items.matrix.T
-
 
 def top_rows(scores: Array, ids: Sequence[str], k: int) -> list[int]:
     """Rows of the k best scores: descending score, ties by ascending id."""
@@ -135,7 +126,9 @@ def topk_images(query: Array, index: EmbeddingIndex, k: int) -> list[str]:
 def batch_topk(queries: EmbeddingIndex, items: EmbeddingIndex,
                k: int) -> dict[str, list[str]]:
     """Top-k item ids for every query row, keyed by query id."""
-    sims = similarity_matrix(queries, items)
+    if queries.dim != items.dim:
+        raise ValueError("query and item dimensions differ")
+    sims = queries.matrix @ items.matrix.T
     return {qid: [items.ids[i] for i in top_rows(sims[r], items.ids, k)]
             for r, qid in enumerate(queries.ids)}
 
@@ -209,10 +202,10 @@ def save_ground_truth(gt: GroundTruth, path: str) -> None:
                 fh.write(f"{qid}\t{iid}\n")
 
 
-def load_ground_truth(path: str, index: EmbeddingIndex | None = None) -> GroundTruth:
-    """Read tab-separated relevance pairs, optionally checking ids exist."""
+def load_ground_truth(path: str, index: EmbeddingIndex) -> GroundTruth:
+    """Read tab-separated relevance pairs, each naming an id of index."""
     relevant: dict[str, set[str]] = {}
-    known = None if index is None else set(index.ids)
+    known = set(index.ids)
     for lineno, line in enumerate(read_lines(path), start=1):
         line = line.rstrip("\n")
         if not line:
@@ -220,7 +213,7 @@ def load_ground_truth(path: str, index: EmbeddingIndex | None = None) -> GroundT
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"{path}: line {lineno}: expected query<tab>image")
-        if known is not None and parts[1] not in known:
+        if parts[1] not in known:
             raise ValueError(f"{path}: line {lineno}: query {parts[0]!r} "
                              f"references unknown id {parts[1]!r}")
         relevant.setdefault(parts[0], set()).add(parts[1])

@@ -25,6 +25,12 @@ from slotnav.autodiff import (
 )
 
 
+def _ln(g, x):
+    """layer_norm with a gain of ones and a bias of zeros: the normalized rows."""
+    width = x.shape[-1]
+    return g.layer_norm(x, g.constant(np.ones(width)), g.constant(np.zeros(width)))
+
+
 def test_elementwise_square():
     g = Graph()
     x = g.parameter("x", [3.0])
@@ -198,7 +204,7 @@ def test_finite_difference_drops_probed_values_without_changing_the_report(monke
     g = Graph()
     x = g.parameter("x", rng.normal(size=(3, 4)))
     w = g.parameter("w", rng.normal(size=(4, 4)))
-    h = g.layer_norm(g.matmul(x, w))
+    h = _ln(g, g.matmul(x, w))
     y = g.maximum(g.multiply(h, h), g.tanh(h))
     loss = g.sum(g.multiply(y, g.gelu(h)))
     plan, drops = Graph._probe_plan, []
@@ -328,7 +334,7 @@ def _unary_cases():
         ("absolute", lambda g, x: g.absolute(x), "nonzero"),
         ("softmax", lambda g, x: g.softmax(x, axis=1), None),
         ("log_softmax", lambda g, x: g.log_softmax(x, axis=1), None),
-        ("layer_norm", lambda g, x: g.layer_norm(x), None),
+        ("layer_norm", _ln, None),
         ("transpose", lambda g, x: g.transpose(x), None),
         ("transpose_axes", lambda g, x: g.transpose(g.reshape(x, (2, 3, 2)), (2, 0, -2)), None),
         ("reshape", lambda g, x: g.reshape(x, (6, 2)), None),
@@ -474,7 +480,7 @@ def test_evaluate_is_bit_deterministic():
         g = Graph()
         a = g.parameter("a", rng.normal(size=(8, 8)))
         b = g.parameter("b", rng.normal(size=(8, 8)))
-        out = g.layer_norm(g.gelu(g.matmul(a, b)))
+        out = _ln(g, g.gelu(g.matmul(a, b)))
         return g.evaluate(g.softmax(out, axis=1))
 
     assert run().tobytes() == run().tobytes()
@@ -487,7 +493,7 @@ def test_softmax_rows_and_layer_norm_moments():
     x = g.constant(x0)
     soft = g.evaluate(g.softmax(x, axis=1))
     assert np.all(np.abs(soft.sum(axis=1) - 1.0) < 1e-9)
-    normed = g.evaluate(g.layer_norm(x))
+    normed = g.evaluate(_ln(g, x))
     assert np.all(np.abs(normed.mean(axis=1)) < 1e-7)
     assert np.all(np.abs(normed.var(axis=1) - 1.0) < 1e-6)
 
@@ -527,7 +533,7 @@ def test_gelu_and_sigmoid_match_their_textbook_forms_within_4_5e_16():
 def test_layer_norm_forward_equals_the_two_pass_variance_form(shape):
     x0 = np.random.default_rng(len(shape)).normal(size=shape) * 3.0 + 1.0
     g = Graph()
-    out = g.evaluate(g.layer_norm(g.constant(x0)))
+    out = g.evaluate(_ln(g, g.constant(x0)))
     mu = x0.mean(axis=-1, keepdims=True)
     want = (x0 - mu) / np.sqrt(x0.var(axis=-1, keepdims=True) + 1e-8)
     assert out.tobytes() == want.tobytes()
@@ -538,10 +544,10 @@ def test_elementwise_kernels_give_the_same_bits_with_a_leading_probe_axis():
     probes = rng.normal(size=(6, 2, 4, 32)) * 4.0
     g = Graph()
     x = g.parameter("x", probes[0])
-    outs = [g.gelu(x), g.sigmoid(x), g.layer_norm(x)]
+    outs = [g.gelu(x), g.sigmoid(x), _ln(g, x)]
 
     def run(value):
-        values = [None] * len(g._forward)
+        values = list(g.bind().values)
         values[x.index] = value
         for i, fn in enumerate(g._forward):
             if fn is not None:
@@ -557,8 +563,9 @@ def test_elementwise_kernels_give_the_same_bits_with_a_leading_probe_axis():
 @pytest.mark.parametrize("kind", ["linear", "layer_norm"])
 @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3)])
 def test_a_fused_op_gives_the_bits_of_the_ops_it_replaces(kind, shape):
-    # linear is matmul then add; the affine layer_norm is layer_norm, then
-    # multiply by the gain, then add the bias.
+    # linear is matmul then add; layer_norm is the normalized rows (a gain
+    # of ones and a bias of zeros), then multiply by the gain, then add the
+    # bias.
     rng = np.random.default_rng(len(shape))
     g = Graph()
     x = g.parameter("x", rng.normal(size=shape) * 3.0 + 1.0)
@@ -567,7 +574,7 @@ def test_a_fused_op_gives_the_bits_of_the_ops_it_replaces(kind, shape):
         fused, composed = g.linear(x, w, b), g.add(g.matmul(x, w), b)
     else:
         w, b = g.parameter("w", rng.normal(size=3)), g.parameter("b", rng.normal(size=3))
-        fused, composed = g.layer_norm(x, w, b), g.add(g.multiply(g.layer_norm(x), w), b)
+        fused, composed = g.layer_norm(x, w, b), g.add(g.multiply(_ln(g, x), w), b)
 
     def run(leaf, value):
         values = list(g.bind().values)
@@ -601,7 +608,8 @@ def test_fused_ops_check_their_operand_shapes():
                  (g.constant(np.zeros(3)), w, g.constant(np.zeros(4)))):
         with pytest.raises(ShapeError, match="^linear: "):
             g.linear(*args)
-    for gain, bias in ((g.constant(np.ones(3)), None), (None, g.constant(np.zeros(3))),
+    for gain, bias in ((g.constant(np.ones(3)), g.constant(np.zeros(4))),
+                       (g.constant(np.ones(4)), g.constant(np.zeros(3))),
                        (g.constant(np.ones(4)), g.constant(np.zeros(4)))):
         with pytest.raises(ShapeError, match="^layer_norm: "):
             g.layer_norm(x, gain, bias)
@@ -1023,7 +1031,7 @@ def test_a_standard_deviation_layer_norm_hides_names_its_statistics_node():
     # The squares of +-1e200 overflow, so the standard deviation is inf
     # and every normalized entry is 0.
     g = Graph()
-    normed = g.layer_norm(g.constant([1e200, -1e200, 0.0]))
+    normed = _ln(g, g.constant([1e200, -1e200, 0.0]))
     stats = normed.index - 1
     total = g.sum(normed)
     first, values = run_every_node(g, [total], g.bind())
@@ -1097,7 +1105,7 @@ _OP_CASES = {
     "mean": [lambda g: g.mean(g.constant(_x(2, 3)), axis=-1)],
     "softmax": [lambda g: g.softmax(g.constant(_x(2, 3)), axis=-1)],
     "log_softmax": [lambda g: g.log_softmax(g.constant(_x(2, 3)), axis=-1)],
-    "layer_norm": [lambda g: g.layer_norm(g.constant(_x(2, 3))),
+    "layer_norm": [lambda g: _ln(g, g.constant(_x(2, 3))),
                    lambda g: g.layer_norm(g.constant(_x(2, 3)), g.constant(np.zeros(3)),
                                           g.constant(np.zeros(3)))],
     "reshape": [lambda g: g.reshape(g.constant(_x(2, 3)), (3, 2))],
@@ -1151,7 +1159,7 @@ def _grow(g, pool, kind, a, b):
     if kind in ("softmax", "log_softmax"):
         return getattr(g, kind)(x, axis=b % 2)
     if kind == "layer_norm":
-        return g.layer_norm(x)
+        return _ln(g, x)
     if kind == "affine_layer_norm":
         return g.layer_norm(x, g.sum(y, axis=0), g.mean(y, axis=0))
     if kind == "linear":

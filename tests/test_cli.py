@@ -13,7 +13,7 @@ from slotnav.autodiff import Graph, LRUCache
 from slotnav.cli import _load_run, main
 from slotnav.encoder import TEXT_PREFIX, write_ppm
 from slotnav.promptgen import load_dataset
-from slotnav.retrieval import load_index, save_index
+from slotnav.retrieval import EmbeddingIndex, load_index, save_index
 
 
 @pytest.fixture(scope="module")
@@ -520,6 +520,36 @@ def test_nav_eval_query_index_of_another_width_exits_one_naming_both_files(
                         memory, load_index(str(memory)).dim)
 
 
+def test_nav_eval_poses_lacking_a_memory_id_exit_one_and_name_the_file(bundle, tmp_path,
+                                                                        capsys):
+    fx = bundle["fx"]
+    lines = (fx / "nav_memory_poses.jsonl").read_text(encoding="utf-8").splitlines()
+    dropped = json.loads(lines[1])["image_id"]
+    poses = tmp_path / "poses.jsonl"
+    poses.write_text("\n".join(lines[:1] + lines[2:]) + "\n", encoding="utf-8")
+    argv = _nav_eval_fixture(fx)
+    argv[argv.index("--poses") + 1] = str(poses)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {poses}: no pose for memory id {dropped!r}\n"
+    assert captured.out == ""
+
+
+def test_nav_eval_query_index_lacking_a_query_id_exits_one_and_names_the_file(
+        bundle, tmp_path, capsys):
+    fx = bundle["fx"]
+    full = load_index(str(fx / "nav_queries.lze"))
+    assert full.ids[-1] == "ep3"
+    partial = tmp_path / "queries.lze"
+    save_index(EmbeddingIndex(matrix=full.matrix[:-1], ids=full.ids[:-1]), str(partial))
+    argv = _nav_eval_fixture(fx)
+    argv[argv.index("--query-index") + 1] = str(partial)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {partial}: no embedding for 'ep3'\n"
+    assert [line.split()[1] for line in captured.out.splitlines()] == ["ep0", "ep1", "ep2"]
+
+
 def _drop_start_of_second_query(text):
     lines = text.splitlines()
     record = json.loads(lines[1])
@@ -685,6 +715,64 @@ def test_gradcheck_names_its_worst_coordinate(capsys, monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# Flags before the subcommand name
+
+def _argv_of(command, out):
+    """A full command line for command, with every file missing but out's
+    directory."""
+    missing = "/nonexistent/file"
+    return {"index": ["index", "--run", missing, "--data", missing, "--out", str(out)],
+            "retrieve": ["retrieve", "--index", missing, "--queries", missing],
+            "eval-retrieval": ["eval-retrieval", "--index", missing, "--queries", missing,
+                               "--gt", missing],
+            "augment": ["augment", "--detections", missing, "--out", str(out)],
+            "nav-eval": ["nav-eval", "--world", missing, "--memory", missing,
+                         "--poses", missing, "--queries", missing,
+                         "--query-index", missing, "--log", str(out)],
+            "gradcheck": ["gradcheck"],
+            "fixtures": ["fixtures", "--out", str(out)]}[command]
+
+
+@pytest.mark.parametrize("flag, value, command, readers", [
+    *[("--config", "/nonexistent.cfg", command, "train")
+      for command in ("index", "retrieve", "eval-retrieval", "augment", "nav-eval",
+                      "gradcheck", "fixtures")],
+    *[("--seed", "99", command, "train, augment, gradcheck")
+      for command in ("index", "retrieve", "eval-retrieval", "nav-eval", "fixtures")]])
+def test_a_flag_the_subcommand_does_not_read_exits_one_naming_it(tmp_path, capsys, flag,
+                                                                 value, command, readers):
+    out = tmp_path / "out"
+    assert main([flag, value, *_argv_of(command, out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} is read only by {readers}, not by {command}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_config_with_a_preset_exits_one_before_reading_either(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["--config", "/nonexistent.cfg", "train", "--preset", "overfit",
+                 "--data", "/nonexistent", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: pass at most one of --config or --preset\n"
+    assert not out.exists()
+
+
+def test_seed_flag_sets_the_seed_of_a_train_run(bundle, tmp_path, capsys):
+    # The bundle's config leaves the seed at its default, 0.
+    argv = ["--config", str(bundle["cfg"]), "train", "--data", str(bundle["fx"])]
+    for seed in ("0", "5"):
+        assert main(["--seed", seed, *argv, "--out", str(tmp_path / seed)]) == 0
+    capsys.readouterr()
+    runs = {name: {f: (path / f).read_bytes() for f in ("checkpoint.lzp", "losses.log")}
+            for name, path in (("bundle", bundle["run"]), ("0", tmp_path / "0"),
+                               ("5", tmp_path / "5"))}
+    assert runs["0"] == runs["bundle"]
+    assert all(runs["5"][f] != runs["0"][f] for f in runs["0"])
+    manifest = json.loads((tmp_path / "5" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["seed"] == 5
+
+
+# ----------------------------------------------------------------------
 # Error surface
 
 def test_unknown_flag_exits_two():
@@ -840,6 +928,31 @@ def test_run_manifest_with_a_number_that_is_not_finite_exits_one_and_names_it(
                  "--run", str(run), "--query", "sofa"]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {path}: bad config (lr must be finite, got nan)\n"
+
+
+def test_config_naming_encoder_seed_exits_one_and_names_the_file(bundle, tmp_path, capsys):
+    err = _train_rejects_config_line(bundle, tmp_path, capsys, "encoder.seed = 12345")
+    assert "unexpected keyword argument 'seed'" in err
+
+
+def test_a_run_whose_manifest_records_an_encoder_seed_still_loads(bundle, tmp_path, capsys):
+    # Runs written while the encoder config had a seed record it; none read it.
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "checkpoint.lzp").write_bytes((bundle["run"] / "checkpoint.lzp").read_bytes())
+    manifest = json.loads((bundle["run"] / "manifest.json").read_text(encoding="utf-8"))
+    assert "seed" not in manifest["config"]["encoder"]
+    manifest["config"]["encoder"]["seed"] = 12345
+    (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    outputs = []
+    for source in (bundle["run"], run):
+        index = tmp_path / f"{source.name}.lze"
+        assert main(["index", "--run", str(source), "--data", str(bundle["fx"]),
+                     "--out", str(index)]) == 0
+        assert main(["retrieve", "--index", str(index), "--run", str(source),
+                     "--query", "cup. book", "-k", "3"]) == 0
+        outputs.append((index.read_bytes(), lines_of(capsys)[2:]))
+    assert outputs[0] == outputs[1]
 
 
 def test_config_with_no_training_steps_exits_one_and_names_the_file(bundle, tmp_path, capsys):

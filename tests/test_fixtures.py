@@ -31,9 +31,9 @@ def test_render_image_shape_and_colors():
 
 def test_render_image_rejects_bad_object_counts():
     with pytest.raises(ValueError):
-        render_image(())
+        render_image((), (0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
-        render_image(("cup", "book", "lamp", "sofa"))
+        render_image(("cup", "book", "lamp", "sofa"), (0.5, 0.5, 0.5))
 
 
 def test_image_noun_sets_are_unique_and_balanced():

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import math
 from collections import Counter
@@ -73,6 +75,52 @@ def test_config_round_trips_through_dict():
                       encoder=EncoderConfig(dim=16, slot_dim=16, num_slots=2))
     snapshot = config_to_dict(cfg)
     assert config_from_dict(json.loads(json.dumps(snapshot))) == cfg
+
+
+# One valid value for each config field other than the guard run's; the
+# sub-configs are swept field by field.
+_ALTERNATES = {
+    TrainConfig: {"lr": 0.02, "decay": 0.5, "batch_size": 2, "warmup_steps": 2,
+                  "total_steps": 2, "seed": 1},
+    EncoderConfig: {"patch_size": 4, "dim": 16, "slot_dim": 16, "num_slots": 3,
+                    "slot_iters": 2, "depth": 2, "heads": 4, "mlp_ratio": 3,
+                    "max_tokens": 32, "text_vocab": 64, "text_len": 8, "slot_mean": 0.5,
+                    # One standard deviation per slot dimension.
+                    "slot_std": tuple(0.5 + i / 32 for i in range(32))},
+    LossWeights: {"alpha": 0.5, "beta": 0.5, "gamma": 0.5, "delta": 0.5, "tau": 0.5,
+                  "literal_giou_cost": True},
+}
+_GUARD = TrainConfig(lr=0.05, decay=0.1, batch_size=4, warmup_steps=1, total_steps=3)
+# The TrainConfig field that holds each sub-config.
+_PARTS = {TrainConfig: None, EncoderConfig: "encoder", LossWeights: "weights"}
+
+
+def _with_field(cls, name, value):
+    """_GUARD with cls's field name set to value."""
+    part = _PARTS[cls]
+    if part is None:
+        return replace(_GUARD, **{name: value})
+    return replace(_GUARD, **{part: replace(getattr(_GUARD, part), **{name: value})})
+
+
+@functools.cache
+def _guard_run(config):
+    """The trained tensors and the loss lines of a run of config."""
+    store, reports = train_on_examples(fixture_examples(), config)
+    return ([(name, store[name].tobytes()) for name in store.names()],
+            [objectives.format_loss_line(step, r) for step, r in enumerate(reports)])
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, f.name) for cls in _PARTS for f in dataclasses.fields(cls)
+    if f.name not in _PARTS.values()], ids=lambda x: getattr(x, "__name__", x))
+def test_every_config_field_changes_a_run_and_round_trips(cls, name):
+    # A field that no run reads is a setting a manifest records to no effect.
+    config = _with_field(cls, name, _ALTERNATES[cls][name])
+    tensors, losses = _guard_run(config)
+    guard_tensors, guard_losses = _guard_run(_GUARD)
+    assert tensors != guard_tensors or losses != guard_losses
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
 
 
 def test_parse_config_file(tmp_path):

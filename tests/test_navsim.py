@@ -493,6 +493,20 @@ def test_episode_oracle_placement():
     assert result.path_cells == 4
 
 
+def test_episode_with_an_empty_query_encodes_the_bare_noun():
+    world, memory, basis = episode_fixture()
+    prompts = []
+
+    def encode(text):
+        prompts.append(text)
+        return basis[1]
+
+    result = execute_episode("", "sofa", memory, world, k=1, encode=encode,
+                             start=center_pose(world, (0, 0)))
+    assert prompts == ["sofa"]
+    assert result.ranked_ids == ["m_near"]
+
+
 def test_episode_rank1_faces_away():
     world, memory, basis = episode_fixture()
     result = execute_episode("Where is the sofa?", "sofa", memory, world,
@@ -536,6 +550,27 @@ def test_episode_skips_unreachable_candidate():
     assert result.notes == ["skipped m_trapped: unreachable"]
     assert len(result.visited) == 1
     assert result.stop_pose == near
+
+
+def test_episode_skips_a_candidate_whose_pose_plan_path_rejects():
+    world = parse_world("..#..\n\nob1 sofa 4 0\n")
+    # m_wall's pose lies in the wall cell, which plan_path rejects as a goal.
+    wall = center_pose(world, (2, 0))
+    far = center_pose(world, (0, 0), theta=0.0)
+    basis = unit_rows(2)
+    memory = [MemoryEntry("m_wall", wall, basis[0]),
+              MemoryEntry("m_far", far, basis[1])]
+    query = 0.9 * basis[0] + 0.4358898943540674 * basis[1]
+    start = center_pose(world, (1, 0))
+    with pytest.raises(ValueError) as rejected:
+        plan_path(world, start, wall)
+    result = execute_episode("", "sofa", memory, world, k=2,
+                             encode=lambda _: query, start=start)
+    assert result.ranked_ids == ["m_wall", "m_far"]
+    assert result.notes == [f"skipped m_wall: {rejected.value}"]
+    assert str(rejected.value) == "goal cell (2, 0) is occupied"
+    assert result.visited == [far]
+    assert result.path_cells == 1
 
 
 def test_episode_skips_walled_in_goal():
@@ -774,7 +809,8 @@ def test_episode_log(tmp_path):
                              start=center_pose(world, (0, 0)))
     path = str(tmp_path / "episodes.jsonl")
     save_episode_log([result], path)
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])
     assert record["query"] == "Where is the sofa?"

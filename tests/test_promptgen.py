@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slotnav.promptgen import (STUB_SENTENCE_BANK, CaptionedObject,
-                               CaptionRecord, Pose, build_prompt,
-                               convert_detection_dataset, convert_detection_lines,
+                               CaptionRecord, Pose, build_prompt, convert_detection_lines,
                                load_dataset, noun_to_sentences, pose_from_json,
                                pose_to_json, read_lines, save_dataset)
 
@@ -19,10 +18,6 @@ def test_build_prompt_with_sentence():
     assert build_prompt("sofa", "Where can I sit down?") == "sofa. Where can I sit down?"
 
 
-def test_build_prompt_noun_only():
-    assert build_prompt("lamp") == "lamp"
-
-
 def test_build_prompt_deterministic():
     a = build_prompt("desk", "Is it sturdy?")
     b = build_prompt("desk", "Is it sturdy?")
@@ -31,7 +26,7 @@ def test_build_prompt_deterministic():
 
 def test_build_prompt_rejects_empty_noun():
     with pytest.raises(ValueError):
-        build_prompt("")
+        build_prompt("", "hi")
 
 
 def test_build_prompt_rejects_separator_in_noun():
@@ -230,7 +225,7 @@ def test_convert_file_form(tmp_path):
     path = str(tmp_path / "det.jsonl")
     with open(path, "w") as fh:
         fh.write(detection_line("img000", ["sofa"]) + "\n")
-    report = convert_detection_dataset(path, 2)
+    report = convert_detection_lines(read_lines(path), 2)
     assert len(report.records) == 1
     assert report.records[0].objects[0].captions == [
         "sofa", "Where is the sofa?", "I am looking for a sofa."]
