@@ -14,16 +14,18 @@ import numpy as np
 from .autodiff import EvaluationError, ParamStore, derive_seed, load_checkpoint
 from .encoder import EncoderConfig, encode_text, init_params, param_specs
 from .fixtures import write_fixture_bundle
-from .harness import (RunManifest, TrainConfig, config_from_dict, embed_images,
-                      load_image_dir, parse_config_file, train)
+from .harness import (RunManifest, TrainConfig, canonical_caption, config_from_dict,
+                      embed_images, eval_seed, load_examples, load_image_dir,
+                      parse_config_file, train, train_on_examples)
 from .navsim import (DEFAULT_CELL_M, FovParams, MemoryEntry, execute_episode,
                      load_world, save_episode_log, success_rate)
 from .objectives import (Annotation, AnnotationSet, LossWeights, TrainExample,
                          total_loss_graph)
-from .promptgen import (convert_detection_lines, load_dataset, pose_from_json,
-                        read_jsonl, read_lines, save_dataset)
-from .retrieval import (EmbeddingIndex, average_recall, batch_topk, load_ground_truth,
-                        load_index, query_scores, save_index, top_rows)
+from .promptgen import (build_prompt, convert_detection_lines, load_dataset,
+                        pose_from_json, read_jsonl, read_lines, save_dataset)
+from .retrieval import (EmbeddingIndex, GroundTruth, average_recall, build_index,
+                        load_ground_truth, load_index, query_scores, save_index,
+                        top_rows, topk_images)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,6 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=2)
     p.add_argument("--images", type=int, default=1)
     p.add_argument("--tolerance", type=float, default=1e-4)
+
+    p = sub.add_parser("ablate", help="the paper's loss and prompt-template comparisons")
+    p.add_argument("--data", required=True, help="directory with dataset.jsonl and PPMs")
 
     p = sub.add_parser("fixtures", help="write the bundled fixture files")
     p.add_argument("--out", required=True)
@@ -216,7 +221,8 @@ def cmd_eval_retrieval(args) -> int:
     queries = load_index(args.queries)
     _same_width(queries.dim, args.queries, index, args.index)
     gt = load_ground_truth(args.gt, index=index)
-    results = batch_topk(queries, index, ks[-1])
+    results = {qid: topk_images(row, index, ks[-1])
+               for qid, row in zip(queries.ids, queries.matrix)}
     report = average_recall(results, gt, ks)
     for k in ks:
         print(f"ar@{k} {report.values[k]:.6f}")
@@ -377,6 +383,63 @@ def cmd_gradcheck(args) -> int:
     return 0 if report.passed else 1
 
 
+def _ar1(queries: dict[str, np.ndarray], index: EmbeddingIndex,
+         relevant: dict[str, frozenset[str]]) -> float:
+    """AR@1 of each query row ranked against index by topk_images."""
+    results = {qid: topk_images(row, index, 1) for qid, row in queries.items()}
+    return average_recall(results, GroundTruth(relevant=relevant), 1).values[1]
+
+
+def cmd_ablate(args) -> int:
+    """Train the overfit preset with every loss and with the contrastive
+    term alone, then score both under the default weights and by caption
+    self-retrieval; then compare noun-prefixed and bare-sentence queries
+    through the frozen text tower."""
+    config = TrainConfig.overfit_preset()
+    records, examples = load_examples(args.data, config)
+    dataset_path = os.path.join(args.data, "dataset.jsonl")
+    if not any(len(e.annotations) > 1 for e in examples):
+        raise ValueError(f"{dataset_path}: no image has more than one object")
+    # Each object with a sentence caption asks for the records that hold its noun.
+    prompts: dict[str, tuple[str, str]] = {}
+    relevant = {}
+    for record in records:
+        for i, obj in enumerate(record.objects):
+            if len(obj.captions) > 1:
+                qid = f"{record.image_id}:{i}"
+                prompts[qid] = (build_prompt(obj.noun, obj.captions[1]), obj.captions[1])
+                relevant[qid] = frozenset(r.image_id for r in records
+                                          if any(o.noun == obj.noun for o in r.objects))
+    if not prompts:
+        raise ValueError(f"{dataset_path}: no object has a sentence caption")
+
+    ids = [r.image_id for r in records]
+    yardstick = LossWeights(tau=config.weights.tau)
+    contrastive_only = replace(config.weights, beta=0.0, gamma=0.0, delta=0.0)
+    for name, weights in (("full objective", config.weights),
+                          ("contrastive only", contrastive_only)):
+        store, _ = train_on_examples(examples, replace(config, weights=weights))
+        loss = total_loss_graph(examples, store, yardstick, config.encoder,
+                                eval_seed(config)).report.total
+        index = embed_images((e.image for e in examples), ids, store, config)
+        captions = {i: encode_text(canonical_caption(e), store, config.encoder).vector
+                    for i, e in zip(ids, examples)}
+        ar1 = _ar1(captions, index, {i: frozenset({i}) for i in ids})
+        print(f"{name}: loss {loss:.6f} ar@1 {ar1:.4f}")
+
+    # The text tower is frozen, so the last run's store encodes as an
+    # untrained one would.  Each record is indexed by its nouns.
+    def text(caption):
+        return encode_text(caption, store, config.encoder).vector
+
+    nouns = build_index([text(". ".join(o.noun for o in r.objects)) for r in records], ids)
+    for name, which in (("noun+sentence", 0), ("sentence only", 1)):
+        queries = {qid: text(pair[which]) for qid, pair in prompts.items()}
+        print(f"{name}: ar@1 {_ar1(queries, nouns, relevant):.4f}")
+    print(f"queries {len(prompts)}")
+    return 0
+
+
 def cmd_fixtures(args) -> int:
     paths = write_fixture_bundle(args.out)
     for name in sorted(paths):
@@ -392,6 +455,7 @@ _COMMANDS = {
     "augment": cmd_augment,
     "nav-eval": cmd_nav_eval,
     "gradcheck": cmd_gradcheck,
+    "ablate": cmd_ablate,
     "fixtures": cmd_fixtures,
 }
 

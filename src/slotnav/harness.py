@@ -6,18 +6,18 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .autodiff import EvaluationError, ParamStore, derive_seed, save_checkpoint
-from .encoder import (EncoderConfig, check_field_types, encode_text, image_embedding,
-                      init_params, patch_shape, read_ppm)
+from .encoder import (EncoderConfig, check_field_types, image_embedding, init_params,
+                      patch_shape, read_ppm)
 from .objectives import (Annotation, AnnotationSet, LossReport, LossWeights,
                          TrainExample, format_loss_line, total_loss_graph)
-from .promptgen import CaptionRecord, build_prompt, load_dataset, read_lines
-from .retrieval import GroundTruth, average_recall, batch_topk, build_index
+from .promptgen import CaptionRecord, load_dataset, read_lines
+from .retrieval import build_index
 
 Array = np.ndarray
 
@@ -79,21 +79,33 @@ def config_to_dict(config: TrainConfig) -> dict:
     return snapshot
 
 
+# Every key a config may set, split at its section as in ("weights", "tau").
+_KEYS = frozenset([(f.name,) for f in fields(TrainConfig)
+                   if f.name not in ("weights", "encoder")]
+                  + [("weights", f.name) for f in fields(LossWeights)]
+                  + [("encoder", f.name) for f in fields(EncoderConfig)])
+
+
 def config_from_dict(data: dict) -> TrainConfig:
+    """The config of a dict whose weights and encoder are dicts; a key no
+    config has raises ValueError naming it dotted, as a config file spells it."""
     data = dict(data)
-    weights = LossWeights(**data.pop("weights", {}))
-    encoder_data = dict(data.pop("encoder", {}))
-    if isinstance(encoder_data.get("slot_std"), list):
-        encoder_data["slot_std"] = tuple(encoder_data["slot_std"])
-    return TrainConfig(weights=weights, encoder=EncoderConfig(**encoder_data),
+    weights = dict(data.pop("weights", {}))
+    encoder = dict(data.pop("encoder", {}))
+    keys = [(k,) for k in data] + [("weights", k) for k in weights] \
+        + [("encoder", k) for k in encoder]
+    for key in keys:
+        if key not in _KEYS:
+            raise ValueError(f"unknown key {'.'.join(key)}")
+    if isinstance(encoder.get("slot_std"), list):
+        encoder["slot_std"] = tuple(encoder["slot_std"])
+    return TrainConfig(weights=LossWeights(**weights), encoder=EncoderConfig(**encoder),
                        **data)
 
 
 def parse_config_file(path: str) -> TrainConfig:
     """Read `key = value` lines; weights.* and encoder.* reach the sub-configs."""
-    top: dict = {}
-    weights: dict = {}
-    encoder: dict = {}
+    data: dict = {"weights": {}, "encoder": {}}
     for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -101,17 +113,16 @@ def parse_config_file(path: str) -> TrainConfig:
         if "=" not in line:
             raise ValueError(f"{path}: line {lineno}: expected key = value")
         key, text = (part.strip() for part in line.split("=", 1))
-        target, name = (top, key)
-        if key.startswith("weights."):
-            target, name = weights, key[len("weights."):]
-        elif key.startswith("encoder."):
-            target, name = encoder, key[len("encoder."):]
+        parts = tuple(key.split(".", 1))
+        if parts not in _KEYS:
+            raise ValueError(f"{path}: line {lineno}: unknown key {key}")
+        target = data[parts[0]] if len(parts) == 2 else data
         try:
-            target[name] = json.loads(text)
+            target[parts[-1]] = json.loads(text)
         except json.JSONDecodeError:
             raise ValueError(f"{path}: line {lineno}: bad value {text!r}")
     try:
-        return config_from_dict({**top, "weights": weights, "encoder": encoder})
+        return config_from_dict(data)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -196,30 +207,23 @@ def batches_for_epoch(count: int, config: TrainConfig, epoch: int) -> list[list[
             for i in range(0, count, config.batch_size)]
 
 
-def train_on_examples(examples: Sequence[TrainExample], config: TrainConfig,
-                      stop_ratio: float | None = None) -> tuple[ParamStore, list[LossReport]]:
-    """Run the step budget from the seeded initial parameters (optionally
-    stopping at a loss ratio); in memory.  With no examples an epoch has no
-    batches, so ValueError."""
+def train_on_examples(examples: Sequence[TrainExample],
+                      config: TrainConfig) -> tuple[ParamStore, list[LossReport]]:
+    """Run the step budget from the seeded initial parameters, in memory.
+    With no examples an epoch has no batches, so ValueError."""
     if not examples:
         raise ValueError("no training examples")
     store = init_params(config.encoder, seed=derive_seed(config.seed, "init", 0))
     reports: list[LossReport] = []
     step = 0
     epoch = 0
-    initial: float | None = None
     while step < config.total_steps:
         for batch_indices in batches_for_epoch(len(examples), config, epoch):
             if step >= config.total_steps:
                 break
             batch = [examples[i] for i in batch_indices]
-            report = train_step(store, batch, config, step)
-            reports.append(report)
-            if initial is None:
-                initial = report.total
+            reports.append(train_step(store, batch, config, step))
             step += 1
-            if stop_ratio is not None and report.total <= stop_ratio * initial:
-                return store, reports
         epoch += 1
     return store, reports
 
@@ -259,17 +263,25 @@ class RunManifest:
         return manifest
 
 
-def train(data_dir: str, config: TrainConfig, out_dir: str) -> RunManifest:
-    """Train from a dataset directory and write checkpoint, log, manifest."""
+def load_examples(data_dir: str,
+                  config: TrainConfig) -> tuple[list[CaptionRecord], list[TrainExample]]:
+    """A dataset directory's records and their training examples; an empty
+    dataset, or an image the encoder cannot patch, raises ValueError naming
+    the file."""
     dataset_path = os.path.join(data_dir, "dataset.jsonl")
     records = load_dataset(dataset_path)
     if not records:
         raise ValueError(f"{dataset_path}: no records")
     images = load_image_dir(records, data_dir, config.encoder)
     try:
-        examples = dataset_examples(records, images)
+        return records, dataset_examples(records, images)
     except ValueError as exc:
         raise ValueError(f"{dataset_path}: {exc}") from exc
+
+
+def train(data_dir: str, config: TrainConfig, out_dir: str) -> RunManifest:
+    """Train from a dataset directory and write checkpoint, log, manifest."""
+    records, examples = load_examples(data_dir, config)
     store, reports = train_on_examples(examples, config)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -279,8 +291,8 @@ def train(data_dir: str, config: TrainConfig, out_dir: str) -> RunManifest:
     with open(losses_path, "w", encoding="utf-8") as fh:
         for step, report in enumerate(reports):
             fh.write(format_loss_line(step, report) + "\n")
-    inputs = [dataset_path] + [os.path.join(data_dir, f"{r.image_id}.ppm")
-                               for r in records]
+    inputs = [os.path.join(data_dir, "dataset.jsonl")] + [
+        os.path.join(data_dir, f"{r.image_id}.ppm") for r in records]
     manifest = RunManifest(config=config_to_dict(config),
                            input_hash=hash_inputs(inputs),
                            steps=len(reports),
@@ -310,132 +322,3 @@ def embed_images(images: Iterable[Array], ids: Sequence[str],
 def canonical_caption(example: TrainExample) -> str:
     """Stored-order concatenation of the example's captions."""
     return ". ".join(example.annotations.captions())
-
-
-def training_set_ar1(examples: Sequence[TrainExample], store: ParamStore,
-                     config: TrainConfig) -> float:
-    """Top-1 self-retrieval through each image's canonical caption."""
-    ids = [f"img{i:03d}" for i in range(len(examples))]
-    index = embed_images((e.image for e in examples), ids, store, config)
-    queries = build_index([encode_text(canonical_caption(e), store,
-                                       config.encoder).vector
-                           for e in examples],
-                          [f"q{i:03d}" for i in range(len(examples))])
-    results = batch_topk(queries, index, 1)
-    gt = GroundTruth(relevant={f"q{i:03d}": frozenset({ids[i]})
-                               for i in range(len(examples))})
-    return average_recall(results, gt, 1).values[1]
-
-
-# ----------------------------------------------------------------------
-# Overfit harness
-
-@dataclass
-class ConvergenceReport:
-    """Outcome of an overfit run on a tiny training set."""
-
-    converged: bool
-    steps: int
-    initial_loss: float
-    final_loss: float
-    ar1: float
-    curve: list[float]
-    store: ParamStore
-
-
-def overfit_harness(examples: Sequence[TrainExample],
-                    config: TrainConfig) -> ConvergenceReport:
-    """Train until the loss falls to a tenth of its start or budget ends."""
-    if not any(len(e.annotations) > 1 for e in examples):
-        raise ValueError("overfit set must carry multi-label annotations")
-    store, reports = train_on_examples(examples, config, stop_ratio=0.1)
-    curve = [r.total for r in reports]
-    converged = curve[-1] <= 0.1 * curve[0]
-    ar1 = training_set_ar1(examples, store, config)
-    return ConvergenceReport(converged=converged, steps=len(reports),
-                             initial_loss=curve[0], final_loss=curve[-1],
-                             ar1=ar1, curve=curve, store=store)
-
-
-@dataclass
-class AblationReport:
-    """Paired overfit runs: the full objective against contrastive-only."""
-
-    full_loss: float
-    contrastive_only_loss: float
-    full_ar1: float
-    contrastive_only_ar1: float
-
-    @property
-    def full_objective_wins(self) -> bool:
-        return self.contrastive_only_loss > self.full_loss
-
-    def lines(self) -> list[str]:
-        return [f"full objective: loss {self.full_loss:.6f} ar@1 {self.full_ar1:.4f}",
-                f"contrastive only: loss {self.contrastive_only_loss:.6f} "
-                f"ar@1 {self.contrastive_only_ar1:.4f}",
-                f"full objective wins: {self.full_objective_wins}"]
-
-
-def loss_ablation(examples: Sequence[TrainExample],
-                  config: TrainConfig) -> AblationReport:
-    """Train with all losses and with the batch contrastive term alone, then
-    score both parameter sets under the same default-weighted objective."""
-    ablated = replace(config, weights=replace(config.weights, beta=0.0,
-                                              gamma=0.0, delta=0.0))
-    full_run = overfit_harness(examples, config)
-    only_run = overfit_harness(examples, ablated)
-    yardstick = LossWeights(tau=config.weights.tau)
-    seed = eval_seed(config)
-    full = total_loss_graph(examples, full_run.store, yardstick, config.encoder, seed).report
-    only = total_loss_graph(examples, only_run.store, yardstick, config.encoder, seed).report
-    return AblationReport(full_loss=full.total, contrastive_only_loss=only.total,
-                          full_ar1=full_run.ar1, contrastive_only_ar1=only_run.ar1)
-
-
-# ----------------------------------------------------------------------
-# Prompt-template comparison
-
-@dataclass
-class TemplateReport:
-    """AR@1 with and without the object noun prefixed to the query."""
-
-    on_qs_ar1: float
-    qs_only_ar1: float
-    queries: int
-
-
-def prompt_template_report(records: Sequence[CaptionRecord], store: ParamStore,
-                           config: EncoderConfig) -> TemplateReport:
-    """Compare noun-prefixed and bare-sentence queries over caption texts.
-
-    Both sides run through the frozen text encoder: each record is indexed by
-    its concatenated object nouns, and every object with a sentence caption
-    queries for the records containing its noun.
-    """
-    ids = [r.image_id for r in records]
-    index = build_index([encode_text(". ".join(o.noun for o in r.objects),
-                                     store, config).vector
-                         for r in records], ids)
-    queries: dict[str, tuple[str, str]] = {}
-    gt: dict[str, frozenset[str]] = {}
-    for record in records:
-        for i, obj in enumerate(record.objects):
-            if len(obj.captions) < 2:
-                continue
-            qid = f"{record.image_id}:{i}"
-            sentence = obj.captions[1]
-            queries[qid] = (build_prompt(obj.noun, sentence), sentence)
-            gt[qid] = frozenset(r.image_id for r in records
-                                if any(o.noun == obj.noun for o in r.objects))
-    if not queries:
-        raise ValueError("no sentence captions to compare templates on")
-
-    def ar1(which: int) -> float:
-        rows = build_index([encode_text(queries[qid][which], store, config).vector
-                            for qid in sorted(queries)], sorted(queries))
-        results = batch_topk(rows, index, 1)
-        return average_recall(results, GroundTruth(relevant=gt), 1).values[1]
-
-    return TemplateReport(on_qs_ar1=ar1(0), qs_only_ar1=ar1(1),
-                          queries=len(queries))

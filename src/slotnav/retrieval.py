@@ -123,16 +123,6 @@ def topk_images(query: Array, index: EmbeddingIndex, k: int) -> list[str]:
     return [index.ids[i] for i in top_rows(query_scores(query, index), index.ids, k)]
 
 
-def batch_topk(queries: EmbeddingIndex, items: EmbeddingIndex,
-               k: int) -> dict[str, list[str]]:
-    """Top-k item ids for every query row, keyed by query id."""
-    if queries.dim != items.dim:
-        raise ValueError("query and item dimensions differ")
-    sims = queries.matrix @ items.matrix.T
-    return {qid: [items.ids[i] for i in top_rows(sims[r], items.ids, k)]
-            for r, qid in enumerate(queries.ids)}
-
-
 # ----------------------------------------------------------------------
 # Metrics
 

@@ -1,26 +1,24 @@
 """Release gates: one test per promised property, at its stated tolerance."""
 
+import contextlib
+import io
 import os
+import re
 import time
 
 import numpy as np
 import pytest
 
-from slotnav.autodiff import derive_seed
 from slotnav.cli import main
 from slotnav.encoder import EncoderConfig, init_params, sample_slots
 from slotnav.fixtures import (NAV_CELL_M, NAV_START, NAV_WORLD_TEXT, nav_memory_entries,
-                              nav_query_records, nav_query_rows, ortho_indexes,
-                              training_images, training_records)
-from slotnav.harness import (TrainConfig, dataset_examples, loss_ablation,
-                             prompt_template_report)
+                              nav_query_records, nav_query_rows, ortho_indexes)
 from slotnav.navsim import (FovParams, GridWorld, Pose, execute_episode, parse_world,
                             plan_path, success_rate)
 from slotnav.objectives import (Annotation, AnnotationSet, LossWeights,
                                 TrainExample, hungarian, pairwise_cost,
                                 total_loss_graph)
-from slotnav.retrieval import (GroundTruth, average_recall, batch_topk,
-                               build_index, topk_images)
+from slotnav.retrieval import GroundTruth, average_recall, build_index, topk_images
 
 from _oracles import (breadth_first_path, brute_force_assignment, giou, iou,
                       l1_box, random_box, ranked_ids, slot_attention)
@@ -179,8 +177,11 @@ def test_retrieval_topk_oracle_and_recall():
         expected = ranked_ids(index.matrix @ query, index.ids)[:k]
         assert topk_images(query, index, k) == expected, f"trial {trial}"
 
+    def ranked(queries, index, k):
+        return {qid: topk_images(row, index, k) for qid, row in zip(queries.ids, queries.matrix)}
+
     items, queries, gt = ortho_indexes()
-    report = average_recall(batch_topk(queries, items, 1), gt, 1)
+    report = average_recall(ranked(queries, items, 1), gt, 1)
     assert report.values[1] == 1.0
 
     index = build_index(rng.normal(size=(12, 6)),
@@ -191,7 +192,7 @@ def test_retrieval_topk_oracle_and_recall():
                                           size=int(rng.integers(1, 4)),
                                           replace=False).tolist())
                 for qid in random_queries.ids}
-    results = batch_topk(random_queries, index, 12)
+    results = ranked(random_queries, index, 12)
     sweep = average_recall(results, GroundTruth(relevant=relevant),
                            [1, 2, 3, 5, 8, 12])
     series = [sweep.values[k] for k in (1, 2, 3, 5, 8, 12)]
@@ -204,28 +205,44 @@ def test_retrieval_topk_oracle_and_recall():
 # Training
 
 
-def test_overfit_reaches_perfect_recall_and_beats_contrastive_only():
-    examples = dataset_examples(training_records(), training_images())
+@pytest.fixture(scope="module")
+def ablation(tmp_path_factory):
+    """`slotnav ablate` on the bundled fixture: its output by line label,
+    and its wall time."""
+    fx = tmp_path_factory.mktemp("ablate") / "fx"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fixtures", "--out", str(fx)]) == 0
+    out = io.StringIO()
     start = time.perf_counter()
-    report = loss_ablation(examples, TrainConfig.overfit_preset())
+    with contextlib.redirect_stdout(out):
+        assert main(["ablate", "--data", str(fx)]) == 0
     elapsed = time.perf_counter() - start
-    assert report.full_ar1 == 1.0
-    assert report.contrastive_only_loss > report.full_loss
+    return dict(line.rsplit(": ", 1) if ": " in line else line.split(" ", 1)
+                for line in out.getvalue().splitlines()), elapsed
+
+
+def test_overfit_reaches_perfect_recall_and_beats_contrastive_only(ablation):
+    lines, elapsed = ablation
+    pattern = r"loss (\d+\.\d{6}) ar@1 (\d\.\d{4})"
+    full = re.fullmatch(pattern, lines["full objective"])
+    only = re.fullmatch(pattern, lines["contrastive only"])
+    assert full and only, lines
+    assert float(full.group(2)) == 1.0
+    assert float(only.group(1)) > float(full.group(1))
     assert elapsed < 300.0, f"ablation took {elapsed:.1f}s"
-    print(f"overfit: AR@1 {report.full_ar1:.3f}, full loss "
-          f"{report.full_loss:.4f} vs contrastive-only "
-          f"{report.contrastive_only_loss:.4f} in {elapsed:.1f}s")
+    print(f"overfit: AR@1 {full.group(2)}, full loss {full.group(1)} vs "
+          f"contrastive-only {only.group(1)} in {elapsed:.1f}s")
 
 
-def test_noun_first_template_direction():
+def test_noun_first_template_direction(ablation):
     # Reported direction on the bundled fixture, not a universal inequality:
     # the text tower is frozen, so training cannot change this comparison.
-    cfg = TrainConfig.overfit_preset()
-    store = init_params(cfg.encoder, seed=derive_seed(cfg.seed, "init", 0))
-    report = prompt_template_report(training_records(), store, cfg.encoder)
-    assert report.on_qs_ar1 >= report.qs_only_ar1
-    print(f"templates: noun+sentence AR@1 {report.on_qs_ar1:.4f} >= "
-          f"sentence-only {report.qs_only_ar1:.4f} on {report.queries} queries")
+    lines, _ = ablation
+    on_qs = float(re.fullmatch(r"ar@1 (\d\.\d{4})", lines["noun+sentence"]).group(1))
+    qs_only = float(re.fullmatch(r"ar@1 (\d\.\d{4})", lines["sentence only"]).group(1))
+    assert on_qs >= qs_only
+    print(f"templates: noun+sentence AR@1 {on_qs:.4f} >= sentence-only "
+          f"{qs_only:.4f} on {lines['queries']} queries")
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,8 @@ from slotnav import cli, encoder, harness
 from slotnav.autodiff import Graph, LRUCache
 from slotnav.cli import _load_run, main
 from slotnav.encoder import TEXT_PREFIX, write_ppm
-from slotnav.promptgen import load_dataset
-from slotnav.retrieval import EmbeddingIndex, load_index, save_index
+from slotnav.promptgen import load_dataset, save_dataset
+from slotnav.retrieval import EmbeddingIndex, build_index, load_index, save_index
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +355,25 @@ def test_eval_retrieval_queries_of_another_width_exit_one_naming_both_files(bund
                  "--gt", str(fx / "ortho_gt.tsv")]) == 1
     _assert_width_error(capsys, queries, load_index(str(queries)).dim,
                         index, load_index(str(index)).dim)
+
+
+def test_eval_retrieval_ranks_ties_as_retrieve_does(tmp_path, capsys):
+    # Every row is a permutation of one vector, so the uniform query scores
+    # all 40 alike up to rounding, and the rounding picks the top-1; the
+    # other queries have no ties.
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=32)
+    items, queries, gt = tmp_path / "items.lze", tmp_path / "queries.lze", tmp_path / "gt.tsv"
+    save_index(build_index([rng.permutation(v) for _ in range(40)],
+                           [f"i{j:02d}" for j in range(40)]), str(items))
+    save_index(build_index(np.vstack([np.ones(32), rng.normal(size=(7, 32))]),
+                           ["u"] + [f"r{j}" for j in range(7)]), str(queries))
+    assert main(["retrieve", "--index", str(items), "--queries", str(queries), "-k", "1"]) == 0
+    gt.write_text("".join(f"{line.split()[0]}\t{line.split()[2]}\n"
+                          for line in lines_of(capsys)), encoding="utf-8")
+    assert main(["eval-retrieval", "--index", str(items), "--queries", str(queries),
+                 "--gt", str(gt), "--ks", "1"]) == 0
+    assert lines_of(capsys) == ["ar@1 1.000000", "queries 8"]
 
 
 # ----------------------------------------------------------------------
@@ -715,6 +734,61 @@ def test_gradcheck_names_its_worst_coordinate(capsys, monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# ablate
+
+def test_ablate_self_retrieval_is_retrieve_over_an_overfit_run(bundle, tmp_path, capsys):
+    fx = bundle["fx"]
+    assert main(["ablate", "--data", str(fx)]) == 0
+    out = lines_of(capsys)
+    assert main(["ablate", "--data", str(fx)]) == 0
+    assert lines_of(capsys) == out
+    assert [line.split(":")[0] for line in out[:4]] == [
+        "full objective", "contrastive only", "noun+sentence", "sentence only"]
+    assert out[4] == "queries 18"
+    ar1 = re.fullmatch(r"full objective: loss \S+ ar@1 (\S+)", out[0]).group(1)
+
+    # The full objective's run is `train --preset overfit`, and its AR@1 is
+    # the share of captions whose image `retrieve` ranks first.
+    run, images = tmp_path / "run", tmp_path / "images.lze"
+    assert main(["train", "--preset", "overfit", "--data", str(fx), "--out", str(run)]) == 0
+    assert main(["index", "--run", str(run), "--data", str(fx), "--out", str(images)]) == 0
+    capsys.readouterr()
+    records = load_dataset(str(fx / "dataset.jsonl"))
+    hits = 0
+    for record in records:
+        caption = ". ".join(o.captions[0] for o in record.objects)
+        assert main(["retrieve", "--index", str(images), "--run", str(run),
+                     "--query", caption, "-k", "1"]) == 0
+        hits += lines_of(capsys)[0].split()[2] == record.image_id
+    assert ar1 == f"{hits / len(records):.4f}"
+
+
+def test_ablate_on_a_missing_directory_exits_one_naming_the_dataset(tmp_path, capsys):
+    assert main(["ablate", "--data", str(tmp_path / "none")]) == 1
+    captured = capsys.readouterr()
+    assert str(tmp_path / "none" / "dataset.jsonl") in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("keep, message", [
+    ("one object", "no image has more than one object"),
+    ("one caption", "no object has a sentence caption")])
+def test_ablate_on_a_dataset_it_cannot_compare_on_exits_one_naming_it(bundle, tmp_path,
+                                                                    capsys, keep, message):
+    data, records = _bundle_copy(bundle, tmp_path)
+    for record in records:
+        if keep == "one object":
+            record.objects = record.objects[:1]
+        for obj in record.objects:
+            obj.captions = obj.captions[:1] if keep == "one caption" else obj.captions
+    save_dataset(records, str(data / "dataset.jsonl"))
+    assert main(["ablate", "--data", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {data / 'dataset.jsonl'}: {message}\n"
+    assert captured.out == ""
+
+
+# ----------------------------------------------------------------------
 # Flags before the subcommand name
 
 def _argv_of(command, out):
@@ -730,15 +804,17 @@ def _argv_of(command, out):
                          "--poses", missing, "--queries", missing,
                          "--query-index", missing, "--log", str(out)],
             "gradcheck": ["gradcheck"],
+            "ablate": ["ablate", "--data", missing],
             "fixtures": ["fixtures", "--out", str(out)]}[command]
 
 
 @pytest.mark.parametrize("flag, value, command, readers", [
     *[("--config", "/nonexistent.cfg", command, "train")
       for command in ("index", "retrieve", "eval-retrieval", "augment", "nav-eval",
-                      "gradcheck", "fixtures")],
+                      "gradcheck", "ablate", "fixtures")],
     *[("--seed", "99", command, "train, augment, gradcheck")
-      for command in ("index", "retrieve", "eval-retrieval", "nav-eval", "fixtures")]])
+      for command in ("index", "retrieve", "eval-retrieval", "nav-eval", "ablate",
+                      "fixtures")]])
 def test_a_flag_the_subcommand_does_not_read_exits_one_naming_it(tmp_path, capsys, flag,
                                                                  value, command, readers):
     out = tmp_path / "out"
@@ -930,9 +1006,28 @@ def test_run_manifest_with_a_number_that_is_not_finite_exits_one_and_names_it(
     assert err == f"error: {path}: bad config (lr must be finite, got nan)\n"
 
 
-def test_config_naming_encoder_seed_exits_one_and_names_the_file(bundle, tmp_path, capsys):
-    err = _train_rejects_config_line(bundle, tmp_path, capsys, "encoder.seed = 12345")
-    assert "unexpected keyword argument 'seed'" in err
+@pytest.mark.parametrize("key", ["encoder.seed", "weights.gama", "lrr"])
+def test_config_with_an_unknown_key_exits_one_naming_the_key_and_its_line(
+        bundle, tmp_path, capsys, key):
+    err = _train_rejects_config_line(bundle, tmp_path, capsys, f"lr = 0.001\n{key} = 1")
+    assert err == f"error: {tmp_path / 'bad.cfg'}: line 2: unknown key {key}\n"
+
+
+@pytest.mark.parametrize("section, key", [("encoder", "sed"), ("weights", "gama"),
+                                          (None, "lrr")])
+def test_run_manifest_with_an_unknown_key_exits_one_naming_the_manifest_and_key(
+        bundle, tmp_path, capsys, section, key):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "checkpoint.lzp").write_bytes((bundle["run"] / "checkpoint.lzp").read_bytes())
+    manifest = json.loads((bundle["run"] / "manifest.json").read_text(encoding="utf-8"))
+    (manifest["config"][section] if section else manifest["config"])[key] = 1
+    path = run / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["retrieve", "--index", str(bundle["fx"] / "ortho_index.lze"),
+                 "--run", str(run), "--query", "sofa"]) == 1
+    dotted = f"{section}.{key}" if section else key
+    assert capsys.readouterr().err == f"error: {path}: bad config (unknown key {dotted})\n"
 
 
 def test_a_run_whose_manifest_records_an_encoder_seed_still_loads(bundle, tmp_path, capsys):

@@ -13,7 +13,7 @@ from slotnav.fixtures import (IMAGE_NOUNS, NAV_CELL_M, NAV_START, NAV_WORLD_TEXT
                               write_fixture_bundle)
 from slotnav.navsim import FovParams, Pose, execute_episode, parse_world, success_rate
 from slotnav.promptgen import load_dataset, record_to_json
-from slotnav.retrieval import average_recall, batch_topk, load_ground_truth, load_index
+from slotnav.retrieval import average_recall, load_ground_truth, load_index, topk_images
 from slotnav.navsim import load_world
 
 
@@ -162,7 +162,7 @@ def test_wall_occlusion_is_what_blocks_m3():
 
 def test_ortho_fixture_self_retrieves():
     items, queries, gt = ortho_indexes()
-    results = batch_topk(queries, items, 1)
+    results = {qid: topk_images(row, items, 1) for qid, row in zip(queries.ids, queries.matrix)}
     report = average_recall(results, gt, 1)
     assert report.values[1] == 1.0
 

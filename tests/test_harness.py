@@ -12,13 +12,11 @@ from slotnav import harness, objectives
 from slotnav.autodiff import EvaluationError, Graph, LRUCache, derive_seed, load_checkpoint
 from slotnav.encoder import EncoderConfig, init_params, tokenize
 from slotnav.fixtures import training_images, training_records, write_fixture_bundle
-from slotnav.harness import (AblationReport, ConvergenceReport, RunManifest,
-                             TrainConfig, batches_for_epoch, canonical_caption,
-                             config_from_dict, config_to_dict, dataset_examples,
-                             embed_images, eval_seed, hash_inputs, learning_rate,
-                             loss_ablation, overfit_harness, parse_config_file,
-                             prompt_template_report, train, train_on_examples,
-                             train_step, training_set_ar1)
+from slotnav.harness import (RunManifest, TrainConfig, batches_for_epoch,
+                             canonical_caption, config_from_dict, config_to_dict,
+                             dataset_examples, embed_images, eval_seed, hash_inputs,
+                             learning_rate, parse_config_file, train, train_on_examples,
+                             train_step)
 from slotnav.objectives import LossWeights, total_loss_graph
 
 
@@ -375,12 +373,6 @@ def test_train_on_examples_runs_the_budget():
     assert all(math.isfinite(r.total) for r in reports)
 
 
-def test_train_on_examples_stop_ratio_stops_immediately_at_one():
-    cfg = desk_config(total_steps=5)
-    _, reports = train_on_examples(fixture_examples(), cfg, stop_ratio=1.0)
-    assert len(reports) == 1
-
-
 # ----------------------------------------------------------------------
 # Artifacts and determinism
 
@@ -450,52 +442,3 @@ def test_embed_images_yields_unit_rows():
 def test_canonical_caption_preserves_stored_order():
     example = fixture_examples()[0]
     assert canonical_caption(example) == "cup. book"
-
-
-def test_training_set_ar1_is_bounded():
-    cfg = desk_config()
-    store = fresh_store(cfg)
-    value = training_set_ar1(fixture_examples(), store, cfg)
-    assert 0.0 <= value <= 1.0
-
-
-# ----------------------------------------------------------------------
-# Overfit harness and ablation plumbing
-
-def test_overfit_harness_requires_multi_label():
-    from slotnav.objectives import AnnotationSet, TrainExample
-    example = fixture_examples()[0]
-    single = TrainExample(image=example.image,
-                          annotations=AnnotationSet(example.annotations.annotations[:1]))
-    with pytest.raises(ValueError):
-        overfit_harness([single], desk_config(total_steps=1))
-
-
-def test_overfit_report_is_internally_consistent():
-    cfg = desk_config(lr=1e-3, total_steps=2)
-    report = overfit_harness(fixture_examples(), cfg)
-    assert isinstance(report, ConvergenceReport)
-    assert report.steps == len(report.curve) == 2
-    assert report.initial_loss == report.curve[0]
-    assert report.final_loss == report.curve[-1]
-    assert 0.0 <= report.ar1 <= 1.0
-    assert not report.converged
-
-
-def test_loss_ablation_reports_both_runs():
-    cfg = desk_config(lr=1e-3, total_steps=2)
-    report = loss_ablation(fixture_examples(), cfg)
-    assert isinstance(report, AblationReport)
-    assert math.isfinite(report.full_loss)
-    assert math.isfinite(report.contrastive_only_loss)
-    assert len(report.lines()) == 3
-    assert isinstance(report.full_objective_wins, bool)
-
-
-def test_template_report_counts_fixture_queries():
-    cfg = desk_config()
-    store = fresh_store(cfg)
-    report = prompt_template_report(training_records(), store, cfg.encoder)
-    assert report.queries == 18
-    assert 0.0 <= report.qs_only_ar1 <= 1.0
-    assert 0.0 <= report.on_qs_ar1 <= 1.0

@@ -13,15 +13,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # Definitions no program path reads, each with the reason it stays.
-EXPERIMENT = "a paper experiment: no command runs it, but it reproduces the paper's claims"
-REPORT = "a paper experiment's report"
 GATE = "the release gate compares it with brute-force matching"
 ALLOWED = {
-    "loss_ablation": EXPERIMENT,
-    "prompt_template_report": EXPERIMENT,
-    "ConvergenceReport.*": REPORT,
-    "AblationReport.*": REPORT,
-    "TemplateReport.*": REPORT,
     "RunManifest.losses": "a manifest.json key, which every saved run records",
     "Assignment.cost": GATE,
     "Assignment.unmatched_slots": GATE,

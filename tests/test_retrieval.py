@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from slotnav.retrieval import (EmbeddingIndex, GroundTruth, RecallReport,
-                               average_recall, batch_topk, build_index,
-                               load_ground_truth, load_index, save_ground_truth,
-                               save_index, top_rows, topk_images)
+from slotnav.retrieval import (EmbeddingIndex, GroundTruth, RecallReport, average_recall,
+                               build_index, load_ground_truth, load_index,
+                               save_ground_truth, save_index, top_rows, topk_images)
 
 from _oracles import ranked_ids
 
@@ -154,24 +153,6 @@ def test_retrieval_invariant_under_row_permutation():
     assert topk_images(query, idx, 8) == topk_images(query, shuffled, 8)
 
 
-def test_batch_topk_rejects_queries_of_another_dimension():
-    rng = np.random.default_rng(3)
-    texts = random_index(rng, 5, 6, prefix="t")
-    images = random_index(rng, 7, 4, prefix="i")
-    with pytest.raises(ValueError, match="dimensions differ"):
-        batch_topk(texts, images, 1)
-
-
-def test_batch_topk_matches_single_queries():
-    rng = np.random.default_rng(5)
-    texts = random_index(rng, 4, 6, prefix="t")
-    images = random_index(rng, 6, 6, prefix="i")
-    batched = batch_topk(texts, images, 3)
-    assert set(batched) == set(texts.ids)
-    for qid, row in zip(texts.ids, texts.matrix):
-        assert batched[qid] == topk_images(row, images, 3)
-
-
 # ----------------------------------------------------------------------
 # Metrics
 
@@ -311,7 +292,7 @@ def test_ground_truth_unknown_id_check(tmp_path):
 def test_orthonormal_self_retrieval_recall():
     idx = build_index(np.eye(6), [f"i{j}" for j in range(6)])
     queries = build_index(np.eye(6), [f"q{j}" for j in range(6)])
-    results = batch_topk(queries, idx, 6)
+    results = {qid: topk_images(row, idx, 6) for qid, row in zip(queries.ids, queries.matrix)}
     gt = GroundTruth(relevant={f"q{j}": frozenset({f"i{j}"}) for j in range(6)})
     report = average_recall(results, gt, (1, 3))
     assert report.values[1] == 1.0
