@@ -11,7 +11,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .autodiff import EvaluationError, ParamStore, derive_seed, load_checkpoint
+from .autodiff import EvaluationError, ParamStore, load_checkpoint
 from .encoder import EncoderConfig, encode_text, init_params, param_specs
 from .fixtures import write_fixture_bundle
 from .harness import (RunManifest, TrainConfig, canonical_caption, config_from_dict,
@@ -21,7 +21,7 @@ from .navsim import (DEFAULT_CELL_M, FovParams, MemoryEntry, execute_episode,
                      load_world, save_episode_log, success_rate)
 from .objectives import (Annotation, AnnotationSet, LossWeights, TrainExample,
                          total_loss_graph)
-from .promptgen import (build_prompt, convert_detection_lines, load_dataset,
+from .promptgen import (PROMPT_SEPARATOR, build_prompt, convert_detection_lines, load_dataset,
                         pose_from_json, read_jsonl, read_lines, save_dataset)
 from .retrieval import (EmbeddingIndex, GroundTruth, average_recall, build_index,
                         load_ground_truth, load_index, query_scores, save_index,
@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="slotnav",
         description="Object-centric retrieval training and navigation evaluation.")
     parser.add_argument("--seed", type=int, default=None,
-                        help="random seed of train, augment or gradcheck")
+                        help="random seed of train or augment")
     parser.add_argument("--config", default=None,
                         help="key = value training configuration file for train")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -84,12 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-occlusion", action="store_true")
     p.add_argument("--log", default=None, help="episode JSONL to write")
 
-    p = sub.add_parser("gradcheck", help="finite-difference check on the objective")
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--slots", type=int, default=2)
-    p.add_argument("--iters", type=int, default=2)
-    p.add_argument("--images", type=int, default=1)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    sub.add_parser("gradcheck", help="the release gate's gradient check of the objective")
 
     p = sub.add_parser("ablate", help="the paper's loss and prompt-template comparisons")
     p.add_argument("--data", required=True, help="directory with dataset.jsonl and PPMs")
@@ -103,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Shared plumbing
 
 # The subcommands that read each flag given before the subcommand name.
-_READERS = {"seed": ("train", "augment", "gradcheck"), "config": ("train",)}
+_READERS = {"seed": ("train", "augment"), "config": ("train",)}
 
 
 def _train_config(args) -> TrainConfig:
@@ -123,9 +118,9 @@ def _train_config(args) -> TrainConfig:
 
 
 def _load_run(run_dir: str) -> tuple[ParamStore, TrainConfig]:
-    """The run's checkpoint and config; a malformed manifest, or a checkpoint
-    whose tensor names or shapes differ from the config's, raises ValueError
-    naming the file."""
+    """The run's checkpoint and config; a malformed manifest raises ValueError
+    naming it, and a checkpoint that cannot be read, or whose tensor names or
+    shapes differ from the config's, one naming the manifest and the checkpoint."""
     manifest_path = os.path.join(run_dir, "manifest.json")
     manifest = RunManifest.load(manifest_path)
     try:
@@ -139,16 +134,19 @@ def _load_run(run_dir: str) -> tuple[ParamStore, TrainConfig]:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path}: bad config ({exc})") from exc
     path = os.path.join(run_dir, manifest.checkpoint)
-    params = load_checkpoint(path)
+    try:
+        params = load_checkpoint(path)
+    except OSError as exc:
+        raise ValueError(f"{manifest_path}: checkpoint: {exc}") from exc
     for name, shape, _, _ in specs:
         got = params[name].shape if name in params else "missing"
         if got != shape:
             raise ValueError(f"{path}: tensor {name} is {got}, "
-                             f"but the run's config needs {shape}")
+                             f"but the config in {manifest_path} needs {shape}")
     names = [name for name, _, _, _ in specs]
     for name in params:
         if name not in names:
-            raise ValueError(f"{path}: tensor {name} is not in the run's config")
+            raise ValueError(f"{path}: tensor {name} is not in the config in {manifest_path}")
     return ParamStore({name: params[name] for name in names},
                       frozen=[name for name, _, frozen, _ in specs if frozen]), config
 
@@ -175,10 +173,7 @@ def cmd_train(args) -> int:
 
 def cmd_index(args) -> int:
     store, config = _load_run(args.run)
-    dataset_path = os.path.join(args.data, "dataset.jsonl")
-    records = load_dataset(dataset_path)
-    if not records:
-        raise ValueError(f"{dataset_path}: no records")
+    records = load_dataset(os.path.join(args.data, "dataset.jsonl"))
     # One image in memory at a time, so memory does not grow with the corpus.
     # Indexing reads no annotation, so a record with no objects is embedded too.
     images = (load_image_dir([r], args.data, config.encoder)[r.image_id] for r in records)
@@ -220,7 +215,7 @@ def cmd_eval_retrieval(args) -> int:
         raise ValueError(f"--ks: {ks[-1]} exceeds the index's {len(index)} items")
     queries = load_index(args.queries)
     _same_width(queries.dim, args.queries, index, args.index)
-    gt = load_ground_truth(args.gt, index=index)
+    gt = load_ground_truth(args.gt, index, args.index)
     results = {qid: topk_images(row, index, ks[-1])
                for qid, row in zip(queries.ids, queries.matrix)}
     report = average_recall(results, gt, ks)
@@ -231,6 +226,8 @@ def cmd_eval_retrieval(args) -> int:
 
 
 def cmd_augment(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count: must be at least 1, got {args.count}")
     report = convert_detection_lines(read_lines(args.detections), args.count,
                                      seed=args.seed or 0)
     save_dataset(report.records, args.out)
@@ -302,7 +299,7 @@ def cmd_nav_eval(args) -> int:
     entries = []
     for i, image_id in enumerate(memory_index.ids):
         if image_id not in poses:
-            raise ValueError(f"{args.poses}: no pose for memory id {image_id!r}")
+            raise ValueError(f"{args.poses}: no pose for id {image_id!r} of {args.memory}")
         entries.append(MemoryEntry(image_id=image_id, pose=poses[image_id],
                                    embedding=memory_index.matrix[i]))
 
@@ -314,8 +311,6 @@ def cmd_nav_eval(args) -> int:
                 pose_from_json(r["start"]))
 
     queries = read_jsonl(args.queries, query)
-    if not queries:
-        raise ValueError(f"{args.queries}: no records")
     if args.query_index is not None:
         query_index = load_index(args.query_index)
         _same_width(query_index.dim, args.query_index, memory_index, args.memory)
@@ -324,7 +319,8 @@ def cmd_nav_eval(args) -> int:
 
         def encode_for(query_id):
             if query_id not in rows:
-                raise ValueError(f"{args.query_index}: no embedding for {query_id!r}")
+                raise ValueError(f"{args.query_index}: no embedding for query "
+                                 f"{query_id!r} of {args.queries}")
             return lambda _prompt: rows[query_id]
     else:
         store, config = _load_run(args.run)
@@ -355,30 +351,28 @@ def cmd_nav_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    config = EncoderConfig(dim=args.dim, slot_dim=args.dim, num_slots=args.slots,
-                           slot_iters=args.iters, patch_size=8, heads=2,
-                           mlp_ratio=2, max_tokens=16, text_vocab=32, text_len=8)
-    seed = args.seed if args.seed is not None else 0
-    store = init_params(config, seed=derive_seed(seed, "init", 0))
-    rng = np.random.default_rng(derive_seed(seed, "gradcheck", 0))
+    """The release gate: the full objective's gradient against central differences
+    at every trainable coordinate of two 8x8 images at dim 32, 4 slots, 3 iterations."""
+    config = EncoderConfig(patch_size=4, max_tokens=4)
+    store = init_params(config, seed=2)
     examples = []
-    for i in range(args.images):
-        image = rng.uniform(size=(16, 16, 3))
-        examples.append(TrainExample(image=image, annotations=AnnotationSet((
-            Annotation(caption=f"object {i} a", box=[0.1, 0.1, 0.5, 0.5]),
-            Annotation(caption=f"object {i} b", box=[0.5, 0.4, 0.9, 0.9])))))
-    built = total_loss_graph(examples, store, LossWeights(), config,
-                             seed=derive_seed(seed, "step", 0))
-    report = built.graph.finite_difference_check(
-        built.total, parameters=store.trainable_names(),
-        tolerance=args.tolerance, frame=built.frame)
+    for seed, texts in ((10, ("red sofa", "green lamp")), (11, ("wooden table", "white mirror"))):
+        # Each object draws its box from a fresh default_rng(seed + 7): they share it.
+        rng = np.random.default_rng(seed + 7)
+        x1, y1 = rng.random(2) * 0.8
+        w, h = 0.05 + rng.random(2) * 0.95
+        box = [x1, y1, min(x1 + w, 1.0), min(y1 + h, 1.0)]
+        examples.append(TrainExample(np.random.default_rng(seed).random((8, 8, 3)),
+                                     AnnotationSet(tuple(Annotation(c, box) for c in texts))))
+    built = total_loss_graph(examples, store, LossWeights(tau=0.5), config, seed=3)
+    report = built.graph.finite_difference_check(built.total, store.trainable_names(), step=1e-5,
+                                                 tolerance=1e-4, frame=built.frame)
     print(f"max_relative_error {report.max_relative_error:.6e}")
     print(f"checked {report.checked_coordinates}")
     print(f"skipped {report.skipped_coordinates}")
     worst = report.worst
-    if worst is not None:
-        print(f"worst {worst.parameter}[{', '.join(map(str, worst.coordinate))}] "
-              f"analytic {worst.analytic:.6e} numeric {worst.numeric:.6e}")
+    print(f"worst {worst.parameter}[{', '.join(map(str, worst.coordinate))}] "
+          f"analytic {worst.analytic:.6e} numeric {worst.numeric:.6e}")
     print(f"passed {str(report.passed).lower()}")
     return 0 if report.passed else 1
 
@@ -432,7 +426,8 @@ def cmd_ablate(args) -> int:
     def text(caption):
         return encode_text(caption, store, config.encoder).vector
 
-    nouns = build_index([text(". ".join(o.noun for o in r.objects)) for r in records], ids)
+    nouns = build_index([text(PROMPT_SEPARATOR.join(o.noun for o in r.objects))
+                         for r in records], ids)
     for name, which in (("noun+sentence", 0), ("sentence only", 1)):
         queries = {qid: text(pair[which]) for qid, pair in prompts.items()}
         print(f"{name}: ar@1 {_ar1(queries, nouns, relevant):.4f}")
@@ -469,6 +464,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                                  f"not by {args.command}")
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError, EvaluationError) as exc:
+        if isinstance(exc, EvaluationError) and getattr(args, "run", None) is not None:
+            # Inference reads bounded inputs and the run's parameters, so a
+            # value that overflows there comes from the run's checkpoint.
+            manifest = RunManifest.load(os.path.join(args.run, "manifest.json"))
+            exc = f"{os.path.join(args.run, manifest.checkpoint)}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ from .encoder import (EncoderConfig, check_field_types, image_embedding, init_pa
                       patch_shape, read_ppm)
 from .objectives import (Annotation, AnnotationSet, LossReport, LossWeights,
                          TrainExample, format_loss_line, total_loss_graph)
-from .promptgen import CaptionRecord, load_dataset, read_lines
+from .promptgen import PROMPT_SEPARATOR, CaptionRecord, load_dataset, read_lines
 from .retrieval import build_index
 
 Array = np.ndarray
@@ -149,12 +149,16 @@ def dataset_examples(records: Sequence[CaptionRecord],
 
 def load_image_dir(records: Sequence[CaptionRecord], data_dir: str,
                    config: EncoderConfig | None = None) -> dict[str, Array]:
-    """Read {image_id}.ppm for every record.  Given an encoder config, an
-    image it cannot patch raises ValueError naming the file."""
+    """Read {image_id}.ppm for every record of data_dir's dataset.jsonl; an image that
+    cannot be read, or that config cannot patch, raises ValueError naming its file."""
     images = {}
     for r in records:
         path = os.path.join(data_dir, f"{r.image_id}.ppm")
-        images[r.image_id] = image = read_ppm(path)
+        try:
+            images[r.image_id] = image = read_ppm(path)
+        except OSError as exc:
+            raise ValueError(f"{os.path.join(data_dir, 'dataset.jsonl')}: image "
+                             f"{r.image_id!r}: {exc}") from exc
         if config is not None:
             try:
                 patch_shape(image.shape, config)
@@ -265,13 +269,10 @@ class RunManifest:
 
 def load_examples(data_dir: str,
                   config: TrainConfig) -> tuple[list[CaptionRecord], list[TrainExample]]:
-    """A dataset directory's records and their training examples; an empty
-    dataset, or an image the encoder cannot patch, raises ValueError naming
-    the file."""
+    """A dataset directory's records and their training examples; an image
+    the encoder cannot patch raises ValueError naming the file."""
     dataset_path = os.path.join(data_dir, "dataset.jsonl")
     records = load_dataset(dataset_path)
-    if not records:
-        raise ValueError(f"{dataset_path}: no records")
     images = load_image_dir(records, data_dir, config.encoder)
     try:
         return records, dataset_examples(records, images)
@@ -321,4 +322,4 @@ def embed_images(images: Iterable[Array], ids: Sequence[str],
 
 def canonical_caption(example: TrainExample) -> str:
     """Stored-order concatenation of the example's captions."""
-    return ". ".join(example.annotations.captions())
+    return PROMPT_SEPARATOR.join(example.annotations.captions())

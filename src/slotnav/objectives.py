@@ -28,6 +28,7 @@ import numpy as np
 from .autodiff import Frame, Graph, Node, ParamStore
 from .encoder import (Binding, EncoderConfig, _normalize_rows, build_image_embedding,
                       check_field_types, encode_text, patchify, sample_slots)
+from .promptgen import PROMPT_SEPARATOR
 
 Array = np.ndarray
 
@@ -297,11 +298,11 @@ def _exact_sum_pairs(cost: Array) -> list[tuple[int, int]]:
 
 
 def concat_captions(captions: Sequence[str], rng: np.random.Generator) -> str:
-    """The captions in an order rng draws, joined with '. '."""
+    """The captions in an order rng draws, joined with PROMPT_SEPARATOR."""
     if not captions:
         raise ValueError("cannot concatenate an empty caption list")
     order = rng.permutation(len(captions))
-    return ". ".join(captions[i] for i in order)
+    return PROMPT_SEPARATOR.join(captions[i] for i in order)
 
 
 # ----------------------------------------------------------------------

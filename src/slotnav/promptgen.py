@@ -180,8 +180,8 @@ def read_lines(path: str) -> Iterator[str]:
 
 
 def read_jsonl(path: str, parse: Callable[[dict], Any]) -> list:
-    """Each nonblank line of a JSONL file, a JSON object, passed through
-    parse; a bad line raises ValueError naming the file and the line."""
+    """Each nonblank line of a JSONL file, a JSON object, passed through parse;
+    a file with none raises ValueError naming it, and a bad line its line too."""
     records = []
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
@@ -197,6 +197,8 @@ def read_jsonl(path: str, parse: Callable[[dict], Any]) -> list:
             raise ValueError(f"{path}: line {lineno}: missing key {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+    if not records:
+        raise ValueError(f"{path}: no records")
     return records
 
 
@@ -213,8 +215,18 @@ def save_dataset(records: Sequence[CaptionRecord], path: str) -> None:
 
 
 def load_dataset(path: str) -> list[CaptionRecord]:
-    """Read a line-delimited JSON dataset, validating every record."""
-    return read_jsonl(path, record_from_json)
+    """Read a line-delimited JSON dataset, validating every record; an
+    image_id that repeats raises ValueError naming the file and the line."""
+    seen = set()
+
+    def parse(data: dict) -> CaptionRecord:
+        record = record_from_json(data)
+        if record.image_id in seen:
+            raise ValueError(f"image_id {record.image_id!r} repeats an earlier record")
+        seen.add(record.image_id)
+        return record
+
+    return read_jsonl(path, parse)
 
 
 # ----------------------------------------------------------------------
@@ -244,8 +256,6 @@ def convert_detection_lines(lines: Iterable[str], count: int,
     that is then skipped count too.  A line with no pose gets the zero pose.
     Malformed lines are skipped and reported.
     """
-    if count < 1:
-        raise ValueError("caption count must be >= 1")
     records: list[CaptionRecord] = []
     errors: list[tuple[int, str]] = []
     run_noun, run_length = None, 0

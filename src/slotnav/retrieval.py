@@ -192,8 +192,8 @@ def save_ground_truth(gt: GroundTruth, path: str) -> None:
                 fh.write(f"{qid}\t{iid}\n")
 
 
-def load_ground_truth(path: str, index: EmbeddingIndex) -> GroundTruth:
-    """Read tab-separated relevance pairs, each naming an id of index."""
+def load_ground_truth(path: str, index: EmbeddingIndex, index_path: str) -> GroundTruth:
+    """Read tab-separated relevance pairs, each naming an id of index, read from index_path."""
     relevant: dict[str, set[str]] = {}
     known = set(index.ids)
     for lineno, line in enumerate(read_lines(path), start=1):
@@ -205,6 +205,6 @@ def load_ground_truth(path: str, index: EmbeddingIndex) -> GroundTruth:
             raise ValueError(f"{path}: line {lineno}: expected query<tab>image")
         if parts[1] not in known:
             raise ValueError(f"{path}: line {lineno}: query {parts[0]!r} "
-                             f"references unknown id {parts[1]!r}")
+                             f"references id {parts[1]!r}, which {index_path} lacks")
         relevant.setdefault(parts[0], set()).add(parts[1])
     return GroundTruth(relevant={q: frozenset(s) for q, s in relevant.items()})

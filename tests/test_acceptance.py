@@ -9,15 +9,14 @@ import time
 import numpy as np
 import pytest
 
+from slotnav.autodiff import Graph
 from slotnav.cli import main
-from slotnav.encoder import EncoderConfig, init_params, sample_slots
+from slotnav.encoder import EncoderConfig, init_params, param_specs, sample_slots
 from slotnav.fixtures import (NAV_CELL_M, NAV_START, NAV_WORLD_TEXT, nav_memory_entries,
                               nav_query_records, nav_query_rows, ortho_indexes)
 from slotnav.navsim import (FovParams, GridWorld, Pose, execute_episode, parse_world,
                             plan_path, success_rate)
-from slotnav.objectives import (Annotation, AnnotationSet, LossWeights,
-                                TrainExample, hungarian, pairwise_cost,
-                                total_loss_graph)
+from slotnav.objectives import hungarian, pairwise_cost
 from slotnav.retrieval import GroundTruth, average_recall, build_index, topk_images
 
 from _oracles import (breadth_first_path, brute_force_assignment, giou, iou,
@@ -28,34 +27,35 @@ from _oracles import (breadth_first_path, brute_force_assignment, giou, iou,
 # Gradient fidelity
 
 
-def _desk_batch_loss():
-    """The store and full objective of the desk batch the gradient gate
-    checks."""
-    # Desk widths; patch 4 on 8x8 images keeps the coordinate sweep inside
-    # the minute budget without shrinking dim, slots, or iterations.
+_SWEEP = Graph.finite_difference_check
+
+
+def _gradcheck(monkeypatch):
+    """Run `slotnav gradcheck`, the gradient gate; return its exit code, its
+    printed lines, and the report and wall time of its one sweep."""
+    sweeps = []
+
+    def timed(self, *args, **kwargs):
+        start = time.perf_counter()
+        sweeps.append((_SWEEP(self, *args, **kwargs), time.perf_counter() - start))
+        return sweeps[-1][0]
+
+    monkeypatch.setattr(Graph, "finite_difference_check", timed)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["gradcheck"])
+    (report, elapsed), = sweeps
+    return code, out.getvalue().splitlines(), report, elapsed
+
+
+def test_gradient_fidelity_full_loss_desk_batch(monkeypatch):
+    code, lines, report, elapsed = _gradcheck(monkeypatch)
+    # The gate sweeps desk widths: patch 4 on 8x8 images keeps the sweep
+    # inside the minute budget without shrinking dim, slots, or iterations.
     cfg = EncoderConfig(patch_size=4, max_tokens=4)
     assert (cfg.dim, cfg.num_slots, cfg.slot_iters) == (32, 4, 3)
-    store = init_params(cfg, seed=2)
-
-    def example(seed, captions):
-        image = np.random.default_rng(seed).random((8, 8, 3))
-        anns = tuple(Annotation(caption=c,
-                                box=random_box(np.random.default_rng(seed + 7)))
-                     for c in captions)
-        return TrainExample(image=image, annotations=AnnotationSet(anns))
-
-    batch = [example(10, ["red sofa", "green lamp"]),
-             example(11, ["wooden table", "white mirror"])]
-    return store, total_loss_graph(batch, store, LossWeights(tau=0.5), cfg, seed=3)
-
-
-def test_gradient_fidelity_full_loss_desk_batch():
-    store, out = _desk_batch_loss()
-    start = time.perf_counter()
-    report = out.graph.finite_difference_check(out.total, step=1e-5,
-                                               tolerance=1e-4)
-    elapsed = time.perf_counter() - start
-    assert set(report.per_parameter) == set(store.trainable_names())
+    assert set(report.per_parameter) == {name for name, _, frozen, _ in param_specs(cfg)
+                                         if not frozen}
     # Every coordinate is probed; none is dropped or skipped.
     assert report.checked_coordinates == 35460
     assert report.skipped_coordinates == 0
@@ -63,20 +63,20 @@ def test_gradient_fidelity_full_loss_desk_batch():
                           f"({report.worst.parameter if report.worst else 'none'})"
     assert report.max_relative_error < 1e-4
     assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
+    assert code == 0
+    assert {"checked 35460", "skipped 0", "passed true"} <= set(lines)
     print(f"gradient fidelity: max rel {report.max_relative_error:.3e} over "
           f"{report.checked_coordinates} coordinates in {elapsed:.1f}s")
 
 
 def test_gradient_sweep_on_every_cpu_equals_a_one_cpu_sweep_bit_for_bit(monkeypatch):
-    _, out = _desk_batch_loss()
-    every = out.graph.finite_difference_check(out.total, step=1e-5, tolerance=1e-4)
+    code, lines, every, _ = _gradcheck(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    one = out.graph.finite_difference_check(out.total, step=1e-5, tolerance=1e-4)
-    assert every == one
+    assert _gradcheck(monkeypatch)[:3] == (code, lines, every)
     # Where the platform has no affinity set, the sweep counts the CPUs.
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert out.graph.finite_difference_check(out.total, step=1e-5, tolerance=1e-4) == one
-    assert (one.checked_coordinates, one.skipped_coordinates) == (35460, 0)
+    assert _gradcheck(monkeypatch)[:3] == (code, lines, every)
+    assert (every.checked_coordinates, every.skipped_coordinates) == (35460, 0)
 
 
 # ----------------------------------------------------------------------

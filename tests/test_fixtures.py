@@ -197,7 +197,7 @@ def test_fixture_bundle_round_trips(tmp_path):
     assert list(queries.ids) == ["ep0", "ep1", "ep2", "ep3"]
 
     items = load_index(paths["ortho_index.lze"])
-    gt = load_ground_truth(paths["ortho_gt.tsv"], index=items)
+    gt = load_ground_truth(paths["ortho_gt.tsv"], items, paths["ortho_index.lze"])
     assert gt.for_query("q0") == frozenset({"item0"})
 
     images = training_images()

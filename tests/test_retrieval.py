@@ -268,7 +268,7 @@ def test_ground_truth_round_trip(tmp_path):
     path = str(tmp_path / "gt.tsv")
     save_ground_truth(gt, path)
     idx = build_index(np.eye(2), ["a", "b"])
-    assert load_ground_truth(path, index=idx).relevant == gt.relevant
+    assert load_ground_truth(path, idx, "idx.lze").relevant == gt.relevant
 
 
 def test_ground_truth_malformed_line(tmp_path):
@@ -277,7 +277,7 @@ def test_ground_truth_malformed_line(tmp_path):
         fh.write("q0\ta\nq1 b\n")
     idx = build_index(np.eye(2), ["a", "b"])
     with pytest.raises(ValueError, match="line 2"):
-        load_ground_truth(path, index=idx)
+        load_ground_truth(path, idx, "idx.lze")
 
 
 def test_ground_truth_unknown_id_check(tmp_path):
@@ -285,8 +285,9 @@ def test_ground_truth_unknown_id_check(tmp_path):
     with open(path, "w") as fh:
         fh.write("q0\tmissing\n")
     idx = build_index(np.eye(2), ["a", "b"])
-    with pytest.raises(ValueError, match="line 1: query 'q0' references unknown id 'missing'"):
-        load_ground_truth(path, index=idx)
+    with pytest.raises(ValueError, match="line 1: query 'q0' references id 'missing', "
+                                         "which idx.lze lacks"):
+        load_ground_truth(path, idx, "idx.lze")
 
 
 def test_orthonormal_self_retrieval_recall():
